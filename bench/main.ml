@@ -876,9 +876,9 @@ let smoke () =
   end;
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_mc.json" in
   Printf.fprintf oc
-    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d}
+    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d, "cores": %d}
 |}
-    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations;
+    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations cores;
   close_out oc;
   print_endline "bench smoke: appended to BENCH_mc.json";
 

@@ -15,33 +15,27 @@ type t = entry list (* kept sorted, most specific first *)
 
 let empty = []
 
-(* Mutation hook.  ACLs are pure values, so "mutation" means producing a
-   modified list — but cached access decisions derive from ACL contents,
-   and a cache that misses a revocation is a security hole.  Every entry
-   point that produces a modified ACL therefore bumps a module-level
-   generation and notifies subscribers, so observers (the AVC, audit,
-   future subscribers) cannot miss an edit even if a caller stores the
-   new list somewhere unexpected.  Callers that track *which* object
-   changed layer per-object generations on top (see Hierarchy).
+(* Mutation generation.  ACLs are pure values, so "mutation" means
+   producing a modified list — but cached access decisions derive from
+   ACL contents, and a cache that misses a revocation is a security
+   hole.  Every entry point that produces a modified ACL therefore
+   bumps a module-level generation, so a cache that folds it into its
+   epoch (see Hierarchy) cannot miss an edit even if a caller stores
+   the new list somewhere unexpected.  Callers that track *which*
+   object changed layer per-object generations on top.
 
-   The counter and subscriber list are domain-local: a kernel booted on
-   a worker domain (a parallel per-seed experiment task) subscribes its
-   own caches in that domain, and its ACL edits must not fan out to —
-   or race with — kernels living on other domains. *)
-type mutation_state = { mutable generation : int; mutable subscribers : (unit -> unit) list }
+   The counter is pulled, never pushed: nothing here holds a reference
+   to a cache, so a dropped kernel is garbage and an edit costs one
+   increment however many kernels the process has booted.  It is
+   domain-local: a kernel booted on a worker domain (a parallel
+   per-seed experiment task) reads the counter of the domain it was
+   booted on, and ACL edits on other domains neither stale its
+   verdicts nor race with it. *)
+module Gen = Multics_cache.Avc.Gen
 
-let state_key = Domain.DLS.new_key (fun () -> { generation = 0; subscribers = [] })
-
-let generation () = (Domain.DLS.get state_key).generation
-
-let on_change f =
-  let s = Domain.DLS.get state_key in
-  s.subscribers <- f :: s.subscribers
-
-let note_mutation () =
-  let s = Domain.DLS.get state_key in
-  s.generation <- s.generation + 1;
-  List.iter (fun f -> f ()) s.subscribers
+let generation_key = Domain.DLS.new_key Gen.new_epoch
+let generation () = Domain.DLS.get generation_key
+let note_mutation () = Gen.advance (generation ())
 
 let entry_compare a b =
   (* Most specific first; ties broken by pattern text for determinism. *)

@@ -30,16 +30,12 @@ val mode_for : t -> Principal.t -> Mode.t
 
 val permits : t -> Principal.t -> requested:Mode.t -> bool
 
-val generation : unit -> int
-(** Module-level mutation generation: bumped by every entry point that
-    produces a modified ACL ([add], [add_string], [remove],
-    [of_entries], [of_strings]).  Cached access decisions derived from
-    ACL contents compare generations to detect edits they would
-    otherwise miss. *)
-
-val on_change : (unit -> unit) -> unit
-(** Register a callback fired on every ACL mutation (same coverage as
-    {!generation}).  Callbacks cannot be unregistered; intended for
-    process-lifetime subscribers such as the access-decision cache. *)
+val generation : unit -> Multics_cache.Avc.Gen.epoch
+(** The calling domain's mutation generation: advanced by every entry
+    point that produces a modified ACL ([add], [add_string], [remove],
+    [of_entries], [of_strings]).  Caches of decisions derived from ACL
+    contents fold it into their global generation
+    ([Avc.Gen.create ~epoch]) to detect edits they would otherwise
+    miss. *)
 
 val pp : Format.formatter -> t -> unit

@@ -110,7 +110,7 @@ let counter name field =
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(subjects = 16) ?(objects = 256) ?gens ~name () =
+let create ?(subjects = 2) ?(objects = 16) ?gens ~name () =
   let gens = match gens with Some g -> g | None -> Gen.create () in
   let rows = max 1 subjects in
   let cols = pow2_at_least (max 16 objects) 1 in

@@ -48,9 +48,11 @@ type t
 
 val create :
   ?subjects:int -> ?objects:int -> ?gens:Multics_cache.Avc.Gen.t -> name:string -> unit -> t
-(** Preallocates [subjects] rows by [objects] columns (both grown
-    geometrically on demand; columns are capped at an internal bound
-    past which cells simply recompute).  Counters are registered under
+(** Preallocates [subjects] rows by [objects] columns (defaults 2 by
+    16, so creating a table costs almost nothing), both grown
+    geometrically on insertion; a lookup past the allocated capacity
+    is an ordinary counted miss.  Columns are capped at an internal
+    bound past which cells simply recompute.  Counters are registered under
     ["cache.<name>.*"] with the same field names as {!Multics_cache.Avc},
     so status surfaces need not care which mechanism serves them. *)
 

@@ -30,19 +30,45 @@ module Obs = Multics_obs.Obs
 
 module Gen = struct
   (* [of_object] sits on the hit path of every cache lookup, so the
-     common case — small non-negative object ids (uids, segnos) — reads
-     a dense array grown on first bump; anything outside that range
-     (e.g. hashed page ids) falls back to a hashtable.  An id below
-     [dense_limit] that the array has not grown to cover was never
-     bumped, hence generation 0. *)
+     common case — small non-negative object ids (uids, segnos, CAM
+     keys) — reads a two-level dense table: a fixed directory of
+     [page_size]-id pages, each allocated on the first bump of an id in
+     its range.  Until then a directory slot points at [zero_page],
+     shared and never written, so a read is two array loads whether or
+     not the page exists, and an id whose page was never allocated
+     reads generation 0.  Paging matters because the dense ids are not compact: a CPU's
+     CAM keys its entries by [(handle lsl 12) lor segno], so one
+     process's first invalidation lands thousands of ids past the
+     previous one, and a flat array grown to cover it would cost tens
+     of KB per boot.  Anything outside the dense range (e.g. hashed
+     page ids) falls back to a hashtable.
+
+     [epoch] is an external counter folded into [global]: owned by
+     someone else (the domain's ACL mutation generation, for the
+     hierarchy's table), it stales every entry when it advances,
+     without its owner holding a reference to this [Gen.t].  It can
+     only advance, so sharing it can only ever stale entries. *)
+  type epoch = { mutable ticks : int }
+
+  let new_epoch () = { ticks = 0 }
+  let advance e = e.ticks <- e.ticks + 1
+
+  (* Shared by every [Gen.t] created without an epoch; never advanced
+     (it does not escape this module). *)
+  let no_epoch = new_epoch ()
+
+  let page_bits = 8
+  let page_size = 1 lsl page_bits
+  let dense_limit = 1 lsl 16
+  let zero_page = Array.make page_size 0
+
   type t = {
     mutable global : int;
-    mutable dense : int array;
+    epoch : epoch;
+    pages : int array array;
     sparse : (int, int) Hashtbl.t;
     mutable compactions : int;
   }
-
-  let dense_limit = 1 lsl 16
 
   (* The sparse table's size bound.  Hashed ids (page ids) churn
      forever on a long run — objects are deleted, their ids never
@@ -52,14 +78,22 @@ module Gen = struct
   let sparse_limit = 1 lsl 12
 
   let obs_compactions = Obs.Local.counter "cache.gen.compactions"
-  let create () =
-    { global = 0; dense = Array.make 256 0; sparse = Hashtbl.create 16; compactions = 0 }
 
-  let global t = t.global
+  let create ?(epoch = no_epoch) () =
+    {
+      global = 0;
+      epoch;
+      pages = Array.make (dense_limit lsr page_bits) zero_page;
+      sparse = Hashtbl.create 16;
+      compactions = 0;
+    }
+
+  let global t = t.global + t.epoch.ticks
+  let is_dense obj = obj >= 0 && obj < dense_limit
 
   let of_object t obj =
-    if obj >= 0 && obj < Array.length t.dense then Array.unsafe_get t.dense obj
-    else if obj >= 0 && obj < dense_limit then 0
+    if is_dense obj then
+      Array.unsafe_get (Array.unsafe_get t.pages (obj lsr page_bits)) (obj land (page_size - 1))
     else Option.value (Hashtbl.find_opt t.sparse obj) ~default:0
 
   let bump_global t = t.global <- t.global + 1
@@ -82,13 +116,11 @@ module Gen = struct
     if Obs.enabled () then Obs.Counter.incr (obs_compactions ())
 
   let bump_object t obj =
-    if obj >= 0 && obj < dense_limit then begin
-      if obj >= Array.length t.dense then begin
-        let grown = Array.make (max (obj + 1) (2 * Array.length t.dense)) 0 in
-        Array.blit t.dense 0 grown 0 (Array.length t.dense);
-        t.dense <- grown
-      end;
-      t.dense.(obj) <- t.dense.(obj) + 1
+    if is_dense obj then begin
+      let p = obj lsr page_bits in
+      if t.pages.(p) == zero_page then t.pages.(p) <- Array.make page_size 0;
+      let page = t.pages.(p) and i = obj land (page_size - 1) in
+      page.(i) <- page.(i) + 1
     end
     else begin
       if Hashtbl.length t.sparse >= sparse_limit && not (Hashtbl.mem t.sparse obj) then

@@ -31,8 +31,23 @@
 module Gen : sig
   type t
 
-  val create : unit -> t
+  type epoch
+  (** A counter owned outside the cache that can only advance — e.g.
+      the domain's ACL mutation generation. *)
+
+  val new_epoch : unit -> epoch
+  val advance : epoch -> unit
+
+  val create : ?epoch:epoch -> unit -> t
+  (** [epoch] (default: one that never advances) is folded into
+      {!global}: whenever it advances, every entry of every cache
+      sharing this [Gen.t] is stale, exactly as after {!bump_global}.
+      It is read on lookup, never subscribed to, so its owner keeps
+      no reference to this [Gen.t]. *)
+
   val global : t -> int
+  (** The bumped global generation plus the epoch. *)
+
   val of_object : t -> int -> int
 
   val bump_global : t -> unit

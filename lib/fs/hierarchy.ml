@@ -123,13 +123,14 @@ let create ?(words_per_page = 64) () =
     }
   in
   Hashtbl.replace nodes (Uid.to_int Uid.root) root;
-  let gens = Avc.Gen.create () in
-  (* Backstop for the cache: any ACL construction anywhere bumps the
-     global generation, so even an edit that somehow bypassed the
-     per-object bumps below could not leave a stale verdict alive.
-     Conservative (it may invalidate more than necessary), never
-     unsound. *)
-  Acl.on_change (fun () -> Avc.Gen.bump_global gens);
+  (* Backstop for the cache: the domain's ACL mutation generation is
+     folded into the global epoch, so any ACL construction anywhere in
+     the domain stales every compiled verdict, and even an edit that
+     somehow bypassed the per-object bumps below could not leave a
+     stale verdict alive.  Conservative (it may invalidate more than
+     necessary), never unsound.  Pulled, not subscribed: the ACL
+     module holds no reference to this hierarchy. *)
+  let gens = Avc.Gen.create ~epoch:(Acl.generation ()) () in
   {
     nodes;
     uids = Uid.generator ();

@@ -418,19 +418,46 @@ let replay ~bug trace =
   Sim.run t.sim;
   t
 
-(* ----- Canonicalization ----- *)
+(* ----- Canonicalization -----
 
-let render_sdw sdw =
-  Fmt.str "%s/%a/%d" (Mode.to_string (Sdw.mode sdw)) Brackets.pp (Sdw.brackets sdw)
-    (Sdw.gate_bound sdw)
+   Rendered by direct [Buffer] adds: a capture runs once per replay,
+   and interpreting format strings ([Printf.ksprintf], a fresh
+   formatter per [Fmt.str]) took about a quarter of an exploration's
+   time.  The golden canonical-state test pins the bytes. *)
 
-let render_acl acl =
-  Acl.entries acl
-  |> List.map (fun (pattern, mode) ->
-         Principal.pattern_to_string pattern ^ ":" ^ Mode.to_string mode)
-  |> List.sort compare |> String.concat " "
+let add_int b n = Buffer.add_string b (string_of_int n)
 
-let render_labels labels = labels |> List.map Label.to_string |> List.sort compare |> String.concat "+"
+(* "(r1,r2,r3)", as [Brackets.pp] prints them. *)
+let add_brackets b brackets =
+  Buffer.add_char b '(';
+  add_int b (Ring.to_int (Brackets.write_top brackets));
+  Buffer.add_char b ',';
+  add_int b (Ring.to_int (Brackets.execute_top brackets));
+  Buffer.add_char b ',';
+  add_int b (Ring.to_int (Brackets.call_top brackets));
+  Buffer.add_char b ')'
+
+let add_sdw b sdw =
+  Buffer.add_string b (Mode.to_string (Sdw.mode sdw));
+  Buffer.add_char b '/';
+  add_brackets b (Sdw.brackets sdw);
+  Buffer.add_char b '/';
+  add_int b (Sdw.gate_bound sdw)
+
+let add_sorted b ~sep strings =
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_string b sep;
+      Buffer.add_string b s)
+    (List.sort compare strings)
+
+let add_acl b acl =
+  add_sorted b ~sep:" "
+    (List.map
+       (fun (pattern, mode) -> Principal.pattern_to_string pattern ^ ":" ^ Mode.to_string mode)
+       (Acl.entries acl))
+
+let add_labels b labels = add_sorted b ~sep:"+" (List.map Label.to_string labels)
 
 (* The orphan branch a faulted create leaves behind, found by name so
    its (run-dependent) uid never leaks into the canonical form. *)
@@ -444,72 +471,108 @@ let tmp_uid t =
 
 let canonical t =
   let b = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let add = Buffer.add_string b and addc = Buffer.add_char b and addi = add_int b in
+  let add_key key =
+    addc ' ';
+    addi key
+  in
+  let add_entry (key, sdw) =
+    add_key key;
+    addc '=';
+    add_sdw b sdw
+  in
   let hierarchy = System.hierarchy t.system in
   (* Objects: attributes + the one tracked word of contents. *)
   let render_object name uid =
+    add "obj ";
+    add name;
     match Hierarchy.acl_of hierarchy uid with
-    | None -> bpf "obj %s absent\n" name
+    | None -> add " absent\n"
     | Some acl ->
-        bpf "obj %s acl{%s} label=%s brackets=%s gate=%d word0=%d\n" name (render_acl acl)
+        add " acl{";
+        add_acl b acl;
+        add "} label=";
+        add
           (match Hierarchy.label_of hierarchy uid with
           | Some l -> Label.to_string l
-          | None -> "?")
-          (match Hierarchy.brackets_of hierarchy uid with
-          | Some brackets -> Fmt.str "%a" Brackets.pp brackets
-          | None -> "?")
-          (Option.value ~default:0 (Hierarchy.gate_bound_of hierarchy uid))
-          (Option.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0))
+          | None -> "?");
+        add " brackets=";
+        (match Hierarchy.brackets_of hierarchy uid with
+        | Some brackets -> add_brackets b brackets
+        | None -> addc '?');
+        add " gate=";
+        addi (Option.value ~default:0 (Hierarchy.gate_bound_of hierarchy uid));
+        add " word0=";
+        addi (Option.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0));
+        addc '\n'
   in
   render_object "s0" t.s0;
   render_object "s1" t.s1;
-  (match tmp_uid t with None -> bpf "obj tmp absent\n" | Some uid -> render_object "tmp" uid);
+  (match tmp_uid t with None -> add "obj tmp absent\n" | Some uid -> render_object "tmp" uid);
   (* Processes: ring, known segments, installed SDWs, and the
      per-process associative-memory front. *)
   List.iter
     (fun who ->
       let p = proc_of t who in
-      bpf "proc %s ring=%d kst{" (principal_name who) (Ring.to_int p.System.ring);
+      add "proc ";
+      add (principal_name who);
+      add " ring=";
+      addi (Ring.to_int p.System.ring);
+      add " kst{";
       List.iter
         (fun segno ->
-          bpf " %d=%s" segno
-            (match Kst.sdw_of p.System.kst segno with
-            | Some sdw -> render_sdw sdw
-            | None -> "-"))
+          match Kst.sdw_of p.System.kst segno with
+          | Some sdw -> add_entry (segno, sdw)
+          | None ->
+              add_key segno;
+              add "=-")
         (List.sort compare (Kst.known_segnos p.System.kst));
-      bpf " } assoc{";
-      List.iter
-        (fun (segno, sdw) -> bpf " %d=%s" segno (render_sdw sdw))
-        (List.sort compare (Hardware.Assoc.entries p.System.assoc));
-      bpf " }\n")
+      add " } assoc{";
+      List.iter add_entry (List.sort compare (Hardware.Assoc.entries p.System.assoc));
+      add " }\n")
     [ Alice; Bob ];
   (* Per-CPU fronts. *)
   for cpu = 0 to 1 do
-    bpf "cpu %d cam{" cpu;
-    List.iter
-      (fun (key, sdw) -> bpf " %d=%s" key (render_sdw sdw))
-      (List.sort compare (Smp.cam_entries t.plant ~cpu));
-    bpf " } ptw{";
-    List.iter (fun key -> bpf " %d" key) (List.sort compare (Smp.ptw_keys t.plant ~cpu));
-    bpf " }\n"
+    add "cpu ";
+    addi cpu;
+    add " cam{";
+    List.iter add_entry (List.sort compare (Smp.cam_entries t.plant ~cpu));
+    add " } ptw{";
+    List.iter add_key (List.sort compare (Smp.ptw_keys t.plant ~cpu));
+    add " }\n"
   done;
   (* Queued (undelivered) connects, in arrival order. *)
-  bpf "pending{";
-  List.iter (fun (cpu, tag) -> bpf " %d:%s" cpu tag) (Smp.pending_connects t.plant);
-  bpf " }\n";
+  add "pending{";
+  List.iter
+    (fun (cpu, tag) ->
+      add_key cpu;
+      addc ':';
+      add tag)
+    (Smp.pending_connects t.plant);
+  add " }\n";
   (* The crash journal, sans timestamps (timing is not state). *)
-  bpf "journal{";
+  add "journal{";
   List.iter
     (fun (e : System.journal_entry) ->
-      bpf " %d:%s:%s:%s" e.System.handle e.System.operation
-        (match e.System.dir with Some uid -> string_of_int (Uid.to_int uid) | None -> "-")
-        (Option.value ~default:"-" e.System.entry_name))
+      add_key e.System.handle;
+      addc ':';
+      add e.System.operation;
+      addc ':';
+      (match e.System.dir with Some uid -> addi (Uid.to_int uid) | None -> addc '-');
+      addc ':';
+      add (Option.value ~default:"-" e.System.entry_name))
     (System.crash_journal t.system);
-  bpf " }\n";
+  add " }\n";
   (* Taint accounting (the P3 state). *)
-  bpf "taints alice{%s} bob{%s} s0{%s} s1{%s}\n"
-    (render_labels t.alice_carried) (render_labels t.bob_carried) (render_labels t.s0_taints)
-    (render_labels t.s1_taints);
+  add "taints alice{";
+  add_labels b t.alice_carried;
+  add "} bob{";
+  add_labels b t.bob_carried;
+  add "} s0{";
+  add_labels b t.s0_taints;
+  add "} s1{";
+  add_labels b t.s1_taints;
+  add "}\n";
   Buffer.contents b
 
 let fingerprint canon = Digest.to_hex (Digest.string canon)

@@ -142,6 +142,105 @@ let test_gen_sparse_table_bounded () =
   Avc.add c ~obj:victim victim 7;
   Alcotest.(check (option int)) "fresh entry after compaction hits" (Some 7) (Avc.find c victim)
 
+(* The paged dense range against a reference model: a plain hashtable
+   of every bumped id, plus the sparse compaction rule (a bump of a new
+   sparse id into a full sparse table folds the table into the global
+   epoch: every sparse id reads 0 again, the bumped one 1).  Ids span
+   0..2^17 — both sides of the dense limit — and the composite CAM keys
+   [(handle lsl 12) lor segno] of handles 1..40, whose first bumps land
+   4,096 ids apart. *)
+type gen_op = Bump of int | Bump_global
+
+let run_gen_model ops =
+  let g = Avc.Gen.create () in
+  let model = Hashtbl.create 64 and global = ref 0 and sparse = ref 0 in
+  let is_sparse id = id < 0 || id >= 1 lsl 16 in
+  let model_get id = Option.value (Hashtbl.find_opt model id) ~default:0 in
+  let ok =
+    List.for_all
+      (fun op ->
+        (match op with
+        | Bump_global ->
+            Avc.Gen.bump_global g;
+            incr global
+        | Bump id ->
+            Avc.Gen.bump_object g id;
+            if is_sparse id && (not (Hashtbl.mem model id)) && !sparse >= Avc.Gen.sparse_limit
+            then begin
+              incr global;
+              Hashtbl.filter_map_inplace (fun k v -> if is_sparse k then None else Some v) model;
+              sparse := 0
+            end;
+            if is_sparse id && not (Hashtbl.mem model id) then incr sparse;
+            Hashtbl.replace model id (model_get id + 1));
+        let probe id = Avc.Gen.of_object g id = model_get id in
+        Avc.Gen.global g = !global
+        && Avc.Gen.sparse_size g = !sparse
+        && (match op with Bump id -> probe id && probe (id + 1) && probe (id - 1) | Bump_global -> true))
+      ops
+    && Hashtbl.fold (fun id n ok -> ok && Avc.Gen.of_object g id = n) model true
+  in
+  (ok, Avc.Gen.compactions g)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun id -> Bump id) (int_range 0 (1 lsl 17)));
+        ( 4,
+          map2
+            (fun handle segno -> Bump ((handle lsl 12) lor segno))
+            (int_range 1 40) (int_range 0 4095) );
+        (1, return Bump_global);
+      ])
+
+let test_gen_paging_model =
+  QCheck.Test.make ~name:"gen: paged counters match a hashtable model" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) gen_op))
+    (fun ops -> fst (run_gen_model ops))
+
+let test_gen_compaction_model () =
+  (* Cross the sparse threshold: fill the sparse table with composite
+     keys of handles 16 and 17 (past the dense range), interleaved with
+     repeats and dense bumps, then bump one more new sparse id. *)
+  let sparse_key i = ((16 + (i / 4096)) lsl 12) lor (i mod 4096) in
+  let ops =
+    List.concat
+      (List.init (Avc.Gen.sparse_limit + 2) (fun i ->
+           [ Bump (sparse_key i); Bump (sparse_key (i / 2)); Bump ((1 + (i mod 15)) lsl 12) ]))
+  in
+  let ok, compactions = run_gen_model ops in
+  Alcotest.(check int) "one compaction" 1 compactions;
+  Alcotest.(check bool) "model agrees across the compaction" true ok
+
+let test_gen_sparse_key_not_shadowed () =
+  (* A CPU CAM's keys for handles 16 and up lie past the dense range.
+     Invalidations for handles 8 and 9 must not make a later
+     invalidation of such a key invisible: a dense array grown past
+     the dense limit would shadow those ids, reading 0 where the bump
+     had gone to the sparse table — a revoked CAM entry served as
+     fresh. *)
+  let key handle segno = (handle lsl 12) lor segno in
+  let c = Avc.create ~capacity:16 ~hash:(fun k -> k) ~equal:Int.equal ~name:"t.cam_keys" () in
+  let victim = key 16 2 in
+  Avc.add c ~obj:victim victim 1;
+  Avc.invalidate_object c (key 8 1);
+  Avc.invalidate_object c (key 9 1);
+  Avc.invalidate_object c victim;
+  Alcotest.(check (option int)) "revoked CAM entry stays revoked" None (Avc.find c victim)
+
+let test_gen_page_allocation () =
+  (* The first invalidation for handle 8 on a fresh CPU CAM must cost
+     one page, not a dense array grown to cover id 32,775. *)
+  let g = Avc.Gen.create () in
+  let id = (8 lsl 12) lor 7 in
+  let before = Gc.allocated_bytes () in
+  Avc.Gen.bump_object g id;
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "bumped" 1 (Avc.Gen.of_object g id);
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 8 KB" allocated) true
+    (allocated < 8192.)
+
 (* ----- Revocation through every mutating entry point ----- *)
 
 let operator =
@@ -172,6 +271,52 @@ let check_both h ~subject ~uid ~requested =
   let cached = Hierarchy.check_access h ~subject ~uid ~requested in
   Alcotest.(check (option verdict)) "cached = fresh" fresh cached;
   cached
+
+let policy_counts h =
+  List.map (fun f -> (f, List.assoc f (Hierarchy.cache_stats h))) [ "hits"; "misses"; "invalidations" ]
+
+let test_acl_backstop () =
+  (* Any ACL built anywhere in the domain stales every compiled
+     verdict, even one on an object the edit never touched: the next
+     reference counts one invalidation and one miss and recompiles, the
+     one after hits again. *)
+  Obs.set_enabled true;
+  let h = Hierarchy.create () in
+  let uid = make_segment h "s" in
+  ignore (check_both h ~subject:alice ~uid ~requested:Mode.r);
+  ignore (check_both h ~subject:alice ~uid ~requested:Mode.r);
+  let delta before after = List.map2 (fun (f, a) (_, b) -> (f, b - a)) before after in
+  let before = policy_counts h in
+  ignore (Acl.of_strings [ ("Bob.*.*", "r"); ("Carol.*.*", "rw") ]);
+  ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
+  let after_edit = policy_counts h in
+  Alcotest.(check (list (pair string int)))
+    "stale: one invalidation, one miss"
+    [ ("hits", 0); ("misses", 1); ("invalidations", 1) ]
+    (delta before after_edit);
+  ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
+  Alcotest.(check (list (pair string int)))
+    "recompiled: one hit"
+    [ ("hits", 1); ("misses", 0); ("invalidations", 0) ]
+    (delta after_edit (policy_counts h))
+
+(* Boot a hierarchy, warm its table, and keep only a weak pointer to
+   its generation counters.  A separate, never-inlined function so no
+   register or stack slot of the caller keeps the hierarchy alive. *)
+let[@inline never] boot_and_drop weak =
+  let h = Hierarchy.create () in
+  let uid = make_segment h "s" in
+  ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
+  Weak.set weak 0 (Some (Multics_access.Av_table.gens (Hierarchy.av_table h)))
+
+let test_dropped_kernel_collected () =
+  (* Booting a kernel must leave nothing behind that keeps it alive:
+     the ACL backstop is pulled by the hierarchy, so no domain-wide
+     list holds its counters after it is dropped. *)
+  let weak = Weak.create 1 in
+  boot_and_drop weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "generation counters collected" false (Weak.check weak 0)
 
 let test_set_acl_revokes () =
   let h = Hierarchy.create () in
@@ -432,4 +577,12 @@ let suite =
     Alcotest.test_case "revocation: rename keeps parity" `Quick test_rename_keeps_parity;
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
     Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
+    QCheck_alcotest.to_alcotest test_gen_paging_model;
+    Alcotest.test_case "gen: model agrees across a sparse compaction" `Quick
+      test_gen_compaction_model;
+    Alcotest.test_case "gen: sparse CAM keys are never shadowed" `Quick
+      test_gen_sparse_key_not_shadowed;
+    Alcotest.test_case "gen: first CAM-key bump allocates one page" `Quick test_gen_page_allocation;
+    Alcotest.test_case "acl backstop stales every compiled verdict" `Quick test_acl_backstop;
+    Alcotest.test_case "a dropped kernel is collected" `Quick test_dropped_kernel_collected;
   ]

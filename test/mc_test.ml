@@ -114,6 +114,27 @@ let test_pool_size_invisible () =
   let s jobs = Mc.summary (Mc.explore ~jobs ~depth:2 ~bug:true ()) in
   Alcotest.(check string) "jobs=1 and jobs=2 outcomes identical" (s 1) (s 2)
 
+(* The reachable-state golden: canonical strings of every trace of at
+   most two actions over the bug alphabet, plus 200 seeded traces of
+   3-6 actions, digested in order.  A change to boot, replay or
+   canonicalization that moves any reachable state, or any byte of its
+   rendering, moves this digest; a change meant only to make replay
+   cheaper must leave it alone. *)
+let golden_traces () =
+  let alpha = Mc.alphabet ~bug:true in
+  let ones = List.map (fun a -> [ a ]) alpha in
+  let twos = List.concat_map (fun a -> List.map (fun b -> [ a; b ]) alpha) alpha in
+  let seeded = List.init 200 (fun i -> Mc.random_trace ~seed:(500 + i) ~length:(3 + (i mod 4))) in
+  ([] :: ones) @ twos @ seeded
+
+let golden_digest = "aed834bee200fade3fdf532e54a6833a"
+
+let test_canonical_golden () =
+  let canon = List.map (fun t -> fst (Mc.violations_of_trace ~bug:true t)) (golden_traces ()) in
+  Alcotest.(check int) "trace count" 473 (List.length canon);
+  Alcotest.(check string) "canonical-state digest" golden_digest
+    (Digest.to_hex (Digest.string (String.concat "\x00" canon)))
+
 let suite =
   [
     Alcotest.test_case "action/trace round-trip" `Quick test_action_roundtrip;
@@ -124,4 +145,6 @@ let suite =
     Alcotest.test_case "healthy plant explores clean" `Quick test_healthy_explore_clean;
     Alcotest.test_case "bug plant yields the minimal window" `Quick test_bug_explore_finds_window;
     Alcotest.test_case "frontier pool size is invisible" `Quick test_pool_size_invisible;
+    Alcotest.test_case "reachable canonical states match the golden digest" `Quick
+      test_canonical_golden;
   ]
