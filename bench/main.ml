@@ -940,8 +940,7 @@ let smoke () =
         ())
   in
   let spec =
-    Spec.Specialisation.compile ~keep:[ "enter_subsystem"; "logout" ] ~name:"bench-read"
-      spec_config profile
+    Spec.Specialisation.compile ~name:"bench-read" spec_config profile
   in
   Spec.Specialisation.apply spec_system spec;
   let masked_t = median (List.init trials (fun _ -> time_iters spec_iters read_once)) in

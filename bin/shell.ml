@@ -544,7 +544,6 @@ let cmd_mc_replay ~trace ~bug =
    traffic, compile it into a gate mask, install it.  Subsystem entry
    and logout stay alive under every mask so the operator can't strip
    the session out from under themselves. *)
-let spec_always_keep = [ "enter_subsystem"; "logout" ]
 
 let cmd_spec_profile_start shell =
   match shell.profiling with
@@ -576,8 +575,8 @@ let cmd_spec_apply shell =
   | None -> say "no captured profile (use: spec profile start ... spec profile stop NAME)"
   | Some profile ->
       let spec =
-        Spec.Specialisation.compile ~keep:spec_always_keep ~name:(Spec.Profile.name profile)
-          (System.config shell.system) profile
+        Spec.Specialisation.compile ~name:(Spec.Profile.name profile) (System.config shell.system)
+          profile
       in
       Spec.Specialisation.apply shell.system spec;
       say "%s" (Spec.Specialisation.describe spec);

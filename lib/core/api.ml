@@ -6,22 +6,23 @@
    wrapper functions are gone: a second door, even a thin one, is a
    second place specialisation masks and metering must hold.)
 
-   A call is mediated four times over:
+   A call is mediated three times over:
 
-   1. the gate must exist in the running configuration (a removed
-      mechanism's gates are simply absent — the caller must use the
-      user-ring library instead);
-   2. an installed specialisation mask must admit the gate (a
+   1. the gate must be in the running kernel's gate table
+      ({!System.gate_entry}): a removed mechanism's gates are simply
+      absent — the caller must use the user-ring library instead — and
+      a specialisation mask strips its gates from the same table, so a
       stripped gate refuses with the same [Gate_absent] before any
-      kernel state is touched);
-   3. the caller's ring must be within the gate's call bracket;
-   4. the operation itself applies the reference monitor (ACL x
+      kernel state is touched;
+   2. the caller's ring must be within the gate's call bracket;
+   3. the operation itself applies the reference monitor (ACL x
       lattice at descriptor construction, SDW checks at reference).
 
-   Because every call funnels through [dispatch]'s [call] wrapper, the
-   audit record and the observability counters (per-gate call/refusal
-   counts, mediation cycles, audit-trail depth) are written in exactly
-   one place.
+   [dispatch] names each request's operation once
+   ({!Call.operation_name}) and every call funnels through its one
+   [call] wrapper, so the audit record and the observability counters
+   (per-gate call/refusal counts, mediation cycles, audit-trail depth)
+   are written in exactly one place.
 
    Content references ([read_word]/[write_word]) deliberately check
    the SDW installed at initiate time rather than re-deriving policy,
@@ -195,56 +196,58 @@ let meter system ~operation ~refused =
 
 (* ----- The gate discipline ----- *)
 
-let gate_check system (p : System.proc) ~gate =
-  match Gate.find (System.config system) ~gate_name:gate with
-  | None -> Error (Gate_absent gate)
-  | Some entry ->
-      (* A specialised kernel simply does not have its stripped gates:
-         the mask check sits here, before the ring check and before
-         any body runs, so a stripped entry refuses exactly like a
-         removed mechanism's — [Gate_absent], audited, no kernel
-         state touched. *)
-      if not (System.gate_admitted system ~gate) then Error (Gate_absent gate)
-      else if Ring.to_int p.System.ring <= Ring.to_int entry.Gate.call_top then Ok ()
-      else Error (Gate_ring_denied { gate; ring = Ring.to_int p.System.ring })
+(* How a call is admitted before its body runs.  A supervisor entry
+   ([Gate]) must be in the gate table and within its call bracket.  A
+   hardware gate call or an operator action ([Ungated]) is not a
+   supervisor entry: only its body decides.
 
-(* Wrap one gate call: locate the process, enforce the gate
-   discipline, run the body, and write the audit and observability
-   records.
+   A specialised kernel simply does not have its stripped gates: they
+   are missing from the same table a removed mechanism's gates are
+   missing from, so one lookup — before the ring check and before any
+   body runs — refuses both alike: [Gate_absent], audited, no kernel
+   state touched.
 
-   Fault injection hooks into this choke point on the refusing side
-   only: an injected [Gate_deny] turns the call away before the body
+   Fault injection hooks into the gate side on the refusing side only:
+   an injected [Gate_deny] turns an admitted call away before the body
    runs (a clean refusal, audited like any other), and the mutating
-   dispatch arms consult [Gate_abort] after their hierarchy update
-   (a mid-dispatch crash, leaving partial state for the salvager).
+   dispatch arms consult [Gate_abort] after their hierarchy update (a
+   mid-dispatch crash, leaving partial state for the salvager).
    Neither path can widen what the reference monitor granted. *)
-let call system ~handle ~gate ~target body =
+type admission = Gate | Ungated
+
+let admit system (p : System.proc) ~operation = function
+  | Ungated -> Ok ()
+  | Gate -> (
+      let ring = Ring.to_int p.System.ring in
+      match System.gate_entry system ~gate:operation with
+      | None -> Error (Gate_absent operation)
+      | Some entry when ring > Ring.to_int entry.Gate.call_top ->
+          Error (Gate_ring_denied { gate = operation; ring })
+      | Some _ when System.fault_fires system Multics_fault.Fault.Gate_deny ->
+          Error (Fault_injected { site = "gate.deny"; operation })
+      | Some _ -> Ok ())
+
+(* Wrap one call: locate the process, admit the call, run the body,
+   and write the audit and observability records. *)
+let call system ~handle ~operation admission ~target body =
   match System.proc system handle with
   | None ->
-      meter system ~operation:gate ~refused:true;
+      meter system ~operation ~refused:true;
       Error (No_such_process handle)
-  | Some p -> (
+  | Some p ->
       let subject = System.subject_of p in
-      match gate_check system p ~gate with
-      | Error e ->
-          Audit_log.log (System.audit system) ~subject ~operation:gate ~target
-            ~verdict:(Audit_log.Refused (error_to_string e));
-          meter system ~operation:gate ~refused:true;
-          Error e
-      | Ok () ->
-          let result =
-            if System.fault_fires system Multics_fault.Fault.Gate_deny then
-              Error (Fault_injected { site = "gate.deny"; operation = gate })
-            else body p subject
-          in
-          let verdict =
-            match result with
-            | Ok _ -> Audit_log.Granted
-            | Error e -> Audit_log.Refused (error_to_string e)
-          in
-          Audit_log.log (System.audit system) ~subject ~operation:gate ~target ~verdict;
-          meter system ~operation:gate ~refused:(Result.is_error result);
-          result)
+      let result =
+        let* () = admit system p ~operation admission in
+        body p subject
+      in
+      let verdict =
+        match result with
+        | Ok _ -> Audit_log.Granted
+        | Error e -> Audit_log.Refused (error_to_string e)
+      in
+      Audit_log.log (System.audit system) ~subject ~operation ~target ~verdict;
+      meter system ~operation ~refused:(Result.is_error result);
+      result
 
 (* Consulted by the mutating dispatch arms right after their hierarchy
    update succeeded: an injected abort records what the kernel knew in
@@ -286,36 +289,20 @@ let device_transient_guard system ~device ~operation =
 
 let uid_of_segno (p : System.proc) segno = kst_result (Kst.uid_of_segno p.System.kst segno)
 
-(* Hardware gate calls (subsystem entry/exit): not supervisor entries,
-   but still audited and metered. *)
-let call_hardware system ~handle ~operation ~target body =
-  match System.proc system handle with
-  | None ->
-      meter system ~operation ~refused:true;
-      Error (No_such_process handle)
-  | Some p ->
-      let subject = System.subject_of p in
-      let result = body p in
-      let verdict =
-        match result with
-        | Ok _ -> Audit_log.Granted
-        | Error e -> Audit_log.Refused (error_to_string e)
-      in
-      Audit_log.log (System.audit system) ~subject ~operation ~target ~verdict;
-      meter system ~operation ~refused:(Result.is_error result);
-      result
-
 (* Process-management operations are supervisor gates under the
    privileged-login configuration, ordinary subsystem entries under the
-   unified configuration; the facade dispatches on gate presence. *)
-let login_gate_or_unified system ~handle ~gate ~target body =
-  match Gate.find (System.config system) ~gate_name:gate with
-  | Some _ -> call system ~handle ~gate ~target body
-  | None ->
-      call_hardware system ~handle
-        ~operation:("subsystem_entry:" ^ gate)
-        ~target
-        (fun p -> body p (System.subject_of p))
+   unified configuration.  The path follows the configuration, never
+   the gate table: a mask that strips [create_process] must refuse it,
+   not turn it into a subsystem entry. *)
+let login_admission system =
+  match (System.config system).Config.login with
+  | Config.Privileged_login -> Gate
+  | Config.Unified_subsystem_entry -> Ungated
+
+let login_operation system gate =
+  match login_admission system with Gate -> gate | Ungated -> "subsystem_entry:" ^ gate
+
+let naming_in_kernel system = (System.config system).Config.naming = Multics_link.Rnt.In_kernel
 
 (* ----- Shared helpers for gate bodies ----- *)
 
@@ -485,8 +472,10 @@ module Call = struct
 
   type response = (reply, error) result
 
-  (* The operation name a request is mediated (and metered) under —
-     configuration-dependent for device I/O and process management. *)
+  (* The operation name a request is mediated, audited and metered
+     under — configuration-dependent for device I/O, process management
+     and the by-path attribute edits.  [dispatch] derives it once per
+     call; its arms never restate it. *)
   let operation_name system = function
     | Initiate _ -> "initiate"
     | Terminate _ -> "terminate"
@@ -506,8 +495,12 @@ module Call = struct
     | Create_segment_by_path _ -> "create_segment_by_path"
     | Create_directory_by_path _ -> "create_directory_by_path"
     | Delete_by_path _ -> "delete_by_path"
-    | Set_acl_by_path _ -> "set_acl"
-    | Set_brackets_by_path _ -> "set_brackets"
+    (* The by-path attribute edits are the [set_acl]/[set_brackets]
+       entries while naming is in the kernel; once it is out they name
+       gates the kernel does not have, so the gate check refuses them. *)
+    | Set_acl_by_path _ -> if naming_in_kernel system then "set_acl" else "set_acl_by_path"
+    | Set_brackets_by_path _ ->
+        if naming_in_kernel system then "set_brackets" else "set_brackets_by_path"
     | Resolve_path _ -> "resolve_path"
     | Terminate_by_path _ -> "terminate_by_path"
     | Rnt_bind _ -> "rnt_bind"
@@ -530,12 +523,12 @@ module Call = struct
     | Detach_device { device } -> io_gate_for system device "detach"
     | Device_write { device; _ } -> io_gate_for system device "io"
     | Device_read { device } -> io_gate_for system device "io"
-    | Create_process -> "create_process"
-    | Destroy_process _ -> "destroy_process"
-    | New_proc -> "new_proc"
-    | Proc_info -> "proc_info"
-    | List_processes -> "list_processes"
-    | Operator_message _ -> "operator_message"
+    | Create_process -> login_operation system "create_process"
+    | Destroy_process _ -> login_operation system "destroy_process"
+    | New_proc -> login_operation system "new_proc"
+    | Proc_info -> login_operation system "proc_info"
+    | List_processes -> login_operation system "list_processes"
+    | Operator_message _ -> login_operation system "operator_message"
     | Set_fault_plan _ -> "fault_control"
     | Fault_status -> "fault_status"
     | Clear_faults -> "fault_clear"
@@ -548,21 +541,23 @@ module Call = struct
     | Smp_status -> "smp_status"
 
   let dispatch system ~handle (request : request) : response =
+    let operation = operation_name system request in
+    let call admission ~target body = call system ~handle ~operation admission ~target body in
     match request with
     (* ----- Directory control ----- *)
     | Initiate { dir_segno; name } ->
-        call system ~handle ~gate:"initiate" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result (Hierarchy.lookup (System.hierarchy system) ~subject ~dir ~name)
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate { segno } ->
-        call system ~handle ~gate:"terminate" ~target:(string_of_int segno) (fun p _subject ->
+        call Gate ~target:(string_of_int segno) (fun p _subject ->
             let* () = kst_result (Kst.terminate p.System.kst segno) in
             Ok Done)
     | Create_segment { dir_segno; name; acl; label; brackets } ->
-        call system ~handle ~gate:"create_segment" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result
@@ -570,12 +565,11 @@ module Call = struct
                    ~name ~acl ~label)
             in
             let* () =
-              abort_after_mutation system ~handle ~operation:"create_segment" ~dir
-                ~entry_name:name ()
+              abort_after_mutation system ~handle ~operation ~dir ~entry_name:name ()
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Create_directory { dir_segno; name; acl; label } ->
-        call system ~handle ~gate:"create_directory" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* uid =
               fs_result
@@ -583,19 +577,18 @@ module Call = struct
                    ~label)
             in
             let* () =
-              abort_after_mutation system ~handle ~operation:"create_directory" ~dir
-                ~entry_name:name ()
+              abort_after_mutation system ~handle ~operation ~dir ~entry_name:name ()
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Delete_entry { dir_segno; name } ->
-        call system ~handle ~gate:"delete_entry" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* _uid =
               fs_result (Hierarchy.delete_entry (System.hierarchy system) ~subject ~dir ~name)
             in
             Ok Done)
     | Rename_entry { dir_segno; name; new_name } ->
-        call system ~handle ~gate:"rename_entry" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* _uid =
               fs_result
@@ -603,15 +596,14 @@ module Call = struct
             in
             Ok Done)
     | List_directory { dir_segno } ->
-        call system ~handle ~gate:"list_directory" ~target:(string_of_int dir_segno)
-          (fun p subject ->
+        call Gate ~target:(string_of_int dir_segno) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* entries =
               fs_result (Hierarchy.list_entries (System.hierarchy system) ~subject ~dir)
             in
             Ok (Names (List.map (fun (name, _uid) -> name) entries)))
     | Status_entry { dir_segno; name } ->
-        call system ~handle ~gate:"status_entry" ~target:name (fun p subject ->
+        call Gate ~target:name (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let hierarchy = System.hierarchy system in
             let* uid = fs_result (Hierarchy.lookup hierarchy ~subject ~dir ~name) in
@@ -631,13 +623,13 @@ module Call = struct
        descriptor for the object is recomputed, so a revoked grant
        cannot survive in any process's SDW. *)
     | Set_acl { segno; acl } ->
-        call system ~handle ~gate:"set_acl" ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(string_of_int segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_acl (System.hierarchy system) ~subject ~uid ~acl) in
             System.setfaults system ~uid;
             Ok Done)
     | Set_brackets { segno; brackets } ->
-        call system ~handle ~gate:"set_brackets" ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(string_of_int segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result (Hierarchy.set_brackets (System.hierarchy system) ~subject ~uid ~brackets)
@@ -645,8 +637,7 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_gate_bound { segno; gate_bound } ->
-        call system ~handle ~gate:"set_gate_bound" ~target:(string_of_int segno)
-          (fun p subject ->
+        call Gate ~target:(string_of_int segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result
@@ -655,24 +646,20 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_quota { segno; quota } ->
-        call system ~handle ~gate:"set_quota" ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(string_of_int segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_quota (System.hierarchy system) ~subject ~uid ~quota) in
             Ok Done)
     (* ----- Content references (SDW-checked, as the hardware does) ----- *)
     | Read_word { segno; offset } ->
-        call system ~handle ~gate:"read_word"
-          ~target:(Printf.sprintf "%d|%d" segno offset)
-          (fun p _subject ->
+        call Gate ~target:(Printf.sprintf "%d|%d" segno offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
             let* uid = uid_of_segno p segno in
             match Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset with
             | Some value -> Ok (Word value)
             | None -> Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
     | Write_word { segno; offset; value } ->
-        call system ~handle ~gate:"write_word"
-          ~target:(Printf.sprintf "%d|%d" segno offset)
-          (fun p _subject ->
+        call Gate ~target:(Printf.sprintf "%d|%d" segno offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Write in
             let* uid = uid_of_segno p segno in
             (* Segment control charges the quota cell for any growth
@@ -683,13 +670,13 @@ module Call = struct
             else Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
     (* ----- Naming gates (present only while naming is in the kernel) ----- *)
     | Initiate_by_path { path } ->
-        call system ~handle ~gate:"initiate_by_path" ~target:path (fun p subject ->
+        call Gate ~target:path (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             let segno = System.install_known system p ~uid in
             let* () = kst_result (Kst.record_pathname p.System.kst segno path) in
             Ok (Segno segno))
     | Create_segment_by_path { path; acl; label; brackets } ->
-        call system ~handle ~gate:"create_segment_by_path" ~target:path (fun p subject ->
+        call Gate ~target:path (fun p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
@@ -697,14 +684,13 @@ module Call = struct
               fs_result (Hierarchy.create_segment ?brackets hierarchy ~subject ~dir ~name ~acl ~label)
             in
             let* () =
-              abort_after_mutation system ~handle ~operation:"create_segment_by_path" ~dir
-                ~entry_name:name ()
+              abort_after_mutation system ~handle ~operation ~dir ~entry_name:name ()
             in
             let segno = System.install_known system p ~uid in
             let* () = kst_result (Kst.record_pathname p.System.kst segno path) in
             Ok (Segno segno))
     | Create_directory_by_path { path; acl; label } ->
-        call system ~handle ~gate:"create_directory_by_path" ~target:path (fun p subject ->
+        call Gate ~target:path (fun p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
@@ -712,12 +698,11 @@ module Call = struct
               fs_result (Hierarchy.create_directory hierarchy ~subject ~dir ~name ~acl ~label)
             in
             let* () =
-              abort_after_mutation system ~handle ~operation:"create_directory_by_path" ~dir
-                ~entry_name:name ()
+              abort_after_mutation system ~handle ~operation ~dir ~entry_name:name ()
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Delete_by_path { path } ->
-        call system ~handle ~gate:"delete_by_path" ~target:path (fun _p subject ->
+        call Gate ~target:path (fun _p subject ->
             let dir_path, name = parent_path path in
             let hierarchy = System.hierarchy system in
             let* dir = fs_result (Hierarchy.resolve hierarchy ~subject ~path:dir_path) in
@@ -728,36 +713,31 @@ module Call = struct
        reached by tree name instead of a process-local segment number.
        The kernel resolves the name itself, so — like every other
        by-path entry — these exist only while naming lives in the
-       kernel; post-removal callers compose resolution in the user
-       ring (User_env, or a distribution layer such as Site) and call
-       the segment-number gate.  Both forms finish with the same
+       kernel ({!operation_name} names an absent gate once it is out);
+       post-removal callers compose resolution in the user ring
+       (User_env, or a distribution layer such as Site) and call the
+       segment-number gate.  Both forms finish with the same
        "setfaults" revocation step. *)
-    | Set_acl_by_path { path; acl } -> (
-        match (System.config system).Config.naming with
-        | Multics_link.Rnt.In_user_ring -> Error (Gate_absent "set_acl_by_path")
-        | Multics_link.Rnt.In_kernel ->
-            call system ~handle ~gate:"set_acl" ~target:path (fun _p subject ->
-                let hierarchy = System.hierarchy system in
-                let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
-                let* () = fs_result (Hierarchy.set_acl hierarchy ~subject ~uid ~acl) in
-                System.setfaults system ~uid;
-                Ok Done))
-    | Set_brackets_by_path { path; brackets } -> (
-        match (System.config system).Config.naming with
-        | Multics_link.Rnt.In_user_ring -> Error (Gate_absent "set_brackets_by_path")
-        | Multics_link.Rnt.In_kernel ->
-            call system ~handle ~gate:"set_brackets" ~target:path (fun _p subject ->
-                let hierarchy = System.hierarchy system in
-                let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
-                let* () = fs_result (Hierarchy.set_brackets hierarchy ~subject ~uid ~brackets) in
-                System.setfaults system ~uid;
-                Ok Done))
+    | Set_acl_by_path { path; acl } ->
+        call Gate ~target:path (fun _p subject ->
+            let hierarchy = System.hierarchy system in
+            let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
+            let* () = fs_result (Hierarchy.set_acl hierarchy ~subject ~uid ~acl) in
+            System.setfaults system ~uid;
+            Ok Done)
+    | Set_brackets_by_path { path; brackets } ->
+        call Gate ~target:path (fun _p subject ->
+            let hierarchy = System.hierarchy system in
+            let* uid = fs_result (Hierarchy.resolve hierarchy ~subject ~path) in
+            let* () = fs_result (Hierarchy.set_brackets hierarchy ~subject ~uid ~brackets) in
+            System.setfaults system ~uid;
+            Ok Done)
     | Resolve_path { path } ->
-        call system ~handle ~gate:"resolve_path" ~target:path (fun p subject ->
+        call Gate ~target:path (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate_by_path { path } ->
-        call system ~handle ~gate:"terminate_by_path" ~target:path (fun p subject ->
+        call Gate ~target:path (fun p subject ->
             let* uid = fs_result (Hierarchy.resolve (System.hierarchy system) ~subject ~path) in
             match Kst.segno_of_uid p.System.kst ~uid with
             | Some segno ->
@@ -765,37 +745,34 @@ module Call = struct
                 Ok Done
             | None -> Error (Kst_error (Kst.Unknown_segno 0)))
     | Rnt_bind { name; segno } ->
-        call system ~handle ~gate:"rnt_bind" ~target:name (fun p _subject ->
+        call Gate ~target:name (fun p _subject ->
             let* () = rnt_result (Rnt.bind p.System.rnt ~name ~segno) in
             Ok Done)
     | Rnt_lookup { name } ->
-        call system ~handle ~gate:"rnt_lookup" ~target:name (fun p _subject ->
+        call Gate ~target:name (fun p _subject ->
             let* segno = rnt_result (Rnt.lookup p.System.rnt ~name) in
             Ok (Segno segno))
     | Rnt_unbind { name } ->
-        call system ~handle ~gate:"rnt_unbind" ~target:name (fun p _subject ->
+        call Gate ~target:name (fun p _subject ->
             let* () = rnt_result (Rnt.unbind p.System.rnt ~name) in
             Ok Done)
     | List_reference_names { segno } ->
-        call system ~handle ~gate:"list_reference_names" ~target:(string_of_int segno)
+        call Gate ~target:(string_of_int segno)
           (fun p _subject -> Ok (Names (Rnt.names_for_segno p.System.rnt ~segno)))
     | Get_working_dir ->
-        call system ~handle ~gate:"get_working_dir" ~target:"wd" (fun p _subject ->
+        call Gate ~target:"wd" (fun p _subject ->
             Ok (Segno (System.install_known system p ~uid:p.System.working_dir)))
     | Set_working_dir { dir_segno } ->
-        call system ~handle ~gate:"set_working_dir" ~target:(string_of_int dir_segno)
-          (fun p _subject ->
+        call Gate ~target:(string_of_int dir_segno) (fun p _subject ->
             let* uid = uid_of_segno p dir_segno in
             p.System.working_dir <- uid;
             Ok Done)
     | Initiate_count ->
-        call system ~handle ~gate:"initiate_count" ~target:"kst" (fun p _subject ->
+        call Gate ~target:"kst" (fun p _subject ->
             Ok (Word (Kst.entry_count p.System.kst)))
     (* ----- Linker gates (present only while the linker is in the kernel) ----- *)
     | Snap_link { segno; link_index } ->
-        call system ~handle ~gate:"snap_link"
-          ~target:(Printf.sprintf "%d#%d" segno link_index)
-          (fun p subject ->
+        call Gate ~target:(Printf.sprintf "%d#%d" segno link_index) (fun p subject ->
             let* from_uid = uid_of_segno p segno in
             let linker = System.linker system in
             match
@@ -810,7 +787,7 @@ module Call = struct
                 Ok (Snapped { segno = target_segno; offset })
             | other -> Error (Link_failed other))
     | List_links { segno } ->
-        call system ~handle ~gate:"list_links" ~target:(string_of_int segno) (fun p _subject ->
+        call Gate ~target:(string_of_int segno) (fun p _subject ->
             let* uid = uid_of_segno p segno in
             match Object_seg.Store.get (System.store system) ~uid with
             | None -> Ok (Links [])
@@ -832,7 +809,7 @@ module Call = struct
                                 link_snapped = false;
                               }))))
     | Set_search_rules { dir_segnos } ->
-        call system ~handle ~gate:"set_search_rules" ~target:"rules" (fun p _subject ->
+        call Gate ~target:"rules" (fun p _subject ->
             let rec collect acc = function
               | [] -> Ok (List.rev acc)
               | segno :: rest ->
@@ -843,7 +820,7 @@ module Call = struct
             p.System.rules <- Search_rules.of_dirs dirs;
             Ok Done)
     | Get_search_rules ->
-        call system ~handle ~gate:"get_search_rules" ~target:"rules" (fun p _subject ->
+        call Gate ~target:"rules" (fun p _subject ->
             Ok (Names (Search_rules.rule_names p.System.rules)))
     (* ----- Protected subsystem entry -----
 
@@ -853,7 +830,7 @@ module Call = struct
        legal.  (Under the unified-login configuration the same
        mechanism also performs login.)  The call is still audited. *)
     | Enter_subsystem { segno; entry_offset; name } ->
-        call_hardware system ~handle ~operation:"subsystem_entry" ~target:name (fun p ->
+        call Ungated ~target:name (fun p _subject ->
             let* grant = check_sdw system p ~segno ~operation:(Hardware.Call entry_offset) in
             match grant with
             | Hardware.Gate_entry target_ring ->
@@ -864,7 +841,7 @@ module Call = struct
                 (* Same-ring call: no protection boundary crossed. *)
                 Ok (Entered p.System.ring))
     | Exit_subsystem ->
-        call_hardware system ~handle ~operation:"subsystem_exit" ~target:"(return)" (fun p ->
+        call Ungated ~target:"(return)" (fun p _subject ->
             match p.System.subsystem_stack with
             | [] -> Error Not_in_subsystem
             | (_name, restore_ring) :: rest ->
@@ -873,18 +850,17 @@ module Call = struct
                 Ok (Entered restore_ring))
     (* ----- IPC gates ----- *)
     | Create_channel ->
-        call system ~handle ~gate:"create_channel" ~target:"channel" (fun _p _subject ->
+        call Gate ~target:"channel" (fun _p _subject ->
             Ok (Channel (System.new_ipc_channel system)))
     | Send_wakeup { channel } ->
-        call system ~handle ~gate:"send_wakeup" ~target:(string_of_int channel)
-          (fun _p _subject ->
+        call Gate ~target:(string_of_int channel) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
                 incr pending;
                 Ok Done)
     | Block { channel } ->
-        call system ~handle ~gate:"block" ~target:(string_of_int channel) (fun _p _subject ->
+        call Gate ~target:(string_of_int channel) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
@@ -896,16 +872,14 @@ module Call = struct
     (* ----- External I/O gates ----- *)
     | Attach_device { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "attach") ~target:dev
-          (fun _p _subject ->
+        call Gate ~target:dev (fun _p _subject ->
             let buffers = System.io_buffers system in
             if not (Hashtbl.mem buffers dev) then
               Hashtbl.replace buffers dev (buffer_for_config system ());
             Ok Done)
     | Detach_device { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "detach") ~target:dev
-          (fun _p _subject ->
+        call Gate ~target:dev (fun _p _subject ->
             if Hashtbl.mem (System.io_buffers system) dev then begin
               Hashtbl.remove (System.io_buffers system) dev;
               Ok Done
@@ -913,8 +887,7 @@ module Call = struct
             else Error (Device_not_attached dev))
     | Device_write { device; message } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "io") ~target:dev
-          (fun _p _subject ->
+        call Gate ~target:dev (fun _p _subject ->
             let* () = device_transient_guard system ~device ~operation:"device_write" in
             match Hashtbl.find_opt (System.io_buffers system) dev with
             | None -> Error (Device_not_attached dev)
@@ -926,8 +899,7 @@ module Call = struct
                 Ok Done)
     | Device_read { device } ->
         let dev = Multics_io.Device.name device in
-        call system ~handle ~gate:(io_gate_for system device "io") ~target:dev
-          (fun _p _subject ->
+        call Gate ~target:dev (fun _p _subject ->
             let* () = device_transient_guard system ~device ~operation:"device_read" in
             match Hashtbl.find_opt (System.io_buffers system) dev with
             | None -> Error (Device_not_attached dev)
@@ -937,27 +909,25 @@ module Call = struct
                 Ok (Message (Multics_io.Infinite_buffer.read buffer)))
     (* ----- Process-management gates ----- *)
     | Create_process ->
-        login_gate_or_unified system ~handle ~gate:"create_process" ~target:"child"
-          (fun _p _subject ->
+        call (login_admission system) ~target:"child" (fun _p _subject ->
             match System.clone_process system ~handle with
             | Some child -> Ok (Process child)
             | None -> Error (No_such_process handle))
     | Destroy_process { target } ->
-        login_gate_or_unified system ~handle ~gate:"destroy_process"
-          ~target:(string_of_int target) (fun _p _subject ->
+        call (login_admission system) ~target:(string_of_int target) (fun _p _subject ->
             if List.mem target (System.sibling_handles system ~handle) then
               if System.logout system ~handle:target then Ok Done
               else Error (No_such_process target)
             else Error (Not_authorized "destroy_process: not your process"))
     | New_proc ->
-        login_gate_or_unified system ~handle ~gate:"new_proc" ~target:"self" (fun _p _subject ->
+        call (login_admission system) ~target:"self" (fun _p _subject ->
             match System.clone_process system ~handle with
             | Some fresh ->
                 ignore (System.logout system ~handle);
                 Ok (Process fresh)
             | None -> Error (No_such_process handle))
     | Proc_info ->
-        login_gate_or_unified system ~handle ~gate:"proc_info" ~target:"self" (fun p _subject ->
+        call (login_admission system) ~target:"self" (fun p _subject ->
             Ok
               (Info
                  {
@@ -968,11 +938,10 @@ module Call = struct
                    info_login_ring = Ring.to_int p.System.login_ring;
                  }))
     | List_processes ->
-        login_gate_or_unified system ~handle ~gate:"list_processes" ~target:"siblings"
+        call (login_admission system) ~target:"siblings"
           (fun _p _subject -> Ok (Processes (System.sibling_handles system ~handle)))
     | Operator_message { message } ->
-        login_gate_or_unified system ~handle ~gate:"operator_message" ~target:message
-          (fun _p _subject -> Ok Done)
+        call (login_admission system) ~target:message (fun _p _subject -> Ok Done)
     (* ----- Fault injection and salvage -----
 
        Operator actions, present in every configuration (like the
@@ -981,7 +950,7 @@ module Call = struct
        can only remove state or re-derive descriptors — so neither
        needs a supervisor gate of its own to stay fail-secure. *)
     | Set_fault_plan { seed; spec } ->
-        call_hardware system ~handle ~operation:"fault_control" ~target:spec (fun _p ->
+        call Ungated ~target:spec (fun _p _subject ->
             match Multics_fault.Fault.Plan.parse ~seed spec with
             | Error detail -> Error (Bad_fault_plan detail)
             | Ok plan ->
@@ -990,7 +959,7 @@ module Call = struct
                    else Some (Multics_fault.Fault.Injector.create plan));
                 Ok Done)
     | Fault_status ->
-        call_hardware system ~handle ~operation:"fault_status" ~target:"faults" (fun _p ->
+        call Ungated ~target:"faults" (fun _p _subject ->
             match System.faults system with
             | None -> Ok (Fault_report { plan = "none"; counts = [] })
             | Some inj ->
@@ -1001,11 +970,11 @@ module Call = struct
                        counts = Multics_fault.Fault.Injector.counts inj;
                      }))
     | Clear_faults ->
-        call_hardware system ~handle ~operation:"fault_clear" ~target:"faults" (fun _p ->
+        call Ungated ~target:"faults" (fun _p _subject ->
             System.set_faults system None;
             Ok Done)
     | Salvage ->
-        call_hardware system ~handle ~operation:"salvage" ~target:"hierarchy" (fun _p ->
+        call Ungated ~target:"hierarchy" (fun _p _subject ->
             Ok (Salvaged (Salvager.run system)))
     (* ----- Cache inspection and control -----
 
@@ -1015,16 +984,14 @@ module Call = struct
        operator's revocation hammer — it can only make the next
        reference slower, never change a verdict. *)
     | Probe_access { segno; requested } ->
-        call_hardware system ~handle ~operation:"probe_access"
-          ~target:(Printf.sprintf "%d?%s" segno (Mode.to_string requested))
-          (fun p ->
+        call Ungated ~target:(Printf.sprintf "%d?%s" segno (Mode.to_string requested))
+          (fun p subject ->
             let* uid = uid_of_segno p segno in
-            let subject = System.subject_of p in
             match Hierarchy.check_access (System.hierarchy system) ~subject ~uid ~requested with
             | Some verdict -> Ok (Probed verdict)
             | None -> Error (Fs (Hierarchy.No_entry (string_of_int segno))))
     | Cache_status ->
-        call_hardware system ~handle ~operation:"cache_status" ~target:"caches" (fun p ->
+        call Ungated ~target:"caches" (fun p _subject ->
             Ok
               (Cache_report
                  {
@@ -1034,7 +1001,7 @@ module Call = struct
                      :: Hardware.Assoc.counters p.System.assoc;
                  }))
     | Cache_clear ->
-        call_hardware system ~handle ~operation:"cache_clear" ~target:"caches" (fun _p ->
+        call Ungated ~target:"caches" (fun _p _subject ->
             System.invalidate_caches system;
             Ok Done)
     (* ----- Traffic controller -----
@@ -1044,15 +1011,13 @@ module Call = struct
        change WHEN work runs, never what it is allowed to touch —
        mediation stays schedule-invariant (experiment E17's oracle). *)
     | Sched_status ->
-        call_hardware system ~handle ~operation:"sched_status" ~target:"scheduler" (fun _p ->
+        call Ungated ~target:"scheduler" (fun _p _subject ->
             match System.scheduler system with
             | None -> Error No_scheduler
             | Some sc ->
                 Ok (Sched_report { policy = sc.System.sc_policy (); counters = sc.System.sc_counters () }))
     | Sched_tune { param; value } ->
-        call_hardware system ~handle ~operation:"sched_tune"
-          ~target:(Printf.sprintf "%s=%d" param value)
-          (fun _p ->
+        call Ungated ~target:(Printf.sprintf "%s=%d" param value) (fun _p _subject ->
             match System.scheduler system with
             | None -> Error No_scheduler
             | Some sc -> (
@@ -1065,7 +1030,7 @@ module Call = struct
        associative-memory populations.  Pure inspection — it can move
        no descriptor and flush no cache. *)
     | Smp_status ->
-        call_hardware system ~handle ~operation:"smp_status" ~target:"plant" (fun _p ->
+        call Ungated ~target:"plant" (fun _p _subject ->
             match System.plant system with
             | None -> Error No_smp_plant
             | Some plant ->

@@ -1,8 +1,10 @@
 (** The kernel's gate-call interface.  Calls are refused when the gate
-    is absent from the running configuration, when an installed
-    specialisation mask has stripped it, when the caller's ring is
-    outside the gate's call bracket, or when the reference monitor
-    refuses the operation; every call is audited.
+    is not in the running kernel's gate table (absent from the
+    configuration, or stripped by an installed specialisation mask),
+    when the caller's ring is outside the gate's call bracket, or when
+    the reference monitor refuses the operation.  Every call from a
+    live process is audited under its {!Call.operation_name}, refusals
+    included.
 
     There is exactly one entry point: build a {!Call.request} and hand
     it to {!Call.dispatch}.  (The legacy per-gate wrapper functions —
@@ -187,10 +189,16 @@ module Call : sig
 
   val operation_name : System.t -> request -> string
   (** The operation name the request is mediated, audited, and metered
-      under — configuration-dependent for device I/O. *)
+      under.  Configuration-dependent for device I/O (per-device or
+      network gates), for process management
+      (["subsystem_entry:<gate>"] under unified login), and for the
+      by-path attribute edits: [set_acl]/[set_brackets] while naming is
+      in the kernel, [set_acl_by_path]/[set_brackets_by_path] (gates
+      the kernel does not have) once it is out. *)
 
   val dispatch : System.t -> handle:int -> request -> response
-  (** Mediate one gate call: gate presence, specialisation mask, ring
-      bracket, reference monitor; writes the audit record and the
-      observability counters. *)
+  (** Mediate one gate call: one gate-table lookup (presence, with any
+      specialisation mask already applied), ring bracket, reference
+      monitor; writes the audit record and the observability
+      counters. *)
 end

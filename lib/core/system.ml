@@ -62,22 +62,33 @@ type journal_entry = {
   entry_name : string option;
 }
 
-(* A specialised gate surface: the set of gate names a specialised
-   kernel admits.  Plain strings so the mask can live here, below
+(* A specialised gate surface: the names of the gates a specialised
+   kernel keeps.  Plain strings so the mask can live here, below
    lib/spec (which compiles profiles into masks) — the same layering
-   trick as [scheduler_control].  With no mask installed the catalog
-   alone decides, byte for byte the unspecialised behaviour. *)
-type gate_mask = { mask_name : string; mask_admitted : (string, unit) Hashtbl.t }
+   trick as [scheduler_control].  The mask itself is never consulted
+   per call: installing it rebuilds the gate table without the
+   stripped entries. *)
+type gate_mask = { mask_name : string; mask_gates : string list  (** sorted *) }
 
 let gate_mask_make ~name ~gates =
-  let mask_admitted = Hashtbl.create (max 8 (List.length gates)) in
-  List.iter (fun g -> Hashtbl.replace mask_admitted g ()) gates;
-  { mask_name = name; mask_admitted }
+  { mask_name = name; mask_gates = List.sort_uniq String.compare gates }
 
 let gate_mask_name m = m.mask_name
+let gate_mask_gates m = m.mask_gates
 
-let gate_mask_gates m =
-  Hashtbl.fold (fun g () acc -> g :: acc) m.mask_admitted [] |> List.sort String.compare
+(* The running kernel's gate table: the configuration's catalog, less
+   whatever an installed mask strips.  A gate the configuration removed
+   and a gate the mask stripped are then the same miss. *)
+let gate_table config mask =
+  let catalog = Gate.catalog config in
+  let table = Hashtbl.create (List.length catalog) in
+  List.iter
+    (fun (e : Gate.entry) ->
+      match mask with
+      | Some m when not (List.mem e.gate_name m.mask_gates) -> ()
+      | _ -> Hashtbl.replace table e.gate_name e)
+    catalog;
+  table
 
 type t = {
   config : Config.t;
@@ -104,10 +115,9 @@ type t = {
       (** the multiprocessor plant, when attached: every descriptor
           mutation then broadcasts connects so no CPU's associative
           memory can outlive the descriptor it caches *)
-  mutable gate_mask : gate_mask option;
-      (** the installed specialisation, if any; consulted by the gate
-          check so a stripped gate refuses before any kernel state is
-          touched *)
+  mutable gates : (string, Gate.entry) Hashtbl.t;
+      (** the gate table the gate check consults: one lookup per call *)
+  mutable gate_mask : gate_mask option;  (** the installed specialisation, if any *)
 }
 
 (* The traffic controller registers itself through a neutral record of
@@ -172,14 +182,15 @@ let attach_plant t plant = t.plant <- plant
 
 let plant t = t.plant
 
-(* ----- Gate specialisation ----- *)
+(* ----- The gate table and specialisation ----- *)
 
-let set_gate_mask t mask = t.gate_mask <- mask
+let set_gate_mask t mask =
+  t.gate_mask <- mask;
+  t.gates <- gate_table t.config mask
 
 let gate_mask t = t.gate_mask
-
-let gate_admitted t ~gate =
-  match t.gate_mask with None -> true | Some m -> Hashtbl.mem m.mask_admitted gate
+let gate_entry t ~gate = Hashtbl.find_opt t.gates gate
+let gate_admitted t ~gate = Hashtbl.mem t.gates gate
 
 let fault_fires t site =
   match t.faults with
@@ -229,6 +240,7 @@ let create config =
       crash_journal = [];
       scheduler = None;
       plant = None;
+      gates = gate_table config None;
       gate_mask = None;
     }
   in

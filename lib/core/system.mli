@@ -107,35 +107,42 @@ val attach_plant : t -> Multics_smp.Smp.t option -> unit
 
 val plant : t -> Multics_smp.Smp.t option
 
-(** {1 Gate specialisation}
+(** {1 The gate table}
 
-    A per-workload specialisation installs a gate mask: the set of
-    gate names the specialised kernel still admits.  The gate check
-    consults it after the catalog lookup, so a stripped gate refuses
-    with [Gate_absent] before any kernel state is touched — fail
-    secure by construction.  Masks are plain strings so they live
-    below [lib/spec] (which compiles workload profiles into them),
-    the same layering trick as {!scheduler_control}.  With no mask
-    installed the catalog alone decides, byte for byte the
-    unspecialised behaviour. *)
+    Each booted kernel has one gate table: its configuration's gate
+    catalog, keyed by name.  The gate check makes one lookup in it.  A
+    per-workload specialisation installs a gate mask, the names of the
+    gates the specialised kernel keeps; installing it rebuilds the
+    table without the stripped gates.  A gate the configuration removed
+    and a gate the mask stripped are then the same miss, refused with
+    [Gate_absent] before any kernel state is touched.  Masks are plain
+    strings so they live below [lib/spec] (which compiles workload
+    profiles into them), the same layering trick as
+    {!scheduler_control}.  With no mask installed the table is the
+    whole catalog, byte for byte the unspecialised behaviour. *)
+
+val gate_entry : t -> gate:string -> Gate.entry option
+(** The running kernel's entry for [gate]: [None] if the configuration
+    has no such gate or the installed mask stripped it. *)
+
+val gate_admitted : t -> gate:string -> bool
+(** [gate_entry t ~gate <> None]. *)
 
 type gate_mask
 
 val gate_mask_make : name:string -> gates:string list -> gate_mask
-(** A mask admitting exactly [gates] (by gate name). *)
+(** A mask keeping exactly [gates] (by gate name). *)
 
 val gate_mask_name : gate_mask -> string
 
 val gate_mask_gates : gate_mask -> string list
-(** The admitted gate names, sorted. *)
+(** The kept gate names, sorted. *)
 
 val set_gate_mask : t -> gate_mask option -> unit
-(** Install (or clear, with [None]) the active specialisation. *)
+(** Install (or clear, with [None]) the active specialisation, and
+    rebuild the gate table to match. *)
 
 val gate_mask : t -> gate_mask option
-
-val gate_admitted : t -> gate:string -> bool
-(** [true] when no mask is installed or the mask admits [gate]. *)
 
 type journal_entry = {
   time : int;

@@ -293,13 +293,7 @@ let parity_verdict results =
   match results with
   | [] -> (false, "parity: no runs")
   | (first : Workload.result) :: rest ->
-      let agree (r : Workload.result) =
-        r.Workload.r_signature = first.Workload.r_signature
-        && r.Workload.r_audit_granted = first.Workload.r_audit_granted
-        && r.Workload.r_audit_refused = first.Workload.r_audit_refused
-        && r.Workload.r_completed = first.Workload.r_completed
-      in
-      if List.for_all agree rest then
+      if List.for_all (Workload.same_mediation first) rest then
         ( true,
           Printf.sprintf
             "mediation is schedule-invariant: digest %08x, %d granted / %d refused under every \

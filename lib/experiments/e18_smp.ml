@@ -184,32 +184,8 @@ let parity_spec seed cpus fault_spec =
 (* Returns the number of (seed, plan, cpus) triples whose mediation
    diverged from the 1-CPU run. *)
 let run_parity () =
-  (* One task per seed (each covers every plan × CPU-count pair), fanned
-     out over domains; per-seed divergence counts are summed in seed
-     order, so the total — and the verdict line — never depends on the
-     pool size. *)
-  let per_seed =
-    Multics_par.Par.run_seeds parity_seeds (fun seed ->
-        let divergences = ref 0 in
-        List.iter
-          (fun plan ->
-            let base = Workload.run (parity_spec seed 1 plan) in
-            List.iter
-              (fun cpus ->
-                if cpus > 1 then begin
-                  let r = Workload.run (parity_spec seed cpus plan) in
-                  if
-                    r.Workload.r_signature <> base.Workload.r_signature
-                    || r.Workload.r_audit_granted <> base.Workload.r_audit_granted
-                    || r.Workload.r_audit_refused <> base.Workload.r_audit_refused
-                    || r.Workload.r_completed <> base.Workload.r_completed
-                  then incr divergences
-                end)
-              parity_cpu_points)
-          parity_plans;
-        !divergences)
-  in
-  List.fold_left ( + ) 0 per_seed
+  Workload.parity_divergences ~seeds:parity_seeds ~plans:parity_plans ~points:parity_cpu_points
+    parity_spec
 
 let parity_verdict divergences =
   let cpus_label =

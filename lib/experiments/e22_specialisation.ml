@@ -46,10 +46,6 @@ let paper_claim =
 
 let config = Config.kernel_6180
 
-(* Gates every specialisation keeps regardless of profile: subsystem
-   entry and logout, so users can still reach and leave the machine. *)
-let always_keep = [ "enter_subsystem"; "logout" ]
-
 (* ----- A booted development system ----- *)
 
 type env = {
@@ -185,7 +181,7 @@ let compile_mix (mix_name, mix) =
     | Ok _ -> invalid_arg (Printf.sprintf "E22: profile %s changed across round-trip" mix_name)
     | Error e -> invalid_arg (Printf.sprintf "E22: profile %s round-trip: %s" mix_name e)
   in
-  Spec.Specialisation.compile ~keep:always_keep ~name:mix_name config replayed
+  Spec.Specialisation.compile ~name:mix_name config replayed
 
 let specialisations () =
   Spec.Specialisation.full config :: List.map compile_mix mixes

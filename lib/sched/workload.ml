@@ -460,6 +460,36 @@ let run spec =
           ]);
   }
 
+(* ----- Parity oracles ----- *)
+
+(* Two runs made the same mediation decisions: the same audit-trail
+   digest, the same grant and refusal totals, the same interactions
+   completed. *)
+let same_mediation (a : result) (b : result) =
+  a.r_signature = b.r_signature
+  && a.r_audit_granted = b.r_audit_granted
+  && a.r_audit_refused = b.r_audit_refused
+  && a.r_completed = b.r_completed
+
+(* One task per seed (each covers every plan x point pair), fanned out
+   over domains; per-seed divergence counts are summed in seed order,
+   so the total never depends on the pool size. *)
+let parity_divergences ~seeds ~plans ~points spec =
+  match points with
+  | [] -> 0
+  | base_point :: others ->
+      Multics_par.Par.run_seeds seeds (fun seed ->
+          List.fold_left
+            (fun divergences plan ->
+              let base = run (spec seed base_point plan) in
+              List.fold_left
+                (fun divergences point ->
+                  if same_mediation (run (spec seed point plan)) base then divergences
+                  else divergences + 1)
+                divergences others)
+            0 plans)
+      |> List.fold_left ( + ) 0
+
 (* ----- The fleet sweep -----
 
    A direct (un-scheduled) driver for pricing the distribution layer

@@ -93,6 +93,20 @@ val run : spec -> result
 (** Build the stack, run to quiescence, and summarize.  Deterministic:
     the same spec always yields the identical result. *)
 
+(** {1 Parity oracles} *)
+
+val same_mediation : result -> result -> bool
+(** The two runs made the same mediation decisions: equal audit-trail
+    digests, grant and refusal totals, and completed interactions. *)
+
+val parity_divergences :
+  seeds:int -> plans:string list -> points:int list -> (int -> int -> string -> spec) -> int
+(** [parity_divergences ~seeds ~plans ~points spec] runs, for every
+    seed below [seeds] and every fault plan, [spec seed point plan] at
+    each point, and counts the runs whose mediation differs from the
+    first point's.  Seeds fan out over the [lib/par] pool; the count
+    never depends on the pool size. *)
+
 (** {1 The fleet sweep} *)
 
 type sweep_row = {

@@ -157,14 +157,17 @@ module Specialisation = struct
       stripped = [];
     }
 
+  (* Subsystem entry and logout survive every specialisation, so users
+     can still reach and leave the machine whatever the profile saw. *)
+  let always_kept = [ "enter_subsystem"; "logout" ]
+
   (* Compile a profile against a configuration's catalog: keep exactly
-     the gates the profile exercised (plus [keep], for entries the
-     installation wants alive regardless — subsystem entry, say, so
-     users can still log in).  Profiled operations with no catalog
-     entry (operator-surface operations, gates of another
-     configuration) are ignored: they are not strippable surface. *)
-  let compile ?(keep = []) ~name config profile =
-    let wanted op = List.mem op keep || Profile.calls profile ~gate:op > 0 in
+     the gates the profile exercised, plus [always_kept].  Profiled
+     operations with no catalog entry (operator-surface operations,
+     gates of another configuration) are ignored: they are not
+     strippable surface. *)
+  let compile ~name config profile =
+    let wanted op = List.mem op always_kept || Profile.calls profile ~gate:op > 0 in
     let kept, stripped =
       List.partition_map
         (fun e ->

@@ -65,11 +65,12 @@ module Specialisation : sig
   val full : Config.t -> t
   (** The identity specialisation: every catalog gate kept. *)
 
-  val compile : ?keep:string list -> name:string -> Config.t -> Profile.t -> t
+  val compile : name:string -> Config.t -> Profile.t -> t
   (** Keep exactly the catalog gates the profile exercised, plus
-      [keep] (entries the installation wants alive regardless, such as
-      subsystem entry).  Profiled operations with no catalog entry are
-      ignored — they are not strippable surface. *)
+      subsystem entry and logout, which every specialisation keeps so
+      users can still reach and leave the machine.  Profiled operations
+      with no catalog entry are ignored — they are not strippable
+      surface. *)
 
   val admits : t -> gate:string -> bool
 

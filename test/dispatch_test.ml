@@ -417,3 +417,233 @@ let suite =
         (Printf.sprintf "dispatch deterministic (%s)" config.Config.name)
         `Quick (parity_for config))
     [ Config.baseline_645; Config.hardware_rings; Config.kernel_6180 ]
+
+(* ----- Every call is audited under its one operation name -----
+
+   One request per [Call.request] constructor, each dispatched on a
+   fresh boot of both end-point configurations.  The call must append
+   one audit record of its own, last, named [Call.operation_name]; a
+   refusal counts, including a gate the kernel does not have. *)
+
+(* An exhaustive match: a new constructor does not compile until it is
+   named here, and then [every_request] must cover it. *)
+let constructor_name : Api.Call.request -> string = function
+  | Initiate _ -> "Initiate"
+  | Terminate _ -> "Terminate"
+  | Create_segment _ -> "Create_segment"
+  | Create_directory _ -> "Create_directory"
+  | Delete_entry _ -> "Delete_entry"
+  | Rename_entry _ -> "Rename_entry"
+  | List_directory _ -> "List_directory"
+  | Status_entry _ -> "Status_entry"
+  | Set_acl _ -> "Set_acl"
+  | Set_brackets _ -> "Set_brackets"
+  | Set_gate_bound _ -> "Set_gate_bound"
+  | Set_quota _ -> "Set_quota"
+  | Read_word _ -> "Read_word"
+  | Write_word _ -> "Write_word"
+  | Initiate_by_path _ -> "Initiate_by_path"
+  | Create_segment_by_path _ -> "Create_segment_by_path"
+  | Create_directory_by_path _ -> "Create_directory_by_path"
+  | Delete_by_path _ -> "Delete_by_path"
+  | Set_acl_by_path _ -> "Set_acl_by_path"
+  | Set_brackets_by_path _ -> "Set_brackets_by_path"
+  | Resolve_path _ -> "Resolve_path"
+  | Terminate_by_path _ -> "Terminate_by_path"
+  | Rnt_bind _ -> "Rnt_bind"
+  | Rnt_lookup _ -> "Rnt_lookup"
+  | Rnt_unbind _ -> "Rnt_unbind"
+  | List_reference_names _ -> "List_reference_names"
+  | Get_working_dir -> "Get_working_dir"
+  | Set_working_dir _ -> "Set_working_dir"
+  | Initiate_count -> "Initiate_count"
+  | Snap_link _ -> "Snap_link"
+  | List_links _ -> "List_links"
+  | Set_search_rules _ -> "Set_search_rules"
+  | Get_search_rules -> "Get_search_rules"
+  | Enter_subsystem _ -> "Enter_subsystem"
+  | Exit_subsystem -> "Exit_subsystem"
+  | Create_channel -> "Create_channel"
+  | Send_wakeup _ -> "Send_wakeup"
+  | Block _ -> "Block"
+  | Attach_device _ -> "Attach_device"
+  | Detach_device _ -> "Detach_device"
+  | Device_write _ -> "Device_write"
+  | Device_read _ -> "Device_read"
+  | Create_process -> "Create_process"
+  | Destroy_process _ -> "Destroy_process"
+  | New_proc -> "New_proc"
+  | Proc_info -> "Proc_info"
+  | List_processes -> "List_processes"
+  | Operator_message _ -> "Operator_message"
+  | Set_fault_plan _ -> "Set_fault_plan"
+  | Fault_status -> "Fault_status"
+  | Clear_faults -> "Clear_faults"
+  | Salvage -> "Salvage"
+  | Probe_access _ -> "Probe_access"
+  | Cache_status -> "Cache_status"
+  | Cache_clear -> "Cache_clear"
+  | Sched_status -> "Sched_status"
+  | Sched_tune _ -> "Sched_tune"
+  | Smp_status -> "Smp_status"
+
+let constructor_count = 58
+
+(* [home] is the caller's home directory, [data] a segment in it. *)
+let every_request ~home ~data : Api.Call.request list =
+  let path = ">udd>Dev>Alice>data" and acl = acl_rw in
+  let brackets = Multics_machine.Brackets.user_data and device = Multics_io.Device.Printer in
+  [
+    Initiate { dir_segno = home; name = "data" };
+    Terminate { segno = data };
+    Create_segment { dir_segno = home; name = "s"; acl; label; brackets = None };
+    Create_directory { dir_segno = home; name = "d"; acl; label };
+    Delete_entry { dir_segno = home; name = "data" };
+    Rename_entry { dir_segno = home; name = "data"; new_name = "renamed" };
+    List_directory { dir_segno = home };
+    Status_entry { dir_segno = home; name = "data" };
+    Set_acl { segno = data; acl };
+    Set_brackets { segno = data; brackets };
+    Set_gate_bound { segno = data; gate_bound = 4 };
+    Set_quota { segno = home; quota = Some 64 };
+    Read_word { segno = data; offset = 0 };
+    Write_word { segno = data; offset = 0; value = 1 };
+    Initiate_by_path { path };
+    Create_segment_by_path { path = path ^ "2"; acl; label; brackets = None };
+    Create_directory_by_path { path = path ^ "_dir"; acl; label };
+    Delete_by_path { path };
+    Set_acl_by_path { path; acl };
+    Set_brackets_by_path { path; brackets };
+    Resolve_path { path };
+    Terminate_by_path { path };
+    Rnt_bind { name = "d"; segno = data };
+    Rnt_lookup { name = "d" };
+    Rnt_unbind { name = "d" };
+    List_reference_names { segno = data };
+    Get_working_dir;
+    Set_working_dir { dir_segno = home };
+    Initiate_count;
+    Snap_link { segno = data; link_index = 0 };
+    List_links { segno = data };
+    Set_search_rules { dir_segnos = [ home ] };
+    Get_search_rules;
+    Enter_subsystem { segno = data; entry_offset = 0; name = "ss" };
+    Exit_subsystem;
+    Create_channel;
+    Send_wakeup { channel = 1 };
+    Block { channel = 1 };
+    Attach_device { device };
+    Detach_device { device };
+    Device_write { device; message = 1 };
+    Device_read { device };
+    Create_process;
+    Destroy_process { target = 999 };
+    New_proc;
+    Proc_info;
+    List_processes;
+    Operator_message { message = "hello" };
+    Set_fault_plan { seed = 1; spec = "" };
+    Fault_status;
+    Clear_faults;
+    Salvage;
+    Probe_access { segno = data; requested = Multics_machine.Mode.r };
+    Cache_status;
+    Cache_clear;
+    Sched_status;
+    Sched_tune { param = "cap"; value = 2 };
+    Smp_status;
+  ]
+
+(* Records a body files through another audited mechanism before the
+   call's own: [New_proc] logs its caller out, [Salvage] files the
+   salvager's report. *)
+let records_before_own : Api.Call.request -> int = function New_proc | Salvage -> 1 | _ -> 0
+
+(* A fresh boot with a data segment in the caller's home. *)
+let audited_env config =
+  let env = boot config in
+  let home = slot env "dir" in
+  match
+    d env (Api.Call.Create_segment { dir_segno = home; name = "data"; acl = acl_rw; label; brackets = None })
+  with
+  | Ok (Api.Call.Segno data) -> (env, home, data)
+  | Ok _ -> Alcotest.fail "reply shape"
+  | Error e -> Alcotest.fail (Api.error_to_string e)
+
+let test_every_request_audited config () =
+  let names = List.map constructor_name (every_request ~home:0 ~data:0) in
+  Alcotest.(check int)
+    "one request per constructor" constructor_count
+    (List.length (List.sort_uniq String.compare names));
+  List.iteri
+    (fun i name ->
+      let env, home, data = audited_env config in
+      let request = List.nth (every_request ~home ~data) i in
+      let audit = System.audit env.system in
+      let before = Audit_log.length audit in
+      let operation = Api.Call.operation_name env.system request in
+      ignore (d env request);
+      let appended = List.filteri (fun j _ -> j >= before) (Audit_log.records audit) in
+      Alcotest.(check int) (name ^ ": records appended") (1 + records_before_own request)
+        (List.length appended);
+      Alcotest.(check string) (name ^ ": audited as operation_name") operation
+        (List.nth appended (List.length appended - 1)).Audit_log.operation)
+    names
+
+let gate_refusals () =
+  Multics_obs.Obs.Counter.get
+    (Multics_obs.Obs.Registry.counter (Multics_obs.Obs.Registry.global ()) "gate.refusals")
+
+(* Once naming is out of the kernel, a by-path attribute edit names a
+   gate the kernel does not have: the ordinary gate check refuses it,
+   audited and metered like any other refusal. *)
+let test_by_path_edit_refused_audited () =
+  let path = ">udd>Dev>Alice>data" in
+  List.iter
+    (fun (gate, request) ->
+      let env, _, _ = audited_env Config.kernel_6180 in
+      let audit = System.audit env.system in
+      let records = Audit_log.length audit and refusals = gate_refusals () in
+      (match d env request with
+      | Error (Api.Gate_absent g) -> Alcotest.(check string) "absent gate" gate g
+      | Ok _ -> Alcotest.fail (gate ^ " admitted on the target kernel")
+      | Error e -> Alcotest.fail (Api.error_to_string e));
+      Alcotest.(check int) (gate ^ ": one audit record") (records + 1) (Audit_log.length audit);
+      Alcotest.(check int) (gate ^ ": one metered refusal") (refusals + 1) (gate_refusals ()))
+    [
+      ("set_acl_by_path", Api.Call.Set_acl_by_path { path; acl = acl_rw });
+      ( "set_brackets_by_path",
+        Api.Call.Set_brackets_by_path { path; brackets = Multics_machine.Brackets.user_data } );
+    ]
+
+(* The login path follows the configuration, not the gate table: on a
+   privileged-login kernel a mask that strips [create_process] refuses
+   it (audited), rather than letting it through as a subsystem entry. *)
+let test_stripped_login_gate_refused () =
+  let env, _, _ = audited_env Config.baseline_645 in
+  let profile =
+    Multics_spec.Spec.Profile.of_string "profile no-login\nread_word 1\n" |> Result.get_ok
+  in
+  Multics_spec.Spec.Specialisation.(
+    apply env.system (compile ~name:"no-login" Config.baseline_645 profile));
+  (match d env Api.Call.Create_process with
+  | Error (Api.Gate_absent "create_process") -> ()
+  | Ok _ -> Alcotest.fail "stripped create_process admitted"
+  | Error e -> Alcotest.fail (Api.error_to_string e));
+  match List.rev (Audit_log.records (System.audit env.system)) with
+  | { Audit_log.operation = "create_process"; verdict = Audit_log.Refused _; _ } :: _ -> ()
+  | _ -> Alcotest.fail "stripped create_process left no refusal in the audit trail"
+
+let audit_suite =
+  List.map
+    (fun (config : Config.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "every request audited as its operation (%s)" config.Config.name)
+        `Quick (test_every_request_audited config))
+    [ Config.baseline_645; Config.kernel_6180 ]
+  @ [
+      Alcotest.test_case "by-path edit without kernel naming: refused, audited, metered" `Quick
+        test_by_path_edit_refused_audited;
+      Alcotest.test_case "stripped login gate refuses, never falls through" `Quick
+        test_stripped_login_gate_refused;
+    ]

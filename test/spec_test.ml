@@ -139,10 +139,10 @@ let test_compile_partition () =
     Spec.Profile.of_string "profile p\nread_word 5\nwrite_word 1\nnot_a_gate 9\n"
     |> Result.get_ok
   in
-  let spec = Spec.Specialisation.compile ~keep:[ "enter_subsystem" ] ~name:"p" config profile in
+  let spec = Spec.Specialisation.compile ~name:"p" config profile in
   Alcotest.(check (list string))
     "kept (catalog order)"
-    [ "read_word"; "write_word"; "enter_subsystem" ]
+    [ "read_word"; "write_word"; "enter_subsystem"; "logout" ]
     (Spec.Specialisation.kept spec);
   let catalog = List.map (fun e -> e.Gate.gate_name) (Gate.catalog config) in
   Alcotest.(check (list string))
@@ -180,7 +180,7 @@ let ipc_spec () =
     Spec.Profile.of_string "profile ipc\ncreate_channel 1\nsend_wakeup 2\nblock 2\n"
     |> Result.get_ok
   in
-  Spec.Specialisation.compile ~keep:[ "enter_subsystem"; "logout" ] ~name:"ipc" config profile
+  Spec.Specialisation.compile ~name:"ipc" config profile
 
 (* One mutation-bearing request per stripped gate, plus its probe: a
    follow-up request (run unmasked) whose answer exposes whether the
