@@ -867,18 +867,31 @@ let smoke () =
   let mc_expansions = mc_outcome.Multics_mc.Mc.o_expansions in
   let mc_violations = List.length mc_outcome.Multics_mc.Mc.o_counterexamples in
   let mc_states_per_sec = float_of_int mc_states /. mc_t in
+  (* One empty-trace replay: boot, canonical capture and predicates —
+     the fixed cost every state of an exploration pays. *)
+  let replay_d0_us =
+    let runs = 200 in
+    let samples =
+      List.init runs (fun _ ->
+          let start = Unix.gettimeofday () in
+          ignore (Multics_mc.Mc.violations_of_trace ~bug:false []);
+          (Unix.gettimeofday () -. start) *. 1e6)
+    in
+    List.nth (List.sort compare samples) (runs / 2)
+  in
   Printf.printf
-    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations\n"
-    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations;
+    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations; empty-trace replay %.1f us\n"
+    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations replay_d0_us;
   if mc_violations <> 0 then begin
     print_endline "bench smoke: FAIL — the healthy plant produced a counterexample";
     exit 1
   end;
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_mc.json" in
   Printf.fprintf oc
-    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "violations": %d, "cores": %d}
+    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "replay_d0_us": %.1f, "violations": %d, "cores": %d}
 |}
-    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations cores;
+    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec replay_d0_us
+    mc_violations cores;
   close_out oc;
   print_endline "bench smoke: appended to BENCH_mc.json";
 

@@ -74,10 +74,10 @@ let of_strings entries =
 
 let entries t = List.map (fun e -> (e.pattern, e.mode)) t
 
-let mode_for t principal =
-  match List.find_opt (fun e -> Principal.matches e.pattern principal) t with
-  | Some e -> e.mode
-  | None -> Mode.none
+let rec mode_for t principal =
+  match t with
+  | [] -> Mode.none
+  | e :: rest -> if Principal.matches e.pattern principal then e.mode else mode_for rest principal
 
 let permits t principal ~requested = Mode.subset requested (mode_for t principal)
 

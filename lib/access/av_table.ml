@@ -98,15 +98,8 @@ type t = {
   mutable g_obj : int array;  (** per-cell object stamp *)
   mutable max_obj : int;  (** highest uid ever cached, bounds the size scan *)
   mutable flush_probe : (unit -> bool) option;
-  hits : Obs.Counter.t;
-  misses : Obs.Counter.t;
-  invalidations : Obs.Counter.t;
-  insertions : Obs.Counter.t;
-  flushes : Obs.Counter.t;
+  obs : Multics_cache.Avc.instruments;
 }
-
-let counter name field =
-  Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field)
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
@@ -126,11 +119,7 @@ let create ?(subjects = 2) ?(objects = 16) ?gens ~name () =
     g_obj = Array.make cells 0;
     max_obj = -1;
     flush_probe = None;
-    hits = counter name "hits";
-    misses = counter name "misses";
-    invalidations = counter name "invalidations";
-    insertions = counter name "insertions";
-    flushes = counter name "flushes";
+    obs = Multics_cache.Avc.instruments name;
   }
 
 let name t = t.name
@@ -140,11 +129,9 @@ let subject_sid t subject = Policy.Subject_sids.sid_of t.sids subject
 let subject_count t = Policy.Subject_sids.count t.sids
 let set_flush_probe t probe = t.flush_probe <- probe
 
-let incr c = if Obs.enabled () then Obs.Counter.incr c
-
 let flush t =
   Array.fill t.g_global 0 (Array.length t.g_global) (-1);
-  incr t.flushes
+  Obs.Counter.incr t.obs.flushes
 
 let probe_fault t =
   match t.flush_probe with Some fires when fires () -> flush t | _ -> ()
@@ -175,7 +162,7 @@ let find t ~subj ~obj =
   probe_fault t;
   let s = Sid.to_int subj in
   if s >= t.rows || obj < 0 || obj >= t.cols then begin
-    incr t.misses;
+    Obs.Counter.incr t.obs.misses;
     -1
   end
   else begin
@@ -184,7 +171,7 @@ let find t ~subj ~obj =
       Array.unsafe_get t.g_global i = Gen.global t.gens
       && Array.unsafe_get t.g_obj i = Gen.of_object t.gens obj
     then begin
-      incr t.hits;
+      Obs.Counter.incr t.obs.hits;
       Array.unsafe_get t.av i
     end
     else begin
@@ -192,9 +179,9 @@ let find t ~subj ~obj =
          empty now (so it is counted once), miss. *)
       if Array.unsafe_get t.g_global i >= 0 then begin
         Array.unsafe_set t.g_global i (-1);
-        incr t.invalidations
+        Obs.Counter.incr t.obs.invalidations
       end;
-      incr t.misses;
+      Obs.Counter.incr t.obs.misses;
       -1
     end
   end
@@ -211,7 +198,7 @@ let set t ~subj ~obj av =
     t.g_global.(i) <- Gen.global t.gens;
     t.g_obj.(i) <- Gen.of_object t.gens obj;
     if obj > t.max_obj then t.max_obj <- obj;
-    incr t.insertions
+    Obs.Counter.incr t.obs.insertions
   end
 
 (* Fresh-cell population.  A scan, not a counter: staleness is decided
@@ -233,16 +220,16 @@ let size t =
 let counters t =
   let get c = Obs.Counter.get c in
   [
-    ("hits", get t.hits);
-    ("misses", get t.misses);
-    ("invalidations", get t.invalidations);
-    ("insertions", get t.insertions);
-    ("flushes", get t.flushes);
+    ("hits", get t.obs.hits);
+    ("misses", get t.obs.misses);
+    ("invalidations", get t.obs.invalidations);
+    ("insertions", get t.obs.insertions);
+    ("flushes", get t.obs.flushes);
   ]
 
 let hit_ratio t =
-  let h = float_of_int (Obs.Counter.get t.hits) in
-  let m = float_of_int (Obs.Counter.get t.misses) in
+  let h = float_of_int (Obs.Counter.get t.obs.hits) in
+  let m = float_of_int (Obs.Counter.get t.obs.misses) in
   if h +. m = 0. then 0. else h /. (h +. m)
 
 (* Eagerly recompile every minted (subject, object) pair, given the

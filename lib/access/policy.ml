@@ -97,11 +97,16 @@ let verdict_of_refusals = function [] -> Permit | refusals -> Refuse refusals
    ("refused by the lattice" vs "refused by an ACL") is visible live. *)
 let obs_checks = Obs.Local.counter "policy.checks"
 let obs_refusals = Obs.Local.counter "policy.refusals"
-let refusal_label = function
-  | Mandatory_read_up _ -> "mandatory-read-up"
-  | Mandatory_write_down _ -> "mandatory-write-down"
-  | Discretionary _ -> "discretionary"
-  | Ring_hardware _ -> "ring-hardware"
+let obs_read_up = Obs.Local.counter "policy.refusals.mandatory-read-up"
+let obs_write_down = Obs.Local.counter "policy.refusals.mandatory-write-down"
+let obs_discretionary = Obs.Local.counter "policy.refusals.discretionary"
+let obs_ring_hardware = Obs.Local.counter "policy.refusals.ring-hardware"
+
+let obs_refusal = function
+  | Mandatory_read_up _ -> obs_read_up ()
+  | Mandatory_write_down _ -> obs_write_down ()
+  | Discretionary _ -> obs_discretionary ()
+  | Ring_hardware _ -> obs_ring_hardware ()
 
 let observe verdict =
   if Obs.enabled () then begin
@@ -110,11 +115,7 @@ let observe verdict =
     | Permit -> ()
     | Refuse refusals ->
         Obs.Counter.incr (obs_refusals ());
-        List.iter
-          (fun r ->
-            Obs.Counter.incr
-              (Obs.Registry.counter (Obs.Registry.global ()) ("policy.refusals." ^ refusal_label r)))
-          refusals
+        List.iter (fun r -> Obs.Counter.incr (obs_refusal r)) refusals
   end;
   verdict
 
@@ -142,7 +143,8 @@ let permitted = function Permit -> true | Refuse _ -> false
    caller re-presents the same record reference for reference. *)
 
 let subject_identity_hash (s : subject) =
-  ((Hashtbl.hash s.principal * 31) + Label.level_rank (Label.level s.clearance) * 31)
+  ((Hashtbl.hash (Principal.to_string s.principal) * 31)
+  + (Label.level_rank (Label.level s.clearance) * 31))
   + (Ring.to_int s.ring * 2)
   + if s.trusted then 1 else 0
 
@@ -165,7 +167,8 @@ module Subject_sids = struct
   let create () =
     {
       reg = Atomic.fetch_and_add next_reg 1 + 1;
-      map = Sid.Map.create ~hash:subject_identity_hash ~equal:subject_identity_equal ();
+      map =
+        Sid.Map.create ~initial:16 ~hash:subject_identity_hash ~equal:subject_identity_equal ();
     }
 
   let sid_of t (s : subject) =

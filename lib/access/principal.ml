@@ -6,7 +6,15 @@
    daemon "z").  ACL entries are patterns over these components, with
    "*" matching any value in that component. *)
 
-type t = { person : string; project : string; tag : string }
+(* [text] is the [Person.Project.Tag] rendering, computed once at
+   construction: ACL edits compare entries by it and every audit record
+   of a process carries it, so rendering it per use would cost a
+   format per comparison.  It is a function of the other fields and
+   comes last, so structural equality and ordering still follow the
+   components. *)
+type t = { person : string; project : string; tag : string; text : string }
+
+let render a b c = String.concat "." [ a; b; c ]
 
 let component_ok s =
   String.length s > 0
@@ -16,7 +24,7 @@ let make ~person ~project ~tag =
   if not (component_ok person && component_ok project && component_ok tag) then
     invalid_arg
       (Printf.sprintf "Principal.make: bad component in %s.%s.%s" person project tag);
-  { person; project; tag }
+  { person; project; tag; text = render person project tag }
 
 let person t = t.person
 let project t = t.project
@@ -32,34 +40,34 @@ let of_string s =
   | [ person; project ] -> make ~person ~project ~tag:"a"
   | _ -> invalid_arg ("Principal.of_string: " ^ s)
 
-let to_string t = Printf.sprintf "%s.%s.%s" t.person t.project t.tag
+let to_string t = t.text
 
 let equal a b = a.person = b.person && a.project = b.project && a.tag = b.tag
 
-let compare a b = String.compare (to_string a) (to_string b)
+let compare a b = String.compare a.text b.text
 
 let pp ppf t = Fmt.string ppf (to_string t)
 
 (* ----- Patterns ----- *)
 
-type pattern = { p_person : string; p_project : string; p_tag : string }
+type pattern = { p_person : string; p_project : string; p_tag : string; p_text : string }
 
 let pattern_of_string s =
   let components =
     match String.split_on_char '.' s with
-    | [ a; b; c ] -> (a, b, c)
-    | [ a; b ] -> (a, b, "*")
-    | [ a ] -> (a, "*", "*")
+    | [ a; b; c ] -> (a, b, c, s)
+    | [ a; b ] -> (a, b, "*", render a b "*")
+    | [ a ] -> (a, "*", "*", render a "*" "*")
     | _ -> invalid_arg ("Principal.pattern_of_string: " ^ s)
   in
   let check c = if not (c = "*" || component_ok c) then invalid_arg ("bad pattern component " ^ c) in
-  let p_person, p_project, p_tag = components in
+  let p_person, p_project, p_tag, p_text = components in
   check p_person;
   check p_project;
   check p_tag;
-  { p_person; p_project; p_tag }
+  { p_person; p_project; p_tag; p_text }
 
-let pattern_to_string p = Printf.sprintf "%s.%s.%s" p.p_person p.p_project p.p_tag
+let pattern_to_string p = p.p_text
 
 let anyone = pattern_of_string "*.*.*"
 

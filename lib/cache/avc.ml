@@ -36,7 +36,13 @@ module Gen = struct
      its range.  Until then a directory slot points at [zero_page],
      shared and never written, so a read is two array loads whether or
      not the page exists, and an id whose page was never allocated
-     reads generation 0.  Paging matters because the dense ids are not compact: a CPU's
+     reads generation 0.  The directory itself covers only the pages
+     up to the highest one bumped so far: it starts empty, and a read
+     past its end reads generation 0 like an unallocated page.  A cache
+     that is never invalidated object by object (most of those a boot
+     creates) allocates no directory at all, and a per-process memory
+     whose segnos all fall in page 0 allocates a one-slot one.  Paging
+     matters because the dense ids are not compact: a CPU's
      CAM keys its entries by [(handle lsl 12) lor segno], so one
      process's first invalidation lands thousands of ids past the
      previous one, and a flat array grown to cover it would cost tens
@@ -57,16 +63,17 @@ module Gen = struct
      (it does not escape this module). *)
   let no_epoch = new_epoch ()
 
-  let page_bits = 8
+  let page_bits = 6
   let page_size = 1 lsl page_bits
   let dense_limit = 1 lsl 16
   let zero_page = Array.make page_size 0
+  let max_pages = dense_limit lsr page_bits
 
   type t = {
     mutable global : int;
     epoch : epoch;
-    pages : int array array;
-    sparse : (int, int) Hashtbl.t;
+    mutable pages : int array array;
+    mutable sparse : (int, int) Hashtbl.t option;  (** allocated on the first sparse bump *)
     mutable compactions : int;
   }
 
@@ -83,8 +90,8 @@ module Gen = struct
     {
       global = 0;
       epoch;
-      pages = Array.make (dense_limit lsr page_bits) zero_page;
-      sparse = Hashtbl.create 16;
+      pages = [||];
+      sparse = None;
       compactions = 0;
     }
 
@@ -92,9 +99,16 @@ module Gen = struct
   let is_dense obj = obj >= 0 && obj < dense_limit
 
   let of_object t obj =
-    if is_dense obj then
-      Array.unsafe_get (Array.unsafe_get t.pages (obj lsr page_bits)) (obj land (page_size - 1))
-    else Option.value (Hashtbl.find_opt t.sparse obj) ~default:0
+    if is_dense obj then begin
+      let p = obj lsr page_bits in
+      if p < Array.length t.pages then
+        Array.unsafe_get (Array.unsafe_get t.pages p) (obj land (page_size - 1))
+      else 0
+    end
+    else
+      match t.sparse with
+      | Some sparse -> Option.value (Hashtbl.find_opt sparse obj) ~default:0
+      | None -> 0
 
   let bump_global t = t.global <- t.global + 1
 
@@ -111,24 +125,37 @@ module Gen = struct
      never correctness. *)
   let compact t =
     bump_global t;
-    Hashtbl.reset t.sparse;
+    Option.iter Hashtbl.reset t.sparse;
     t.compactions <- t.compactions + 1;
     if Obs.enabled () then Obs.Counter.incr (obs_compactions ())
 
   let bump_object t obj =
     if is_dense obj then begin
       let p = obj lsr page_bits in
+      let covered = Array.length t.pages in
+      if p >= covered then begin
+        let pages = Array.make (min max_pages (max (p + 1) (2 * covered))) zero_page in
+        Array.blit t.pages 0 pages 0 covered;
+        t.pages <- pages
+      end;
       if t.pages.(p) == zero_page then t.pages.(p) <- Array.make page_size 0;
       let page = t.pages.(p) and i = obj land (page_size - 1) in
       page.(i) <- page.(i) + 1
     end
     else begin
-      if Hashtbl.length t.sparse >= sparse_limit && not (Hashtbl.mem t.sparse obj) then
-        compact t;
-      Hashtbl.replace t.sparse obj (of_object t obj + 1)
+      let sparse =
+        match t.sparse with
+        | Some sparse -> sparse
+        | None ->
+            let sparse = Hashtbl.create 16 in
+            t.sparse <- Some sparse;
+            sparse
+      in
+      if Hashtbl.length sparse >= sparse_limit && not (Hashtbl.mem sparse obj) then compact t;
+      Hashtbl.replace sparse obj (of_object t obj + 1)
     end
 
-  let sparse_size t = Hashtbl.length t.sparse
+  let sparse_size t = match t.sparse with Some sparse -> Hashtbl.length sparse | None -> 0
   let compactions t = t.compactions
 end
 
@@ -160,6 +187,10 @@ type ('k, 'v) t = {
   slots : ('k * ('k, 'v) entry) option array;
   mutable population : int;
   mutable flush_probe : (unit -> bool) option;
+  obs : instruments;
+}
+
+and instruments = {
   hits : Obs.Counter.t;
   misses : Obs.Counter.t;
   invalidations : Obs.Counter.t;
@@ -167,8 +198,16 @@ type ('k, 'v) t = {
   flushes : Obs.Counter.t;
 }
 
-let counter name field =
-  Obs.Registry.counter (Obs.Registry.global ()) (Printf.sprintf "cache.%s.%s" name field)
+let instruments =
+  Obs.Local.keyed (fun registry name ->
+      let counter field = Obs.Registry.counter registry ("cache." ^ name ^ "." ^ field) in
+      {
+        hits = counter "hits";
+        misses = counter "misses";
+        invalidations = counter "invalidations";
+        insertions = counter "insertions";
+        flushes = counter "flushes";
+      })
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
@@ -185,11 +224,7 @@ let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name
     slots = Array.make capacity None;
     population = 0;
     flush_probe = None;
-    hits = counter name "hits";
-    misses = counter name "misses";
-    invalidations = counter name "invalidations";
-    insertions = counter name "insertions";
-    flushes = counter name "flushes";
+    obs = instruments name;
   }
 
 let name t = t.name
@@ -198,12 +233,10 @@ let gens t = t.gens
 let size t = t.population
 let set_flush_probe t probe = t.flush_probe <- probe
 
-let incr c = if Obs.enabled () then Obs.Counter.incr c
-
 let flush t =
   Array.fill t.slots 0 (Array.length t.slots) None;
   t.population <- 0;
-  incr t.flushes
+  Obs.Counter.incr t.obs.flushes
 
 (* A fault-injected flush models the hardware clearing its associative
    memory at an arbitrary moment (power event, diagnostic, paranoid
@@ -222,18 +255,18 @@ let find t key =
   match t.slots.(i) with
   | Some (k, e) when t.equal k key ->
       if fresh t e then begin
-        incr t.hits;
+        Obs.Counter.incr t.obs.hits;
         Some e.value
       end
       else begin
         t.slots.(i) <- None;
         t.population <- t.population - 1;
-        incr t.invalidations;
-        incr t.misses;
+        Obs.Counter.incr t.obs.invalidations;
+        Obs.Counter.incr t.obs.misses;
         None
       end
   | Some _ | None ->
-      incr t.misses;
+      Obs.Counter.incr t.obs.misses;
       None
 
 let add t ~obj key value =
@@ -244,7 +277,7 @@ let add t ~obj key value =
   if t.slots.(i) = None then t.population <- t.population + 1;
   t.slots.(i) <-
     Some (key, { value; obj; g_global = Gen.global t.gens; g_obj = Gen.of_object t.gens obj });
-  incr t.insertions
+  Obs.Counter.incr t.obs.insertions
 
 let find_or_add t ~obj key compute =
   match find t key with
@@ -273,13 +306,13 @@ let invalidate_all t = Gen.bump_global t.gens
 
 let counters t =
   [
-    ("hits", Obs.Counter.get t.hits);
-    ("misses", Obs.Counter.get t.misses);
-    ("invalidations", Obs.Counter.get t.invalidations);
-    ("insertions", Obs.Counter.get t.insertions);
-    ("flushes", Obs.Counter.get t.flushes);
+    ("hits", Obs.Counter.get t.obs.hits);
+    ("misses", Obs.Counter.get t.obs.misses);
+    ("invalidations", Obs.Counter.get t.obs.invalidations);
+    ("insertions", Obs.Counter.get t.obs.insertions);
+    ("flushes", Obs.Counter.get t.obs.flushes);
   ]
 
 let hit_ratio t =
-  let h = Obs.Counter.get t.hits and m = Obs.Counter.get t.misses in
+  let h = Obs.Counter.get t.obs.hits and m = Obs.Counter.get t.obs.misses in
   if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

@@ -100,6 +100,20 @@ val create :
     same slot simply displace one another; [equal] keeps a collision
     from ever being mistaken for a hit. *)
 
+(** The obs counters behind a cache name: ["cache.<name>.hits"] and so
+    on, resolved once per domain and name (see
+    {!Multics_obs.Obs.Local.keyed}).  {!create} uses them, and so does
+    any other decision table that reports under the same scheme. *)
+type instruments = {
+  hits : Multics_obs.Obs.Counter.t;
+  misses : Multics_obs.Obs.Counter.t;
+  invalidations : Multics_obs.Obs.Counter.t;
+  insertions : Multics_obs.Obs.Counter.t;
+  flushes : Multics_obs.Obs.Counter.t;
+}
+
+val instruments : string -> instruments
+
 val name : ('k, 'v) t -> string
 val capacity : ('k, 'v) t -> int
 val gens : ('k, 'v) t -> Gen.t

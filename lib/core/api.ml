@@ -35,6 +35,7 @@ open Multics_fs
 open Multics_link
 open Multics_machine
 module Obs = Multics_obs.Obs
+module Decimal = Multics_util.Decimal
 
 type error =
   | Fs of Hierarchy.error
@@ -169,6 +170,20 @@ let obs_gate_refusals = Obs.Local.counter "gate.refusals"
 let obs_gate_cycles = Obs.Local.counter "gate.cycles"
 let obs_audit_depth = Obs.Local.counter "audit.depth"
 let obs_dispatch_span = Obs.Local.span "gate.dispatch"
+
+(* Per-gate and per-configuration counters, resolved by name parts
+   once per domain.  A refusals counter is created on the gate's first
+   refusal, as the registry has always shown it. *)
+let obs_op_calls = Obs.Local.keyed (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".calls"))
+
+let obs_op_refusals =
+  Obs.Local.keyed (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".refusals"))
+
+let obs_config =
+  Obs.Local.keyed (fun r config ->
+      ( Obs.Registry.counter r ("config." ^ config ^ ".gate.calls"),
+        Obs.Registry.counter r ("config." ^ config ^ ".gate.cycles") ))
+
 (* One record per mediated call, written after the audit record so the
    audit-depth gauge includes it.  Mediation cycles are charged at the
    configured processor's cross-ring round-trip price — the same
@@ -180,16 +195,13 @@ let meter system ~operation ~refused =
     Obs.Counter.incr (obs_gate_calls ());
     Obs.Counter.incr ~by:cycles (obs_gate_cycles ());
     Obs.Span.record (obs_dispatch_span ()) ~cycles;
-    Obs.Counter.incr (Obs.Registry.counter (Obs.Registry.global ()) ("gate." ^ operation ^ ".calls"));
-    let config = (System.config system).Config.name in
-    Obs.Counter.incr
-      (Obs.Registry.counter (Obs.Registry.global ()) ("config." ^ config ^ ".gate.calls"));
-    Obs.Counter.incr ~by:cycles
-      (Obs.Registry.counter (Obs.Registry.global ()) ("config." ^ config ^ ".gate.cycles"));
+    Obs.Counter.incr (obs_op_calls operation);
+    let config_calls, config_cycles = obs_config (System.config system).Config.name in
+    Obs.Counter.incr config_calls;
+    Obs.Counter.incr ~by:cycles config_cycles;
     if refused then begin
       Obs.Counter.incr (obs_gate_refusals ());
-      Obs.Counter.incr
-        (Obs.Registry.counter (Obs.Registry.global ()) ("gate." ^ operation ^ ".refusals"))
+      Obs.Counter.incr (obs_op_refusals operation)
     end;
     Obs.Counter.set (obs_audit_depth ()) (Audit_log.length (System.audit system))
   end
@@ -553,7 +565,7 @@ module Call = struct
             in
             Ok (Segno (System.install_known system p ~uid)))
     | Terminate { segno } ->
-        call Gate ~target:(string_of_int segno) (fun p _subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p _subject ->
             let* () = kst_result (Kst.terminate p.System.kst segno) in
             Ok Done)
     | Create_segment { dir_segno; name; acl; label; brackets } ->
@@ -596,7 +608,7 @@ module Call = struct
             in
             Ok Done)
     | List_directory { dir_segno } ->
-        call Gate ~target:(string_of_int dir_segno) (fun p subject ->
+        call Gate ~target:(Decimal.to_string dir_segno) (fun p subject ->
             let* dir = uid_of_segno p dir_segno in
             let* entries =
               fs_result (Hierarchy.list_entries (System.hierarchy system) ~subject ~dir)
@@ -623,13 +635,13 @@ module Call = struct
        descriptor for the object is recomputed, so a revoked grant
        cannot survive in any process's SDW. *)
     | Set_acl { segno; acl } ->
-        call Gate ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_acl (System.hierarchy system) ~subject ~uid ~acl) in
             System.setfaults system ~uid;
             Ok Done)
     | Set_brackets { segno; brackets } ->
-        call Gate ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result (Hierarchy.set_brackets (System.hierarchy system) ~subject ~uid ~brackets)
@@ -637,7 +649,7 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_gate_bound { segno; gate_bound } ->
-        call Gate ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () =
               fs_result
@@ -646,20 +658,20 @@ module Call = struct
             System.setfaults system ~uid;
             Ok Done)
     | Set_quota { segno; quota } ->
-        call Gate ~target:(string_of_int segno) (fun p subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p subject ->
             let* uid = uid_of_segno p segno in
             let* () = fs_result (Hierarchy.set_quota (System.hierarchy system) ~subject ~uid ~quota) in
             Ok Done)
     (* ----- Content references (SDW-checked, as the hardware does) ----- *)
     | Read_word { segno; offset } ->
-        call Gate ~target:(Printf.sprintf "%d|%d" segno offset) (fun p _subject ->
+        call Gate ~target:(Decimal.pair segno '|' offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
             let* uid = uid_of_segno p segno in
             match Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset with
             | Some value -> Ok (Word value)
             | None -> Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))
     | Write_word { segno; offset; value } ->
-        call Gate ~target:(Printf.sprintf "%d|%d" segno offset) (fun p _subject ->
+        call Gate ~target:(Decimal.pair segno '|' offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Write in
             let* uid = uid_of_segno p segno in
             (* Segment control charges the quota cell for any growth
@@ -757,13 +769,13 @@ module Call = struct
             let* () = rnt_result (Rnt.unbind p.System.rnt ~name) in
             Ok Done)
     | List_reference_names { segno } ->
-        call Gate ~target:(string_of_int segno)
+        call Gate ~target:(Decimal.to_string segno)
           (fun p _subject -> Ok (Names (Rnt.names_for_segno p.System.rnt ~segno)))
     | Get_working_dir ->
         call Gate ~target:"wd" (fun p _subject ->
             Ok (Segno (System.install_known system p ~uid:p.System.working_dir)))
     | Set_working_dir { dir_segno } ->
-        call Gate ~target:(string_of_int dir_segno) (fun p _subject ->
+        call Gate ~target:(Decimal.to_string dir_segno) (fun p _subject ->
             let* uid = uid_of_segno p dir_segno in
             p.System.working_dir <- uid;
             Ok Done)
@@ -772,7 +784,7 @@ module Call = struct
             Ok (Word (Kst.entry_count p.System.kst)))
     (* ----- Linker gates (present only while the linker is in the kernel) ----- *)
     | Snap_link { segno; link_index } ->
-        call Gate ~target:(Printf.sprintf "%d#%d" segno link_index) (fun p subject ->
+        call Gate ~target:(Decimal.pair segno '#' link_index) (fun p subject ->
             let* from_uid = uid_of_segno p segno in
             let linker = System.linker system in
             match
@@ -787,7 +799,7 @@ module Call = struct
                 Ok (Snapped { segno = target_segno; offset })
             | other -> Error (Link_failed other))
     | List_links { segno } ->
-        call Gate ~target:(string_of_int segno) (fun p _subject ->
+        call Gate ~target:(Decimal.to_string segno) (fun p _subject ->
             let* uid = uid_of_segno p segno in
             match Object_seg.Store.get (System.store system) ~uid with
             | None -> Ok (Links [])
@@ -853,14 +865,14 @@ module Call = struct
         call Gate ~target:"channel" (fun _p _subject ->
             Ok (Channel (System.new_ipc_channel system)))
     | Send_wakeup { channel } ->
-        call Gate ~target:(string_of_int channel) (fun _p _subject ->
+        call Gate ~target:(Decimal.to_string channel) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
                 incr pending;
                 Ok Done)
     | Block { channel } ->
-        call Gate ~target:(string_of_int channel) (fun _p _subject ->
+        call Gate ~target:(Decimal.to_string channel) (fun _p _subject ->
             match System.ipc_channel system channel with
             | None -> Error (No_such_channel channel)
             | Some pending ->
@@ -914,7 +926,7 @@ module Call = struct
             | Some child -> Ok (Process child)
             | None -> Error (No_such_process handle))
     | Destroy_process { target } ->
-        call (login_admission system) ~target:(string_of_int target) (fun _p _subject ->
+        call (login_admission system) ~target:(Decimal.to_string target) (fun _p _subject ->
             if List.mem target (System.sibling_handles system ~handle) then
               if System.logout system ~handle:target then Ok Done
               else Error (No_such_process target)
@@ -984,7 +996,7 @@ module Call = struct
        operator's revocation hammer — it can only make the next
        reference slower, never change a verdict. *)
     | Probe_access { segno; requested } ->
-        call Ungated ~target:(Printf.sprintf "%d?%s" segno (Mode.to_string requested))
+        call Ungated ~target:(Decimal.to_string segno ^ "?" ^ Mode.to_string requested)
           (fun p subject ->
             let* uid = uid_of_segno p segno in
             match Hierarchy.check_access (System.hierarchy system) ~subject ~uid ~requested with

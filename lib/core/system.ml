@@ -90,6 +90,20 @@ let gate_table config mask =
     catalog;
   table
 
+(* An unmasked table depends on the configuration alone and is never
+   written once built, so successive boots of one configuration share
+   it: each domain keeps the last one it built. *)
+let unmasked_table_key = Domain.DLS.new_key (fun () -> ref None)
+
+let unmasked_gate_table config =
+  let last = Domain.DLS.get unmasked_table_key in
+  match !last with
+  | Some (c, table) when c == config -> table
+  | Some _ | None ->
+      let table = gate_table config None in
+      last := Some (config, table);
+      table
+
 type t = {
   config : Config.t;
   cost : Cost.t;
@@ -240,7 +254,7 @@ let create config =
       crash_journal = [];
       scheduler = None;
       plant = None;
-      gates = gate_table config None;
+      gates = unmasked_gate_table config;
       gate_mask = None;
     }
   in
@@ -274,8 +288,8 @@ let add_account t ~person ~project ~password ~clearance =
              ~acl:(Acl.of_strings [ ("Initializer.*.*", "rew"); ("*.*.*", "r") ])
              ~label:Label.unclassified)
   in
-  let owner_pattern = Printf.sprintf "%s.%s.*" person project in
-  let project_pattern = Printf.sprintf "*.%s.*" project in
+  let owner_pattern = String.concat "." [ person; project; "*" ] in
+  let project_pattern = String.concat "." [ "*"; project; "*" ] in
   (* Owner controls the home; project-mates may status it (the usual
      Multics project default); everyone else gets the No_entry lie. *)
   let home =
@@ -316,7 +330,10 @@ let subject_of (p : proc) =
       p.subject_memo <- Some s;
       s
 
-let process_dir_name ~handle = Printf.sprintf "p%03d" handle
+(* "p%03d", without interpreting a format on every login. *)
+let process_dir_name ~handle =
+  let digits = Multics_util.Decimal.to_string handle in
+  "p" ^ String.make (max 0 (3 - String.length digits)) '0' ^ digits
 
 (* Build a fresh process for an account at a session level.  Shared by
    login and by the create_process / new_proc gates. *)
@@ -367,7 +384,7 @@ let make_process t ~(account : account) ~session_level ~login_ring =
        ~acl:
          (Acl.of_strings
             [
-              (Printf.sprintf "%s.%s.*" account.person account.project, "rew");
+              (String.concat "." [ account.person; account.project; "*" ], "rew");
               ("Initializer.*.*", "rew");
             ])
        ~label:Label.unclassified

@@ -165,6 +165,10 @@ let obs_checks = Obs.Local.counter "fault.checks"
 let obs_injected = Obs.Local.counter "fault.injected"
 let obs_retries = Obs.Local.counter "fault.retries"
 let obs_giveups = Obs.Local.counter "fault.giveups"
+
+let obs_site_injected =
+  Obs.Local.keyed (fun r site -> Obs.Registry.counter r ("fault.injected." ^ site))
+
 module Injector = struct
   type site_state = {
     rule : Plan.rule;
@@ -192,7 +196,7 @@ module Injector = struct
           {
             rule;
             prng = Multics_util.Prng.create_labeled ~seed:plan.Plan.seed ~label:name;
-            obs_site = Obs.Registry.counter (Obs.Registry.global ()) ("fault.injected." ^ name);
+            obs_site = obs_site_injected name;
             occurrences = 0;
             site_injected = 0;
           })

@@ -19,6 +19,7 @@
 
 open Multics_access
 open Multics_machine
+module Int_table = Multics_util.Int_table
 
 module Avc = Multics_cache.Avc
 
@@ -69,7 +70,7 @@ let error_to_string = function
       Printf.sprintf "cannot mint brackets with r1 = %d from ring %d" requested_r1 ring
 
 type t = {
-  nodes : (int, node) Hashtbl.t;
+  nodes : node Int_table.t;
   uids : Uid.generator;
   words_per_page : int;
   (* The compiled access-decision table: Policy + brackets flattened
@@ -99,7 +100,7 @@ let cache_hit_ratio t = Av_table.hit_ratio t.avtab
 let flush_cached_verdicts t = Av_table.flush t.avtab
 
 let create ?(words_per_page = 64) () =
-  let nodes = Hashtbl.create 256 in
+  let nodes = Int_table.create 64 in
   let root =
     {
       uid = Uid.root;
@@ -122,7 +123,7 @@ let create ?(words_per_page = 64) () =
       pages_charged = 0;
     }
   in
-  Hashtbl.replace nodes (Uid.to_int Uid.root) root;
+  Int_table.replace nodes (Uid.to_int Uid.root) root;
   (* Backstop for the cache: the domain's ACL mutation generation is
      folded into the global epoch, so any ACL construction anywhere in
      the domain stales every compiled verdict, and even an edit that
@@ -139,14 +140,14 @@ let create ?(words_per_page = 64) () =
     avtab = Av_table.create ~gens ~name:"policy" ();
   }
 
-let node t uid = Hashtbl.find_opt t.nodes (Uid.to_int uid)
+let node t uid = Int_table.find_opt t.nodes (Uid.to_int uid)
 
 let node_exn t uid =
   match node t uid with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Hierarchy: dangling %a" Uid.pp uid)
 
-let uid_exists t uid = Hashtbl.mem t.nodes (Uid.to_int uid)
+let uid_exists t uid = Int_table.mem t.nodes (Uid.to_int uid)
 
 (* ----- Attribute readers (no access check: callers are kernel code
    that has already mediated, or the audit tooling) ----- *)
@@ -290,7 +291,7 @@ let pages_charged_of t uid = Option.map (fun n -> n.pages_charged) (node t uid)
    page total of the subtree it governs, and never exceeds its limit.
    Used by tests after random operation storms. *)
 let check_quota_invariant t =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ n ok ->
       ok
       &&
@@ -372,7 +373,7 @@ let add_entry t ~subject ~dir ~name ~kind ~acl ~label ~brackets =
               pages_charged = 0;
             }
           in
-          Hashtbl.replace t.nodes (Uid.to_int uid) n;
+          Int_table.replace t.nodes (Uid.to_int uid) n;
           d.entries <- d.entries @ [ (name, uid) ];
           Ok uid
         end)
@@ -396,7 +397,7 @@ let delete_entry t ~subject ~dir ~name =
             (* Refund the deleted segment's pages to its quota cell. *)
             if n.kind = Segment && n.pages > 0 then ignore (charge_pages t n (-n.pages));
             d.entries <- List.filter (fun (entry_name, _) -> entry_name <> name) d.entries;
-            Hashtbl.remove t.nodes (Uid.to_int uid);
+            Int_table.remove t.nodes (Uid.to_int uid);
             note_change t uid;
             Ok uid
           end)
@@ -501,7 +502,7 @@ let rec raw_delete_subtree t ~dir ~name =
              List.iter (fun child -> ignore (raw_delete_subtree t ~dir:uid ~name:child)) children);
           if n.kind = Segment && n.pages > 0 then ignore (charge_pages t n (-n.pages));
           d.entries <- List.filter (fun (entry_name, _) -> entry_name <> name) d.entries;
-          Hashtbl.remove t.nodes (Uid.to_int uid);
+          Int_table.remove t.nodes (Uid.to_int uid);
           note_change t uid;
           true)
 
@@ -544,7 +545,7 @@ let check_access_fresh t ~subject ~uid ~requested =
    the experiments. *)
 let rebuild_av_table t =
   Av_table.rebuild t.avtab ~objects:(fun fill ->
-      Hashtbl.iter
+      Int_table.iter
         (fun _ n -> fill ~obj:(Uid.to_int n.uid) ~label:n.label ~acl:n.acl ~brackets:n.brackets)
         t.nodes)
 
@@ -677,4 +678,4 @@ let sdw_for t ~subject ~uid =
         (Sdw.make ~gate_bound:n.gate_bound ~mode:(effective_mode t ~subject ~uid)
            ~brackets:n.brackets ())
 
-let node_count t = Hashtbl.length t.nodes
+let node_count t = Int_table.length t.nodes

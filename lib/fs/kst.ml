@@ -15,6 +15,8 @@
    [protected_words] makes the difference measurable: experiment E2
    compares the protected-data footprint of the two shapes. *)
 
+module Int_table = Multics_util.Int_table
+
 type variant = Unified | Split
 
 let variant_name = function Unified -> "unified (naming in kernel)" | Split -> "split (naming in user ring)"
@@ -30,8 +32,8 @@ type t = {
   variant : variant;
   start_segno : int;
   mutable next_segno : int;
-  by_segno : (int, entry) Hashtbl.t;
-  by_uid : (int, entry) Hashtbl.t;
+  by_segno : entry Int_table.t;
+  by_uid : entry Int_table.t;
   mutable on_sdw_change : int -> unit;
       (** fired with the segno on every descriptor change — the
           "setfaults" hook the SDW associative memory hangs off *)
@@ -48,8 +50,8 @@ let create ?(start_segno = 8) ~variant () =
     variant;
     start_segno;
     next_segno = start_segno;
-    by_segno = Hashtbl.create 64;
-    by_uid = Hashtbl.create 64;
+    by_segno = Int_table.create 16;
+    by_uid = Int_table.create 16;
     on_sdw_change = (fun _ -> ());
   }
 
@@ -59,28 +61,28 @@ let set_on_sdw_change t f = t.on_sdw_change <- f
 (* Make a segment known: idempotent per uid; returns the segment
    number and whether it was already known. *)
 let make_known t ~uid =
-  match Hashtbl.find_opt t.by_uid (Uid.to_int uid) with
+  match Int_table.find_opt t.by_uid (Uid.to_int uid) with
   | Some entry -> (entry.segno, true)
   | None ->
       let segno = t.next_segno in
       t.next_segno <- segno + 1;
       let entry = { segno; uid; sdw = None; pathname = None } in
-      Hashtbl.replace t.by_segno segno entry;
-      Hashtbl.replace t.by_uid (Uid.to_int uid) entry;
+      Int_table.replace t.by_segno segno entry;
+      Int_table.replace t.by_uid (Uid.to_int uid) entry;
       (segno, false)
 
 let uid_of_segno t segno =
-  match Hashtbl.find_opt t.by_segno segno with
+  match Int_table.find_opt t.by_segno segno with
   | Some entry -> Ok entry.uid
   | None -> Error (Unknown_segno segno)
 
 let segno_of_uid t ~uid =
-  Option.map (fun e -> e.segno) (Hashtbl.find_opt t.by_uid (Uid.to_int uid))
+  Option.map (fun e -> e.segno) (Int_table.find_opt t.by_uid (Uid.to_int uid))
 
-let is_known t ~uid = Hashtbl.mem t.by_uid (Uid.to_int uid)
+let is_known t ~uid = Int_table.mem t.by_uid (Uid.to_int uid)
 
 let set_sdw t segno sdw =
-  match Hashtbl.find_opt t.by_segno segno with
+  match Int_table.find_opt t.by_segno segno with
   | Some entry ->
       entry.sdw <- Some sdw;
       t.on_sdw_change segno;
@@ -88,7 +90,7 @@ let set_sdw t segno sdw =
   | None -> Error (Unknown_segno segno)
 
 let sdw_of t segno =
-  match Hashtbl.find_opt t.by_segno segno with
+  match Int_table.find_opt t.by_segno segno with
   | Some { sdw = Some sdw; _ } -> Some sdw
   | Some { sdw = None; _ } | None -> None
 
@@ -96,7 +98,7 @@ let record_pathname t segno path =
   match t.variant with
   | Split -> Error Naming_not_in_kernel
   | Unified -> (
-      match Hashtbl.find_opt t.by_segno segno with
+      match Int_table.find_opt t.by_segno segno with
       | Some entry ->
           entry.pathname <- Some path;
           Ok ()
@@ -106,23 +108,23 @@ let pathname_of t segno =
   match t.variant with
   | Split -> Error Naming_not_in_kernel
   | Unified -> (
-      match Hashtbl.find_opt t.by_segno segno with
+      match Int_table.find_opt t.by_segno segno with
       | Some entry -> Ok entry.pathname
       | None -> Error (Unknown_segno segno))
 
 let terminate t segno =
-  match Hashtbl.find_opt t.by_segno segno with
+  match Int_table.find_opt t.by_segno segno with
   | None -> Error (Unknown_segno segno)
   | Some entry ->
-      Hashtbl.remove t.by_segno segno;
-      Hashtbl.remove t.by_uid (Uid.to_int entry.uid);
+      Int_table.remove t.by_segno segno;
+      Int_table.remove t.by_uid (Uid.to_int entry.uid);
       t.on_sdw_change segno;
       Ok ()
 
-let entry_count t = Hashtbl.length t.by_segno
+let entry_count t = Int_table.length t.by_segno
 
 let known_segnos t =
-  Hashtbl.fold (fun segno _ acc -> segno :: acc) t.by_segno [] |> List.sort Int.compare
+  Int_table.fold (fun segno _ acc -> segno :: acc) t.by_segno [] |> List.sort Int.compare
 
 (* Protected footprint, in (synthetic) 36-bit words.  A split entry is
    the minimal segno/uid/descriptor triple; a unified entry also holds

@@ -46,6 +46,7 @@ val terminate : t -> int -> (unit, error) result
 
 val entry_count : t -> int
 val known_segnos : t -> int list
+(** Ascending. *)
 
 val words_per_entry : variant -> int
 

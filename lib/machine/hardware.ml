@@ -37,6 +37,8 @@ let denial_to_string = function
    must reconcile with. *)
 let obs_checks = Obs.Local.counter "hw.checks"
 let obs_denials = Obs.Local.counter "hw.denials"
+let obs_denial = Obs.Local.keyed (fun r label -> Obs.Registry.counter r ("hw.denials." ^ label))
+
 let denial_label = function
   | Missing_permission _ -> "missing-permission"
   | Outside_write_bracket -> "write-bracket"
@@ -52,7 +54,7 @@ let observe decision =
     | Granted _ -> ()
     | Denied d ->
         Obs.Counter.incr (obs_denials ());
-        Obs.Counter.incr (Obs.Registry.counter (Obs.Registry.global ()) ("hw.denials." ^ denial_label d))
+        Obs.Counter.incr (obs_denial (denial_label d))
   end;
   decision
 

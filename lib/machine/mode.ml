@@ -31,16 +31,22 @@ let equal a b = a.read = b.read && a.execute = b.execute && a.write = b.write
 let is_none t = equal t none
 
 let of_string s =
-  let read = String.contains s 'r' in
-  let execute = String.contains s 'e' in
-  let write = String.contains s 'w' in
-  let valid = String.for_all (fun c -> c = 'r' || c = 'e' || c = 'w') s in
-  if not valid then invalid_arg ("Mode.of_string: " ^ s);
-  { read; execute; write }
+  let read = ref false and execute = ref false and write = ref false in
+  String.iter
+    (function
+      | 'r' -> read := true
+      | 'e' -> execute := true
+      | 'w' -> write := true
+      | _ -> invalid_arg ("Mode.of_string: " ^ s))
+    s;
+  { read = !read; execute = !execute; write = !write }
+
+(* Indexed by the read/execute/write bits: a mode renders into every
+   SDW of every canonical model-checker state and every probe target,
+   so the eight renderings are built once. *)
+let names = [| "null"; "w"; "e"; "ew"; "r"; "rw"; "re"; "rew" |]
 
 let to_string t =
-  let cell flag c = if flag then String.make 1 c else "" in
-  let s = cell t.read 'r' ^ cell t.execute 'e' ^ cell t.write 'w' in
-  if s = "" then "null" else s
+  names.((if t.read then 4 else 0) lor (if t.execute then 2 else 0) lor if t.write then 1 else 0)
 
 let pp ppf t = Fmt.string ppf (to_string t)

@@ -158,7 +158,10 @@ type instance = {
   home_segno : int;  (** ... as Alice addresses it *)
   s0 : Uid.t;
   s1 : Uid.t;
-  segnos : (principal * seg, int) Hashtbl.t;  (** per-principal segment numbers *)
+  alice_s0 : int;  (** per-principal segment numbers *)
+  alice_s1 : int;
+  bob_s0 : int;
+  bob_s1 : int;
   (* E10-style taint accounting at the checker level: granted reads
      accumulate the object's taints into the subject, granted writes
      deposit the subject's carried taints into the object. *)
@@ -193,7 +196,12 @@ let dispatch t ~who request =
   Call.dispatch t.system ~handle:(handle_of t who) request
 
 let uid_of t = function S0 -> t.s0 | S1 -> t.s1
-let segno_of t who seg = Hashtbl.find t.segnos (who, seg)
+let segno_of t who seg =
+  match (who, seg) with
+  | Alice, S0 -> t.alice_s0
+  | Alice, S1 -> t.alice_s1
+  | Bob, S0 -> t.bob_s0
+  | Bob, S1 -> t.bob_s1
 
 let carried t = function Alice -> t.alice_carried | Bob -> t.bob_carried
 
@@ -255,15 +263,6 @@ let boot ~bug () =
   let bproc = match System.proc system bob with Some p -> p | None -> failwith "Mc: no Bob" in
   let bob_s0 = System.install_known system bproc ~uid:s0 in
   let bob_s1 = System.install_known system bproc ~uid:s1 in
-  let segnos = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace segnos k v)
-    [
-      ((Alice, S0), alice_s0);
-      ((Alice, S1), alice_s1);
-      ((Bob, S0), bob_s0);
-      ((Bob, S1), bob_s1);
-    ];
   {
     system;
     plant;
@@ -274,7 +273,10 @@ let boot ~bug () =
     home_segno;
     s0;
     s1;
-    segnos;
+    alice_s0;
+    alice_s1;
+    bob_s0;
+    bob_s1;
     alice_carried = [ Label.unclassified ];
     bob_carried = [ secret ];
     s0_taints = [ secret ];
@@ -422,10 +424,11 @@ let replay ~bug trace =
 
    Rendered by direct [Buffer] adds: a capture runs once per replay,
    and interpreting format strings ([Printf.ksprintf], a fresh
-   formatter per [Fmt.str]) took about a quarter of an exploration's
-   time.  The golden canonical-state test pins the bytes. *)
+   formatter per [Fmt.str], [string_of_int]) took about a quarter of an
+   exploration's time.  The golden canonical-state test pins the
+   bytes. *)
 
-let add_int b n = Buffer.add_string b (string_of_int n)
+let add_int = Multics_util.Decimal.add
 
 (* "(r1,r2,r3)", as [Brackets.pp] prints them. *)
 let add_brackets b brackets =
@@ -449,7 +452,11 @@ let add_sorted b ~sep strings =
     (fun i s ->
       if i > 0 then Buffer.add_string b sep;
       Buffer.add_string b s)
-    (List.sort compare strings)
+    (List.sort String.compare strings)
+
+(* A cache front holds at most one entry per key, so ordering by key
+   alone is the order [compare] gives the pairs. *)
+let by_key entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries
 
 let add_acl b acl =
   add_sorted b ~sep:" "
@@ -526,9 +533,9 @@ let canonical t =
           | None ->
               add_key segno;
               add "=-")
-        (List.sort compare (Kst.known_segnos p.System.kst));
+        (Kst.known_segnos p.System.kst);
       add " } assoc{";
-      List.iter add_entry (List.sort compare (Hardware.Assoc.entries p.System.assoc));
+      List.iter add_entry (by_key (Hardware.Assoc.entries p.System.assoc));
       add " }\n")
     [ Alice; Bob ];
   (* Per-CPU fronts. *)
@@ -536,9 +543,9 @@ let canonical t =
     add "cpu ";
     addi cpu;
     add " cam{";
-    List.iter add_entry (List.sort compare (Smp.cam_entries t.plant ~cpu));
+    List.iter add_entry (by_key (Smp.cam_entries t.plant ~cpu));
     add " } ptw{";
-    List.iter add_key (List.sort compare (Smp.ptw_keys t.plant ~cpu));
+    List.iter add_key (List.sort Int.compare (Smp.ptw_keys t.plant ~cpu));
     add " }\n"
   done;
   (* Queued (undelivered) connects, in arrival order. *)
@@ -585,7 +592,15 @@ let fingerprint canon = Digest.to_hex (Digest.string canon)
    Permit".  (PTW fronts carry no access bits — a stale PTW entry
    skips a page-table walk, never a mediation — so the SDW-bearing
    fronts are the ones walked.) *)
-let stale_permit t ~where ~segno ~cached ~uid_opt ~subject =
+type front = Assoc_of of principal | Cam_of of int
+
+(* Formatted only when a violation is recorded: P1 walks every cached
+   entry of every front at every state. *)
+let front_to_string = function
+  | Assoc_of who -> principal_name who ^ "'s associative memory"
+  | Cam_of cpu -> Printf.sprintf "cpu %d's CAM" cpu
+
+let stale_permit t ~front ~segno ~cached ~uid_opt ~subject =
   let hierarchy = System.hierarchy t.system in
   let fresh = Option.bind uid_opt (fun uid -> Hierarchy.sdw_for hierarchy ~subject ~uid) in
   let cached_mode = Sdw.mode cached in
@@ -593,13 +608,14 @@ let stale_permit t ~where ~segno ~cached ~uid_opt ~subject =
   | None ->
       if not (Mode.is_none cached_mode) then
         record t "P1-stale-permit"
-          (Printf.sprintf "%s holds %s for dangling segno %d" where
+          (Printf.sprintf "%s holds %s for dangling segno %d" (front_to_string front)
              (Mode.to_string cached_mode) segno)
   | Some fresh ->
       if not (Mode.subset cached_mode (Sdw.mode fresh)) then
         record t "P1-stale-permit"
-          (Printf.sprintf "%s grants %s on segno %d; fresh descriptor grants only %s" where
-             (Mode.to_string cached_mode) segno (Mode.to_string (Sdw.mode fresh)))
+          (Printf.sprintf "%s grants %s on segno %d; fresh descriptor grants only %s"
+             (front_to_string front) (Mode.to_string cached_mode) segno
+             (Mode.to_string (Sdw.mode fresh)))
 
 let check_p1 t =
   List.iter
@@ -608,9 +624,7 @@ let check_p1 t =
       let subject = System.subject_of p in
       List.iter
         (fun (segno, cached) ->
-          stale_permit t
-            ~where:(Printf.sprintf "%s's associative memory" (principal_name who))
-            ~segno ~cached
+          stale_permit t ~front:(Assoc_of who) ~segno ~cached
             ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
             ~subject)
         (Hardware.Assoc.entries p.System.assoc))
@@ -625,9 +639,7 @@ let check_p1 t =
               record t "P1-stale-permit"
                 (Printf.sprintf "cpu %d CAM holds a grant for vanished process %d" cpu handle)
         | Some p ->
-            stale_permit t
-              ~where:(Printf.sprintf "cpu %d's CAM" cpu)
-              ~segno ~cached
+            stale_permit t ~front:(Cam_of cpu) ~segno ~cached
               ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
               ~subject:(System.subject_of p))
       (Smp.cam_entries t.plant ~cpu)

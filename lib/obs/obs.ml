@@ -4,8 +4,8 @@
    Design constraints, in order:
 
    1. the disabled path must stay branch-cheap — every recording
-      primitive starts with [if enabled ()], one domain-local load
-      plus a branch;
+      primitive starts by testing its domain's switch, one load plus a
+      branch;
    2. zero dependencies — the kernel's innermost layers (the hardware
       check, the simulator) record here, so this library must sit
       below everything;
@@ -18,12 +18,20 @@
    into its own registry, never contending with (or corrupting) another
    domain's instruments; after the join the caller absorbs each task's
    snapshot in task order ({!Snapshot.absorb}), so the merged totals
-   match a sequential run exactly. *)
+   match a sequential run exactly.
 
-let enabled_key = Domain.DLS.new_key (fun () -> true)
+   The switch is one mutable cell per domain.  Every instrument holds
+   the cell of the domain whose registry created it, so a recording
+   primitive tests that cell directly: a domain-local lookup per
+   increment cost more than the increment, and a gate call makes
+   dozens.  An instrument is only ever used on its own domain, so the
+   cell it holds is the calling domain's. *)
 
-let enabled () = Domain.DLS.get enabled_key
-let set_enabled flag = Domain.DLS.set enabled_key flag
+type switch = { mutable on : bool }
+
+let switch_key = Domain.DLS.new_key (fun () -> { on = true })
+let enabled () = (Domain.DLS.get switch_key).on
+let set_enabled flag = (Domain.DLS.get switch_key).on <- flag
 
 let with_disabled f =
   let saved = enabled () in
@@ -33,12 +41,12 @@ let with_disabled f =
 (* ----- Counters ----- *)
 
 module Counter = struct
-  type t = { name : string; mutable value : int }
+  type t = { name : string; switch : switch; mutable value : int }
 
-  let make name = { name; value = 0 }
+  let make switch name = { name; switch; value = 0 }
   let name c = c.name
-  let incr ?(by = 1) c = if enabled () then c.value <- c.value + by
-  let set c v = if enabled () then c.value <- v
+  let incr ?(by = 1) c = if c.switch.on then c.value <- c.value + by
+  let set c v = if c.switch.on then c.value <- v
   let get c = c.value
   let reset c = c.value <- 0
 end
@@ -53,6 +61,7 @@ module Histogram = struct
 
   type t = {
     name : string;
+    switch : switch;
     buckets : int array;
     mutable count : int;
     mutable sum : int;
@@ -61,9 +70,10 @@ module Histogram = struct
     mutable saturated : bool;
   }
 
-  let make name =
+  let make switch name =
     {
       name;
+      switch;
       buckets = Array.make bucket_count 0;
       count = 0;
       sum = 0;
@@ -74,19 +84,29 @@ module Histogram = struct
 
   let name h = h.name
 
+  (* The highest set bit by halving the search range: six tests for
+     any int, where a bit-at-a-time loop takes one per bit (ten for a
+     typical connect's cycle count). *)
   let bucket_index v =
     if v <= 1 then 0
     else begin
-      let rec highest_bit acc v = if v <= 1 then acc else highest_bit (acc + 1) (v lsr 1) in
-      min (bucket_count - 1) (highest_bit 0 v)
+      let v = ref v and bit = ref 0 in
+      if !v lsr 32 <> 0 then begin v := !v lsr 32; bit := 32 end;
+      if !v lsr 16 <> 0 then begin v := !v lsr 16; bit := !bit + 16 end;
+      if !v lsr 8 <> 0 then begin v := !v lsr 8; bit := !bit + 8 end;
+      if !v lsr 4 <> 0 then begin v := !v lsr 4; bit := !bit + 4 end;
+      if !v lsr 2 <> 0 then begin v := !v lsr 2; bit := !bit + 2 end;
+      if !v lsr 1 <> 0 then incr bit;
+      min (bucket_count - 1) !bit
     end
 
   let bucket_lower_bound i = if i = 0 then 0 else 1 lsl i
 
   let observe h v =
-    if enabled () then begin
+    if h.switch.on then begin
       let v = if v < 0 then 0 else v in
-      h.buckets.(bucket_index v) <- h.buckets.(bucket_index v) + 1;
+      let i = bucket_index v in
+      h.buckets.(i) <- h.buckets.(i) + 1;
       h.count <- h.count + 1;
       (* The running sum saturates at [max_int] instead of wrapping: a
          multi-billion-cycle run (an SMP sweep observing per-connect
@@ -159,19 +179,20 @@ module Span = struct
     mutable max_depth : int;
   }
 
-  let make name = { name; cycles = Histogram.make name; entries = 0; live = 0; max_depth = 0 }
+  let make switch name =
+    { name; cycles = Histogram.make switch name; entries = 0; live = 0; max_depth = 0 }
 
   let name s = s.name
 
   let enter s =
-    if enabled () then begin
+    if s.cycles.Histogram.switch.on then begin
       s.entries <- s.entries + 1;
       s.live <- s.live + 1;
       if s.live > s.max_depth then s.max_depth <- s.live
     end
 
   let leave s ~cycles =
-    if enabled () then begin
+    if s.cycles.Histogram.switch.on then begin
       if s.live > 0 then s.live <- s.live - 1;
       Histogram.observe s.cycles cycles
     end
@@ -197,6 +218,7 @@ end
 module Registry = struct
   type t = {
     name : string;
+    switch : switch;  (** the creating domain's *)
     counters : (string, Counter.t) Hashtbl.t;
     histograms : (string, Histogram.t) Hashtbl.t;
     spans : (string, Span.t) Hashtbl.t;
@@ -205,6 +227,7 @@ module Registry = struct
   let create ~name =
     {
       name;
+      switch = Domain.DLS.get switch_key;
       counters = Hashtbl.create 64;
       histograms = Hashtbl.create 16;
       spans = Hashtbl.create 16;
@@ -227,9 +250,9 @@ module Registry = struct
         Hashtbl.add table key v;
         v
 
-  let counter t key = memo t.counters Counter.make key
-  let histogram t key = memo t.histograms Histogram.make key
-  let span t key = memo t.spans Span.make key
+  let counter t key = memo t.counters (Counter.make t.switch) key
+  let histogram t key = memo t.histograms (Histogram.make t.switch) key
+  let span t key = memo t.spans (Span.make t.switch) key
 
   let sorted_bindings table value =
     Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
@@ -266,6 +289,25 @@ module Local = struct
   let span name : Span.t handle =
     let key = Domain.DLS.new_key (fun () -> Registry.span (Registry.global ()) name) in
     fun () -> Domain.DLS.get key
+
+  (* A family of instruments whose names vary in one part (a gate, a
+     cache, a configuration).  The per-domain memo is keyed by that
+     part, so the full name is built and looked up once per domain and
+     key; afterwards a lookup hashes the short key instead of
+     concatenating and hashing the whole name.  The memo is never
+     pruned: callers key it by members of a finite set. *)
+  module Keys = Hashtbl.Make (String)
+
+  let keyed resolve =
+    let key = Domain.DLS.new_key (fun () -> Keys.create 16) in
+    fun part ->
+      let memo = Domain.DLS.get key in
+      match Keys.find_opt memo part with
+      | Some v -> v
+      | None ->
+          let v = resolve (Registry.global ()) part in
+          Keys.add memo part v;
+          v
 end
 
 (* ----- Snapshots ----- *)

@@ -20,7 +20,10 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Flip the calling domain's switch.  Instruments keep their
-    accumulated values when disabled; recording simply stops. *)
+    accumulated values when disabled; recording simply stops.  Each
+    instrument tests the switch of the domain whose registry created
+    it (so recording costs no domain-local lookup); instruments are
+    meant to be used on that domain only. *)
 
 val with_disabled : (unit -> 'a) -> 'a
 (** Run a thunk with recording off, restoring the previous state. *)
@@ -143,6 +146,18 @@ module Local : sig
   val counter : string -> Counter.t handle
   val histogram : string -> Histogram.t handle
   val span : string -> Span.t handle
+
+  val keyed : (Registry.t -> string -> 'a) -> string -> 'a
+  (** A family of instruments named by parts.  [keyed resolve part]
+      returns [resolve registry part] for the calling domain's default
+      registry, memoized per domain and per [part]: the instrument name
+      is built once, e.g.
+      [keyed (fun r op -> Registry.counter r ("gate." ^ op ^ ".calls"))],
+      and a later call with the same part is one domain-local load and
+      a hash of the part.  An instrument resolved on one domain is
+      never returned on another.  The memo is never pruned, so parts
+      must come from a finite set (gate, cache or configuration
+      names). *)
 end
 
 (** {1 Snapshots} *)

@@ -76,14 +76,15 @@ module Lock = struct
     wait_cycles : Obs.Histogram.t;
   }
 
+  let instruments =
+    Obs.Local.keyed (fun r name ->
+        ( Obs.Registry.counter r (name ^ ".acquisitions"),
+          Obs.Registry.counter r (name ^ ".contended"),
+          Obs.Registry.histogram r (name ^ ".wait") ))
+
   let create ~name =
-    {
-      name;
-      free_at = 0;
-      acquisitions = Obs.Registry.counter (Obs.Registry.global ()) (name ^ ".acquisitions");
-      contended = Obs.Registry.counter (Obs.Registry.global ()) (name ^ ".contended");
-      wait_cycles = Obs.Registry.histogram (Obs.Registry.global ()) (name ^ ".wait");
-    }
+    let acquisitions, contended, wait_cycles = instruments name in
+    { name; free_at = 0; acquisitions; contended; wait_cycles }
 
   let name t = t.name
   let free_at t = t.free_at
@@ -117,6 +118,10 @@ type cpu = {
   mutable connects_received : int;
 }
 
+(* What a connect asks its target to clear.  Only the deferred bug
+   mode keeps it, and only [pending_connects] renders it. *)
+type connect = Inval of int  (** one CAM key *) | Flush
+
 type t = {
   ncpus : int;
   cost : Cost.t;
@@ -131,8 +136,9 @@ type t = {
           seeded-bug leg: remote connects queue instead of being
           delivered synchronously, re-opening the stale-Permit
           window the connect protocol exists to close *)
-  mutable pending : (int * string * (unit -> unit)) list;
-      (** queued (target cpu, tag, clear) in reverse arrival order *)
+  mutable pending : (int * connect * (unit -> unit)) list;
+      (** queued (target cpu, what it clears, clear) in reverse arrival
+          order *)
   connects_sent : Obs.Counter.t;
   connects_lost : Obs.Counter.t;
   connect_retries : Obs.Counter.t;
@@ -145,6 +151,12 @@ type t = {
 let segno_bits = 12
 
 let cam_key ~handle ~segno = (handle lsl segno_bits) lor (segno land ((1 lsl segno_bits) - 1))
+
+let obs_connects_sent = Obs.Local.counter "smp.connects.sent"
+let obs_connects_lost = Obs.Local.counter "smp.connects.lost"
+let obs_connect_retries = Obs.Local.counter "smp.connects.retries"
+let obs_connect_rescues = Obs.Local.counter "smp.connects.rescues"
+let obs_connect_cycles = Obs.Local.histogram "smp.connect.cycles"
 
 let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
   if ncpus < 1 || ncpus > max_cpus then
@@ -160,7 +172,6 @@ let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
       connects_received = 0;
     }
   in
-  let c name = Obs.Registry.counter (Obs.Registry.global ()) name in
   {
     ncpus;
     cost;
@@ -172,11 +183,11 @@ let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
     charge = ignore;
     deferred_connects = false;
     pending = [];
-    connects_sent = c "smp.connects.sent";
-    connects_lost = c "smp.connects.lost";
-    connect_retries = c "smp.connects.retries";
-    connect_rescues = c "smp.connects.rescues";
-    connect_cycles = Obs.Registry.histogram (Obs.Registry.global ()) "smp.connect.cycles";
+    connects_sent = obs_connects_sent ();
+    connects_lost = obs_connects_lost ();
+    connect_retries = obs_connect_retries ();
+    connect_rescues = obs_connect_rescues ();
+    connect_cycles = obs_connect_cycles ();
   }
 
 let ncpus t = t.ncpus
@@ -249,7 +260,7 @@ let lost_connect_fires t =
    interrupt entry, plus stalls for lost connects, plus global-lock
    wait) is recorded in [smp.connect.cycles] and charged through the
    pluggable [charge] closure. *)
-let broadcast t ~tag clear =
+let broadcast t ~connect clear =
   let origin = t.current in
   (* The originating CPU clears inline as part of the mutation. *)
   clear t.cpus.(origin);
@@ -258,7 +269,7 @@ let broadcast t ~tag clear =
     Array.iter
       (fun c ->
         if c.id <> origin then begin
-          if Obs.enabled () then Obs.Counter.incr t.connects_sent;
+          Obs.Counter.incr t.connects_sent;
           let clear_target () =
             clear c;
             c.connects_received <- c.connects_received + 1
@@ -268,7 +279,7 @@ let broadcast t ~tag clear =
                explicit [deliver_connects].  The mutating call returns
                with this CPU's associative memory possibly stale —
                exactly the window the synchronous protocol closes. *)
-            t.pending <- (c.id, tag, clear_target) :: t.pending;
+            t.pending <- (c.id, connect, clear_target) :: t.pending;
             cycles := !cycles + t.cost.Cost.connect_ipi
           end
           else
@@ -293,7 +304,7 @@ let broadcast t ~tag clear =
               ~escalate:(fun () ->
                 (* Rescue: the target would not ack; clear its
                    memories directly through the system controller. *)
-                if Obs.enabled () then Obs.Counter.incr t.connect_rescues;
+                Obs.Counter.incr t.connect_rescues;
                 clear_target ();
                 t.cost.Cost.connect_ipi + t.cost.Cost.interrupt_entry)
           in
@@ -304,7 +315,7 @@ let broadcast t ~tag clear =
        duration of the broadcast. *)
     let wait = Lock.acquire t.lock ~now:(t.now ()) ~hold:!cycles in
     let total = wait + !cycles in
-    if Obs.enabled () then Obs.Histogram.observe t.connect_cycles total;
+    Obs.Histogram.observe t.connect_cycles total;
     t.charge total
   end
 
@@ -313,13 +324,13 @@ let broadcast t ~tag clear =
    exact — other processes' entries for the same segno survive. *)
 let connect_invalidate t ~handle ~segno =
   let key = cam_key ~handle ~segno in
-  broadcast t ~tag:(Printf.sprintf "inval:%d" key) (fun c ->
+  broadcast t ~connect:(Inval key) (fun c ->
       Hardware.Assoc.invalidate c.cam ~segno:key)
 
 (* Whole-system revocation (salvage, cache clear): flush every CPU's
    CAM and PTW front outright. *)
 let connect_flush_all t =
-  broadcast t ~tag:"flush" (fun c ->
+  broadcast t ~connect:Flush (fun c ->
       Hardware.Assoc.flush c.cam;
       Avc.flush c.ptw)
 
@@ -350,7 +361,8 @@ let deliver_connects t ~cpu =
   t.pending <- List.rev rest;
   List.length mine
 
-let pending_connects t = List.rev_map (fun (cpu, tag, _) -> (cpu, tag)) t.pending
+let connect_tag = function Inval key -> "inval:" ^ string_of_int key | Flush -> "flush"
+let pending_connects t = List.rev_map (fun (cpu, connect, _) -> (cpu, connect_tag connect)) t.pending
 
 (* ----- Read-only cache enumeration (for the model checker) ----- *)
 

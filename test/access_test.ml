@@ -41,6 +41,13 @@ let test_principal_parse () =
   Alcotest.(check string) "tag" "a" (Principal.tag p);
   let q = Principal.of_string "Saltzer.CSR" in
   Alcotest.(check string) "default tag" "a" (Principal.tag q);
+  Alcotest.(check string) "text" "Schroeder.CSR.a" (Principal.to_string p);
+  Alcotest.(check string) "text with default tag" "Saltzer.CSR.a" (Principal.to_string q);
+  List.iter
+    (fun (input, text) ->
+      Alcotest.(check string) ("pattern " ^ input) text
+        (Principal.pattern_to_string (Principal.pattern_of_string input)))
+    [ ("Schroeder.CSR.a", "Schroeder.CSR.a"); ("*.CSR", "*.CSR.*"); ("Schroeder", "Schroeder.*.*") ];
   Alcotest.(check bool) "bad principal rejected" true
     (try
        ignore (Principal.of_string "a.b.c.d");

@@ -241,6 +241,42 @@ let test_gen_page_allocation () =
   Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 8 KB" allocated) true
     (allocated < 8192.)
 
+let test_gen_allocated_on_first_write () =
+  (* Most caches a boot creates are never invalidated object by object:
+     their generations must cost a few words, not a page directory. *)
+  let n = 100 in
+  let gens = Array.make n (Avc.Gen.create ()) in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    gens.(i) <- Avc.Gen.create ()
+  done;
+  let per_gen = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "Gen.create allocates %.0f words < 64" per_gen) true
+    (per_gen < 64.);
+  (* Gen i bumps ids of its own in pages no other Gen touches; every
+     id reads 1 in its own Gen and 0 in every other, and a Gen that was
+     never bumped reads 0 at every dense id — whatever the bumps
+     shared, nothing shared was written. *)
+  let ids i = [ i; 300 + i; (1 lsl 12) lor i; 60_000 + i ] in
+  Array.iteri (fun i g -> List.iter (Avc.Gen.bump_object g) (ids i)) gens;
+  Array.iteri
+    (fun i g ->
+      List.iter
+        (fun j ->
+          List.iter
+            (fun id ->
+              Alcotest.(check int)
+                (Printf.sprintf "gen %d reads id %d" i id)
+                (if i = j then 1 else 0)
+                (Avc.Gen.of_object g id))
+            (ids j))
+        [ 0; (i + 1) mod n; n - 1 ])
+    gens;
+  let fresh = Avc.Gen.create () in
+  for id = 0 to (1 lsl 16) - 1 do
+    if Avc.Gen.of_object fresh id <> 0 then Alcotest.failf "a fresh Gen reads id %d as bumped" id
+  done
+
 (* ----- Revocation through every mutating entry point ----- *)
 
 let operator =
@@ -583,6 +619,8 @@ let suite =
     Alcotest.test_case "gen: sparse CAM keys are never shadowed" `Quick
       test_gen_sparse_key_not_shadowed;
     Alcotest.test_case "gen: first CAM-key bump allocates one page" `Quick test_gen_page_allocation;
+    Alcotest.test_case "gen: bookkeeping allocated on first write" `Quick
+      test_gen_allocated_on_first_write;
     Alcotest.test_case "acl backstop stales every compiled verdict" `Quick test_acl_backstop;
     Alcotest.test_case "a dropped kernel is collected" `Quick test_dropped_kernel_collected;
   ]

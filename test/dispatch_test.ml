@@ -647,3 +647,131 @@ let audit_suite =
       Alcotest.test_case "stripped login gate refuses, never falls through" `Quick
         test_stripped_login_gate_refused;
     ]
+
+(* ----- Instrument names and per-domain counts -----
+
+   The meter and the caches resolve their counters by name parts once
+   per domain.  The script below dispatches one granted and one refused
+   call per admission class (a gate, an ungated hardware call, process
+   management), hits two caches that share a name, and makes one
+   policy refusal per cause; the counters it moves must carry the
+   names and values the kernel has always recorded, on the caller's
+   domain and on pool workers alike. *)
+
+module Obs = Multics_obs.Obs
+module Par = Multics_par.Par
+module Avc = Multics_cache.Avc
+
+let metered_prefixes = [ "gate."; "config."; "cache.t.meter."; "policy.refusals" ]
+
+let metered (snapshot : Obs.Snapshot.t) =
+  List.filter
+    (fun (name, value) ->
+      value <> 0
+      && List.exists (fun p -> String.starts_with ~prefix:p name) metered_prefixes)
+    snapshot.Obs.Snapshot.counters
+
+let meter_script () =
+  let before = Obs.Snapshot.capture () in
+  let system = System.create Config.kernel_6180 in
+  ignore
+    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
+       ~clearance:Label.unclassified);
+  let alice =
+    match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+    | Ok h -> h
+    | Error _ -> Alcotest.fail "login"
+  in
+  let p = Option.get (System.proc system alice) in
+  let home = System.install_known system p ~uid:p.System.working_dir in
+  let segno =
+    match
+      Gate_calls.create_segment system ~handle:alice ~dir_segno:home ~name:"s"
+        ~acl:(Acl.of_strings [ ("Alice.Dev.*", "rw") ])
+        ~label:Label.unclassified
+    with
+    | Ok segno -> segno
+    | Error e -> Alcotest.failf "create: %s" (Api.error_to_string e)
+  in
+  List.iter
+    (fun request -> ignore (Api.Call.dispatch system ~handle:alice request))
+    Api.Call.
+      [
+        Read_word { segno; offset = 0 };
+        Read_word { segno = 999; offset = 0 };
+        Probe_access { segno; requested = Multics_machine.Mode.r };
+        Probe_access { segno = 999; requested = Multics_machine.Mode.r };
+        Proc_info;
+        Destroy_process { target = 999 };
+      ];
+  let a = Avc.create ~capacity:4 ~name:"t.meter" () in
+  let b = Avc.create ~capacity:4 ~name:"t.meter" () in
+  Avc.add a ~obj:1 1 ();
+  Avc.add b ~obj:1 1 ();
+  ignore (Avc.find a 1);
+  ignore (Avc.find b 1);
+  ignore (Avc.find b 2);
+  let subject clearance =
+    Policy.subject ~principal:(Principal.interactive ~person:"Bob" ~project:"Dev") ~clearance
+      ~ring:Multics_machine.Ring.user ()
+  in
+  let secret = Label.make Label.Secret [] in
+  let acl = Acl.of_strings [ ("Bob.Dev.*", "rw") ] in
+  List.iter
+    (fun (s, object_label, acl, requested) ->
+      ignore (Policy.check ~subject:s ~object_label ~acl ~requested))
+    [
+      (subject Label.unclassified, secret, acl, Multics_machine.Mode.r);
+      (subject secret, Label.unclassified, acl, Multics_machine.Mode.w);
+      (subject Label.unclassified, Label.unclassified, Acl.empty, Multics_machine.Mode.r);
+    ];
+  metered (Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()))
+
+(* Recorded from the kernel before the meter resolved counters by name
+   parts. *)
+let meter_expected =
+  [
+    ("cache.t.meter.hits", 2);
+    ("cache.t.meter.insertions", 2);
+    ("cache.t.meter.misses", 1);
+    ("config.security-kernel.gate.calls", 7);
+    ("config.security-kernel.gate.cycles", 238);
+    ("gate.calls", 7);
+    ("gate.create_segment.calls", 1);
+    ("gate.cycles", 238);
+    ("gate.probe_access.calls", 2);
+    ("gate.probe_access.refusals", 1);
+    ("gate.read_word.calls", 2);
+    ("gate.read_word.refusals", 1);
+    ("gate.refusals", 3);
+    ("gate.subsystem_entry:destroy_process.calls", 1);
+    ("gate.subsystem_entry:destroy_process.refusals", 1);
+    ("gate.subsystem_entry:proc_info.calls", 1);
+    ("policy.refusals", 3);
+    ("policy.refusals.discretionary", 1);
+    ("policy.refusals.mandatory-read-up", 1);
+    ("policy.refusals.mandatory-write-down", 1);
+  ]
+
+let counts = Alcotest.(list (pair string int))
+
+let test_meter_names_and_values () =
+  Obs.set_enabled true;
+  Alcotest.check counts "one domain" meter_expected (meter_script ());
+  let absorbed jobs =
+    let before = Obs.Snapshot.capture () in
+    let per_task = Par.map ~jobs (fun _ -> meter_script ()) [ 0; 1 ] in
+    List.iteri
+      (fun i task -> Alcotest.check counts (Printf.sprintf "jobs=%d task %d" jobs i) meter_expected task)
+      per_task;
+    metered (Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()))
+  in
+  let doubled = List.map (fun (name, v) -> (name, 2 * v)) meter_expected in
+  Alcotest.check counts "jobs=1 totals" doubled (absorbed 1);
+  Alcotest.check counts "jobs=2 absorbed totals equal jobs=1" doubled (absorbed 2)
+
+let meter_suite =
+  [
+    Alcotest.test_case "meter and cache counters: names, values, per-domain counts" `Quick
+      test_meter_names_and_values;
+  ]

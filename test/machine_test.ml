@@ -31,6 +31,17 @@ let test_ring_privilege () =
 let test_mode_strings () =
   Alcotest.(check string) "rw" "rw" (Mode.to_string Mode.rw);
   Alcotest.(check string) "null" "null" (Mode.to_string Mode.none);
+  List.iter
+    (fun (text, read, execute, write) ->
+      let m = Mode.make ~read ~execute ~write () in
+      Alcotest.(check string) text text (Mode.to_string m);
+      Alcotest.(check bool) ("parse " ^ text) true
+        (Mode.equal m (Mode.of_string (if text = "null" then "" else text))))
+    [
+      ("null", false, false, false); ("w", false, false, true); ("e", false, true, false);
+      ("ew", false, true, true); ("r", true, false, false); ("rw", true, false, true);
+      ("re", true, true, false); ("rew", true, true, true);
+    ];
   Alcotest.(check bool) "roundtrip" true (Mode.equal (Mode.of_string "rew") Mode.rew);
   Alcotest.(check bool) "bad char" true
     (try

@@ -50,6 +50,20 @@ let test_bucket_index_edges () =
         bucket
         (Obs.Histogram.bucket_index sample))
     cases;
+  (* Every power of two and its neighbours, against a bit-at-a-time
+     count of the highest set bit. *)
+  let rec highest_bit acc v = if v <= 1 then acc else highest_bit (acc + 1) (v lsr 1) in
+  for bit = 0 to 61 do
+    List.iter
+      (fun v ->
+        if v >= 0 then
+          Alcotest.(check int)
+            (Printf.sprintf "bucket_index %d" v)
+            (min 61 (highest_bit 0 v))
+            (Obs.Histogram.bucket_index v))
+      [ (1 lsl bit) - 1; 1 lsl bit; (1 lsl bit) + 1 ]
+  done;
+  Alcotest.(check int) "max_int" 61 (Obs.Histogram.bucket_index max_int);
   Alcotest.(check int) "bucket 0 starts at 0" 0 (Obs.Histogram.bucket_lower_bound 0);
   Alcotest.(check int) "bucket 5 starts at 32" 32 (Obs.Histogram.bucket_lower_bound 5)
 

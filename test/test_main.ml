@@ -15,7 +15,7 @@ let () =
       ("kernel",
         Kernel_test.suite @ Kernel_test.extra_suite @ Kernel_test.session_suite
         @ Kernel_test.revocation_suite @ Kernel_test.session_interrupt_suite);
-      ("dispatch", Dispatch_test.suite @ Dispatch_test.audit_suite);
+      ("dispatch", Dispatch_test.suite @ Dispatch_test.audit_suite @ Dispatch_test.meter_suite);
       ("obs", Obs_test.suite);
       ("audit", Audit_test.suite @ Audit_test.extra_suite @ Audit_test.stage_suite);
       ("integration", Integration_test.suite);

@@ -121,6 +121,35 @@ let fqueue_prop =
       let q = Multics_util.Fqueue.of_list xs in
       Multics_util.Fqueue.to_list q = xs)
 
+(* The digit writer must print what [string_of_int] prints, for every
+   int: both ends of the range, each power-of-ten boundary, and random
+   ints of every magnitude. *)
+let decimal_ints =
+  [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
+  @ List.concat_map
+      (fun k ->
+        let p = int_of_float (10. ** float_of_int k) in
+        [ p - 1; p; -p; 1 - p ])
+      (List.init 18 (fun k -> k + 1))
+
+let test_decimal_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n) (Decimal.to_string n);
+      let b = Buffer.create 8 in
+      Buffer.add_char b '<';
+      Decimal.add b n;
+      Alcotest.(check string) "add" ("<" ^ string_of_int n) (Buffer.contents b);
+      Alcotest.(check string) "pair" (Printf.sprintf "%d|%d" n (-n)) (Decimal.pair n '|' (-n)))
+    decimal_ints
+
+let decimal_prop =
+  QCheck.Test.make ~name:"decimal digits = string_of_int" ~count:1000
+    QCheck.(pair int int)
+    (fun (a, b) ->
+      Decimal.to_string a = string_of_int a
+      && Decimal.pair a '#' b = Printf.sprintf "%d#%d" a b)
+
 let prng_chance_prop =
   QCheck.Test.make ~name:"chance 0/n is never true" ~count:50 QCheck.small_int (fun seed ->
       let g = Prng.create ~seed in
@@ -142,6 +171,8 @@ let suite =
     ("fqueue fifo", `Quick, test_fqueue_fifo);
     ("fqueue empty", `Quick, test_fqueue_empty);
     ("table render", `Quick, test_table_render);
+    ("decimal edges", `Quick, test_decimal_edges);
+    QCheck_alcotest.to_alcotest decimal_prop;
     QCheck_alcotest.to_alcotest fqueue_prop;
     QCheck_alcotest.to_alcotest prng_chance_prop;
   ]
