@@ -94,28 +94,54 @@ let refusals_of_hardware decision =
 let verdict_of_refusals = function [] -> Permit | refusals -> Refuse refusals
 
 (* Observability: one counter per refusal cause, so the audit story
-   ("refused by the lattice" vs "refused by an ACL") is visible live. *)
-let obs_checks = Obs.Local.counter "policy.checks"
-let obs_refusals = Obs.Local.counter "policy.refusals"
-let obs_read_up = Obs.Local.counter "policy.refusals.mandatory-read-up"
-let obs_write_down = Obs.Local.counter "policy.refusals.mandatory-write-down"
-let obs_discretionary = Obs.Local.counter "policy.refusals.discretionary"
-let obs_ring_hardware = Obs.Local.counter "policy.refusals.ring-hardware"
+   ("refused by the lattice" vs "refused by an ACL") is visible live.
+   Resolved once per domain as one record, so a check pays one
+   domain-local lookup; a refusal counter is created on its first
+   refusal, as the registry has always shown it. *)
+type meters = {
+  checks : Obs.Counter.t;
+  refusals : Obs.Counter.t Lazy.t;
+  read_up : Obs.Counter.t Lazy.t;
+  write_down : Obs.Counter.t Lazy.t;
+  discretionary : Obs.Counter.t Lazy.t;
+  ring_hardware : Obs.Counter.t Lazy.t;
+}
 
-let obs_refusal = function
-  | Mandatory_read_up _ -> obs_read_up ()
-  | Mandatory_write_down _ -> obs_write_down ()
-  | Discretionary _ -> obs_discretionary ()
-  | Ring_hardware _ -> obs_ring_hardware ()
+let meters =
+  Obs.Local.make (fun r ->
+      let lazy_counter name = lazy (Obs.Registry.counter r name) in
+      {
+        checks = Obs.Registry.counter r "policy.checks";
+        refusals = lazy_counter "policy.refusals";
+        read_up = lazy_counter "policy.refusals.mandatory-read-up";
+        write_down = lazy_counter "policy.refusals.mandatory-write-down";
+        discretionary = lazy_counter "policy.refusals.discretionary";
+        ring_hardware = lazy_counter "policy.refusals.ring-hardware";
+      })
+
+let refusal_counter m = function
+  | Mandatory_read_up _ -> m.read_up
+  | Mandatory_write_down _ -> m.write_down
+  | Discretionary _ -> m.discretionary
+  | Ring_hardware _ -> m.ring_hardware
+
+(* A loop, not [List.iter] over a closure holding [m]: a refused check
+   allocates nothing. *)
+let rec count_refusals m = function
+  | [] -> ()
+  | r :: rest ->
+      Obs.Counter.incr (Lazy.force (refusal_counter m r));
+      count_refusals m rest
 
 let observe verdict =
-  if Obs.enabled () then begin
-    Obs.Counter.incr (obs_checks ());
+  let m = meters () in
+  if Obs.Counter.recording m.checks then begin
+    Obs.Counter.incr m.checks;
     match verdict with
     | Permit -> ()
     | Refuse refusals ->
-        Obs.Counter.incr (obs_refusals ());
-        List.iter (fun r -> Obs.Counter.incr (obs_refusal r)) refusals
+        Obs.Counter.incr (Lazy.force m.refusals);
+        count_refusals m refusals
   end;
   verdict
 

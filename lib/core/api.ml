@@ -165,24 +165,39 @@ type process_info = {
 
 (* ----- Observability: the gate-dispatch choke point ----- *)
 
-let obs_gate_calls = Obs.Local.counter "gate.calls"
-let obs_gate_refusals = Obs.Local.counter "gate.refusals"
-let obs_gate_cycles = Obs.Local.counter "gate.cycles"
-let obs_audit_depth = Obs.Local.counter "audit.depth"
-let obs_dispatch_span = Obs.Local.span "gate.dispatch"
+(* The instruments [meter] records into, resolved once per domain as
+   one record: a call pays one domain-local lookup for all of them.
+   Per-gate and per-configuration counters are memoised by name part.
+   A refusals counter is created on the first refusal, as the registry
+   has always shown it. *)
+type meters = {
+  calls : Obs.Counter.t;
+  cycles : Obs.Counter.t;
+  refusals : Obs.Counter.t Lazy.t;
+  audit_depth : Obs.Gauge.t;
+  dispatch : Obs.Span.t;
+  op_calls : string -> Obs.Counter.t;
+  op_refusals : string -> Obs.Counter.t;
+  config : string -> Obs.Counter.t * Obs.Counter.t;
+}
 
-(* Per-gate and per-configuration counters, resolved by name parts
-   once per domain.  A refusals counter is created on the gate's first
-   refusal, as the registry has always shown it. *)
-let obs_op_calls = Obs.Local.keyed (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".calls"))
-
-let obs_op_refusals =
-  Obs.Local.keyed (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".refusals"))
-
-let obs_config =
-  Obs.Local.keyed (fun r config ->
-      ( Obs.Registry.counter r ("config." ^ config ^ ".gate.calls"),
-        Obs.Registry.counter r ("config." ^ config ^ ".gate.cycles") ))
+let meters =
+  Obs.Local.make (fun r ->
+      {
+        calls = Obs.Registry.counter r "gate.calls";
+        cycles = Obs.Registry.counter r "gate.cycles";
+        refusals = lazy (Obs.Registry.counter r "gate.refusals");
+        audit_depth = Obs.Registry.gauge r "audit.depth";
+        dispatch = Obs.Registry.span r "gate.dispatch";
+        op_calls =
+          Obs.Local.family r (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".calls"));
+        op_refusals =
+          Obs.Local.family r (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".refusals"));
+        config =
+          Obs.Local.family r (fun r config ->
+              ( Obs.Registry.counter r ("config." ^ config ^ ".gate.calls"),
+                Obs.Registry.counter r ("config." ^ config ^ ".gate.cycles") ));
+      })
 
 (* One record per mediated call, written after the audit record so the
    audit-depth gauge includes it.  Mediation cycles are charged at the
@@ -190,20 +205,21 @@ let obs_config =
    accounting {!Session} applies, so snapshot totals and the E13 table
    agree. *)
 let meter system ~operation ~refused =
-  if Obs.enabled () then begin
+  let m = meters () in
+  if Obs.Counter.recording m.calls then begin
     let cycles = Cost.round_trip_call_cost (System.cost system) ~cross_ring:true in
-    Obs.Counter.incr (obs_gate_calls ());
-    Obs.Counter.incr ~by:cycles (obs_gate_cycles ());
-    Obs.Span.record (obs_dispatch_span ()) ~cycles;
-    Obs.Counter.incr (obs_op_calls operation);
-    let config_calls, config_cycles = obs_config (System.config system).Config.name in
+    Obs.Counter.incr m.calls;
+    Obs.Counter.incr ~by:cycles m.cycles;
+    Obs.Span.record m.dispatch ~cycles;
+    Obs.Counter.incr (m.op_calls operation);
+    let config_calls, config_cycles = m.config (System.config system).Config.name in
     Obs.Counter.incr config_calls;
     Obs.Counter.incr ~by:cycles config_cycles;
     if refused then begin
-      Obs.Counter.incr (obs_gate_refusals ());
-      Obs.Counter.incr (obs_op_refusals operation)
+      Obs.Counter.incr (Lazy.force m.refusals);
+      Obs.Counter.incr (m.op_refusals operation)
     end;
-    Obs.Counter.set (obs_audit_depth ()) (Audit_log.length (System.audit system))
+    Obs.Gauge.set m.audit_depth (Audit_log.length (System.audit system))
   end
 
 (* ----- The gate discipline ----- *)

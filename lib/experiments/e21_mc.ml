@@ -2,18 +2,19 @@
 
    The 100-seed oracles (E15/E18/E19/E20) sample the interleaving
    space; the paper's certification argument is exhaustive.  This
-   experiment drives [lib/mc]: breadth-first enumeration of every
-   interleaving (to a depth bound) of ACL edits, bracket changes,
-   content references from two CPUs, torn gate calls, salvages and —
-   in bug mode — connect deliveries, on a 2-CPU / 2-segment /
-   2-principal plant, with four safety predicates checked at every
-   reachable state.
+   experiment drives [lib/mc]: breadth-first enumeration, to the
+   fixpoint, of every state reachable by interleaving ACL edits,
+   bracket changes, content references from two CPUs, torn gate calls,
+   salvages and — in bug mode — connect deliveries, on a 2-CPU /
+   2-segment / 2-principal plant, with four safety predicates checked
+   at every reachable state.
 
    Three legs:
 
-   - the EXHAUSTIVE leg explores the healthy plant depth by depth,
-     reporting states / expansions / wall-clock, and must find zero
-     violations of all four predicates;
+   - the EXHAUSTIVE leg explores the healthy plant once, until the
+     frontier empties, reporting states / expansions / CPU time by
+     depth; it must reach the fixpoint within the depth cap and find
+     zero violations of all four predicates;
 
    - the SEEDED-BUG leg re-enables the pre-PR 5 deferred-connect
      window ([Smp.set_deferred_connects]) and must find the minimal
@@ -37,28 +38,22 @@ let paper_claim =
    must preserve the reference monitor's invariants — no stale Permit, no fail-open, no \
    downward flow, no mediation-path divergence"
 
-(* Depth 5 saturates most of the plant's state space in seconds;
-   MULTICS_MC_DEPTH overrides (CI smoke runs shallower). *)
-let default_depth = 5
-
-let depth () =
-  match Sys.getenv_opt "MULTICS_MC_DEPTH" with
-  | None -> default_depth
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 && d <= 8 -> d
-      | Some _ | None -> default_depth)
-
 let bug_depth = 3
 let parity_depth = 3
 
 let exhaustive_verdict (o : Mc.outcome) =
   let n = List.length o.Mc.o_counterexamples in
-  if n = 0 then
+  if n = 0 && o.Mc.o_fixpoint then
     ( true,
       Printf.sprintf
-        "[mc] 0 violations: exhaustive to depth %d, %d states, %d replays — stale-Permit, \
-         fail-secure, lattice-flow and AV-parity hold on every reachable state"
+        "[mc] 0 violations: all %d reachable states (fixpoint at depth %d, %d replays) — \
+         stale-Permit, fail-secure, lattice-flow and AV-parity hold on every reachable state"
+        o.Mc.o_states (List.length o.Mc.o_rows) o.Mc.o_expansions )
+  else if n = 0 then
+    ( false,
+      Printf.sprintf
+        "[mc] FAILED: the frontier is still non-empty at the depth cap %d (%d states, %d \
+         replays) — not every reachable state was checked"
         o.Mc.o_depth o.Mc.o_states o.Mc.o_expansions )
   else
     ( false,
@@ -101,36 +96,21 @@ let render () =
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   bpf "%s: %s\n\n" id title;
   bpf "Claim: %s.\n\n" paper_claim;
-  let max_depth = depth () in
-  bpf "--- exhaustive leg: the healthy plant, depth by depth ---\n\n";
+  bpf "--- exhaustive leg: the healthy plant, to the fixpoint ---\n\n";
   bpf "  %5s  %12s  %12s  %12s  %10s\n" "depth" "expansions" "new states" "states" "cpu-s";
-  let deepest = ref None in
-  for d = 1 to max_depth do
-    let t0 = Sys.time () in
-    let o = Mc.explore ~depth:d () in
-    let dt = Sys.time () -. t0 in
-    (match o.Mc.o_rows with
-    | [] -> ()
-    | rows ->
-        let last = List.nth rows (List.length rows - 1) in
-        bpf "  %5d  %12d  %12d  %12d  %10.2f\n" d last.Mc.row_expansions last.Mc.row_new_states
-          o.Mc.o_states dt);
-    deepest := Some o
-  done;
+  let o = Mc.explore ~depth:Mc.depth_cap () in
+  List.iter
+    (fun (r : Mc.depth_row) ->
+      bpf "  %5d  %12d  %12d  %12d  %10.2f\n" r.Mc.row_depth r.Mc.row_expansions
+        r.Mc.row_new_states r.Mc.row_states r.Mc.row_cpu_s)
+    o.Mc.o_rows;
   bpf "\n";
-  let exhaustive_ok, exhaustive_line =
-    match !deepest with
-    | Some o -> exhaustive_verdict o
-    | None -> (false, "[mc] FAILED: no exploration ran")
-  in
-  (match !deepest with
-  | Some o when not exhaustive_ok ->
-      List.iter
-        (fun (c : Mc.counterexample) ->
-          bpf "  counterexample: [%s]\n    %s\n" (Mc.trace_to_string c.Mc.trace)
-            (Mc.violation_to_string c.Mc.violation))
-        o.Mc.o_counterexamples
-  | _ -> ());
+  let _exhaustive_ok, exhaustive_line = exhaustive_verdict o in
+  List.iter
+    (fun (c : Mc.counterexample) ->
+      bpf "  counterexample: [%s]\n    %s\n" (Mc.trace_to_string c.Mc.trace)
+        (Mc.violation_to_string c.Mc.violation))
+    o.Mc.o_counterexamples;
   bpf "--- seeded-bug leg: the pre-PR 5 deferred-connect window, re-enabled ---\n\n";
   let bug_outcome = Mc.explore ~bug:true ~depth:bug_depth () in
   let _bug_ok, bug_line, counterexample = bug_verdict bug_outcome in

@@ -8,10 +8,4 @@ val id : string
 val title : string
 val paper_claim : string
 
-val default_depth : int
-
-val depth : unit -> int
-(** Search depth: [MULTICS_MC_DEPTH] when set (clamped to a sane
-    range), else {!default_depth}. *)
-
 val render : unit -> string

@@ -27,9 +27,10 @@
      MC-level taint sets.  Timing observables (clocks, lock free-at,
      obs counters, audit length) are deliberately excluded — mediation
      state, not timing, is what the safety predicates range over.  The
-     visited set keys on the full canonical string (sound — no hash
-     collision can merge distinct states); [fingerprint] digests it
-     for display and tests.
+     visited set keys on the string's ten components, each interned to
+     an id ([State_key]): injective, so no hash collision can merge
+     distinct states, and each distinct component is held once.
+     [fingerprint] digests the string for display and tests.
 
    - {b Predicates at every state.}  P1 no stale Permit: every fresh
      entry in every SDW front must not grant a mode a fresh
@@ -52,10 +53,14 @@
      minimal two-action counterexample — warm a remote CPU's CAM, then
      revoke — that the seeded oracles only trip over probabilistically.
 
-   - {b Parallel frontier.}  Each BFS level expands all (state,
-     action) candidates through [Par.map] and merges results
-     sequentially in task order, so the outcome is byte-identical at
-     any [MULTICS_JOBS] pool size. *)
+   - {b Streamed levels.}  Each BFS level is generated from the
+     frontier as it is replayed, traces stored reversed so a candidate
+     shares its parent's trace.  Candidates go through [Par.map] a
+     chunk at a time and merge in task order, so the outcome is
+     byte-identical at any [MULTICS_JOBS] pool size, and only a chunk's
+     replayed states are held before they are merged.  Exploration
+     stops at the depth cap or when the frontier empties, whichever
+     comes first. *)
 
 module System = Multics_kernel.System
 module Config = Multics_kernel.Config
@@ -476,8 +481,20 @@ let tmp_uid t =
   | Ok uid -> Some uid
   | Error _ -> None
 
-let canonical t =
+(* The canonical form is ten lines, one per component: s0, s1 and tmp,
+   each process, each CPU's fronts, the pending connects, the journal
+   and the taints.  [render] returns the text and the offset where each
+   component starts, plus the end. *)
+let components_per_state = 10
+
+let render t =
   let b = Buffer.create 1024 in
+  let cuts = Array.make (components_per_state + 1) 0 in
+  let next_cut = ref 1 in
+  let cut () =
+    cuts.(!next_cut) <- Buffer.length b;
+    incr next_cut
+  in
   let add = Buffer.add_string b and addc = Buffer.add_char b and addi = add_int b in
   let add_key key =
     addc ' ';
@@ -514,8 +531,11 @@ let canonical t =
         addc '\n'
   in
   render_object "s0" t.s0;
+  cut ();
   render_object "s1" t.s1;
+  cut ();
   (match tmp_uid t with None -> add "obj tmp absent\n" | Some uid -> render_object "tmp" uid);
+  cut ();
   (* Processes: ring, known segments, installed SDWs, and the
      per-process associative-memory front. *)
   List.iter
@@ -536,7 +556,8 @@ let canonical t =
         (Kst.known_segnos p.System.kst);
       add " } assoc{";
       List.iter add_entry (by_key (Hardware.Assoc.entries p.System.assoc));
-      add " }\n")
+      add " }\n";
+      cut ())
     [ Alice; Bob ];
   (* Per-CPU fronts. *)
   for cpu = 0 to 1 do
@@ -546,7 +567,8 @@ let canonical t =
     List.iter add_entry (by_key (Smp.cam_entries t.plant ~cpu));
     add " } ptw{";
     List.iter add_key (List.sort Int.compare (Smp.ptw_keys t.plant ~cpu));
-    add " }\n"
+    add " }\n";
+    cut ()
   done;
   (* Queued (undelivered) connects, in arrival order. *)
   add "pending{";
@@ -557,6 +579,7 @@ let canonical t =
       add tag)
     (Smp.pending_connects t.plant);
   add " }\n";
+  cut ();
   (* The crash journal, sans timestamps (timing is not state). *)
   add "journal{";
   List.iter
@@ -570,6 +593,7 @@ let canonical t =
       add (Option.value ~default:"-" e.System.entry_name))
     (System.crash_journal t.system);
   add " }\n";
+  cut ();
   (* Taint accounting (the P3 state). *)
   add "taints alice{";
   add_labels b t.alice_carried;
@@ -580,7 +604,16 @@ let canonical t =
   add "} s1{";
   add_labels b t.s1_taints;
   add "}\n";
-  Buffer.contents b
+  cut ();
+  (b, cuts)
+
+let canonical t = Buffer.contents (fst (render t))
+
+(* The same text, one string per component: [canonical] is their
+   concatenation. *)
+let components t =
+  let b, cuts = render t in
+  Array.init components_per_state (fun i -> Buffer.sub b cuts.(i) (cuts.(i + 1) - cuts.(i)))
 
 let fingerprint canon = Digest.to_hex (Digest.string canon)
 
@@ -705,13 +738,55 @@ let check_state t =
   check_p3 t;
   check_p4 t
 
-(* The full per-trace verdict: replay, then predicates.  Violations
-   come back oldest-first. *)
-let violations_of_trace ~bug trace =
+(* The full per-trace verdict: replay, capture the state, then run the
+   predicates.  Violations come back oldest-first. *)
+let verdict capture ~bug trace =
   let t = replay ~bug trace in
-  let canon = canonical t in
+  let state = capture t in
   check_state t;
-  (canon, List.rev t.violations)
+  (state, List.rev t.violations)
+
+let violations_of_trace ~bug trace = verdict canonical ~bug trace
+
+(* ----- State keys -----
+
+   The visited set keys on an [int array]: one id per canonical
+   component, interned in a table that lives as long as one
+   exploration.  Two keys are equal exactly when every component is,
+   that is, when the canonical strings are: the key is injective, never
+   a digest.  A state's ~600 bytes of text become eleven words, and a
+   component shared by many states is held once. *)
+module State_key = struct
+  type table = (string, int) Hashtbl.t
+
+  let create () : table = Hashtbl.create 64
+
+  let intern table component =
+    match Hashtbl.find_opt table component with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length table in
+        Hashtbl.add table component id;
+        id
+
+  let of_components table components = Array.map (intern table) components
+  let of_trace table ~bug trace = of_components table (fst (verdict components ~bug trace))
+end
+
+(* The polymorphic hash looks at no more than ten values, so the key's
+   hash folds in every id itself. *)
+module Visited = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec same i = i = n || (a.(i) = b.(i) && same (i + 1)) in
+    same 0
+
+  let hash (key : t) = Array.fold_left (fun h id -> (h * 65599) + id) 0 key land max_int
+end)
 
 (* ----- Bounded exhaustive exploration ----- *)
 
@@ -722,6 +797,7 @@ type depth_row = {
   row_new_states : int;  (** states first reached at this depth *)
   row_states : int;  (** cumulative distinct states *)
   row_expansions : int;  (** replays executed at this depth *)
+  row_cpu_s : float;  (** process CPU seconds from the start of the exploration to this row *)
 }
 
 type outcome = {
@@ -732,69 +808,98 @@ type outcome = {
   o_rows : depth_row list;
   o_counterexamples : counterexample list;
       (** at most one per predicate — the first (shortest) trace found *)
+  o_fixpoint : bool;  (** the frontier emptied within [o_depth] *)
 }
 
 let note_counterexample found trace violation =
   if not (List.exists (fun c -> c.violation.predicate = violation.predicate) !found) then
     found := !found @ [ { trace; violation } ]
 
+(* The healthy plant's frontier empties at depth 11; the cap leaves
+   room for a plant that grows. *)
+let depth_cap = 16
+
+(* Candidates replayed per [Par.map] round: a fixed multiple of the
+   pool size, so a level of any width keeps a bounded number of
+   replayed states in flight while every domain still gets a batch;
+   each pooled round spawns and joins the pool's domains, which a
+   smaller multiple pays for more often. *)
+let chunk_size ~jobs = 64 * jobs
+
 let explore ?jobs ?(bug = false) ~depth () =
+  let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
+  let chunk = chunk_size ~jobs in
   let alpha = alphabet ~bug in
-  let visited = Hashtbl.create 4096 in
+  let keys = State_key.create () in
+  let visited = Visited.create 64 in
   let found = ref [] in
-  let canon, violations = violations_of_trace ~bug [] in
-  Hashtbl.replace visited canon ();
-  List.iter (fun v -> note_counterexample found [] v) violations;
-  let frontier = ref [ [] ] in
-  let rows = ref [] in
-  let expansions = ref 0 in
-  for d = 1 to depth do
-    if !frontier <> [] then begin
-      let candidates =
-        List.concat_map (fun trace -> List.map (fun a -> trace @ [ a ]) alpha) !frontier
+  let started = Sys.time () in
+  (* Merge one replayed candidate, given by its trace reversed: note its
+     violations, and put it on [next] iff its state is new — unseen at
+     any earlier depth and not claimed by an earlier candidate of this
+     level (BFS keeps the first, i.e. lexicographically least, trace per
+     state). *)
+  let merge next rtrace (components, violations) =
+    if violations <> [] then begin
+      let trace = List.rev rtrace in
+      List.iter (note_counterexample found trace) violations
+    end;
+    let key = State_key.of_components keys components in
+    if Visited.mem visited key then next
+    else begin
+      Visited.add visited key ();
+      rtrace :: next
+    end
+  in
+  ignore (merge [] [] (verdict components ~bug []));
+  let replay rtrace = verdict components ~bug (List.rev rtrace) in
+  (* A level's candidates are generated from the frontier in order,
+     [a :: rtrace] sharing the parent's trace, and replayed a chunk at a
+     time.  Each chunk merges in task order, so the outcome is
+     byte-identical at any pool size. *)
+  let rec level d frontier rows =
+    if d > depth || frontier = [] then (frontier, List.rev rows)
+    else begin
+      let next = ref [] and batch = ref [] and batched = ref 0 and expansions = ref 0 in
+      let flush () =
+        let candidates = List.rev !batch in
+        batch := [];
+        batched := 0;
+        next := List.fold_left2 merge !next candidates (Par.map ~jobs replay candidates)
       in
-      (* Expansion order must be a pure function of the frontier, not
-         of the schedule: candidates are sorted, fanned out through the
-         pool, and merged back in task order — byte-identical outcomes
-         at any MULTICS_JOBS. *)
-      let results = Par.map ?jobs (fun trace -> (trace, violations_of_trace ~bug trace)) candidates in
-      expansions := !expansions + List.length candidates;
       List.iter
-        (fun (trace, (_, violations)) ->
-          List.iter (fun v -> note_counterexample found trace v) violations)
-        results;
-      (* A candidate joins the next frontier iff its state is new —
-         unseen at any earlier depth and not already claimed by an
-         earlier candidate of this level (BFS keeps the first, i.e.
-         lexicographically least, trace per state). *)
-      let next =
-        List.filter_map
-          (fun (trace, (canon, _)) ->
-            if Hashtbl.mem visited canon then None
-            else begin
-              Hashtbl.replace visited canon ();
-              Some trace
-            end)
-          results
-      in
-      frontier := next;
-      rows :=
+        (fun rtrace ->
+          List.iter
+            (fun a ->
+              batch := (a :: rtrace) :: !batch;
+              incr batched;
+              incr expansions;
+              if !batched = chunk then flush ())
+            alpha)
+        frontier;
+      flush ();
+      let next = List.rev !next in
+      let row =
         {
           row_depth = d;
           row_new_states = List.length next;
-          row_states = Hashtbl.length visited;
-          row_expansions = List.length candidates;
+          row_states = Visited.length visited;
+          row_expansions = !expansions;
+          row_cpu_s = Sys.time () -. started;
         }
-        :: !rows
+      in
+      level (d + 1) next (row :: rows)
     end
-  done;
+  in
+  let frontier, rows = level 1 [ [] ] [] in
   {
     o_depth = depth;
     o_bug = bug;
-    o_states = Hashtbl.length visited;
-    o_expansions = !expansions;
-    o_rows = List.rev !rows;
+    o_states = Visited.length visited;
+    o_expansions = List.fold_left (fun n r -> n + r.row_expansions) 0 rows;
+    o_rows = rows;
     o_counterexamples = !found;
+    o_fixpoint = frontier = [];
   }
 
 (* ----- Rendering ----- *)
@@ -826,10 +931,14 @@ let summary o =
     (fun r ->
       bpf "  %5d  %12d  %12d  %12d\n" r.row_depth r.row_expansions r.row_new_states r.row_states)
     o.o_rows;
-  bpf "  exhaustive to depth %d: %d distinct states, %d replays, %d violation%s\n" o.o_depth
-    o.o_states o.o_expansions
-    (List.length o.o_counterexamples)
-    (if List.length o.o_counterexamples = 1 then "" else "s");
+  let violations = List.length o.o_counterexamples in
+  let plural = if violations = 1 then "" else "s" in
+  if o.o_fixpoint then
+    bpf "  fixpoint at depth %d: all %d reachable states, %d replays, %d violation%s\n"
+      (List.length o.o_rows) o.o_states o.o_expansions violations plural
+  else
+    bpf "  exhaustive to depth %d: %d distinct states, %d replays, %d violation%s\n" o.o_depth
+      o.o_states o.o_expansions violations plural;
   List.iter
     (fun c ->
       bpf "  counterexample (depth %d): [%s]\n    %s\n" (List.length c.trace)

@@ -1,7 +1,7 @@
-(** Bounded exhaustive model checking of the reference monitor.
+(** Exhaustive model checking of the reference monitor.
 
-    Enumerates, breadth-first, every interleaving (to a depth bound)
-    of a small action alphabet on a 2-CPU / 2-segment / 2-principal
+    Enumerates, breadth-first, every interleaving (until no new state
+    is reached, or to a depth cap) of a small action alphabet on a 2-CPU / 2-segment / 2-principal
     plant, executing each action through the real kernel paths
     ([Api.Call.dispatch], the [Smp] connect protocol, the [Salvager])
     and checking four safety predicates at every reachable state:
@@ -24,9 +24,11 @@
     canonically re-executed from a fresh boot, every action pushed
     into the simulator's event queue at the same firing time
     ([Event_queue]'s tie-order stability makes replay a pure function
-    of the trace).  The visited set keys on the full canonical string;
-    frontier expansion fans out through [Par.map] and merges in task
-    order, so outcomes are byte-identical at any [MULTICS_JOBS].
+    of the trace).  The visited set keys on interned canonical
+    components ({!State_key}), never on a digest; each level is
+    generated from the frontier as it is replayed, fanned out through
+    [Par.map] a chunk at a time and merged in task order, so outcomes
+    are byte-identical at any [MULTICS_JOBS].
 
     Experiment E21 drives this; the shell's [mc run]/[mc replay]
     commands expose it on the operator console. *)
@@ -80,8 +82,21 @@ val violations_of_trace : bug:bool -> action list -> string * violation list
 
 val fingerprint : string -> string
 (** Digest of a canonical state string, for display and tests.  The
-    visited set itself keys on the full string — no collision can
-    merge two distinct states. *)
+    visited set never keys on it: no collision can merge two distinct
+    states. *)
+
+(** The key the visited set files a state under: one id per canonical
+    component (each object, each process, each CPU's fronts, the
+    pending connects, the journal, the taints), interned in a table
+    that lives as long as one exploration.  The canonical string is
+    the concatenation of the components, so two keys from one table
+    are equal exactly when the canonical strings are. *)
+module State_key : sig
+  type table
+
+  val create : unit -> table
+  val of_trace : table -> bug:bool -> action list -> int array
+end
 
 val random_trace : seed:int -> length:int -> action list
 (** A seeded trace over the full (bug) alphabet — the replay
@@ -96,6 +111,9 @@ type depth_row = {
   row_new_states : int;  (** states first reached at this depth *)
   row_states : int;  (** cumulative distinct states *)
   row_expansions : int;  (** replays executed at this depth *)
+  row_cpu_s : float;
+      (** process CPU seconds from the start of the exploration to the
+          end of this depth — the one field that varies from run to run *)
 }
 
 type outcome = {
@@ -107,14 +125,28 @@ type outcome = {
   o_counterexamples : counterexample list;
       (** at most one per predicate — the first (therefore shortest)
           trace found, BFS order *)
+  o_fixpoint : bool;
+      (** the frontier emptied within [o_depth]: a further depth can
+          reach no new state, so every reachable state was checked *)
 }
 
 val explore : ?jobs:int -> ?bug:bool -> depth:int -> unit -> outcome
-(** Exhaustive breadth-first exploration to [depth].  [jobs] sizes the
-    [Par.map] pool for frontier expansion (default [MULTICS_JOBS]);
-    the outcome is identical at any pool size.  [bug] (default false)
-    re-enables the pre-PR 5 deferred-connect stale-Permit window and
-    extends the alphabet with [Deliver]. *)
+(** Exhaustive breadth-first exploration to [depth], or until the
+    frontier empties.  [jobs] sizes the [Par.map] pool for frontier
+    expansion (default [MULTICS_JOBS]); the outcome is identical at any
+    pool size.  [bug] (default false) re-enables the old
+    deferred-connect stale-Permit window and extends the alphabet with
+    [Deliver]. *)
+
+val depth_cap : int
+(** 16: the deepest exploration E21 and the operator console run.  A
+    safety limit, not the measure: the healthy plant's frontier empties
+    at depth 11. *)
+
+val chunk_size : jobs:int -> int
+(** Candidates replayed per [Par.map] round at a pool size, and so the
+    most replayed states an exploration holds before merging them: a
+    fixed multiple of the pool size. *)
 
 val summary : outcome -> string
 (** The states/depth/expansions table plus any counterexamples —

@@ -17,8 +17,9 @@
    A worker domain running a per-seed experiment task (lib/par) records
    into its own registry, never contending with (or corrupting) another
    domain's instruments; after the join the caller absorbs each task's
-   snapshot in task order ({!Snapshot.absorb}), so the merged totals
-   match a sequential run exactly.
+   snapshot in task order ({!Snapshot.absorb}), so the merged counter
+   totals match a sequential run exactly, and so does each gauge, whose
+   merge is the last write in task order.
 
    The switch is one mutable cell per domain.  Every instrument holds
    the cell of the domain whose registry created it, so a recording
@@ -46,9 +47,32 @@ module Counter = struct
   let make switch name = { name; switch; value = 0 }
   let name c = c.name
   let incr ?(by = 1) c = if c.switch.on then c.value <- c.value + by
-  let set c v = if c.switch.on then c.value <- v
   let get c = c.value
+  let recording c = c.switch.on
   let reset c = c.value <- 0
+end
+
+(* ----- Gauges ----- *)
+
+(* [written] tells a reading from a gauge nobody set since the last
+   reset: a parallel task that never set a gauge must not overwrite the
+   earlier task's reading when the caller absorbs its snapshot. *)
+module Gauge = struct
+  type t = { name : string; switch : switch; mutable value : int; mutable written : bool }
+
+  let make switch name = { name; switch; value = 0; written = false }
+  let name g = g.name
+
+  let write g v =
+    g.value <- v;
+    g.written <- true
+
+  let set g v = if g.switch.on then write g v
+  let get g = g.value
+
+  let reset g =
+    g.value <- 0;
+    g.written <- false
 end
 
 (* ----- Histograms ----- *)
@@ -220,6 +244,7 @@ module Registry = struct
     name : string;
     switch : switch;  (** the creating domain's *)
     counters : (string, Counter.t) Hashtbl.t;
+    gauges : (string, Gauge.t) Hashtbl.t;
     histograms : (string, Histogram.t) Hashtbl.t;
     spans : (string, Span.t) Hashtbl.t;
   }
@@ -229,6 +254,7 @@ module Registry = struct
       name;
       switch = Domain.DLS.get switch_key;
       counters = Hashtbl.create 64;
+      gauges = Hashtbl.create 4;
       histograms = Hashtbl.create 16;
       spans = Hashtbl.create 16;
     }
@@ -251,6 +277,7 @@ module Registry = struct
         v
 
   let counter t key = memo t.counters (Counter.make t.switch) key
+  let gauge t key = memo t.gauges (Gauge.make t.switch) key
   let histogram t key = memo t.histograms (Histogram.make t.switch) key
   let span t key = memo t.spans (Span.make t.switch) key
 
@@ -262,6 +289,7 @@ module Registry = struct
 
   let reset t =
     Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
+    Hashtbl.iter (fun _ g -> Gauge.reset g) t.gauges;
     Hashtbl.iter (fun _ h -> Histogram.reset h) t.histograms;
     Hashtbl.iter (fun _ s -> Span.reset s) t.spans
 end
@@ -272,23 +300,21 @@ end
    would capture the *initialising* domain's instrument forever — a
    worker domain incrementing it would race domain 0.  [Local] handles
    defer resolution: each handle owns a DLS slot that memoises, per
-   domain, the instrument of that domain's default registry.  The hot
-   path is one DLS load. *)
+   domain, whatever it resolves from that domain's default registry —
+   one instrument, or a record of a module's instruments.  The hot path
+   is one DLS load. *)
 
 module Local = struct
   type 'a handle = unit -> 'a
 
-  let counter name : Counter.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.counter (Registry.global ()) name) in
+  let make resolve : 'a handle =
+    let key = Domain.DLS.new_key (fun () -> resolve (Registry.global ())) in
     fun () -> Domain.DLS.get key
 
-  let histogram name : Histogram.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.histogram (Registry.global ()) name) in
-    fun () -> Domain.DLS.get key
-
-  let span name : Span.t handle =
-    let key = Domain.DLS.new_key (fun () -> Registry.span (Registry.global ()) name) in
-    fun () -> Domain.DLS.get key
+  let counter name = make (fun r -> Registry.counter r name)
+  let gauge name = make (fun r -> Registry.gauge r name)
+  let histogram name = make (fun r -> Registry.histogram r name)
+  let span name = make (fun r -> Registry.span r name)
 
   (* A family of instruments whose names vary in one part (a gate, a
      cache, a configuration).  The per-domain memo is keyed by that
@@ -298,16 +324,19 @@ module Local = struct
      pruned: callers key it by members of a finite set. *)
   module Keys = Hashtbl.Make (String)
 
-  let keyed resolve =
-    let key = Domain.DLS.new_key (fun () -> Keys.create 16) in
+  let family registry resolve =
+    let memo = Keys.create 16 in
     fun part ->
-      let memo = Domain.DLS.get key in
       match Keys.find_opt memo part with
       | Some v -> v
       | None ->
-          let v = resolve (Registry.global ()) part in
+          let v = resolve registry part in
           Keys.add memo part v;
           v
+
+  let keyed resolve =
+    let family = make (fun r -> family r resolve) in
+    fun part -> family () part
 end
 
 (* ----- Snapshots ----- *)
@@ -327,6 +356,7 @@ module Snapshot = struct
   type t = {
     registry : string;
     counters : (string * int) list;
+    gauges : string list;
     histograms : (string * histogram_data) list;
     spans : (string * span_data) list;
   }
@@ -341,11 +371,22 @@ module Snapshot = struct
       buckets = Histogram.buckets h;
     }
 
+  let by_name (a, _) (b, _) = String.compare a b
+
+  (* Gauges print beside the counters, so they are captured into the
+     same sorted list; only gauges set since the last reset are taken. *)
   let capture ?registry () =
     let registry = match registry with Some r -> r | None -> Registry.global () in
+    let gauges =
+      Hashtbl.fold
+        (fun name (g : Gauge.t) acc -> if g.Gauge.written then (name, g.Gauge.value) :: acc else acc)
+        registry.Registry.gauges []
+      |> List.sort by_name
+    in
     {
       registry = Registry.name registry;
-      counters = Registry.counters registry;
+      counters = List.merge by_name (Registry.counters registry) gauges;
+      gauges = List.map fst gauges;
       histograms = Registry.sorted_bindings registry.Registry.histograms histogram_data;
       spans =
         Registry.sorted_bindings registry.Registry.spans (fun s ->
@@ -365,6 +406,14 @@ module Snapshot = struct
         let b = match List.assoc_opt key before with Some b -> b | None -> zero in
         (key, sub a b))
       after
+
+  (* A gauge is a reading, neither summed nor differenced: where [from]
+     set one, its entry takes [from]'s value. *)
+  let gauge_readings ~from counters =
+    List.map
+      (fun (name, v) ->
+        if List.mem name from.gauges then (name, List.assoc name from.counters) else (name, v))
+      counters
 
   let diff_buckets before after =
     List.filter
@@ -393,7 +442,9 @@ module Snapshot = struct
     in
     {
       registry = after.registry;
-      counters = diff_alist ~zero:0 ~sub:( - ) before.counters after.counters;
+      counters =
+        gauge_readings ~from:after (diff_alist ~zero:0 ~sub:( - ) before.counters after.counters);
+      gauges = after.gauges;
       histograms =
         diff_alist ~zero:empty_hist ~sub:(fun a b -> diff_histogram b a) before.histograms
           after.histograms;
@@ -459,20 +510,23 @@ module Snapshot = struct
   let merge a b =
     {
       registry = a.registry;
-      counters = merge_alist ~add:( + ) a.counters b.counters;
+      counters = gauge_readings ~from:b (merge_alist ~add:( + ) a.counters b.counters);
+      gauges = List.sort_uniq String.compare (a.gauges @ b.gauges);
       histograms = merge_alist ~add:merge_histogram_data a.histograms b.histograms;
       spans = merge_alist ~add:merge_span_data a.spans b.spans;
     }
 
-  (* Add a snapshot's totals into live instruments — how a parallel
-     join folds each worker task's private recordings back into the
-     caller's registry, in task order.  Bypasses the [enabled] gate:
-     the work was already recorded once, under the worker's own gate. *)
+  (* Fold a snapshot into live instruments — how a parallel join folds
+     each worker task's private recordings back into the caller's
+     registry, in task order: counter totals add, and a gauge the task
+     set takes the task's reading.  Bypasses the [enabled] gate: the
+     work was already recorded once, under the worker's own gate. *)
   let absorb ?into t =
     let into = match into with Some r -> r | None -> Registry.global () in
     List.iter
       (fun (name, v) ->
-        if v <> 0 then begin
+        if List.mem name t.gauges then Gauge.write (Registry.gauge into name) v
+        else if v <> 0 then begin
           let c = Registry.counter into name in
           c.Counter.value <- c.Counter.value + v
         end)

@@ -30,13 +30,28 @@ val with_disabled : (unit -> 'a) -> 'a
 
 (** {1 Instruments} *)
 
-(** A named monotonic counter (plus [set] for gauge-style readings such
-    as a table depth). *)
+(** A named monotonic counter. *)
 module Counter : sig
   type t
 
   val name : t -> string
   val incr : ?by:int -> t -> unit
+  val get : t -> int
+
+  val recording : t -> bool
+  (** Whether [incr] records: {!enabled} for the domain the counter
+      belongs to, read from the counter itself, so a call site that
+      already holds its instruments tests the switch without a
+      domain-local lookup. *)
+end
+
+(** A named reading that each write replaces, such as a table or queue
+    depth.  Its value is the last write, so gauges merge by the last
+    write in task order where counters add (see {!Snapshot.merge}). *)
+module Gauge : sig
+  type t
+
+  val name : t -> string
   val set : t -> int -> unit
   val get : t -> int
 end
@@ -121,6 +136,7 @@ module Registry : sig
       on first use, so parallel per-seed tasks never share instruments. *)
 
   val counter : t -> string -> Counter.t
+  val gauge : t -> string -> Gauge.t
   val histogram : t -> string -> Histogram.t
   val span : t -> string -> Span.t
 
@@ -128,7 +144,8 @@ module Registry : sig
   (** Current counter readings, sorted by name. *)
 
   val reset : t -> unit
-  (** Zero every instrument (they remain registered). *)
+  (** Zero every instrument (they remain registered); a gauge counts as
+      unset until its next write. *)
 end
 
 (** {1 Domain-local instrument handles}
@@ -143,7 +160,14 @@ end
 module Local : sig
   type 'a handle = unit -> 'a
 
+  val make : (Registry.t -> 'a) -> 'a handle
+  (** [make resolve] is [resolve] applied to the calling domain's
+      default registry, once per domain.  A module that records into
+      several instruments on every call resolves them as one record,
+      so a call site pays one domain-local load for all of them. *)
+
   val counter : string -> Counter.t handle
+  val gauge : string -> Gauge.t handle
   val histogram : string -> Histogram.t handle
   val span : string -> Span.t handle
 
@@ -158,6 +182,11 @@ module Local : sig
       never returned on another.  The memo is never pruned, so parts
       must come from a finite set (gate, cache or configuration
       names). *)
+
+  val family : Registry.t -> (Registry.t -> string -> 'a) -> string -> 'a
+  (** [keyed] without the domain-local lookup: the memo belongs to the
+      caller, who resolves it once per domain (for example as a field
+      of a {!make} record) and uses it on that domain only. *)
 end
 
 (** {1 Snapshots} *)
@@ -181,7 +210,10 @@ module Snapshot : sig
 
   type t = {
     registry : string;
-    counters : (string * int) list;  (** sorted by name *)
+    counters : (string * int) list;
+        (** counter readings, and the readings of gauges set since the
+            registry's last reset; sorted by name *)
+    gauges : string list;  (** the names in [counters] that are gauges, sorted *)
     histograms : (string * histogram_data) list;
     spans : (string * span_data) list;
   }
@@ -191,23 +223,29 @@ module Snapshot : sig
 
   val diff : before:t -> after:t -> t
   (** Per-instrument difference [after - before]; instruments absent
-      from [before] are taken as zero.  Used to attribute activity to a
+      from [before] are taken as zero.  A gauge is not differenced: it
+      keeps its [after] reading.  Used to attribute activity to a
       bounded phase (one experiment, one command). *)
 
   val merge : t -> t -> t
-  (** Instrument-wise sum of two snapshots: counters and histogram
-      bucket counts add, span depths take the max, histogram sums
-      saturate at [max_int] exactly as live observation does — merging
-      two saturated snapshots stays saturated (never wraps).  Keyed
-      union: instruments present on one side only pass through. *)
+  (** Instrument-wise merge of two snapshots, the second taken as the
+      later: counters and histogram bucket counts add, a gauge takes the
+      second snapshot's reading when it has one, span depths take the
+      max, histogram sums saturate at [max_int] exactly as live
+      observation does — merging two saturated snapshots stays
+      saturated (never wraps).  Keyed union: instruments present on one
+      side only pass through. *)
 
   val absorb : ?into:Registry.t -> t -> unit
-  (** Add a snapshot's totals into live instruments (created on demand).
+  (** Fold a snapshot into live instruments (created on demand): add its
+      counter, histogram and span totals, and write its gauge readings.
       This is the parallel join path: each worker task's private
       recordings are folded back into the caller's registry in task
-      order, so merged totals match a sequential run.  Bypasses the
-      {!enabled} gate — the activity was already recorded once under the
-      worker's own gate.  Default registry: [Registry.global ()]. *)
+      order, so counter totals match a sequential run and each gauge
+      holds the last write in task order, as it would sequentially; a
+      task that never set a gauge leaves the earlier reading.  Bypasses
+      the {!enabled} gate — the activity was already recorded once under
+      the worker's own gate.  Default registry: [Registry.global ()]. *)
 
   val is_empty : t -> bool
   (** No counters/histograms/spans with any recorded activity. *)

@@ -6,8 +6,9 @@
    Results land in a preallocated array slot per task, each worker
    task records into its own domain-local Obs registry (reset before
    every task), and after the join the caller absorbs the per-task
-   snapshots in task order.  Obs instrument totals are additive, so
-   the merged registry matches a sequential run. *)
+   snapshots in task order.  Obs counter totals are additive and a
+   gauge takes the last write in task order, so the merged registry
+   matches a sequential run. *)
 
 module Obs = Multics_obs.Obs
 

@@ -16,7 +16,8 @@
     - each worker task records into its own domain-local Obs registry;
       after the join the per-task snapshots are absorbed into the
       caller's registry in task order, so additive instrument totals
-      match a sequential run exactly;
+      match a sequential run exactly, and each gauge holds the last
+      write in task order, as a sequential run leaves it;
     - if tasks raise, the exception of the lowest-indexed failing task
       is re-raised (recordings of the tasks before it are kept).
 

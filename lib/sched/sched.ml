@@ -37,8 +37,8 @@ let obs_admissions = Obs.Local.counter "sched.admissions"
 let obs_upcalls = Obs.Local.counter "sched.policy.upcalls"
 let obs_promotions = Obs.Local.counter "sched.aging.promotions"
 let obs_storms = Obs.Local.counter "sched.preempt_storms"
-let obs_ready_depth = Obs.Local.counter "sched.queue.ready"
-let obs_admission_depth = Obs.Local.counter "sched.queue.admission"
+let obs_ready_depth = Obs.Local.gauge "sched.queue.ready"
+let obs_admission_depth = Obs.Local.gauge "sched.queue.admission"
 (* ----- The multi-level-feedback queues ----- *)
 
 module Mlf = struct
@@ -413,8 +413,8 @@ let negotiated_cap ~core_frames ~working_set = max 1 (core_frames / max 1 workin
 let status t =
   let ready = p_backlog t in
   let stalled = Fqueue.length t.admission in
-  Obs.Counter.set (obs_ready_depth ()) ready;
-  Obs.Counter.set (obs_admission_depth ()) stalled;
+  Obs.Gauge.set (obs_ready_depth ()) ready;
+  Obs.Gauge.set (obs_admission_depth ()) stalled;
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     [

@@ -86,9 +86,11 @@ module Command = struct
   let usage_spec =
     "spec profile start | spec profile stop NAME | spec apply | spec clear | spec status"
 
-  (* Depth 8 is the checker's own ceiling (MULTICS_MC_DEPTH clamps
-     there too); beyond it a console run would not come back. *)
-  let mc_depth_max = 8
+  (* A healthy run stops at its fixpoint (depth 11) inside [Mc.depth_cap].
+     The bug plant has no fixpoint: every descriptor edit queues one
+     more connect, so each depth replays several times the traces of
+     the one before. *)
+  let mc_bug_depth_max = 8
 
   (* The tuning parameters the traffic controller accepts; kept here so
      a typo is refused with the list instead of a round trip through
@@ -196,12 +198,12 @@ module Command = struct
 
   let parse_mc = function
     | "run" :: depth :: rest when rest = [] || rest = [ "bug" ] ->
+        let bug = rest = [ "bug" ] in
+        let hi = if bug then mc_bug_depth_max else Mc.depth_cap in
         int_arg ~what:"mc run depth" ~usage:usage_mc depth (fun depth ->
-            if depth < 1 || depth > mc_depth_max then
-              Error
-                (Bad_range
-                   { what = "mc run depth"; got = depth; lo = 1; hi = mc_depth_max; usage = usage_mc })
-            else Ok (Mc_run { depth; bug = rest = [ "bug" ] }))
+            if depth < 1 || depth > hi then
+              Error (Bad_range { what = "mc run depth"; got = depth; lo = 1; hi; usage = usage_mc })
+            else Ok (Mc_run { depth; bug }))
     | [ "status" ] -> Ok Mc_status
     | "replay" :: trace :: rest when rest = [] || rest = [ "bug" ] -> (
         (* Validate the trace before it travels anywhere: an unknown

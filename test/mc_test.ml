@@ -6,9 +6,11 @@
    replay is a pure function of the trace (the Event_queue tie-order
    regression), canonicalization identifies states by content rather
    than by the order that reached them, extending a trace never
-   aliases the shorter trace's capture, exploration finds nothing on
-   the healthy plant and the exact two-action stale-Permit window on
-   the seeded-bug plant, and the frontier pool size is invisible. *)
+   aliases the shorter trace's capture, the visited set's interned keys
+   identify exactly the states the canonical strings do, exploration
+   finds nothing on the healthy plant up to its fixpoint and the exact
+   two-action stale-Permit window on the seeded-bug plant, and the
+   frontier pool size is invisible. *)
 
 module Mc = Multics_mc.Mc
 
@@ -114,6 +116,66 @@ let test_pool_size_invisible () =
   let s jobs = Mc.summary (Mc.explore ~jobs ~depth:2 ~bug:true ()) in
   Alcotest.(check string) "jobs=1 and jobs=2 outcomes identical" (s 1) (s 2)
 
+let test_state_keys_exact () =
+  (* The visited set keys on interned components instead of the
+     canonical string; that is sound only if the two identify exactly
+     the same states.  Every trace of at most three actions (a superset
+     of the candidates of depth <= 3): equal keys must mean equal
+     canonical strings, and equal strings equal keys. *)
+  let alpha = Mc.alphabet ~bug:false in
+  let extend traces = List.concat_map (fun t -> List.map (fun a -> t @ [ a ]) alpha) traces in
+  let ones = extend [ [] ] in
+  let twos = extend ones in
+  let traces = ([] :: ones) @ twos @ extend twos in
+  let table = Mc.State_key.create () in
+  let by_key = Hashtbl.create 1024 and by_canon = Hashtbl.create 1024 in
+  let agree tbl k v what trace =
+    match Hashtbl.find_opt tbl k with
+    | None -> Hashtbl.add tbl k v
+    | Some v' ->
+        if v <> v' then Alcotest.failf "%s differ at [%s]" what (Mc.trace_to_string trace)
+  in
+  List.iter
+    (fun trace ->
+      let key = Mc.State_key.of_trace table ~bug:false trace in
+      let canon = fst (Mc.violations_of_trace ~bug:false trace) in
+      agree by_key key canon "equal keys, canonical strings" trace;
+      agree by_canon canon key "equal canonical strings, keys" trace)
+    traces;
+  Alcotest.(check int) "traces checked" 2955 (List.length traces);
+  Alcotest.(check int) "the states within three actions" 269 (Hashtbl.length by_canon);
+  Alcotest.(check int) "one key per canonical state" 269 (Hashtbl.length by_key)
+
+(* One exploration to the cap, shared by the tests that need it. *)
+let fixpoint = lazy (Mc.explore ~jobs:1 ~depth:Mc.depth_cap ())
+
+let test_explore_to_fixpoint () =
+  let o = Lazy.force fixpoint in
+  Alcotest.(check bool) "the frontier emptied" true o.Mc.o_fixpoint;
+  Alcotest.(check int) "every reachable state" 2048 o.Mc.o_states;
+  Alcotest.(check int) "replays: 14 per state" 28_672 o.Mc.o_expansions;
+  Alcotest.(check int) "rows to the empty level" 11 (List.length o.Mc.o_rows);
+  Alcotest.(check int) "no counterexamples" 0 (List.length o.Mc.o_counterexamples);
+  let shallow = Mc.explore ~jobs:1 ~depth:4 () in
+  Alcotest.(check bool) "a cap inside the space leaves a frontier" false shallow.Mc.o_fixpoint;
+  Alcotest.(check (pair int int)) "depth 4 unchanged" (686, 3_766)
+    (shallow.Mc.o_states, shallow.Mc.o_expansions)
+
+let test_fixpoint_pool_invisible () =
+  Alcotest.(check string) "jobs=1 and jobs=4 identical to the fixpoint"
+    (Mc.summary (Lazy.force fixpoint))
+    (Mc.summary (Mc.explore ~jobs:4 ~depth:Mc.depth_cap ()))
+
+let test_level_wider_than_chunk () =
+  (* Depth 3's level (826 candidates) spans several jobs=2 chunks:
+     chunk by chunk, it must merge exactly as one sequential pass. *)
+  let o = Mc.explore ~jobs:2 ~depth:3 () in
+  let widest = List.fold_left (fun w r -> max w r.Mc.row_expansions) 0 o.Mc.o_rows in
+  Alcotest.(check bool) "a level wider than one chunk" true (widest > Mc.chunk_size ~jobs:2);
+  Alcotest.(check string) "chunked merge = sequential"
+    (Mc.summary (Mc.explore ~jobs:1 ~depth:3 ()))
+    (Mc.summary o)
+
 (* The reachable-state golden: canonical strings of every trace of at
    most two actions over the bug alphabet, plus 200 seeded traces of
    3-6 actions, digested in order.  A change to boot, replay or
@@ -145,6 +207,11 @@ let suite =
     Alcotest.test_case "healthy plant explores clean" `Quick test_healthy_explore_clean;
     Alcotest.test_case "bug plant yields the minimal window" `Quick test_bug_explore_finds_window;
     Alcotest.test_case "frontier pool size is invisible" `Quick test_pool_size_invisible;
+    Alcotest.test_case "interned state keys are exact" `Quick test_state_keys_exact;
+    Alcotest.test_case "exploration stops at the fixpoint" `Quick test_explore_to_fixpoint;
+    Alcotest.test_case "pool size is invisible to the fixpoint" `Quick test_fixpoint_pool_invisible;
+    Alcotest.test_case "a level wider than a chunk merges as sequential" `Quick
+      test_level_wider_than_chunk;
     Alcotest.test_case "reachable canonical states match the golden digest" `Quick
       test_canonical_golden;
   ]

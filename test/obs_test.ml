@@ -14,9 +14,11 @@ let test_counter_basics () =
   Obs.Counter.incr c;
   Obs.Counter.incr c ~by:5;
   Alcotest.(check int) "incr accumulates" 6 (Obs.Counter.get c);
-  Obs.Counter.set c 42;
-  Alcotest.(check int) "set overrides (gauge style)" 42 (Obs.Counter.get c);
-  Alcotest.(check string) "counter keeps its name" "calls" (Obs.Counter.name c)
+  Alcotest.(check string) "counter keeps its name" "calls" (Obs.Counter.name c);
+  let g = Obs.Registry.gauge r "depth" in
+  Obs.Gauge.set g 42;
+  Obs.Gauge.set g 7;
+  Alcotest.(check int) "a gauge holds its last write" 7 (Obs.Gauge.get g)
 
 let test_counter_memoized () =
   let r = fresh "memo" in
@@ -28,13 +30,16 @@ let test_counter_memoized () =
 let test_disabled_is_inert () =
   let r = fresh "switch" in
   let c = Obs.Registry.counter r "c" in
+  let g = Obs.Registry.gauge r "g" in
   let h = Obs.Registry.histogram r "h" in
   Obs.with_disabled (fun () ->
+      Alcotest.(check bool) "counter sees the switch off" false (Obs.Counter.recording c);
       Obs.Counter.incr c;
-      Obs.Counter.set c 99;
+      Obs.Gauge.set g 99;
       Obs.Histogram.observe h 7);
   Alcotest.(check bool) "switch restored" true (Obs.enabled ());
-  Alcotest.(check int) "disabled incr/set are no-ops" 0 (Obs.Counter.get c);
+  Alcotest.(check int) "disabled incr is a no-op" 0 (Obs.Counter.get c);
+  Alcotest.(check int) "disabled gauge set is a no-op" 0 (Obs.Gauge.get g);
   Alcotest.(check int) "disabled observe is a no-op" 0 (Obs.Histogram.count h);
   Obs.Counter.incr c;
   Alcotest.(check int) "recording resumes after restore" 1 (Obs.Counter.get c)
@@ -131,7 +136,22 @@ let test_snapshot_capture_and_diff () =
   | _ -> Alcotest.fail "expected one diffed histogram");
   Alcotest.(check bool) "after is not empty" false (Obs.Snapshot.is_empty after);
   Alcotest.(check bool) "self-diff is empty" true
-    (Obs.Snapshot.is_empty (Obs.Snapshot.diff ~before:after ~after))
+    (Obs.Snapshot.is_empty (Obs.Snapshot.diff ~before:after ~after));
+  (* A gauge is a reading, not a total: captured beside the counters
+     once set, and never differenced. *)
+  let g = Obs.Registry.gauge r "depth" in
+  Alcotest.(check bool) "an unset gauge is not captured" false
+    (List.mem_assoc "depth" (Obs.Snapshot.capture ~registry:r ()).Obs.Snapshot.counters);
+  Obs.Gauge.set g 5;
+  let before = Obs.Snapshot.capture ~registry:r () in
+  Obs.Gauge.set g 8;
+  let after = Obs.Snapshot.capture ~registry:r () in
+  Alcotest.(check (list (pair string int)))
+    "a gauge reads beside the counters" [ ("depth", 8); ("gate.calls", 7) ]
+    after.Obs.Snapshot.counters;
+  Alcotest.(check (list (pair string int)))
+    "diff keeps the gauge's later reading" [ ("depth", 8); ("gate.calls", 0) ]
+    (Obs.Snapshot.diff ~before ~after).Obs.Snapshot.counters
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -228,7 +248,20 @@ let test_snapshot_merge () =
   Alcotest.(check int) "merged max" 100 h.Obs.Snapshot.max_value;
   let s = List.assoc "s" m.Obs.Snapshot.spans in
   Alcotest.(check int) "span entries add" 3 s.Obs.Snapshot.entries;
-  Alcotest.(check int) "span max_depth is the max" 2 s.Obs.Snapshot.max_depth
+  Alcotest.(check int) "span max_depth is the max" 2 s.Obs.Snapshot.max_depth;
+  (* A gauge takes the later snapshot's reading; one the later
+     snapshot never set keeps the earlier reading. *)
+  let rc = fresh "c" in
+  Obs.Gauge.set (Obs.Registry.gauge ra "depth") 5;
+  Obs.Gauge.set (Obs.Registry.gauge ra "kept") 3;
+  Obs.Gauge.set (Obs.Registry.gauge rb "depth") 2;
+  ignore (Obs.Registry.gauge rc "kept");
+  let capture r = Obs.Snapshot.capture ~registry:r () in
+  let m = Obs.Snapshot.merge (Obs.Snapshot.merge (capture ra) (capture rb)) (capture rc) in
+  let counter name = List.assoc name m.Obs.Snapshot.counters in
+  Alcotest.(check int) "gauge: the later write wins" 2 (counter "depth");
+  Alcotest.(check int) "gauge: an unset gauge keeps the earlier reading" 3 (counter "kept");
+  Alcotest.(check (list string)) "merged gauge names" [ "depth"; "kept" ] m.Obs.Snapshot.gauges
 
 let test_snapshot_merge_saturation () =
   (* The satellite bug this pins down: merging two saturated snapshots

@@ -55,6 +55,33 @@ let test_obs_totals_match_sequential () =
   Alcotest.(check (list (pair int int))) "histogram buckets" h1.Obs.Snapshot.buckets
     h4.Obs.Snapshot.buckets
 
+let test_gauge_merges_as_sequential () =
+  (* Tasks set one gauge to different values, and every third task
+     leaves it alone.  A gauge is a reading: the merged value after a
+     4-domain run must be the last write in task order, exactly what the
+     inline run leaves, not the sum of the tasks' readings. *)
+  let depth () = Obs.Registry.gauge (Obs.Registry.global ()) "par.test.depth" in
+  let task seed =
+    if seed mod 3 <> 2 then Obs.Gauge.set (depth ()) ((seed * 7) + 1);
+    seed
+  in
+  let run jobs =
+    Obs.Gauge.set (depth ()) (-1);
+    ignore (Par.run_seeds ~jobs 41 task);
+    Obs.Gauge.get (depth ())
+  in
+  let sequential = run 1 in
+  Alcotest.(check int) "the sequential value is task 40's write" ((40 * 7) + 1) sequential;
+  Alcotest.(check int) "jobs=4 merges to the sequential value" sequential (run 4);
+  (* Task 40 sets the gauge, task 41 does not: the merge keeps 40's. *)
+  let last_silent jobs =
+    Obs.Gauge.set (depth ()) (-1);
+    ignore (Par.run_seeds ~jobs 42 task);
+    Obs.Gauge.get (depth ())
+  in
+  Alcotest.(check int) "a silent last task keeps the earlier write" sequential (last_silent 1);
+  Alcotest.(check int) "... at jobs=4 too" sequential (last_silent 4)
+
 let test_nested_map_degrades_inline () =
   (* A task that itself calls Par.map must not spawn a second layer of
      domains — and must still compute the right thing. *)
@@ -115,6 +142,8 @@ let suite =
     Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
     Alcotest.test_case "run_seeds" `Quick test_run_seeds;
     Alcotest.test_case "obs totals match sequential" `Quick test_obs_totals_match_sequential;
+    Alcotest.test_case "a gauge merges to the sequential value" `Quick
+      test_gauge_merges_as_sequential;
     Alcotest.test_case "nested map degrades inline" `Quick test_nested_map_degrades_inline;
     Alcotest.test_case "exception determinism" `Quick test_exception_determinism;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;

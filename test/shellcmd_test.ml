@@ -85,7 +85,10 @@ let table =
     ("mc run 5 bug", Cmd (Cmd.Mc_run { depth = 5; bug = true }));
     ("mc run x", Err (bad_int, "mc depth not a number"));
     ("mc run 0", Err (bad_range, "mc depth below range"));
-    ("mc run 9", Err (bad_range, "mc depth above range"));
+    ("mc run 16", Cmd (Cmd.Mc_run { depth = 16; bug = false }));
+    ("mc run 17", Err (bad_range, "mc depth above range"));
+    ("mc run 8 bug", Cmd (Cmd.Mc_run { depth = 8; bug = true }));
+    ("mc run 9 bug", Err (bad_range, "mc bug depth above range"));
     ("mc run 5 bugs", Err (bad_arity, "mc run bad flag"));
     ("mc status", Cmd Cmd.Mc_status);
     ( "mc replay read_bob_s0,acl_revoke",
