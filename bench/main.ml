@@ -648,6 +648,9 @@ let time_iters n f =
 
 let smoke () =
   let iters = 300_000 and trials = 5 in
+  (* Every trajectory row records the host's core count, so rows from
+     different hosts can be told apart. *)
+  let cores = Domain.recommended_domain_count () in
   let check () =
     Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
       ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw
@@ -769,11 +772,11 @@ let smoke () =
      clobbering the last. *)
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e19_sid.json" in
   Printf.fprintf oc
-    {|{"bench": "e19_sid", "unix_time": %.0f, "trials": %d, "iters": %d, "flat_table_hit_ns": %.2f, "fresh_policy_check_ns": %.2f, "fresh_recompute_ns": %.2f, "speedup_flat_vs_fresh_check": %.3f, "speedup_cached_vs_fresh": %.3f, "required_speedup_flat_vs_fresh_check": %.2f, "subject_intern_memo_ns": %.2f, "subject_intern_cold_ns": %.2f, "table_rebuild_ns": %.2f, "table_rebuild_cells": %d, "hit_ratio": %.4f}
+    {|{"bench": "e19_sid", "unix_time": %.0f, "trials": %d, "iters": %d, "flat_table_hit_ns": %.2f, "fresh_policy_check_ns": %.2f, "fresh_recompute_ns": %.2f, "speedup_flat_vs_fresh_check": %.3f, "speedup_cached_vs_fresh": %.3f, "required_speedup_flat_vs_fresh_check": %.2f, "subject_intern_memo_ns": %.2f, "subject_intern_cold_ns": %.2f, "table_rebuild_ns": %.2f, "table_rebuild_cells": %d, "hit_ratio": %.4f, "cores": %d}
 |}
     (Unix.time ()) trials iters (ns_per flat_t iters) (ns_per fresh_check_t iters)
     (ns_per uncached iters) sid_speedup speedup sid_required_speedup (ns_per memo_t iters)
-    (ns_per cold_t iters) (ns_per rebuild_t rebuild_iters) rebuild_cells hit_ratio;
+    (ns_per cold_t iters) (ns_per rebuild_t rebuild_iters) rebuild_cells hit_ratio cores;
   close_out oc;
   print_endline "bench smoke: appended to BENCH_e19_sid.json";
   (* The parallel-harness gate: the 100-seed E19 oracle must produce
@@ -787,7 +790,6 @@ let smoke () =
     let runs = Multics_experiments.E19_sid.parity_runs ~jobs ~refs:harness_refs () in
     (Unix.gettimeofday () -. start, runs)
   in
-  let cores = Domain.recommended_domain_count () in
   let seq_samples = List.init harness_trials (fun _ -> time_oracle 1) in
   let median3 xs = List.nth (List.sort compare xs) (harness_trials / 2) in
   let seq_t = median3 (List.map fst seq_samples) in
@@ -854,11 +856,11 @@ let smoke () =
 
   (* ----- the model checker's exploration throughput -----
 
-     A bounded exhaustive run at depth 3 (every state a full canonical
-     re-execution from boot): the healthy plant must come back with
-     zero violations, and the replay rate lands in BENCH_mc.json so a
-     regression in the canonical-replay hot path shows up as a
-     states-per-second collapse between runs. *)
+     A bounded exhaustive run at depth 3 (one boot into a memory image,
+     every state a canonical re-execution on a copy of it): the healthy
+     plant must come back with zero violations, and the replay rate
+     lands in BENCH_mc.json so a regression in the canonical-replay hot
+     path shows up as a states-per-second collapse between runs. *)
   let mc_depth = 3 in
   let mc_start = Unix.gettimeofday () in
   let mc_outcome = Multics_mc.Mc.explore ~depth:mc_depth () in
@@ -867,31 +869,36 @@ let smoke () =
   let mc_expansions = mc_outcome.Multics_mc.Mc.o_expansions in
   let mc_violations = List.length mc_outcome.Multics_mc.Mc.o_counterexamples in
   let mc_states_per_sec = float_of_int mc_states /. mc_t in
-  (* One empty-trace replay: boot, canonical capture and predicates —
-     the fixed cost every state of an exploration pays. *)
-  let replay_d0_us =
+  (* Medians of 200 runs: the once-per-exploration boot into an image,
+     and one empty-trace replay on a copy of it (copy, canonical capture
+     and predicates) — the fixed cost every state of an exploration
+     pays. *)
+  let median_us f =
     let runs = 200 in
     let samples =
       List.init runs (fun _ ->
           let start = Unix.gettimeofday () in
-          ignore (Multics_mc.Mc.violations_of_trace ~bug:false []);
+          ignore (Sys.opaque_identity (f ()));
           (Unix.gettimeofday () -. start) *. 1e6)
     in
     List.nth (List.sort compare samples) (runs / 2)
   in
+  let image_boot_us = median_us (fun () -> Multics_mc.Mc.Image.build ~bug:false) in
+  let image = Multics_mc.Mc.Image.build ~bug:false in
+  let replay_d0_us = median_us (fun () -> Multics_mc.Mc.Image.violations_of_trace image []) in
   Printf.printf
-    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations; empty-trace replay %.1f us\n"
-    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations replay_d0_us;
+    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations; image boot %.1f us, empty-trace replay %.1f us\n"
+    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations image_boot_us replay_d0_us;
   if mc_violations <> 0 then begin
     print_endline "bench smoke: FAIL — the healthy plant produced a counterexample";
     exit 1
   end;
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_mc.json" in
   Printf.fprintf oc
-    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "replay_d0_us": %.1f, "violations": %d, "cores": %d}
+    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "image_boot_us": %.1f, "replay_d0_us": %.1f, "violations": %d, "cores": %d}
 |}
-    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec replay_d0_us
-    mc_violations cores;
+    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec image_boot_us
+    replay_d0_us mc_violations cores;
   close_out oc;
   print_endline "bench smoke: appended to BENCH_mc.json";
 
@@ -978,13 +985,14 @@ let smoke () =
   end;
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e22_spec.json" in
   Printf.fprintf oc
-    {|{"bench": "e22_spec", "unix_time": %.0f, "trials": %d, "iters": %d, "unmasked_dispatch_ns": %.2f, "masked_dispatch_ns": %.2f, "overhead_ratio": %.3f, "max_overhead_ratio": %.2f, "stripped_refusal_ns": %.2f, "gates_kept": %d, "gates_full": %d}
+    {|{"bench": "e22_spec", "unix_time": %.0f, "trials": %d, "iters": %d, "unmasked_dispatch_ns": %.2f, "masked_dispatch_ns": %.2f, "overhead_ratio": %.3f, "max_overhead_ratio": %.2f, "stripped_refusal_ns": %.2f, "gates_kept": %d, "gates_full": %d, "cores": %d}
 |}
     (Unix.time ()) trials spec_iters (ns_per unmasked_t spec_iters)
     (ns_per masked_t spec_iters) spec_overhead spec_max_overhead
     (ns_per refusal_t spec_iters)
     (Spec.Specialisation.gate_count spec)
-    (Spec.Specialisation.full_count spec);
+    (Spec.Specialisation.full_count spec)
+    cores;
   close_out oc;
   print_endline "bench smoke: appended to BENCH_e22_spec.json";
   print_endline "bench smoke: OK"

@@ -122,6 +122,26 @@ let create ?(subjects = 2) ?(objects = 16) ?gens ~name () =
     obs = Multics_cache.Avc.instruments name;
   }
 
+(* Cells, stamps and SIDs copied; stamped against [gens], which the
+   caller copies from this table's own (a table shares its generations
+   with whoever bumps them).  The probe fires its source's fault
+   injector, so the copy has none; the counters are the copying
+   domain's. *)
+let copy ~gens t =
+  {
+    name = t.name;
+    gens;
+    sids = Policy.Subject_sids.copy t.sids;
+    rows = t.rows;
+    cols = t.cols;
+    av = Array.copy t.av;
+    g_global = Array.copy t.g_global;
+    g_obj = Array.copy t.g_obj;
+    max_obj = t.max_obj;
+    flush_probe = None;
+    obs = Multics_cache.Avc.instruments t.name;
+  }
+
 let name t = t.name
 let gens t = t.gens
 let subject_sids t = t.sids

@@ -56,6 +56,12 @@ val create :
     ["cache.<name>.*"] with the same field names as {!Multics_cache.Avc},
     so status surfaces need not care which mechanism serves them. *)
 
+val copy : gens:Multics_cache.Avc.Gen.t -> t -> t
+(** The same cells, stamps and subject SIDs, stamped against [gens] —
+    normally a {!Multics_cache.Avc.Gen.copy} of [gens t], so every cell
+    reads fresh or stale exactly as in [t].  No flush probe; the copy
+    records into the calling domain's counters. *)
+
 val name : t -> string
 val gens : t -> Multics_cache.Avc.Gen.t
 

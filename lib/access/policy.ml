@@ -206,6 +206,11 @@ module Subject_sids = struct
       sid
     end
 
+  (* A registry of its own: a record memoized against the source reads
+     a foreign stamp here and re-interns to the SID the copied map
+     already holds. *)
+  let copy t = { reg = Atomic.fetch_and_add next_reg 1 + 1; map = Sid.Map.copy t.map }
+
   let count t = Sid.Map.count t.map
   let subject_of t sid = Sid.Map.value t.map sid
   let iter f t = Sid.Map.iter f t.map

@@ -79,6 +79,11 @@ module Subject_sids : sig
       [Invalid_argument] on a SID this registry never minted. *)
 
   val iter : (Sid.t -> subject -> unit) -> t -> unit
+
+  val copy : t -> t
+  (** The same SIDs for the same subjects, under a registry stamp of
+      its own, so no memo written against one registry reads as valid
+      in the other. *)
 end
 
 val pp_verdict : Format.formatter -> verdict -> unit

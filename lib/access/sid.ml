@@ -51,6 +51,17 @@ module Map = struct
 
   let count t = t.count
 
+  (* The buckets are immutable lists, so copying the index and the
+     value array gives a registry that mints independently. *)
+  let copy t =
+    {
+      hash = t.hash;
+      equal = t.equal;
+      index = Hashtbl.copy t.index;
+      values = Array.copy t.values;
+      count = t.count;
+    }
+
   let ensure t needed =
     if needed > Array.length t.values then begin
       let grown = Array.make (max needed (2 * Array.length t.values)) None in

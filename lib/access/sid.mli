@@ -43,4 +43,8 @@ module Map : sig
 
   val count : 'a t -> int
   val iter : (sid -> 'a -> unit) -> 'a t -> unit
+
+  val copy : 'a t -> 'a t
+  (** The same SIDs for the same values; later interning on either
+      side does not reach the other. *)
 end

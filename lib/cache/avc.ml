@@ -71,7 +71,7 @@ module Gen = struct
 
   type t = {
     mutable global : int;
-    epoch : epoch;
+    mutable epoch : epoch;
     mutable pages : int array array;
     mutable sparse : (int, int) Hashtbl.t option;  (** allocated on the first sparse bump *)
     mutable compactions : int;
@@ -157,6 +157,34 @@ module Gen = struct
 
   let sparse_size t = match t.sparse with Some sparse -> Hashtbl.length sparse | None -> 0
   let compactions t = t.compactions
+
+  (* Rebasing [global] onto the new epoch keeps the reading what it is
+     now, so every stamp that matches still matches and no stale stamp
+     revives; from then on the reading advances with [epoch]. *)
+  let set_epoch t epoch =
+    t.global <- global t - epoch.ticks;
+    t.epoch <- epoch
+
+  (* Same readings, private counters.  The directory is copied whole
+     and only its allocated pages replaced: a CPU CAM's directory runs
+     to ~130 slots for two pages. *)
+  let copy ?epoch t =
+    let pages = Array.copy t.pages in
+    for i = 0 to Array.length pages - 1 do
+      let page = pages.(i) in
+      if page != zero_page then pages.(i) <- Array.copy page
+    done;
+    let c =
+      {
+        global = t.global;
+        epoch = t.epoch;
+        pages;
+        sparse = Option.map Hashtbl.copy t.sparse;
+        compactions = t.compactions;
+      }
+    in
+    Option.iter (set_epoch c) epoch;
+    c
 end
 
 type ('k, 'v) entry = { value : 'v; obj : int; g_global : int; g_obj : int }
@@ -225,6 +253,23 @@ let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name
     population = 0;
     flush_probe = None;
     obs = instruments name;
+  }
+
+(* Entries are immutable, so copying the slot array copies the cache.
+   A probe fires its source's fault injector, so the copy has none; the
+   counters are the copying domain's. *)
+let copy ?gens t =
+  {
+    name = t.name;
+    capacity = t.capacity;
+    mask = t.mask;
+    gens = (match gens with Some g -> g | None -> Gen.copy t.gens);
+    hash = t.hash;
+    equal = t.equal;
+    slots = Array.copy t.slots;
+    population = t.population;
+    flush_probe = None;
+    obs = instruments t.name;
   }
 
 let name t = t.name

@@ -71,6 +71,19 @@ module Gen : sig
   val compactions : t -> int
   (** Number of compactions performed on this [Gen.t]; also counted
       globally under ["cache.gen.compactions"]. *)
+
+  val set_epoch : t -> epoch -> unit
+  (** Fold [epoch] into {!global} in place of the current one, rebased
+      so that {!global} reads what it reads now: every stamp fresh
+      before is fresh after, and no stale one revives.  From then on
+      only [epoch] advancing stales every entry. *)
+
+  val copy : ?epoch:epoch -> t -> t
+  (** Counters of its own that read exactly as [t]'s read now: every
+      stamp fresh in [t] is fresh in the copy, and no stale one is.
+      [epoch] (default [t]'s) is the copy's external epoch (see
+      {!set_epoch}); later bumps of either side do not reach the
+      other. *)
 end
 
 type ('k, 'v) t
@@ -113,6 +126,12 @@ type instruments = {
 }
 
 val instruments : string -> instruments
+
+val copy : ?gens:Gen.t -> ('k, 'v) t -> ('k, 'v) t
+(** The same entries, answering every lookup as [t] would now, stamped
+    against [gens] (default: a {!Gen.copy} of [t]'s).  The copy has no
+    flush probe (a probe fires its source's fault injector) and records
+    into the calling domain's counters. *)
 
 val name : ('k, 'v) t -> string
 val capacity : ('k, 'v) t -> int

@@ -22,6 +22,9 @@ type t = { mutable records : record list; mutable next_seq : int; mutable enable
 
 let create () = { records = []; next_seq = 0; enabled = true }
 
+(* Records are immutable, so the copy shares the trail so far. *)
+let copy t = { records = t.records; next_seq = t.next_seq; enabled = t.enabled }
+
 let set_enabled t enabled = t.enabled <- enabled
 
 let log t ~(subject : Policy.subject) ~operation ~target ~verdict =
@@ -47,12 +50,7 @@ let length t = List.length t.records
 let refusals t =
   List.filter (fun r -> match r.verdict with Refused _ -> true | Granted -> false) (records t)
 
-let grants t =
-  List.filter (fun r -> match r.verdict with Granted -> true | Refused _ -> false) (records t)
-
 let refusal_count t = List.length (refusals t)
-
-let by_operation t ~operation = List.filter (fun r -> r.operation = operation) (records t)
 
 let pp_record ppf r =
   let verdict = match r.verdict with Granted -> "granted" | Refused why -> "REFUSED: " ^ why in

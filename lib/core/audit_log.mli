@@ -16,6 +16,10 @@ type record = {
 type t
 
 val create : unit -> t
+
+val copy : t -> t
+(** The same trail so far; later records go to one side only. *)
+
 val set_enabled : t -> bool -> unit
 
 val log :
@@ -26,7 +30,5 @@ val records : t -> record list
 
 val length : t -> int
 val refusals : t -> record list
-val grants : t -> record list
 val refusal_count : t -> int
-val by_operation : t -> operation:string -> record list
 val pp_record : Format.formatter -> record -> unit

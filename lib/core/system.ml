@@ -335,6 +335,19 @@ let process_dir_name ~handle =
   let digits = Multics_util.Decimal.to_string handle in
   "p" ^ String.make (max 0 (3 - String.length digits)) '0' ^ digits
 
+(* Wire "setfaults" through to the associative memory: the KST's
+   set_sdw/terminate are the only descriptor mutation points, so a
+   recomputed or dropped descriptor clears its cached copy in the same
+   step.  Under a multiprocessor plant the same hook broadcasts a
+   connect, so every other CPU's associative memory drops its copy
+   before the mutating call returns. *)
+let wire_setfaults t ~handle kst assoc =
+  Kst.set_on_sdw_change kst (fun segno ->
+      Hardware.Assoc.invalidate assoc ~segno;
+      match t.plant with
+      | Some plant -> Multics_smp.Smp.connect_invalidate plant ~handle ~segno
+      | None -> ())
+
 (* Build a fresh process for an account at a session level.  Shared by
    login and by the create_process / new_proc gates. *)
 let make_process t ~(account : account) ~session_level ~login_ring =
@@ -347,17 +360,7 @@ let make_process t ~(account : account) ~session_level ~login_ring =
   in
   let kst = Kst.create ~variant:kst_variant () in
   let assoc = Hardware.Assoc.create () in
-  (* Wire "setfaults" through to the associative memory: the KST's
-     set_sdw/terminate are the only descriptor mutation points, so a
-     recomputed or dropped descriptor clears its cached copy in the
-     same step.  Under a multiprocessor plant the same hook broadcasts
-     a connect, so every other CPU's associative memory drops its copy
-     before the mutating call returns. *)
-  Kst.set_on_sdw_change kst (fun segno ->
-      Hardware.Assoc.invalidate assoc ~segno;
-      match t.plant with
-      | Some plant -> Multics_smp.Smp.connect_invalidate plant ~handle ~segno
-      | None -> ());
+  wire_setfaults t ~handle kst assoc;
   let p =
     {
       handle;
@@ -454,6 +457,80 @@ let logout t ~handle =
       true
 
 let process_count t = Hashtbl.length t.procs
+
+(* ----- Copying a booted kernel -----
+
+   One rule per field, and no [{ r with ... }], so a field added later
+   does not compile until it has one.  Immutable values (the
+   configuration, the gate table, ACLs, labels, principals, audit
+   records) are shared; everything the kernel writes in place is
+   copied; the copy's caches record into the calling domain's
+   instruments, and its hierarchy folds in the calling domain's ACL
+   generation (see [Hierarchy.copy]).  A fault plan, a scheduler and
+   I/O buffers are attached by drivers above a booted kernel and hold
+   state this module cannot copy, so a kernel holding any of them is
+   refused. *)
+
+let copy_proc t (p : proc) =
+  let kst = Kst.copy p.kst and assoc = Hardware.Assoc.copy p.assoc in
+  wire_setfaults t ~handle:p.handle kst assoc;
+  {
+    handle = p.handle;
+    principal = p.principal;
+    clearance = p.clearance;
+    ring = p.ring;
+    kst;
+    rnt = Rnt.copy p.rnt;
+    rules = p.rules;
+    working_dir = p.working_dir;
+    login_ring = p.login_ring;
+    subsystem_stack = p.subsystem_stack;
+    assoc;
+    (* A memo, rebuilt on first use: no subject record is shared
+       between the source and the copy. *)
+    subject_memo = None;
+  }
+
+let copy t =
+  if Option.is_some t.faults then invalid_arg "System.copy: a fault plan is armed";
+  if Option.is_some t.scheduler then invalid_arg "System.copy: a scheduler is registered";
+  if Hashtbl.length t.io_buffers > 0 then invalid_arg "System.copy: I/O buffers are attached";
+  let hierarchy = Hierarchy.copy t.hierarchy in
+  let store = Object_seg.Store.copy t.store in
+  let ipc_channels = Hashtbl.create 8 in
+  Hashtbl.iter (fun id pending -> Hashtbl.replace ipc_channels id (ref !pending)) t.ipc_channels;
+  let c =
+    {
+      config = t.config;
+      cost = t.cost;
+      hierarchy;
+      store;
+      linker = Linker.copy t.linker ~store ~hierarchy;
+      audit = Audit_log.copy t.audit;
+      accounts = Hashtbl.copy t.accounts;
+      procs = Hashtbl.copy t.procs;
+      next_handle = t.next_handle;
+      init_report = t.init_report;
+      io_buffers = Hashtbl.create 8;
+      ipc_channels;
+      next_channel = t.next_channel;
+      lib_dir = t.lib_dir;
+      udd_dir = t.udd_dir;
+      pdd_dir = t.pdd_dir;
+      clock = Clock.copy t.clock;
+      faults = None;
+      crash_journal = t.crash_journal;
+      scheduler = None;
+      plant = Option.map Multics_smp.Smp.copy t.plant;
+      gates = t.gates;
+      gate_mask = t.gate_mask;
+    }
+  in
+  (* Copied in place, not refilled: [setfaults] walks the processes in
+     table order, and under deferred connects that order is the order
+     the connects queue in. *)
+  Hashtbl.filter_map_inplace (fun _ p -> Some (copy_proc c p)) c.procs;
+  c
 
 let handles t = Hashtbl.fold (fun h _ acc -> h :: acc) t.procs [] |> List.sort Int.compare
 

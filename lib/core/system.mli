@@ -39,6 +39,21 @@ val create : Config.t -> t
 (** Boot the system: run the configured initialization strategy and
     build the standard skeleton ([>sl1], [>udd], [>pdd]). *)
 
+val copy : t -> t
+(** A kernel in the same state that evolves independently: mediation,
+    audit records, descriptors, caches (and their hit/miss behaviour)
+    and the attached plant proceed exactly as in [t] from here.  The
+    configuration, the gate table and every immutable value are
+    shared; the hierarchy, the object store, the linker, the audit
+    trail, the processes (KST, RNT, associative memory, re-wired
+    setfaults hook) and the plant are copied.  The copy records into
+    the calling domain's obs instruments, and its hierarchy folds in
+    the calling domain's ACL generation — so it behaves as a kernel
+    booted on the calling domain would.  Raises
+    [Invalid_argument] if a fault plan, a scheduler or I/O buffers are
+    attached.  The plant copy's clock and cycle sink start unset (see
+    {!Multics_smp.Smp.copy}). *)
+
 val config : t -> Config.t
 val hierarchy : t -> Hierarchy.t
 val store : t -> Object_seg.Store.t

@@ -92,6 +92,7 @@ let words_per_page t = t.words_per_page
 let note_change t uid = Avc.Gen.bump_object t.gens (Uid.to_int uid)
 
 let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
+let set_acl_epoch t epoch = Avc.Gen.set_epoch t.gens epoch
 let av_table t = t.avtab
 let subject_sid t subject = Av_table.subject_sid t.avtab subject
 let set_cache_probe t probe = Av_table.set_flush_probe t.avtab probe
@@ -138,6 +139,42 @@ let create ?(words_per_page = 64) () =
     words_per_page;
     gens;
     avtab = Av_table.create ~gens ~name:"policy" ();
+  }
+
+(* A branch's attributes are immutable values; only its contents are
+   copied. *)
+let copy_node n =
+  {
+    uid = n.uid;
+    name = n.name;
+    kind = n.kind;
+    acl = n.acl;
+    label = n.label;
+    brackets = n.brackets;
+    gate_bound = n.gate_bound;
+    parent = n.parent;
+    entries = n.entries;
+    pages = n.pages;
+    words = Array.copy n.words;
+    quota = n.quota;
+    pages_charged = n.pages_charged;
+  }
+
+(* As [create] on this domain would: the copy's cache epoch folds in
+   the calling domain's ACL generation, rebased so that every compiled
+   cell reads fresh or stale exactly as in [t].  The node table is
+   refilled: what reads its iteration order (the quota check, the
+   eager AV rebuild) computes the same result in any order. *)
+let copy t =
+  let nodes = Int_table.create (Int_table.length t.nodes) in
+  Int_table.iter (fun uid n -> Int_table.replace nodes uid (copy_node n)) t.nodes;
+  let gens = Avc.Gen.copy ~epoch:(Acl.generation ()) t.gens in
+  {
+    nodes;
+    uids = Uid.copy_generator t.uids;
+    words_per_page = t.words_per_page;
+    gens;
+    avtab = Av_table.copy ~gens t.avtab;
   }
 
 let node t uid = Int_table.find_opt t.nodes (Uid.to_int uid)

@@ -36,6 +36,22 @@ val create : ?words_per_page:int -> unit -> t
 (** A hierarchy containing only the root directory [>] (listable by
     anyone, label Unclassified). *)
 
+val copy : t -> t
+(** An independent hierarchy holding the same branches, contents, uid
+    generator and compiled access-vector cells, in which every cell is
+    fresh or stale exactly as in [t].  Its cache epoch is the calling
+    domain's ACL generation, as {!create} would take: an ACL built on
+    that domain stales the copy's cells, and edits on the source no
+    longer reach them.  The copy has no cache probe. *)
+
+val set_acl_epoch : t -> Multics_cache.Avc.Gen.epoch -> unit
+(** Fold [epoch] into the cache epoch in place of the ACL generation,
+    every cell reading fresh or stale as it does now (see
+    {!Multics_cache.Avc.Gen.set_epoch}).  With an epoch nothing
+    advances, ACLs built afterwards no longer stale the cells: the
+    model checker's memory image reads the same whenever it is
+    copied. *)
+
 val words_per_page : t -> int
 
 (** {1 Attributes (kernel-internal, unmediated)} *)

@@ -58,6 +58,27 @@ let create ?(start_segno = 8) ~variant () =
 let variant t = t.variant
 let set_on_sdw_change t f = t.on_sdw_change <- f
 
+(* Both indexes must lead to one record per entry, so they are refilled
+   from the copied entries (nothing reads either table's iteration
+   order: [known_segnos] sorts).  The hook belongs to whoever owns the
+   source's caches: the copy starts unhooked. *)
+let copy t =
+  let by_segno = Int_table.create 16 and by_uid = Int_table.create 16 in
+  Int_table.iter
+    (fun segno e ->
+      let e = { segno = e.segno; uid = e.uid; sdw = e.sdw; pathname = e.pathname } in
+      Int_table.replace by_segno segno e;
+      Int_table.replace by_uid (Uid.to_int e.uid) e)
+    t.by_segno;
+  {
+    variant = t.variant;
+    start_segno = t.start_segno;
+    next_segno = t.next_segno;
+    by_segno;
+    by_uid;
+    on_sdw_change = ignore;
+  }
+
 (* Make a segment known: idempotent per uid; returns the segment
    number and whether it was already known. *)
 let make_known t ~uid =

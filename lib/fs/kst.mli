@@ -18,6 +18,11 @@ val create : ?start_segno:int -> variant:variant -> unit -> t
 
 val variant : t -> variant
 
+val copy : t -> t
+(** The same entries, segment numbers and descriptors, in records of
+    its own.  The descriptor-change observer is not copied: the copy
+    fires none until {!set_on_sdw_change} wires one. *)
+
 val make_known : t -> uid:Uid.t -> int * bool
 (** Assign (or find) the segment number for a uid; the boolean is true
     when the segment was already known. *)

@@ -13,6 +13,8 @@ let generator () = { next = 2 }
 
 let root : t = 1
 
+let copy_generator g = { next = g.next }
+
 let fresh g =
   let uid = g.next in
   g.next <- uid + 1;

@@ -9,6 +9,9 @@ val generator : unit -> generator
 val root : t
 (** The root directory's well-known uid. *)
 
+val copy_generator : generator -> generator
+(** Mints the uids [generator] would mint next, independently of it. *)
+
 val fresh : generator -> t
 
 val to_int : t -> int

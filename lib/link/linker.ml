@@ -77,6 +77,18 @@ type t = {
 let create ?(flaws = []) ~placement ~store ~hierarchy () =
   { placement; flaws; store; hierarchy; supervisor_damage_count = 0; links_snapped = 0 }
 
+(* The counters carry over; the store and the hierarchy are the
+   copying system's. *)
+let copy t ~store ~hierarchy =
+  {
+    placement = t.placement;
+    flaws = t.flaws;
+    store;
+    hierarchy;
+    supervisor_damage_count = t.supervisor_damage_count;
+    links_snapped = t.links_snapped;
+  }
+
 let placement t = t.placement
 let has_flaw t flaw = List.mem flaw t.flaws
 let supervisor_damage_count t = t.supervisor_damage_count

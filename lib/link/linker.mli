@@ -43,6 +43,10 @@ val create :
   unit ->
   t
 
+val copy : t -> store:Object_seg.Store.t -> hierarchy:Hierarchy.t -> t
+(** The same placement, flaws and counters, linking in [store] and
+    [hierarchy] (the copying system's). *)
+
 val placement : t -> placement
 val has_flaw : t -> flaw -> bool
 

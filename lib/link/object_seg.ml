@@ -51,6 +51,19 @@ let make ?(malformation = None) ~text_words ~definitions ~links () =
     malformation;
   }
 
+(* Links are snapped in place, so each copy holds link records of its
+   own. *)
+let copy t =
+  {
+    text_words = t.text_words;
+    definitions = t.definitions;
+    links =
+      Array.map
+        (fun l -> { target_seg = l.target_seg; target_entry = l.target_entry; snapped = l.snapped })
+        t.links;
+    malformation = t.malformation;
+  }
+
 let text_words t = t.text_words
 let definitions t = t.definitions
 let link_count t = Array.length t.links
@@ -80,4 +93,10 @@ module Store = struct
   let get store ~uid = Hashtbl.find_opt store (Uid.to_int uid)
 
   let remove store ~uid = Hashtbl.remove store (Uid.to_int uid)
+
+  (* Only looked up by uid, so refilling loses nothing. *)
+  let copy store =
+    let copied = Hashtbl.create (Hashtbl.length store) in
+    Hashtbl.iter (fun uid obj -> Hashtbl.replace copied uid (copy obj)) store;
+    copied
 end

@@ -30,6 +30,10 @@ val make :
 (** [links] are [(segment name, entry name)] pairs, initially
     unsnapped. *)
 
+val copy : t -> t
+(** The same segment with link records of its own, snapped where [t]'s
+    are: snapping one side's link leaves the other's alone. *)
+
 val text_words : t -> int
 val definitions : t -> definition list
 val link_count : t -> int
@@ -48,4 +52,7 @@ module Store : sig
   val put : t -> uid:Uid.t -> obj -> unit
   val get : t -> uid:Uid.t -> obj option
   val remove : t -> uid:Uid.t -> unit
+
+  val copy : t -> t
+  (** Every object copied (see {!copy}). *)
 end

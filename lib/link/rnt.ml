@@ -23,6 +23,7 @@ let error_to_string = function
 
 let create ~placement = { placement; bindings = [] }
 
+let copy t = { placement = t.placement; bindings = t.bindings }
 let placement t = t.placement
 
 let bind t ~name ~segno =

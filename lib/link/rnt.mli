@@ -12,6 +12,7 @@ type error = Name_not_bound of string | Name_already_bound of string
 val error_to_string : error -> string
 
 val create : placement:placement -> t
+val copy : t -> t
 val placement : t -> placement
 
 val bind : t -> name:string -> segno:int -> (unit, error) result

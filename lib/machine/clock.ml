@@ -7,6 +7,7 @@ type t = { mutable now : int }
 
 let create () = { now = 0 }
 
+let copy t = { now = t.now }
 let now t = t.now
 
 let advance t cycles =

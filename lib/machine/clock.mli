@@ -5,6 +5,9 @@ type t
 val create : unit -> t
 (** Starts at cycle 0. *)
 
+val copy : t -> t
+(** Starts where [t] stands. *)
+
 val now : t -> int
 
 val advance : t -> int -> unit

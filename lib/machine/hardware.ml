@@ -111,6 +111,7 @@ module Assoc = struct
   (* 16 entries, as on the 6180 appending unit. *)
   let create ?(capacity = 16) ?(name = "hw.assoc") () =
     Multics_cache.Avc.create ~capacity ~hash:(fun segno -> segno) ~equal:Int.equal ~name ()
+  let copy t = Multics_cache.Avc.copy t
   let lookup t ~segno = Multics_cache.Avc.find t segno
   let install t ~segno sdw = Multics_cache.Avc.add t ~obj:segno segno sdw
   let invalidate t ~segno = Multics_cache.Avc.invalidate_object t segno

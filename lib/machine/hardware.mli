@@ -38,6 +38,10 @@ module Assoc : sig
       ["hw.assoc"]) selects the obs counter family, so a per-CPU CAM
       can report under ["cache.smp.assoc.*"] instead. *)
 
+  val copy : t -> t
+  (** The same entries over copied generations (see
+      {!Multics_cache.Avc.copy}). *)
+
   val lookup : t -> segno:int -> Sdw.t option
   val install : t -> segno:int -> Sdw.t -> unit
   val invalidate : t -> segno:int -> unit

@@ -11,13 +11,19 @@
 
    Design:
 
-   - {b A state is its trace.}  [System.t] is mutable with no
-     snapshot, so [Mc] uses canonical re-execution: a state is the
-     deterministic replay of its action trace from a fresh boot.
-     Replay pushes every action of the trace into the simulator's
-     event queue at the same firing time and lets [Sim.run] drain it —
-     ties fire in insertion order ([Event_queue]'s stability
-     contract), which is exactly what makes replay deterministic.
+   - {b A state is its trace, replayed on a memory image.}  A state
+     is the deterministic replay of its action trace from the booted
+     plant.  As the paper moves initialization into a memory image
+     loaded at start-up, an exploration boots its plant once, into an
+     image nothing replays, and runs every replay on a copy of it
+     ([System.copy], field by field, plus a fresh [Sim]); a copy
+     behaves as a boot on the copying domain would.
+     [violations_of_trace] still boots afresh: it is the reference the
+     copies are tested against.  Replay pushes every action of the
+     trace into the simulator's event queue at the same firing time
+     and lets [Sim.run] drain it — ties fire in insertion order
+     ([Event_queue]'s stability contract), which is exactly what makes
+     replay deterministic.
 
    - {b Canonicalization.}  After replay the instance is rendered to
      one canonical string: object attributes and contents, per-process
@@ -31,6 +37,9 @@
      an id ([State_key]): injective, so no hash collision can merge
      distinct states, and each distinct component is held once.
      [fingerprint] digests the string for display and tests.
+     [successor_check] is the evidence that merging on the string is
+     sound: every merged trace's successors must render as its
+     representative's.
 
    - {b Predicates at every state.}  P1 no stale Permit: every fresh
      entry in every SDW front must not grant a mode a fresh
@@ -82,6 +91,7 @@ module Acl = Multics_access.Acl
 module Principal = Multics_access.Principal
 module Policy = Multics_access.Policy
 module Par = Multics_par.Par
+module Avc = Multics_cache.Avc
 module Prng = Multics_util.Prng
 
 (* ----- The action alphabet ----- *)
@@ -414,13 +424,59 @@ let apply_action t action =
       | Ok _ | Error _ -> failwith "Mc plant salvage: unexpected response")
   | Deliver cpu -> ignore (Smp.deliver_connects t.plant ~cpu)
 
+(* ----- The memory image -----
+
+   An exploration boots its plant once, into an image nothing replays,
+   and runs every replay on a copy of it ([System.copy]: the kernel,
+   its processes and the attached plant; a fresh [Sim], as every boot
+   gets).  The image's AV cells are detached from the booting domain's
+   ACL generation, so they read the same whatever ACLs that domain
+   builds afterwards; each copy folds in the domain it is made on,
+   exactly as a boot there would. *)
+
+let copy_instance t =
+  let system = System.copy t.system in
+  let plant =
+    match System.plant system with Some plant -> plant | None -> failwith "Mc: no plant"
+  in
+  let sim = Sim.create ~cost:(System.cost system) ~virtual_processors:1 in
+  Smp.set_now plant (fun () -> Sim.now sim);
+  {
+    system;
+    plant;
+    sim;
+    alice = t.alice;
+    bob = t.bob;
+    home = t.home;
+    home_segno = t.home_segno;
+    s0 = t.s0;
+    s1 = t.s1;
+    alice_s0 = t.alice_s0;
+    alice_s1 = t.alice_s1;
+    bob_s0 = t.bob_s0;
+    bob_s1 = t.bob_s1;
+    alice_carried = t.alice_carried;
+    bob_carried = t.bob_carried;
+    s0_taints = t.s0_taints;
+    s1_taints = t.s1_taints;
+    violations = t.violations;
+  }
+
+type image = { image_bug : bool; booted : instance }
+
+let build_image ~bug =
+  let booted = boot ~bug () in
+  Hierarchy.set_acl_epoch (System.hierarchy booted.system) (Avc.Gen.new_epoch ());
+  { image_bug = bug; booted }
+
+let copy image = copy_instance image.booted
+
 (* ----- Replay: canonical re-execution through the event queue -----
 
    Every action of the trace is pushed at the same firing time; the
    queue's tie-order stability (insertion order) is what makes the
    schedule — and therefore the state — a pure function of the trace. *)
-let replay ~bug trace =
-  let t = boot ~bug () in
+let run t trace =
   List.iter (fun action -> Sim.at t.sim ~delay:1 (fun () -> apply_action t action)) trace;
   Sim.run t.sim;
   t
@@ -738,15 +794,28 @@ let check_state t =
   check_p3 t;
   check_p4 t
 
-(* The full per-trace verdict: replay, capture the state, then run the
-   predicates.  Violations come back oldest-first. *)
-let verdict capture ~bug trace =
-  let t = replay ~bug trace in
+(* The full per-trace verdict on a booted plant [t]: replay, capture
+   the state, then run the predicates.  Violations come back
+   oldest-first. *)
+let verdict capture t trace =
+  let t = run t trace in
   let state = capture t in
   check_state t;
   (state, List.rev t.violations)
 
-let violations_of_trace ~bug trace = verdict canonical ~bug trace
+(* The reference every image copy is tested against: a fresh boot. *)
+let violations_of_trace ~bug trace = verdict canonical (boot ~bug ()) trace
+
+module Image = struct
+  type t = image
+
+  let build = build_image
+  let violations_of_trace image trace = verdict canonical (copy image) trace
+
+  (* Rendered on a copy: even a read-only capture compiles AV cells
+     ([tmp_uid]'s lookup), and the image is never written. *)
+  let canonical image = canonical (copy image)
+end
 
 (* ----- State keys -----
 
@@ -770,7 +839,9 @@ module State_key = struct
         id
 
   let of_components table components = Array.map (intern table) components
-  let of_trace table ~bug trace = of_components table (fst (verdict components ~bug trace))
+
+  let of_trace table ~bug trace =
+    of_components table (fst (verdict components (boot ~bug ()) trace))
 end
 
 (* The polymorphic hash looks at no more than ten values, so the key's
@@ -826,8 +897,11 @@ let depth_cap = 16
    smaller multiple pays for more often. *)
 let chunk_size ~jobs = 64 * jobs
 
-let explore ?jobs ?(bug = false) ~depth () =
-  let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
+(* The search [explore] and [successor_check] share.  [on_state rtrace
+   key ~fresh] sees every replayed trace (reversed) as it merges, with
+   its state's key and whether the state is new. *)
+let search ~jobs ~image ~depth ~on_state =
+  let bug = image.image_bug in
   let chunk = chunk_size ~jobs in
   let alpha = alphabet ~bug in
   let keys = State_key.create () in
@@ -845,14 +919,20 @@ let explore ?jobs ?(bug = false) ~depth () =
       List.iter (note_counterexample found trace) violations
     end;
     let key = State_key.of_components keys components in
-    if Visited.mem visited key then next
-    else begin
+    let fresh = not (Visited.mem visited key) in
+    on_state rtrace key ~fresh;
+    if fresh then begin
       Visited.add visited key ();
       rtrace :: next
     end
+    else next
   in
-  ignore (merge [] [] (verdict components ~bug []));
-  let replay rtrace = verdict components ~bug (List.rev rtrace) in
+  let replay rtrace = verdict components (copy image) (List.rev rtrace) in
+  (* The root is the image's own state.  An exploration that expands
+     nothing makes no copy after the root, so it checks the root on the
+     image itself: one boot and no copy. *)
+  let root = if depth < 1 then image.booted else copy image in
+  ignore (merge [] [] (verdict components root []));
   (* A level's candidates are generated from the frontier in order,
      [a :: rtrace] sharing the parent's trace, and replayed a chunk at a
      time.  Each chunk merges in task order, so the outcome is
@@ -900,6 +980,68 @@ let explore ?jobs ?(bug = false) ~depth () =
     o_rows = rows;
     o_counterexamples = !found;
     o_fixpoint = frontier = [];
+  }
+
+let default_jobs = function Some j -> j | None -> Par.default_jobs ()
+
+let explore ?jobs ?(bug = false) ~depth () =
+  search ~jobs:(default_jobs jobs) ~image:(build_image ~bug) ~depth
+    ~on_state:(fun _ _ ~fresh:_ -> ())
+
+(* ----- The successor check -----
+
+   The visited set merges two traces whose canonical strings are
+   equal; that is sound only if the string hides nothing that decides
+   later behaviour.  Every trace of the search that merged into a state
+   already visited (its representative) must therefore have successors
+   that render exactly as the representative's do, action by action. *)
+
+type successor_report = {
+  sr_merged : int;  (** traces that merged into an earlier state *)
+  sr_pairs : int;  (** (merged successor, representative successor) pairs compared *)
+  sr_divergent : (action list * action list * action) list;
+      (** (merged trace, its representative, the action after which
+          their canonical strings differ) *)
+}
+
+let successor_check ?jobs ?(bug = false) ~depth () =
+  let jobs = default_jobs jobs in
+  (* Each state's representative and the traces merged into it, newest
+     first. *)
+  let groups = Visited.create 64 and order = ref [] in
+  let on_state rtrace key ~fresh =
+    if fresh then begin
+      let group = (rtrace, ref []) in
+      Visited.add groups key group;
+      order := group :: !order
+    end
+    else
+      let _, merged = Visited.find groups key in
+      merged := rtrace :: !merged
+  in
+  let image = build_image ~bug in
+  ignore (search ~jobs ~image ~depth ~on_state);
+  let groups = List.filter (fun (_, merged) -> !merged <> []) (List.rev !order) in
+  let alpha = alphabet ~bug in
+  let successor rtrace a = fst (verdict canonical (copy image) (List.rev (a :: rtrace))) in
+  (* One task per representative: its successors are replayed once, then
+     compared with each merged trace's. *)
+  let check (rep, merged) =
+    let expected = List.map (fun a -> (a, successor rep a)) alpha in
+    List.concat_map
+      (fun rtrace ->
+        List.filter_map
+          (fun (a, want) ->
+            if String.equal want (successor rtrace a) then None
+            else Some (List.rev rtrace, List.rev rep, a))
+          expected)
+      (List.rev !merged)
+  in
+  let merged = List.fold_left (fun n (_, m) -> n + List.length !m) 0 groups in
+  {
+    sr_merged = merged;
+    sr_pairs = merged * List.length alpha;
+    sr_divergent = List.concat (Par.map ~jobs check groups);
   }
 
 (* ----- Rendering ----- *)

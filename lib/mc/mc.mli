@@ -20,11 +20,12 @@
       structured [Policy.check] recomputation for every subject x
       object x mode.
 
-    A state is its trace: [System.t] has no snapshot, so states are
-    canonically re-executed from a fresh boot, every action pushed
-    into the simulator's event queue at the same firing time
-    ([Event_queue]'s tie-order stability makes replay a pure function
-    of the trace).  The visited set keys on interned canonical
+    A state is its trace, canonically re-executed from the booted
+    plant, every action pushed into the simulator's event queue at the
+    same firing time ([Event_queue]'s tie-order stability makes replay
+    a pure function of the trace).  An exploration boots the plant
+    once into a memory image ({!Image}) and replays every state on a
+    copy of it.  The visited set keys on interned canonical
     components ({!State_key}), never on a digest; each level is
     generated from the frontier as it is replayed, fanned out through
     [Par.map] a chunk at a time and merged in task order, so outcomes
@@ -79,6 +80,27 @@ val violations_of_trace : bug:bool -> action list -> string * violation list
     queue, capture the canonical state string, then run the state
     predicates.  Returns [(canonical, violations)] with violations in
     the order found (per-action P2/P3 first, then the state walk). *)
+
+(** An exploration's memory image: the plant booted once and never
+    written again.  Each replay runs on a copy of it ({!System.copy}
+    and a fresh simulator), which behaves as a boot on the copying
+    domain would — the same canonical state, the same violations, the
+    same obs counts past the boot's own — so an exploration pays one
+    boot, not one per state.  {!violations_of_trace} keeps booting
+    afresh and is the reference the copies are tested against. *)
+module Image : sig
+  type t
+
+  val build : bug:bool -> t
+  (** Boot the plant (with the deferred-connect bug when [bug]). *)
+
+  val violations_of_trace : t -> action list -> string * violation list
+  (** {!violations_of_trace} on a copy of the image instead of a
+      fresh boot.  Safe from any domain, concurrently. *)
+
+  val canonical : t -> string
+  (** The image's canonical state, rendered on a copy of it. *)
+end
 
 val fingerprint : string -> string
 (** Digest of a canonical state string, for display and tests.  The
@@ -147,6 +169,28 @@ val chunk_size : jobs:int -> int
 (** Candidates replayed per [Par.map] round at a pool size, and so the
     most replayed states an exploration holds before merging them: a
     fixed multiple of the pool size. *)
+
+(** {1 The successor check}
+
+    The visited set merges traces whose canonical strings are equal.
+    That is sound only if the string hides nothing that decides later
+    behaviour, so every trace that merged into an already-visited state
+    must have successors rendering exactly as its representative's. *)
+
+type successor_report = {
+  sr_merged : int;  (** traces that merged into an earlier state *)
+  sr_pairs : int;  (** (merged successor, representative successor) pairs compared *)
+  sr_divergent : (action list * action list * action) list;
+      (** (merged trace, its representative, the action after which
+          their canonical strings differ); empty when the check holds *)
+}
+
+val successor_check : ?jobs:int -> ?bug:bool -> depth:int -> unit -> successor_report
+(** Explore as {!explore} does, then replay every alphabet action after
+    each merged trace and after its representative (the first trace
+    to reach that state), all on copies of one image, and compare the
+    canonical strings.  The representative's successors are replayed
+    once per state. *)
 
 val summary : outcome -> string
 (** The states/depth/expansions table plus any counterexamples —

@@ -86,6 +86,10 @@ module Lock = struct
     let acquisitions, contended, wait_cycles = instruments name in
     { name; free_at = 0; acquisitions; contended; wait_cycles }
 
+  let copy t =
+    let acquisitions, contended, wait_cycles = instruments t.name in
+    { name = t.name; free_at = t.free_at; acquisitions; contended; wait_cycles }
+
   let name t = t.name
   let free_at t = t.free_at
 
@@ -118,8 +122,9 @@ type cpu = {
   mutable connects_received : int;
 }
 
-(* What a connect asks its target to clear.  Only the deferred bug
-   mode keeps it, and only [pending_connects] renders it. *)
+(* What a connect asks its target to clear: the broadcast delivers it,
+   and the deferred bug mode queues it as data until [deliver_connects]
+   runs the same clear. *)
 type connect = Inval of int  (** one CAM key *) | Flush
 
 type t = {
@@ -136,9 +141,8 @@ type t = {
           seeded-bug leg: remote connects queue instead of being
           delivered synchronously, re-opening the stale-Permit
           window the connect protocol exists to close *)
-  mutable pending : (int * connect * (unit -> unit)) list;
-      (** queued (target cpu, what it clears, clear) in reverse arrival
-          order *)
+  mutable pending : (int * connect) list;
+      (** queued (target cpu, what it clears) in reverse arrival order *)
   connects_sent : Obs.Counter.t;
   connects_lost : Obs.Counter.t;
   connect_retries : Obs.Counter.t;
@@ -183,6 +187,40 @@ let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
     charge = ignore;
     deferred_connects = false;
     pending = [];
+    connects_sent = obs_connects_sent ();
+    connects_lost = obs_connects_lost ();
+    connect_retries = obs_connect_retries ();
+    connect_rescues = obs_connect_rescues ();
+    connect_cycles = obs_connect_cycles ();
+  }
+
+(* Fronts whose PTW generations the source shared (page control's)
+   share one copy of them.  The clock and the cycle sink are the
+   driver's: the copy starts with [create]'s, for its owner to set. *)
+let copy t =
+  if Option.is_some t.faults then invalid_arg "Smp.copy: a fault plan is attached";
+  let ptw_gens = Avc.gens t.cpus.(0).ptw in
+  let shared = Avc.Gen.copy ptw_gens in
+  let copy_cpu c =
+    let gens = if Avc.gens c.ptw == ptw_gens then shared else Avc.Gen.copy (Avc.gens c.ptw) in
+    {
+      id = c.id;
+      cam = Hardware.Assoc.copy c.cam;
+      ptw = Avc.copy ~gens c.ptw;
+      connects_received = c.connects_received;
+    }
+  in
+  {
+    ncpus = t.ncpus;
+    cost = t.cost;
+    cpus = Array.map copy_cpu t.cpus;
+    current = t.current;
+    lock = Lock.copy t.lock;
+    now = (fun () -> 0);
+    faults = None;
+    charge = ignore;
+    deferred_connects = t.deferred_connects;
+    pending = t.pending;
     connects_sent = obs_connects_sent ();
     connects_lost = obs_connects_lost ();
     connect_retries = obs_connect_retries ();
@@ -253,33 +291,41 @@ let lost_connect_fires t =
   | None -> false
   | Some inj -> Fault.Injector.fire inj Fault.Smp_lost_connect
 
-(* Broadcast a connect from the current CPU; [clear cpu] is what the
-   target's connect-fault handler does (invalidate or flush).  Returns
-   only when every CPU has been cleared — synchronous coherence is the
-   whole point.  The accumulated cycle bill (per-target IPI +
-   interrupt entry, plus stalls for lost connects, plus global-lock
-   wait) is recorded in [smp.connect.cycles] and charged through the
-   pluggable [charge] closure. *)
-let broadcast t ~connect clear =
+(* What a CPU's connect-fault handler does: bump one CAM entry's
+   generation, or flush the CAM and the PTW front outright. *)
+let clear c = function
+  | Inval key -> Hardware.Assoc.invalidate c.cam ~segno:key
+  | Flush ->
+      Hardware.Assoc.flush c.cam;
+      Avc.flush c.ptw
+
+(* A remote CPU taking a connect: the clear, acknowledged. *)
+let receive c connect =
+  clear c connect;
+  c.connects_received <- c.connects_received + 1
+
+(* Broadcast a connect from the current CPU.  Returns only when every
+   CPU has been cleared — synchronous coherence is the whole point.
+   The accumulated cycle bill (per-target IPI + interrupt entry, plus
+   stalls for lost connects, plus global-lock wait) is recorded in
+   [smp.connect.cycles] and charged through the pluggable [charge]
+   closure. *)
+let broadcast t connect =
   let origin = t.current in
   (* The originating CPU clears inline as part of the mutation. *)
-  clear t.cpus.(origin);
+  clear t.cpus.(origin) connect;
   if t.ncpus > 1 then begin
     let cycles = ref 0 in
     Array.iter
       (fun c ->
         if c.id <> origin then begin
           Obs.Counter.incr t.connects_sent;
-          let clear_target () =
-            clear c;
-            c.connects_received <- c.connects_received + 1
-          in
           if t.deferred_connects then begin
             (* Bug mode: the IPI is "sent" but delivery waits for an
                explicit [deliver_connects].  The mutating call returns
                with this CPU's associative memory possibly stale —
                exactly the window the synchronous protocol closes. *)
-            t.pending <- (c.id, connect, clear_target) :: t.pending;
+            t.pending <- (c.id, connect) :: t.pending;
             cycles := !cycles + t.cost.Cost.connect_ipi
           end
           else
@@ -298,14 +344,14 @@ let broadcast t ~connect clear =
                   `Lost (t.cost.Cost.connect_ipi + ack_timeout t.cost)
                 end
                 else begin
-                  clear_target ();
+                  receive c connect;
                   `Acked (t.cost.Cost.connect_ipi + t.cost.Cost.interrupt_entry)
                 end)
               ~escalate:(fun () ->
                 (* Rescue: the target would not ack; clear its
                    memories directly through the system controller. *)
                 Obs.Counter.incr t.connect_rescues;
-                clear_target ();
+                receive c connect;
                 t.cost.Cost.connect_ipi + t.cost.Cost.interrupt_entry)
           in
           cycles := !cycles + Connect.cycles_of outcome
@@ -322,17 +368,11 @@ let broadcast t ~connect clear =
 (* A descriptor for (handle, segno) changed ("setfaults"): bump that
    entry's generation on every CPU.  The composite key makes the bump
    exact — other processes' entries for the same segno survive. *)
-let connect_invalidate t ~handle ~segno =
-  let key = cam_key ~handle ~segno in
-  broadcast t ~connect:(Inval key) (fun c ->
-      Hardware.Assoc.invalidate c.cam ~segno:key)
+let connect_invalidate t ~handle ~segno = broadcast t (Inval (cam_key ~handle ~segno))
 
 (* Whole-system revocation (salvage, cache clear): flush every CPU's
    CAM and PTW front outright. *)
-let connect_flush_all t =
-  broadcast t ~connect:Flush (fun c ->
-      Hardware.Assoc.flush c.cam;
-      Avc.flush c.ptw)
+let connect_flush_all t = broadcast t Flush
 
 (* ----- The deferred-connect bug mode -----
 
@@ -346,7 +386,7 @@ let set_deferred_connects t flag =
   if not flag then begin
     (* Leaving bug mode delivers everything still queued, so the
        plant is coherent again. *)
-    List.iter (fun (_, _, deliver) -> deliver ()) (List.rev t.pending);
+    List.iter (fun (cpu, connect) -> receive t.cpus.(cpu) connect) (List.rev t.pending);
     t.pending <- []
   end;
   t.deferred_connects <- flag
@@ -354,15 +394,13 @@ let set_deferred_connects t flag =
 let deferred_connects t = t.deferred_connects
 
 let deliver_connects t ~cpu =
-  let mine, rest =
-    List.partition (fun (target, _, _) -> target = cpu) (List.rev t.pending)
-  in
-  List.iter (fun (_, _, deliver) -> deliver ()) mine;
+  let mine, rest = List.partition (fun (target, _) -> target = cpu) (List.rev t.pending) in
+  List.iter (fun (_, connect) -> receive t.cpus.(cpu) connect) mine;
   t.pending <- List.rev rest;
   List.length mine
 
 let connect_tag = function Inval key -> "inval:" ^ string_of_int key | Flush -> "flush"
-let pending_connects t = List.rev_map (fun (cpu, connect, _) -> (cpu, connect_tag connect)) t.pending
+let pending_connects t = List.rev_map (fun (cpu, connect) -> (cpu, connect_tag connect)) t.pending
 
 (* ----- Read-only cache enumeration (for the model checker) ----- *)
 

@@ -85,6 +85,15 @@ val create : ?ncpus:int -> ?ptw_gens:Multics_cache.Avc.Gen.t -> cost:Cost.t -> u
     ".rescues"], the ["smp.connect.cycles"] histogram, ["smp.lock.*"]
     and the ["cache.smp.assoc.*"]/["cache.smp.ptw.*"] families. *)
 
+val copy : t -> t
+(** A plant in the same state — every CPU's CAM and PTW front, connect
+    counts, current CPU, lock, deferred mode and queued connects — that
+    evolves independently of [t] and records into the calling domain's
+    instruments.  Fronts that shared PTW generations share one copy of
+    them (page control's own cache is not copied).  Its clock and cycle
+    sink start as {!create} leaves them, for the owner to set; raises
+    [Invalid_argument] if [t] has a fault plan. *)
+
 val ncpus : t -> int
 val cost : t -> Cost.t
 val lock : t -> Lock.t

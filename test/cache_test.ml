@@ -593,6 +593,32 @@ let test_parity_100_seeds () =
     run_parity_seed seed
   done
 
+let test_gen_copy_rebased () =
+  (* A copy onto another epoch reads exactly as its source did: a stamp
+     fresh in the source is fresh in the copy, a stale one stays stale
+     whatever either epoch does next, and bumps on one side never reach
+     the other. *)
+  let epoch = Avc.Gen.new_epoch () in
+  let g = Avc.Gen.create ~epoch () in
+  Avc.Gen.bump_object g 5;
+  let stale = Avc.Gen.global g in
+  Avc.Gen.advance epoch;
+  let fresh = Avc.Gen.global g and obj = Avc.Gen.of_object g 5 in
+  let other = Avc.Gen.new_epoch () in
+  List.iter (fun _ -> Avc.Gen.advance other) [ 1; 2; 3 ];
+  let c = Avc.Gen.copy ~epoch:other g in
+  Alcotest.(check int) "global reads as the source's" fresh (Avc.Gen.global c);
+  Alcotest.(check int) "object reads as the source's" obj (Avc.Gen.of_object c 5);
+  Avc.Gen.advance epoch;
+  Alcotest.(check int) "the source's epoch no longer reaches the copy" fresh (Avc.Gen.global c);
+  Avc.Gen.advance other;
+  Alcotest.(check bool) "the copy's epoch stales its fresh stamps" true (Avc.Gen.global c > fresh);
+  Alcotest.(check bool) "and never revives a stale one" true (Avc.Gen.global c <> stale);
+  Avc.Gen.bump_object c 5;
+  Alcotest.(check int) "a bump on the copy stays there" obj (Avc.Gen.of_object g 5);
+  Avc.Gen.set_epoch g other;
+  Alcotest.(check int) "set_epoch keeps the reading" (fresh + 1) (Avc.Gen.global g)
+
 let suite =
   [
     Alcotest.test_case "avc: find/add basics" `Quick test_avc_basics;
@@ -623,4 +649,6 @@ let suite =
       test_gen_allocated_on_first_write;
     Alcotest.test_case "acl backstop stales every compiled verdict" `Quick test_acl_backstop;
     Alcotest.test_case "a dropped kernel is collected" `Quick test_dropped_kernel_collected;
+    Alcotest.test_case "gen: a copy onto another epoch reads as its source" `Quick
+      test_gen_copy_rebased;
   ]

@@ -114,6 +114,39 @@ let test_create_write_read () =
   Alcotest.(check int) "read back" 42
     (check_api "read" (Gate_calls.read_word system ~handle:alice ~segno ~offset:3))
 
+let test_copy_independent () =
+  (* A copied kernel starts where its source stands and from then on
+     neither side's writes, ACL edits or audit records reach the other. *)
+  let system, alice = boot () in
+  let segno =
+    check_env "create"
+      (User_env.create_segment_at system ~handle:alice ~path:">udd>Dev>Alice>notes"
+         ~acl:(Acl.of_strings [ ("Alice.Dev.*", "rw") ])
+         ~label:Label.unclassified)
+  in
+  check_api "write" (Gate_calls.write_word system ~handle:alice ~segno ~offset:0 ~value:1);
+  let copy = System.copy system in
+  let records = Audit_log.length (System.audit system) in
+  Alcotest.(check int) "the copy's trail so far" records (Audit_log.length (System.audit copy));
+  Alcotest.(check int) "the copy reads the source's word" 1
+    (check_api "read copy" (Gate_calls.read_word copy ~handle:alice ~segno ~offset:0));
+  check_api "write copy" (Gate_calls.write_word copy ~handle:alice ~segno ~offset:0 ~value:2);
+  check_api "revoke in copy"
+    (Api.Call.dispatch copy ~handle:alice (Api.Call.Set_acl { segno; acl = Acl.of_strings [] })
+    |> Result.map ignore);
+  Alcotest.(check int) "source word untouched" 1
+    (check_api "read source" (Gate_calls.read_word system ~handle:alice ~segno ~offset:0));
+  Alcotest.(check bool) "revocation stays in the copy" true
+    (Result.is_error (Gate_calls.read_word copy ~handle:alice ~segno ~offset:0));
+  Alcotest.(check int) "source trail grew by its own read only" (records + 1)
+    (Audit_log.length (System.audit system));
+  let module Fault = Multics_fault.Fault in
+  (match Fault.Plan.parse ~seed:1 "gate.abort=nth:1" with
+  | Ok plan -> System.set_faults system (Some (Fault.Injector.create plan))
+  | Error e -> Alcotest.fail e);
+  Alcotest.check_raises "an armed fault plan is refused"
+    (Invalid_argument "System.copy: a fault plan is armed") (fun () -> ignore (System.copy system))
+
 let test_acl_denies_other_user () =
   let system, alice = boot () in
   ignore
@@ -814,3 +847,5 @@ let test_session_interrupt_disciplines () =
 
 let session_interrupt_suite =
   [ ("session interrupt disciplines", `Quick, test_session_interrupt_disciplines) ]
+
+let copy_suite = [ ("a copied kernel evolves independently", `Quick, test_copy_independent) ]

@@ -1,18 +1,24 @@
 (* lib/mc — the bounded exhaustive model checker.
 
    Canonical re-execution is the checker's foundation: a state IS its
-   trace, replayed from a fresh boot through the simulator's event
-   queue.  These tests pin the properties everything above relies on —
-   replay is a pure function of the trace (the Event_queue tie-order
-   regression), canonicalization identifies states by content rather
-   than by the order that reached them, extending a trace never
-   aliases the shorter trace's capture, the visited set's interned keys
-   identify exactly the states the canonical strings do, exploration
-   finds nothing on the healthy plant up to its fixpoint and the exact
-   two-action stale-Permit window on the seeded-bug plant, and the
-   frontier pool size is invisible. *)
+   trace, replayed through the simulator's event queue — from a fresh
+   boot ([Mc.violations_of_trace]), or on a copy of the booted memory
+   image an exploration makes once ([Mc.Image]).  These tests pin the
+   properties everything above relies on — replay is a pure function
+   of the trace (the Event_queue tie-order regression),
+   canonicalization identifies states by content rather than by the
+   order that reached them, extending a trace never aliases the
+   shorter trace's capture, the visited set's interned keys identify
+   exactly the states the canonical strings do, an image copy replays
+   exactly as a fresh boot and the image is never written, merged
+   states have their representative's successors (the successor
+   check, to depth 4; [dune build @mc_full] runs it over the whole
+   space), exploration finds nothing on the healthy plant up to its
+   fixpoint and the exact two-action stale-Permit window on the
+   seeded-bug plant, and the frontier pool size is invisible. *)
 
 module Mc = Multics_mc.Mc
+module Par = Multics_par.Par
 
 let fp ~bug trace = Mc.fingerprint (fst (Mc.violations_of_trace ~bug trace))
 
@@ -116,17 +122,20 @@ let test_pool_size_invisible () =
   let s jobs = Mc.summary (Mc.explore ~jobs ~depth:2 ~bug:true ()) in
   Alcotest.(check string) "jobs=1 and jobs=2 outcomes identical" (s 1) (s 2)
 
+(* Every trace of at most three actions over an alphabet. *)
+let traces_upto_three alpha =
+  let extend traces = List.concat_map (fun t -> List.map (fun a -> t @ [ a ]) alpha) traces in
+  let ones = extend [ [] ] in
+  let twos = extend ones in
+  ([] :: ones) @ twos @ extend twos
+
 let test_state_keys_exact () =
   (* The visited set keys on interned components instead of the
      canonical string; that is sound only if the two identify exactly
      the same states.  Every trace of at most three actions (a superset
      of the candidates of depth <= 3): equal keys must mean equal
      canonical strings, and equal strings equal keys. *)
-  let alpha = Mc.alphabet ~bug:false in
-  let extend traces = List.concat_map (fun t -> List.map (fun a -> t @ [ a ]) alpha) traces in
-  let ones = extend [ [] ] in
-  let twos = extend ones in
-  let traces = ([] :: ones) @ twos @ extend twos in
+  let traces = traces_upto_three (Mc.alphabet ~bug:false) in
   let table = Mc.State_key.create () in
   let by_key = Hashtbl.create 1024 and by_canon = Hashtbl.create 1024 in
   let agree tbl k v what trace =
@@ -145,6 +154,52 @@ let test_state_keys_exact () =
   Alcotest.(check int) "traces checked" 2955 (List.length traces);
   Alcotest.(check int) "the states within three actions" 269 (Hashtbl.length by_canon);
   Alcotest.(check int) "one key per canonical state" 269 (Hashtbl.length by_key)
+
+let test_image_copies_are_boots () =
+  (* Every replay of an exploration runs on a copy of one booted image.
+     Over every trace of at most three actions, on both alphabets, a
+     copy's replay must reach the fresh boot's canonical state and
+     violations, and count exactly what the boot counts past the boot
+     itself ([Mc_oracle]). *)
+  List.iter
+    (fun (bug, expected) ->
+      let oracle = Mc_oracle.create ~bug in
+      let traces = traces_upto_three (Mc.alphabet ~bug) in
+      Alcotest.(check int) "traces" expected (List.length traces);
+      List.iter
+        (fun trace ->
+          match Mc_oracle.check oracle trace with
+          | _, None -> ()
+          | _, Some divergence -> Alcotest.fail divergence)
+        traces)
+    [ (false, 2955); (true, 4369) ]
+
+let test_image_never_written () =
+  (* The image renders its build-time state after copies of it have
+     been replayed on one domain and on four. *)
+  let image = Mc.Image.build ~bug:true in
+  let built = Mc.Image.canonical image in
+  Alcotest.(check string) "the image is the boot" (fst (Mc.violations_of_trace ~bug:true [])) built;
+  let traces = traces_upto_three (Mc.alphabet ~bug:false) in
+  List.iter
+    (fun jobs ->
+      ignore (Par.map ~jobs (Mc.Image.violations_of_trace image) traces);
+      Alcotest.(check string) (Printf.sprintf "unchanged after jobs=%d" jobs) built
+        (Mc.Image.canonical image))
+    [ 1; 4 ]
+
+let test_successors_agree () =
+  (* The standing successor check, to depth 4: every trace that merged
+     into an already-visited state must lead, action by action, to the
+     canonical states its representative leads to. *)
+  let r = Mc.successor_check ~jobs:1 ~depth:4 () in
+  Alcotest.(check int) "traces merged within depth 4" 3_081 r.Mc.sr_merged;
+  Alcotest.(check int) "successor pairs" 43_134 r.Mc.sr_pairs;
+  match r.Mc.sr_divergent with
+  | [] -> ()
+  | (merged, rep, a) :: _ ->
+      Alcotest.failf "%d divergent, first [%s] vs [%s] after %s" (List.length r.Mc.sr_divergent)
+        (Mc.trace_to_string merged) (Mc.trace_to_string rep) (Mc.action_to_string a)
 
 (* One exploration to the cap, shared by the tests that need it. *)
 let fixpoint = lazy (Mc.explore ~jobs:1 ~depth:Mc.depth_cap ())
@@ -214,4 +269,8 @@ let suite =
       test_level_wider_than_chunk;
     Alcotest.test_case "reachable canonical states match the golden digest" `Quick
       test_canonical_golden;
+    Alcotest.test_case "image copies replay as fresh boots" `Quick test_image_copies_are_boots;
+    Alcotest.test_case "the image is never written" `Quick test_image_never_written;
+    Alcotest.test_case "merged states have the representative's successors" `Quick
+      test_successors_agree;
   ]

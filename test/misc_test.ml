@@ -77,10 +77,12 @@ let test_audit_queries () =
     ~verdict:(Audit_log.Refused "no");
   Audit_log.log audit ~subject ~operation:"read" ~target:"y" ~verdict:Audit_log.Granted;
   Alcotest.(check int) "length" 3 (Audit_log.length audit);
-  Alcotest.(check int) "grants" 2 (List.length (Audit_log.grants audit));
+  let records = Audit_log.records audit in
+  let granted r = match r.Audit_log.verdict with Audit_log.Granted -> true | Refused _ -> false in
+  Alcotest.(check int) "grants" 2 (List.length (List.filter granted records));
   Alcotest.(check int) "refusals" 1 (Audit_log.refusal_count audit);
   Alcotest.(check int) "by operation" 2
-    (List.length (Audit_log.by_operation audit ~operation:"read"));
+    (List.length (List.filter (fun r -> r.Audit_log.operation = "read") records));
   (* Sequence numbers are stable and ordered. *)
   let seqs = List.map (fun r -> r.Audit_log.seq) (Audit_log.records audit) in
   Alcotest.(check (list int)) "sequenced" [ 0; 1; 2 ] seqs;

@@ -59,6 +59,28 @@ let test_ptw_front_per_cpu () =
   Smp.connect_flush_all plant;
   Alcotest.(check bool) "flush empties every front" false (Smp.ptw_touch plant ~page)
 
+let test_deferred_connects_are_data () =
+  (* Bug mode queues what each connect clears, not a closure over the
+     CPU it clears: a copied plant delivers its own queue and leaves
+     the source's alone. *)
+  let plant = Smp.create ~ncpus:2 ~cost:Cost.h6180 () in
+  Smp.set_deferred_connects plant true;
+  Smp.set_current plant 0;
+  Smp.connect_invalidate plant ~handle:1 ~segno:8;
+  Smp.connect_flush_all plant;
+  let queued = [ (1, "inval:4104"); (1, "flush") ] in
+  let pending = Alcotest.(list (pair int string)) in
+  Alcotest.(check pending) "queued in arrival order" queued (Smp.pending_connects plant);
+  let copy = Smp.copy plant in
+  Alcotest.(check pending) "the copy holds the same queue" queued (Smp.pending_connects copy);
+  Alcotest.(check int) "the copy delivers both" 2 (Smp.deliver_connects copy ~cpu:1);
+  let received p = List.assoc "connects_received" (Smp.cpu_status p 1) in
+  Alcotest.(check int) "received on the copy" 2 (received copy);
+  Alcotest.(check pending) "the source still queues both" queued (Smp.pending_connects plant);
+  Alcotest.(check int) "nothing received on the source" 0 (received plant);
+  Smp.set_deferred_connects plant false;
+  Alcotest.(check int) "leaving bug mode delivers the source's" 2 (received plant)
+
 (* ----- The directed stale-Permit race -----
 
    Warm two CPUs' associative memories on the same segment, revoke the
@@ -315,4 +337,5 @@ let suite =
     Alcotest.test_case "coherence parity, 100 seeds x {1,2,4} CPUs" `Slow test_parity_100_seeds;
     Alcotest.test_case "coherence parity under fault storm" `Quick test_parity_under_fault_storm;
     Alcotest.test_case "multi-CPU run deterministic" `Quick test_multi_cpu_run_deterministic;
+    Alcotest.test_case "deferred connects are data" `Quick test_deferred_connects_are_data;
   ]

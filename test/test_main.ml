@@ -14,7 +14,8 @@ let () =
       ("io", Io_test.suite);
       ("kernel",
         Kernel_test.suite @ Kernel_test.extra_suite @ Kernel_test.session_suite
-        @ Kernel_test.revocation_suite @ Kernel_test.session_interrupt_suite);
+        @ Kernel_test.revocation_suite @ Kernel_test.session_interrupt_suite
+        @ Kernel_test.copy_suite);
       ("dispatch", Dispatch_test.suite @ Dispatch_test.audit_suite @ Dispatch_test.meter_suite);
       ("obs", Obs_test.suite);
       ("audit", Audit_test.suite @ Audit_test.extra_suite @ Audit_test.stage_suite);
