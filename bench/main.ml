@@ -127,10 +127,10 @@ let bench_hardware_check_assoc_hit =
   let open Multics_machine in
   let assoc = Hardware.Assoc.create () in
   let sdw = Sdw.make ~mode:Mode.rew ~brackets:Brackets.user_data () in
-  Hardware.Assoc.install assoc ~segno:7 sdw;
+  Hardware.Assoc.install assoc ~key:7 sdw;
   Test.make ~name:"e4/hardware_check_assoc_hit"
     (Staged.stage (fun () ->
-         Hardware.check_via_assoc assoc ~segno:7 ~fetch:(fun () -> Some sdw) ~ring:Ring.user
+         Hardware.check_via_assoc assoc ~key:7 ~fetch:(fun () -> Some sdw) ~ring:Ring.user
            ~operation:Hardware.Read))
 
 (* ----- E5: the boundary sweep ----- *)
@@ -274,17 +274,15 @@ let smp_bench_sdw =
     ~brackets:(Multics_machine.Brackets.make ~r1:4 ~r2:4 ~r3:4)
     ()
 
-let smp_bench_assoc = Multics_machine.Hardware.Assoc.create ~name:"bench.smp.assoc" ()
-
 let bench_smp_check_sdw_hit =
   (* Warm the CAM once; every iteration is then the per-CPU hit path. *)
   ignore
-    (Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8 ~assoc:smp_bench_assoc
+    (Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8
        ~fetch:(fun () -> Some smp_bench_sdw)
        ~ring:Multics_machine.Ring.user ~operation:Multics_machine.Hardware.Read);
   Test.make ~name:"e18/check_sdw_cam_hit"
     (Staged.stage (fun () ->
-         Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8 ~assoc:smp_bench_assoc
+         Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8
            ~fetch:(fun () -> Some smp_bench_sdw)
            ~ring:Multics_machine.Ring.user ~operation:Multics_machine.Hardware.Read))
 

@@ -84,9 +84,9 @@ let cmd_help () =
     \  sched status            traffic-controller policy + counters (via the Sched_status gate)\n\
     \  sched tune PARAM VALUE  adjust cap | quantum | age_after (via the Sched_tune gate)\n\
     \  sched demo [USERS]      run the deterministic timesharing workload, print latencies\n\
-    \  cache status            decision-cache and associative-memory counters\n\
+    \  cache status            policy-cache and this CPU's associative-memory counters\n\
     \  cache clear             invalidate every cached access decision\n\
-    \  smp status              multiprocessor plant: CPUs, connects, lock (set MULTICS_NCPU)\n\
+    \  smp status              the plant: CPUs (1 unless MULTICS_NCPU), connects, lock\n\
     \  jobs status             experiment-harness domain pool: size, tasks, per-worker\n\
     \                          counts (set MULTICS_JOBS)\n\
     \  site status             distributed fleet: per-site epochs, links (set MULTICS_SITES)\n\
@@ -376,7 +376,7 @@ let cmd_cache_status shell =
     | Api.Call.Cache_report { policy; assoc } ->
         say "policy verdict cache:";
         List.iter (fun (name, v) -> say "  %-16s %d" name v) policy;
-        say "SDW associative memory (this process):";
+        say "SDW associative memory (this CPU):";
         List.iter (fun (name, v) -> say "  %-16s %d" name v) assoc
     | _ -> ())
 
@@ -440,7 +440,7 @@ let cmd_sched_demo shell ~users =
   let module Workload = Multics_sched.Workload in
   (* The demo runs at the plant's CPU count (MULTICS_NCPU), so a
      multiprocessor shell demos the multiprocessor schedule. *)
-  let cpus = match System.plant shell.system with Some p -> Smp.ncpus p | None -> 1 in
+  let cpus = Smp.ncpus (System.plant shell.system) in
   let spec = { Workload.default with users; cpus; policy = Workload.Use_mlf } in
   let r = Workload.run spec in
   say "timesharing demo: %d users, %d CPU%s, %s policy — %d interactions in %d cycles" users
@@ -704,10 +704,10 @@ let () =
       profile = None;
     }
   in
-  (* MULTICS_NCPU > 1 boots the multiprocessor plant: per-CPU
-     associative memories, connect coherence on every descriptor
-     mutation, [smp status] live.  At 1 CPU no plant is attached and
-     the shell is the uniprocessor seed, byte for byte. *)
+  (* MULTICS_NCPU > 1 attaches a multiprocessor plant: per-CPU
+     associative memories kept coherent by connects on every
+     descriptor mutation.  At 1 CPU the kernel keeps the one-CPU plant
+     it booted on; [smp status] answers either way. *)
   let ncpus = Smp.default_ncpus () in
   if ncpus > 1 then begin
     let plant = Smp.create ~ncpus ~cost:(System.cost shell.system) () in

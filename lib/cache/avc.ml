@@ -18,9 +18,10 @@
    the entry dies in the same step as the ACL edit, label change,
    deletion, branch move or salvager repair that revoked it.
 
-   The cache is deliberately generic: the same mechanism backs the
-   policy-verdict cache in the file-system hierarchy, the per-process
-   SDW associative memory, and the PTW lookaside in page control.  Each
+   The cache is deliberately generic: one mechanism backs three
+   caches — the policy-verdict cache in the file-system hierarchy,
+   each CPU's SDW associative memory, and the PTW lookaside in page
+   control.  Each
    instance reports hits/misses/invalidations through [lib/obs] under
    "cache.<name>.*", and may carry a fault-injection probe that models
    spurious full flushes (the [cache.flush] site): a flush storm may
@@ -40,10 +41,9 @@ module Gen = struct
      up to the highest one bumped so far: it starts empty, and a read
      past its end reads generation 0 like an unallocated page.  A cache
      that is never invalidated object by object (most of those a boot
-     creates) allocates no directory at all, and a per-process memory
-     whose segnos all fall in page 0 allocates a one-slot one.  Paging
-     matters because the dense ids are not compact: a CPU's
-     CAM keys its entries by [(handle lsl 12) lor segno], so one
+     creates) allocates no directory at all.  Paging matters because
+     the dense ids are not compact: a CPU's CAM keys its entries by
+     [(handle lsl 12) lor segno], so one
      process's first invalidation lands thousands of ids past the
      previous one, and a flat array grown to cover it would cost tens
      of KB per boot.  Anything outside the dense range (e.g. hashed

@@ -1,7 +1,7 @@
 (** A generic fixed-capacity, epoch-versioned decision cache — the
     simulated counterpart of the 6180's associative memory, generalised
-    to back the policy-verdict cache, the per-process SDW associative
-    memory and the PTW lookaside.
+    to back three caches: the policy-verdict cache, each CPU's SDW
+    associative memory and the PTW lookaside.
 
     Revocation correctness is the design center: entries are stamped
     with generation counters (one global, one per object id) at

@@ -54,7 +54,6 @@ type error =
   | Bad_fault_plan of string
   | No_scheduler
   | Bad_tune of string
-  | No_smp_plant
   | Site_fenced of { site : int }
   | Site_unreachable of { site : int }
 
@@ -83,7 +82,6 @@ let pp ppf = function
   | Bad_fault_plan detail -> Fmt.pf ppf "bad fault plan: %s" detail
   | No_scheduler -> Fmt.string ppf "no traffic controller is registered"
   | Bad_tune detail -> Fmt.pf ppf "bad scheduler tuning: %s" detail
-  | No_smp_plant -> Fmt.string ppf "no multiprocessor plant is attached"
   | Site_fenced { site } ->
       Fmt.pf ppf "site %d is fenced pending salvage-and-resync; refusing rather than risk a stale decision" site
   | Site_unreachable { site } ->
@@ -130,7 +128,6 @@ let error_to_json e =
   | Bad_fault_plan detail -> kind "bad-fault-plan" [ ("detail", json_str detail) ]
   | No_scheduler -> kind "no-scheduler" []
   | Bad_tune detail -> kind "bad-tune" [ ("detail", json_str detail) ]
-  | No_smp_plant -> kind "no-smp-plant" []
   | Site_fenced { site } -> kind "site-fenced" [ ("site", string_of_int site) ]
   | Site_unreachable { site } -> kind "site-unreachable" [ ("site", string_of_int site) ]
 
@@ -334,25 +331,19 @@ let naming_in_kernel system = (System.config system).Config.naming = Multics_lin
 
 (* ----- Shared helpers for gate bodies ----- *)
 
-(* Every content reference goes through the process's associative
+(* Every content reference goes through the current CPU's associative
    memory: a hit reuses the cached SDW, a miss fetches it from the KST
    (the simulated descriptor-segment walk) and installs it.  The KST's
-   descriptor-change hook invalidates the entry on setfaults,
+   descriptor-change hook clears the entry on every CPU on setfaults,
    terminate, and salvage, so a revoked descriptor can never be
-   re-checked from the CAM.  Under a multiprocessor plant the
-   reference runs through the current CPU's own associative memory
-   first — kept coherent by the connect protocol, so the routing can
-   change which cache answers, never what it answers. *)
+   re-checked from a CAM — which CPU runs the reference can change
+   which cache answers, never what it answers. *)
 let check_sdw system (p : System.proc) ~segno ~operation =
   let fetch () = Kst.sdw_of p.System.kst segno in
-  let decision =
-    match System.plant system with
-    | Some plant ->
-        Multics_smp.Smp.check_sdw plant ~handle:p.System.handle ~segno ~assoc:p.System.assoc
-          ~fetch ~ring:p.System.ring ~operation
-    | None -> Hardware.check_via_assoc p.System.assoc ~segno ~fetch ~ring:p.System.ring ~operation
-  in
-  match decision with
+  match
+    Multics_smp.Smp.check_sdw (System.plant system) ~handle:p.System.handle ~segno ~fetch
+      ~ring:p.System.ring ~operation
+  with
   | None -> Error (Kst_error (Kst.Unknown_segno segno))
   | Some (Hardware.Granted grant) -> Ok grant
   | Some (Hardware.Denied denial) -> Error (Hardware_denied denial)
@@ -1019,14 +1010,12 @@ module Call = struct
             | Some verdict -> Ok (Probed verdict)
             | None -> Error (Fs (Hierarchy.No_entry (string_of_int segno))))
     | Cache_status ->
-        call Ungated ~target:"caches" (fun p _subject ->
+        call Ungated ~target:"caches" (fun _p _subject ->
             Ok
               (Cache_report
                  {
                    policy = Hierarchy.cache_stats (System.hierarchy system);
-                   assoc =
-                     ("size", Hardware.Assoc.size p.System.assoc)
-                     :: Hardware.Assoc.counters p.System.assoc;
+                   assoc = Multics_smp.Smp.cam_status (System.plant system);
                  }))
     | Cache_clear ->
         call Ungated ~target:"caches" (fun _p _subject ->
@@ -1052,17 +1041,16 @@ module Call = struct
                 match sc.System.sc_tune ~param ~value with
                 | Ok () -> Ok Done
                 | Error detail -> Error (Bad_tune detail)))
-    (* ----- Multiprocessor plant -----
+    (* ----- The plant -----
 
-       Operator surface: CPU count, connect/lock counters, per-CPU
-       associative-memory populations.  Pure inspection — it can move
-       no descriptor and flush no cache. *)
+       Operator surface: CPU count (one on a uniprocessor),
+       connect/lock counters, per-CPU associative-memory populations.
+       Pure inspection — it can move no descriptor and flush no
+       cache. *)
     | Smp_status ->
         call Ungated ~target:"plant" (fun _p _subject ->
-            match System.plant system with
-            | None -> Error No_smp_plant
-            | Some plant ->
-                let readings, cpus = Multics_smp.Smp.status plant in
-                Ok (Smp_report { ncpus = Multics_smp.Smp.ncpus plant; plant = readings; cpus }))
+            let plant = System.plant system in
+            let readings, cpus = Multics_smp.Smp.status plant in
+            Ok (Smp_report { ncpus = Multics_smp.Smp.ncpus plant; plant = readings; cpus }))
 end
 

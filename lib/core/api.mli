@@ -38,7 +38,6 @@ type error =
   | Bad_fault_plan of string
   | No_scheduler  (** no traffic controller registered with the system *)
   | Bad_tune of string  (** the scheduler rejected a tuning parameter or value *)
-  | No_smp_plant  (** no multiprocessor plant attached to the system *)
   | Site_fenced of { site : int }
       (** the caller's home site is fenced pending salvage-and-resync;
           a fenced site refuses rather than risk serving a decision it
@@ -177,7 +176,12 @@ module Call : sig
     | Fault_report of { plan : string; counts : (string * int) list }
     | Salvaged of Salvager.report
     | Probed of Policy.verdict
-    | Cache_report of { policy : (string * int) list; assoc : (string * int) list }
+    | Cache_report of {
+        policy : (string * int) list;
+        assoc : (string * int) list;
+            (** the current CPU's SDW associative memory
+                ({!Multics_smp.Smp.cam_status}) *)
+      }
     | Sched_report of { policy : string; counters : (string * int) list }
     | Smp_report of {
         ncpus : int;

@@ -39,9 +39,6 @@ type proc = {
   login_ring : Ring.t;  (** where the authentication code executed *)
   mutable subsystem_stack : (string * Ring.t) list;
       (** entered protected subsystems: (name, ring to restore) *)
-  assoc : Hardware.Assoc.t;
-      (** the per-process SDW associative memory; invalidated through
-          the KST's descriptor-change hook, so "setfaults" reaches it *)
   mutable subject_memo : Policy.subject option;
       (** the subject record for the CURRENT ring, rebuilt on ring
           change.  Re-presenting one record reference keeps the SID
@@ -125,10 +122,11 @@ type t = {
   mutable faults : Multics_fault.Fault.Injector.t option;
   mutable crash_journal : journal_entry list;  (** reversed *)
   mutable scheduler : scheduler_control option;
-  mutable plant : Multics_smp.Smp.t option;
-      (** the multiprocessor plant, when attached: every descriptor
-          mutation then broadcasts connects so no CPU's associative
-          memory can outlive the descriptor it caches *)
+  mutable plant : Multics_smp.Smp.t;
+      (** the processors, one at boot: each CPU's associative memory
+          is the one place a descriptor is cached, and every
+          descriptor mutation broadcasts connects so none can outlive
+          the descriptor it caches *)
   mutable gates : (string, Gate.entry) Hashtbl.t;
       (** the gate table the gate check consults: one lookup per call *)
   mutable gate_mask : gate_mask option;  (** the installed specialisation, if any *)
@@ -188,11 +186,13 @@ let register_scheduler t control = t.scheduler <- control
 
 let scheduler t = t.scheduler
 
-(* The plant attaches after boot (the workload driver or the shell
-   decides the CPU count); with none attached every coherence hook is
-   a no-op and the system behaves byte-for-byte as the uniprocessor
-   seed. *)
-let attach_plant t plant = t.plant <- plant
+(* Every kernel boots on a plant of one CPU; a caller that wants more
+   ([Workload.run], the shell, the model checker) attaches its own
+   after boot, and [None] goes back to one CPU. *)
+let one_cpu cost = Multics_smp.Smp.create ~ncpus:1 ~cost ()
+
+let attach_plant t plant =
+  t.plant <- (match plant with Some p -> p | None -> one_cpu t.cost)
 
 let plant t = t.plant
 
@@ -231,10 +231,11 @@ let create config =
       ~hierarchy ()
   in
   let init_report = Init.run config in
+  let cost = Config.cost config in
   let t =
     {
       config;
-      cost = Config.cost config;
+      cost;
       hierarchy;
       store;
       linker;
@@ -253,7 +254,7 @@ let create config =
       faults = None;
       crash_journal = [];
       scheduler = None;
-      plant = None;
+      plant = one_cpu cost;
       gates = unmasked_gate_table config;
       gate_mask = None;
     }
@@ -335,18 +336,14 @@ let process_dir_name ~handle =
   let digits = Multics_util.Decimal.to_string handle in
   "p" ^ String.make (max 0 (3 - String.length digits)) '0' ^ digits
 
-(* Wire "setfaults" through to the associative memory: the KST's
+(* Wire "setfaults" through to the associative memories: the KST's
    set_sdw/terminate are the only descriptor mutation points, so a
    recomputed or dropped descriptor clears its cached copy in the same
-   step.  Under a multiprocessor plant the same hook broadcasts a
-   connect, so every other CPU's associative memory drops its copy
-   before the mutating call returns. *)
-let wire_setfaults t ~handle kst assoc =
+   step — inline on the current CPU, and by a connect on every other
+   CPU before the mutating call returns. *)
+let wire_setfaults t ~handle kst =
   Kst.set_on_sdw_change kst (fun segno ->
-      Hardware.Assoc.invalidate assoc ~segno;
-      match t.plant with
-      | Some plant -> Multics_smp.Smp.connect_invalidate plant ~handle ~segno
-      | None -> ())
+      Multics_smp.Smp.connect_invalidate t.plant ~handle ~segno)
 
 (* Build a fresh process for an account at a session level.  Shared by
    login and by the create_process / new_proc gates. *)
@@ -359,8 +356,7 @@ let make_process t ~(account : account) ~session_level ~login_ring =
     | Rnt.In_user_ring -> Kst.Split
   in
   let kst = Kst.create ~variant:kst_variant () in
-  let assoc = Hardware.Assoc.create () in
-  wire_setfaults t ~handle kst assoc;
+  wire_setfaults t ~handle kst;
   let p =
     {
       handle;
@@ -373,7 +369,6 @@ let make_process t ~(account : account) ~session_level ~login_ring =
       working_dir = account.home;
       login_ring;
       subsystem_stack = [];
-      assoc;
       subject_memo = None;
     }
   in
@@ -472,8 +467,8 @@ let process_count t = Hashtbl.length t.procs
    refused. *)
 
 let copy_proc t (p : proc) =
-  let kst = Kst.copy p.kst and assoc = Hardware.Assoc.copy p.assoc in
-  wire_setfaults t ~handle:p.handle kst assoc;
+  let kst = Kst.copy p.kst in
+  wire_setfaults t ~handle:p.handle kst;
   {
     handle = p.handle;
     principal = p.principal;
@@ -485,7 +480,6 @@ let copy_proc t (p : proc) =
     working_dir = p.working_dir;
     login_ring = p.login_ring;
     subsystem_stack = p.subsystem_stack;
-    assoc;
     (* A memo, rebuilt on first use: no subject record is shared
        between the source and the copy. *)
     subject_memo = None;
@@ -521,7 +515,7 @@ let copy t =
       faults = None;
       crash_journal = t.crash_journal;
       scheduler = None;
-      plant = Option.map Multics_smp.Smp.copy t.plant;
+      plant = Multics_smp.Smp.copy t.plant;
       gates = t.gates;
       gate_mask = t.gate_mask;
     }
@@ -625,20 +619,15 @@ let setfaults t ~uid =
           | None -> ()))
     t.procs
 
-(* Drop every process's SDW associative memory outright.  The KST hook
-   already invalidates entry-by-entry on descriptor changes; this is
-   the big hammer for whole-system events (salvage, cache clear). *)
-let flush_assoc_memories t =
-  Hashtbl.iter (fun _ (p : proc) -> Hardware.Assoc.flush p.assoc) t.procs;
-  match t.plant with Some plant -> Multics_smp.Smp.connect_flush_all plant | None -> ()
-
 (* Invalidate every cached access decision in the system: the policy
-   verdict cache and each process's associative memory.  The salvager
-   runs this after repairs — a repair is a revocation, and revocations
-   must reach caches immediately. *)
+   verdict cache and every CPU's associative memory, flushed outright
+   (the KST hook already invalidates entry by entry on descriptor
+   changes; this is the big hammer).  The salvager runs this after
+   repairs — a repair is a revocation, and revocations must reach
+   caches immediately. *)
 let invalidate_caches t =
   Hierarchy.invalidate_cached_verdicts t.hierarchy;
-  flush_assoc_memories t
+  Multics_smp.Smp.connect_flush_all t.plant
 
 (* IPC channels (functional model: counted wakeups only). *)
 let new_ipc_channel t =

@@ -27,17 +27,15 @@ type proc = {
   mutable working_dir : Uid.t;
   login_ring : Ring.t;
   mutable subsystem_stack : (string * Ring.t) list;
-  assoc : Hardware.Assoc.t;
-      (** the per-process SDW associative memory (the 6180's CAM);
-          invalidated through the KST's descriptor-change hook *)
   mutable subject_memo : Policy.subject option;
       (** the current ring's subject record, rebuilt on ring change;
           re-presenting one record keeps its dense-SID memo hot *)
 }
 
 val create : Config.t -> t
-(** Boot the system: run the configured initialization strategy and
-    build the standard skeleton ([>sl1], [>udd], [>pdd]). *)
+(** Boot the system on a plant of one CPU: run the configured
+    initialization strategy and build the standard skeleton ([>sl1],
+    [>udd], [>pdd]). *)
 
 val copy : t -> t
 (** A kernel in the same state that evolves independently: mediation,
@@ -45,8 +43,8 @@ val copy : t -> t
     and the attached plant proceed exactly as in [t] from here.  The
     configuration, the gate table and every immutable value are
     shared; the hierarchy, the object store, the linker, the audit
-    trail, the processes (KST, RNT, associative memory, re-wired
-    setfaults hook) and the plant are copied.  The copy records into
+    trail, the processes (KST, RNT, re-wired setfaults hook) and the
+    plant are copied.  The copy records into
     the calling domain's obs instruments, and its hierarchy folds in
     the calling domain's ACL generation — so it behaves as a kernel
     booted on the calling domain would.  Raises
@@ -77,13 +75,11 @@ val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
     can add cost or force a refusal/abort, never widen access.  Also
     installs (or clears) the hierarchy's [Cache_flush] storm probe. *)
 
-val flush_assoc_memories : t -> unit
-(** Drop every process's SDW associative memory. *)
-
 val invalidate_caches : t -> unit
 (** Invalidate every cached access decision: the policy verdict cache
-    plus each process's associative memory.  Run by the salvager after
-    repairs and by the [cache clear] operator command. *)
+    plus every CPU's associative memory (and PTW front).  Run by the
+    salvager after repairs and by the [cache clear] operator
+    command. *)
 
 val faults : t -> Multics_fault.Fault.Injector.t option
 
@@ -108,19 +104,21 @@ val register_scheduler : t -> scheduler_control option -> unit
 
 val scheduler : t -> scheduler_control option
 
-(** {1 The multiprocessor plant}
+(** {1 The plant}
 
-    With a plant attached, every descriptor mutation (the KST's
-    on-change hook) broadcasts a connect so no CPU's associative
-    memory can outlive the descriptor it caches, and whole-system
-    revocation ({!flush_assoc_memories}, {!invalidate_caches})
-    flushes every CPU.  With none attached (the default) all
-    coherence hooks are no-ops — the uniprocessor seed behaviour,
-    byte for byte. *)
+    Every kernel runs on a plant ({!Multics_smp.Smp}), of one CPU from
+    {!create}: each CPU's SDW associative memory is the one place a
+    descriptor is cached, every descriptor mutation (the KST's
+    on-change hook) clears it on every CPU before returning, and
+    whole-system revocation ({!invalidate_caches}) flushes every
+    CPU. *)
 
 val attach_plant : t -> Multics_smp.Smp.t option -> unit
+(** Run on [Some] plant from now on; [None] gives the kernel a fresh
+    one-CPU plant, as {!create} does.  Processes already logged in
+    reach the new plant through their setfaults hooks. *)
 
-val plant : t -> Multics_smp.Smp.t option
+val plant : t -> Multics_smp.Smp.t
 
 (** {1 The gate table}
 

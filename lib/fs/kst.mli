@@ -37,9 +37,9 @@ val sdw_of : t -> int -> Multics_machine.Sdw.t option
 val set_on_sdw_change : t -> (int -> unit) -> unit
 (** Register the single descriptor-change observer, fired with the
     segno by {!set_sdw} and {!terminate} — the KST's two descriptor
-    mutation points.  The per-process SDW associative memory hangs off
-    this hook so "setfaults" (recompute on attribute change) reaches
-    cached descriptors immediately. *)
+    mutation points.  Every CPU's SDW associative memory is cleared
+    through this hook so "setfaults" (recompute on attribute change)
+    reaches cached descriptors immediately. *)
 
 val record_pathname : t -> int -> string -> (unit, error) result
 (** [Error Naming_not_in_kernel] under the [Split] variant — the

@@ -98,38 +98,40 @@ let check sdw ~ring ~operation =
 let allowed sdw ~ring ~operation =
   match check sdw ~ring ~operation with Granted _ -> true | Denied _ -> false
 
-(* The per-process SDW associative memory — the 6180's 16-entry CAM
-   that lets the appending unit skip the descriptor-segment fetch on
-   repeated references.  Correctness leans entirely on invalidation:
+(* The SDW associative memory — the 6180's 16-entry CAM that lets the
+   appending unit skip the descriptor-segment fetch on repeated
+   references.  Each CPU of the plant has one, keyed by a tag its
+   owner chooses.  Correctness leans entirely on invalidation:
    Multics "setfaults" clears these entries whenever a segment's
-   attributes change, and our Kst/System wiring does the same through
+   attributes change, and the plant does the same through
    {!invalidate}/{!flush}, so a cached SDW always equals the SDW the
    descriptor segment currently holds. *)
 module Assoc = struct
   type t = (int, Sdw.t) Multics_cache.Avc.t
 
   (* 16 entries, as on the 6180 appending unit. *)
-  let create ?(capacity = 16) ?(name = "hw.assoc") () =
-    Multics_cache.Avc.create ~capacity ~hash:(fun segno -> segno) ~equal:Int.equal ~name ()
+  let create () =
+    Multics_cache.Avc.create ~capacity:16 ~hash:(fun key -> key) ~equal:Int.equal
+      ~name:"hw.assoc" ()
+
   let copy t = Multics_cache.Avc.copy t
-  let lookup t ~segno = Multics_cache.Avc.find t segno
-  let install t ~segno sdw = Multics_cache.Avc.add t ~obj:segno segno sdw
-  let invalidate t ~segno = Multics_cache.Avc.invalidate_object t segno
+  let lookup t ~key = Multics_cache.Avc.find t key
+  let install t ~key sdw = Multics_cache.Avc.add t ~obj:key key sdw
+  let invalidate t ~key = Multics_cache.Avc.invalidate_object t key
   let flush t = Multics_cache.Avc.flush t
   let size t = Multics_cache.Avc.size t
-  let hit_ratio t = Multics_cache.Avc.hit_ratio t
   let counters t = Multics_cache.Avc.counters t
   let entries t = Multics_cache.Avc.entries t
 end
 
-let check_via_assoc assoc ~segno ~fetch ~ring ~operation =
-  match Assoc.lookup assoc ~segno with
+let check_via_assoc assoc ~key ~fetch ~ring ~operation =
+  match Assoc.lookup assoc ~key with
   | Some sdw -> Some (check sdw ~ring ~operation)
   | None -> (
       match fetch () with
       | None -> None
       | Some sdw ->
-          Assoc.install assoc ~segno sdw;
+          Assoc.install assoc ~key sdw;
           Some (check sdw ~ring ~operation))
 
 let pp_operation ppf = function

@@ -25,52 +25,52 @@ val check : Sdw.t -> ring:Ring.t -> operation:operation -> decision
 
 val allowed : Sdw.t -> ring:Ring.t -> operation:operation -> bool
 
-(** The per-process SDW associative memory (the 6180's 16-entry CAM).
-    Sound only under immediate invalidation: every SDW change must reach
-    {!Assoc.invalidate} or {!Assoc.flush} — the simulation wires this
+(** An SDW associative memory (the 6180's 16-entry CAM), one per CPU
+    of the plant ([Multics_smp.Smp]).  Entries are keyed by an
+    integer tag the owner chooses — the plant's is the composite
+    [(handle, segno)] key, so a process switch needs no flush.  Sound
+    only under immediate invalidation: every SDW change must reach
+    {!Assoc.invalidate} or {!Assoc.flush} — the plant wires this
     through the KST's on-change hook so "setfaults" semantics are
     preserved.  Obs counters live under ["cache.hw.assoc.*"]. *)
 module Assoc : sig
   type t
 
-  val create : ?capacity:int -> ?name:string -> unit -> t
-  (** [capacity] defaults to 16, as on the 6180.  [name] (default
-      ["hw.assoc"]) selects the obs counter family, so a per-CPU CAM
-      can report under ["cache.smp.assoc.*"] instead. *)
+  val create : unit -> t
+  (** 16 entries, as on the 6180. *)
 
   val copy : t -> t
   (** The same entries over copied generations (see
       {!Multics_cache.Avc.copy}). *)
 
-  val lookup : t -> segno:int -> Sdw.t option
-  val install : t -> segno:int -> Sdw.t -> unit
-  val invalidate : t -> segno:int -> unit
+  val lookup : t -> key:int -> Sdw.t option
+  val install : t -> key:int -> Sdw.t -> unit
+  val invalidate : t -> key:int -> unit
   val flush : t -> unit
   val size : t -> int
-  val hit_ratio : t -> float
 
   val counters : t -> (string * int) list
   (** The underlying cache's obs counter readings
-      (["cache.hw.assoc.*"]). *)
+      (["cache.hw.assoc.*"], shared by every instance). *)
 
   val entries : t -> (int * Sdw.t) list
   (** The (key, SDW) pairs that would currently hit; read-only, order
       unspecified.  For invariant checks — the model checker walks
-      every front looking for a cached grant that a fresh descriptor
-      recomputation would refuse. *)
+      every CPU's memory looking for a cached grant that a fresh
+      descriptor recomputation would refuse. *)
 end
 
 val check_via_assoc :
   Assoc.t ->
-  segno:int ->
+  key:int ->
   fetch:(unit -> Sdw.t option) ->
   ring:Ring.t ->
   operation:operation ->
   decision option
 (** {!check} against the associative memory: on a hit the cached SDW is
     used; on a miss [fetch] loads the descriptor (charged as
-    [Cost.sdw_fetch] by callers), which is installed before checking.
-    [None] when [fetch] finds no descriptor. *)
+    [Cost.sdw_fetch] by callers), which is installed under [key] before
+    checking.  [None] when [fetch] finds no descriptor. *)
 
 val denial_to_string : denial -> string
 val pp_operation : Format.formatter -> operation -> unit

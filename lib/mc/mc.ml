@@ -28,7 +28,7 @@
    - {b Canonicalization.}  After replay the instance is rendered to
      one canonical string: object attributes and contents, per-process
      KST/SDW state, every cache front that can hold a descriptor
-     (per-process associative memories, per-CPU CAMs and PTW fronts),
+     (each CPU's CAM and PTW front),
      queued connects, the crash journal (sans timestamps) and the
      MC-level taint sets.  Timing observables (clocks, lock free-at,
      obs counters, audit length) are deliberately excluded — mediation
@@ -81,7 +81,6 @@ module Sim = Multics_proc.Sim
 module Hierarchy = Multics_fs.Hierarchy
 module Kst = Multics_fs.Kst
 module Uid = Multics_fs.Uid
-module Hardware = Multics_machine.Hardware
 module Sdw = Multics_machine.Sdw
 module Mode = Multics_machine.Mode
 module Brackets = Multics_machine.Brackets
@@ -436,9 +435,7 @@ let apply_action t action =
 
 let copy_instance t =
   let system = System.copy t.system in
-  let plant =
-    match System.plant system with Some plant -> plant | None -> failwith "Mc: no plant"
-  in
+  let plant = System.plant system in
   let sim = Sim.create ~cost:(System.cost system) ~virtual_processors:1 in
   Smp.set_now plant (fun () -> Sim.now sim);
   {
@@ -592,8 +589,7 @@ let render t =
   cut ();
   (match tmp_uid t with None -> add "obj tmp absent\n" | Some uid -> render_object "tmp" uid);
   cut ();
-  (* Processes: ring, known segments, installed SDWs, and the
-     per-process associative-memory front. *)
+  (* Processes: ring, known segments and installed SDWs. *)
   List.iter
     (fun who ->
       let p = proc_of t who in
@@ -610,8 +606,6 @@ let render t =
               add_key segno;
               add "=-")
         (Kst.known_segnos p.System.kst);
-      add " } assoc{";
-      List.iter add_entry (by_key (Hardware.Assoc.entries p.System.assoc));
       add " }\n";
       cut ())
     [ Alice; Bob ];
@@ -679,17 +673,11 @@ let fingerprint canon = Digest.to_hex (Digest.string canon)
    recomputation refuses.  More-restrictive staleness is a freshness
    bug, not a security one; the predicate is exactly "no stale
    Permit".  (PTW fronts carry no access bits — a stale PTW entry
-   skips a page-table walk, never a mediation — so the SDW-bearing
-   fronts are the ones walked.) *)
-type front = Assoc_of of principal | Cam_of of int
-
-(* Formatted only when a violation is recorded: P1 walks every cached
-   entry of every front at every state. *)
-let front_to_string = function
-  | Assoc_of who -> principal_name who ^ "'s associative memory"
-  | Cam_of cpu -> Printf.sprintf "cpu %d's CAM" cpu
-
-let stale_permit t ~front ~segno ~cached ~uid_opt ~subject =
+   skips a page-table walk, never a mediation — so each CPU's CAM, the
+   one SDW-bearing front, is walked.)  Messages are formatted only
+   when a violation is recorded: P1 walks every cached entry of every
+   CAM at every state. *)
+let stale_permit t ~cpu ~segno ~cached ~uid_opt ~subject =
   let hierarchy = System.hierarchy t.system in
   let fresh = Option.bind uid_opt (fun uid -> Hierarchy.sdw_for hierarchy ~subject ~uid) in
   let cached_mode = Sdw.mode cached in
@@ -697,27 +685,15 @@ let stale_permit t ~front ~segno ~cached ~uid_opt ~subject =
   | None ->
       if not (Mode.is_none cached_mode) then
         record t "P1-stale-permit"
-          (Printf.sprintf "%s holds %s for dangling segno %d" (front_to_string front)
+          (Printf.sprintf "cpu %d's CAM holds %s for dangling segno %d" cpu
              (Mode.to_string cached_mode) segno)
   | Some fresh ->
       if not (Mode.subset cached_mode (Sdw.mode fresh)) then
         record t "P1-stale-permit"
-          (Printf.sprintf "%s grants %s on segno %d; fresh descriptor grants only %s"
-             (front_to_string front) (Mode.to_string cached_mode) segno
-             (Mode.to_string (Sdw.mode fresh)))
+          (Printf.sprintf "cpu %d's CAM grants %s on segno %d; fresh descriptor grants only %s"
+             cpu (Mode.to_string cached_mode) segno (Mode.to_string (Sdw.mode fresh)))
 
 let check_p1 t =
-  List.iter
-    (fun who ->
-      let p = proc_of t who in
-      let subject = System.subject_of p in
-      List.iter
-        (fun (segno, cached) ->
-          stale_permit t ~front:(Assoc_of who) ~segno ~cached
-            ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
-            ~subject)
-        (Hardware.Assoc.entries p.System.assoc))
-    [ Alice; Bob ];
   for cpu = 0 to 1 do
     List.iter
       (fun (key, cached) ->
@@ -728,7 +704,7 @@ let check_p1 t =
               record t "P1-stale-permit"
                 (Printf.sprintf "cpu %d CAM holds a grant for vanished process %d" cpu handle)
         | Some p ->
-            stale_permit t ~front:(Cam_of cpu) ~segno ~cached
+            stale_permit t ~cpu ~segno ~cached
               ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
               ~subject:(System.subject_of p))
       (Smp.cam_entries t.plant ~cpu)

@@ -6,9 +6,9 @@
     ([Api.Call.dispatch], the [Smp] connect protocol, the [Salvager])
     and checking four safety predicates at every reachable state:
 
-    - {b P1 no stale Permit} — no SDW-bearing cache front (per-process
-      associative memory, per-CPU CAM) may grant a mode a fresh
-      [Hierarchy.sdw_for] recomputation refuses;
+    - {b P1 no stale Permit} — no CPU's CAM (the one SDW-bearing cache
+      front) may grant a mode a fresh [Hierarchy.sdw_for]
+      recomputation refuses;
     - {b P2 fail-secure} — granted content accesses survive a fresh
       recomputation at grant time, faulted gate calls return errors,
       and a salvage leaves zero descriptor disagreements and an empty

@@ -172,9 +172,9 @@ let run spec =
   Sim.set_faults sim injector;
   let pc = Page_control.create ?faults:injector sim ~mem ~discipline:Page_control.Parallel_processes in
   Page_control.start pc;
-  (* The multiprocessor plant, when asked for.  At [cpus = 1] no plant
-     exists and every coherence hook is a no-op — the uniprocessor
-     seed behaviour, byte for byte. *)
+  (* The multiprocessor plant, when asked for.  At [cpus = 1] the
+     kernel keeps the one-CPU plant it boots on, and the scheduler
+     runs without one. *)
   let plant =
     if spec.cpus <= 1 then None
     else begin

@@ -13,9 +13,13 @@
 
    This module gives each simulated CPU its own SDW associative memory
    and PTW lookaside front (instances of the same epoch-versioned
-   [Avc] that backs the uniprocessor caches), a shared global lock
+   [Avc] that backs the policy-verdict cache), a shared global lock
    with a deterministic cycle-accounted contention model, and the
-   connect protocol itself.  Three invariants carry the whole design:
+   connect protocol itself.  It is the one place a descriptor is
+   cached: every kernel has a plant, and a uniprocessor is a plant of
+   one CPU.  Each CPU's associative memory is tagged by
+   (process handle, segment number), so a process switch needs no
+   flush.  Three invariants carry the whole design:
 
    - {b Coherence is synchronous.}  [connect_invalidate] /
      [connect_flush_all] do not return until every CPU's memories have
@@ -47,7 +51,8 @@ module Fault = Multics_fault.Fault
 module Sid = Multics_access.Sid
 
 (* CPU counts a deployment could plausibly ask for; anything else in
-   MULTICS_NCPU is ignored rather than crashing test startup. *)
+   MULTICS_NCPU is ignored rather than crashing the shell's boot (its
+   one reader). *)
 let max_cpus = 8
 
 let default_ncpus () =
@@ -150,11 +155,16 @@ type t = {
   connect_cycles : Obs.Histogram.t;
 }
 
-(* Segment numbers fit comfortably below this; the composite CAM key
-   puts the process handle in the bits above. *)
+(* The composite CAM key puts the process handle above the segment
+   number's [segno_bits] bits.  Only a segment number below
+   [2^segno_bits] has a key: KST numbers grow without bound and a
+   request's number is the caller's, so a larger or negative one
+   bypasses the CAM (fetched and checked, never installed).  Keys are
+   therefore injective, and [split_cam_key] inverts [cam_key]. *)
 let segno_bits = 12
 
-let cam_key ~handle ~segno = (handle lsl segno_bits) lor (segno land ((1 lsl segno_bits) - 1))
+let cacheable segno = segno >= 0 && segno < 1 lsl segno_bits
+let cam_key ~handle ~segno = (handle lsl segno_bits) lor segno
 
 let obs_connects_sent = Obs.Local.counter "smp.connects.sent"
 let obs_connects_lost = Obs.Local.counter "smp.connects.lost"
@@ -162,13 +172,13 @@ let obs_connect_retries = Obs.Local.counter "smp.connects.retries"
 let obs_connect_rescues = Obs.Local.counter "smp.connects.rescues"
 let obs_connect_cycles = Obs.Local.histogram "smp.connect.cycles"
 
-let create ?(ncpus = default_ncpus ()) ?ptw_gens ~cost () =
+let create ~ncpus ?ptw_gens ~cost () =
   if ncpus < 1 || ncpus > max_cpus then
     invalid_arg (Printf.sprintf "Smp.create: ncpus must be in 1..%d" max_cpus);
   let make_cpu id =
     {
       id;
-      cam = Hardware.Assoc.create ~name:"smp.assoc" ();
+      cam = Hardware.Assoc.create ();
       ptw =
         Avc.create ~capacity:64 ?gens:ptw_gens
           ~hash:(fun page -> page)
@@ -294,7 +304,7 @@ let lost_connect_fires t =
 (* What a CPU's connect-fault handler does: bump one CAM entry's
    generation, or flush the CAM and the PTW front outright. *)
 let clear c = function
-  | Inval key -> Hardware.Assoc.invalidate c.cam ~segno:key
+  | Inval key -> Hardware.Assoc.invalidate c.cam ~key
   | Flush ->
       Hardware.Assoc.flush c.cam;
       Avc.flush c.ptw
@@ -367,8 +377,11 @@ let broadcast t connect =
 
 (* A descriptor for (handle, segno) changed ("setfaults"): bump that
    entry's generation on every CPU.  The composite key makes the bump
-   exact — other processes' entries for the same segno survive. *)
-let connect_invalidate t ~handle ~segno = broadcast t (Inval (cam_key ~handle ~segno))
+   exact — other processes' entries for the same segno survive.  A
+   segment number with no key was never cached, so there is nothing
+   to clear. *)
+let connect_invalidate t ~handle ~segno =
+  if cacheable segno then broadcast t (Inval (cam_key ~handle ~segno))
 
 (* Whole-system revocation (salvage, cache clear): flush every CPU's
    CAM and PTW front outright. *)
@@ -410,35 +423,19 @@ let split_cam_key key = (key lsr segno_bits, key land ((1 lsl segno_bits) - 1))
 
 (* ----- The per-CPU mediation fronts ----- *)
 
-(* The current CPU's SDW associative memory, in front of the
-   per-process one.  A hit replays the cached SDW through the hardware
-   check (brackets and mode are still enforced per reference — only
-   the descriptor fetch is skipped); a miss falls through to the
-   per-process memory and then the KST, installing the descriptor in
-   both on the way back.  Soundness: entries die via connects in the
-   same step as any descriptor change, so the CAM can never replay a
-   revoked SDW. *)
-let check_sdw t ~handle ~segno ~assoc ~fetch ~ring ~operation =
-  let c = t.cpus.(t.current) in
-  let key = cam_key ~handle ~segno in
-  match Hardware.Assoc.lookup c.cam ~segno:key with
-  | Some sdw -> Some (Hardware.check sdw ~ring ~operation)
-  | None -> (
-      let sdw_opt =
-        match Hardware.Assoc.lookup assoc ~segno with
-        | Some sdw -> Some sdw
-        | None -> (
-            match fetch () with
-            | None -> None
-            | Some sdw ->
-                Hardware.Assoc.install assoc ~segno sdw;
-                Some sdw)
-      in
-      match sdw_opt with
-      | None -> None
-      | Some sdw ->
-          Hardware.Assoc.install c.cam ~segno:key sdw;
-          Some (Hardware.check sdw ~ring ~operation))
+(* The current CPU's SDW associative memory in front of the KST.  A
+   hit replays the cached SDW through the hardware check (brackets and
+   mode are still enforced per reference — only the descriptor fetch
+   is skipped); a miss fetches from the KST and installs the
+   descriptor on the way back.  A segment number with no CAM key is
+   fetched and checked every time.  Soundness: entries die via
+   connects in the same step as any descriptor change, so the CAM can
+   never replay a revoked SDW. *)
+let check_sdw t ~handle ~segno ~fetch ~ring ~operation =
+  if cacheable segno then
+    Hardware.check_via_assoc t.cpus.(t.current).cam ~key:(cam_key ~handle ~segno) ~fetch ~ring
+      ~operation
+  else Option.map (fun sdw -> Hardware.check sdw ~ring ~operation) (fetch ())
 
 (* Touch the current CPU's PTW front for a page SID; returns whether
    it hit.  A miss models this CPU walking the page table even though
@@ -465,6 +462,10 @@ let dispatch_lock_hold cost = 20 * cost.Cost.memory_reference
 let dispatch_lock t ~now = Lock.acquire t.lock ~now ~hold:(dispatch_lock_hold t.cost)
 
 (* ----- Status ----- *)
+
+let cam_status t =
+  let cam = t.cpus.(t.current).cam in
+  ("size", Hardware.Assoc.size cam) :: Hardware.Assoc.counters cam
 
 let cpu_status t i =
   let c = t.cpus.(i) in

@@ -2,7 +2,9 @@
     associative memory and PTW lookaside front, a shared global lock
     with a deterministic cycle-accounted contention model, and the
     connect (inter-processor interrupt) protocol that keeps every
-    CPU's cached descriptors coherent with the live ones.
+    CPU's cached descriptors coherent with the live ones.  Every
+    kernel has one ([System.plant]); a uniprocessor is a plant of one
+    CPU, so this is the one place a descriptor is cached.
 
     The design contract, matching the paper's multiprocessor 6180:
 
@@ -22,7 +24,7 @@ val max_cpus : int
 
 val default_ncpus : unit -> int
 (** [MULTICS_NCPU] from the environment when it parses as 1..{!max_cpus};
-    1 otherwise. *)
+    1 otherwise.  The shell's boot reads it; no library does. *)
 
 (** The shared global lock: deterministic contention.  The lock
     remembers when it next falls free; an acquirer waits out the
@@ -76,14 +78,14 @@ val max_retries : int
 
 type t
 
-val create : ?ncpus:int -> ?ptw_gens:Multics_cache.Avc.Gen.t -> cost:Cost.t -> unit -> t
-(** [ncpus] defaults to {!default_ncpus}[ ()]; raises
-    [Invalid_argument] outside 1..{!max_cpus}.  [ptw_gens] shares the
-    per-CPU PTW fronts' generations with page control's [vm.ptw]
-    cache, so an eviction there stales every CPU's front in the same
-    step.  Obs instruments: ["smp.connects.sent"/".lost"/".retries"/
-    ".rescues"], the ["smp.connect.cycles"] histogram, ["smp.lock.*"]
-    and the ["cache.smp.assoc.*"]/["cache.smp.ptw.*"] families. *)
+val create : ncpus:int -> ?ptw_gens:Multics_cache.Avc.Gen.t -> cost:Cost.t -> unit -> t
+(** Raises [Invalid_argument] unless [ncpus] is in 1..{!max_cpus}.
+    [ptw_gens] shares the per-CPU PTW fronts' generations with page
+    control's [vm.ptw] cache, so an eviction there stales every CPU's
+    front in the same step.  Obs instruments: ["smp.connects.sent"/
+    ".lost"/".retries"/".rescues"], the ["smp.connect.cycles"]
+    histogram, ["smp.lock.*"] and the ["cache.hw.assoc.*"]/
+    ["cache.smp.ptw.*"] families. *)
 
 val copy : t -> t
 (** A plant in the same state — every CPU's CAM and PTW front, connect
@@ -124,7 +126,9 @@ val cpu_for : t -> key:int -> int
 
 val connect_invalidate : t -> handle:int -> segno:int -> unit
 (** "setfaults" for one process's descriptor: bump its entry on every
-    CPU (the originator inline, the rest via connects). *)
+    CPU (the originator inline, the rest via connects).  A negative
+    segment number, or one of 4,096 or more, is never cached (see
+    {!check_sdw}), so it sends nothing. *)
 
 val connect_flush_all : t -> unit
 (** Whole-system revocation (salvage, cache clear): flush every CPU's
@@ -168,7 +172,8 @@ val ptw_keys : t -> cpu:int -> int list
 (** Fresh page-SID keys of that CPU's PTW lookaside front. *)
 
 val split_cam_key : int -> int * int
-(** [(handle, segno)] from a composite CAM key. *)
+(** [(handle, segno)] from a composite CAM key; the inverse of the
+    key {!check_sdw} installs under. *)
 
 (** {1 Per-CPU mediation fronts} *)
 
@@ -176,17 +181,18 @@ val check_sdw :
   t ->
   handle:int ->
   segno:int ->
-  assoc:Hardware.Assoc.t ->
   fetch:(unit -> Sdw.t option) ->
   ring:Ring.t ->
   operation:Hardware.operation ->
   Hardware.decision option
-(** The current CPU's CAM in front of the per-process associative
-    memory and the KST fetch.  Brackets and mode are still checked per
-    reference; only the descriptor fetch is skipped on a hit.  CAM
-    entries are keyed by the dense composite [(handle, segno)] pair —
-    the hardware's own SID space — so two processes' descriptors can
-    never be confused. *)
+(** {!Hardware.check_via_assoc} on the current CPU's CAM, in front of
+    the KST fetch.  Brackets and mode are still checked per reference;
+    only the descriptor fetch is skipped on a hit.  CAM entries are
+    keyed by the composite [(handle, segno)] pair, so two processes'
+    descriptors can never be confused and a process switch needs no
+    flush.  Only a segment number in 0..4,095 has a key: any other is
+    fetched and checked on every reference, never installed, so no two
+    segment numbers share an entry. *)
 
 val ptw_touch : t -> page:Multics_access.Sid.t -> bool
 (** Touch the current CPU's PTW front for a dense page SID (from
@@ -201,6 +207,11 @@ val dispatch_lock : t -> now:int -> int
     process. *)
 
 (** {1 Status} *)
+
+val cam_status : t -> (string * int) list
+(** The current CPU's SDW associative memory: its population
+    (["size"]) then the ["cache.hw.assoc.*"] counter readings (shared
+    by every CPU's) — the [Cache_status] gate's payload. *)
 
 val cpu_status : t -> int -> (string * int) list
 

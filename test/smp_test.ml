@@ -12,6 +12,8 @@ module Smp = Multics_smp.Smp
 module Fault = Multics_fault.Fault
 module Workload = Multics_sched.Workload
 module Obs = Multics_obs.Obs
+module Kst = Multics_fs.Kst
+module Hierarchy = Multics_fs.Hierarchy
 
 (* ----- Plant mechanics ----- *)
 
@@ -32,10 +34,10 @@ let test_cpu_for_deterministic () =
   done
 
 let test_ncpus_env_parsing () =
-  (* default_ncpus reads MULTICS_NCPU; out-of-range and garbage fall
-     back to 1 rather than crashing test startup.  We can't mutate the
-     environment portably here, so just pin the unset behaviour and
-     the bounds. *)
+  (* default_ncpus reads MULTICS_NCPU for the shell's boot;
+     out-of-range and garbage fall back to 1 rather than crashing it.
+     We can't mutate the environment portably here, so just pin the
+     unset behaviour and the bounds. *)
   let n = Smp.default_ncpus () in
   Alcotest.(check bool) "default in range" true (n >= 1 && n <= Smp.max_cpus);
   Alcotest.check_raises "ncpus 0 rejected"
@@ -91,20 +93,21 @@ let test_deferred_connects_are_data () =
    re-signals, eventually rescues — cycles are lost, the Permit still
    is not. *)
 
+let login_alice system =
+  ignore
+    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
+       ~clearance:Label.unclassified);
+  match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
+  | Ok h -> h
+  | Error e -> Alcotest.fail (System.login_error_to_string e)
+
 let boot_two_cpus ?faults () =
   Obs.set_enabled true;
   let system = System.create Config.kernel_6180 in
   let plant = Smp.create ~ncpus:2 ~cost:Cost.h6180 () in
   Smp.set_faults plant faults;
   System.attach_plant system (Some plant);
-  ignore
-    (System.add_account system ~person:"Alice" ~project:"Dev" ~password:"pw"
-       ~clearance:Label.unclassified);
-  let handle =
-    match System.login system ~person:"Alice" ~project:"Dev" ~password:"pw" with
-    | Ok h -> h
-    | Error e -> Alcotest.fail (System.login_error_to_string e)
-  in
+  let handle = login_alice system in
   let segno =
     match
       User_env.create_segment_at system ~handle ~path:">udd>Dev>Alice>scratch"
@@ -323,6 +326,103 @@ let test_multi_cpu_run_deterministic () =
   Alcotest.(check int) "same digest" a.Workload.r_signature b.Workload.r_signature;
   Alcotest.(check int) "same faults" a.Workload.r_page_faults b.Workload.r_page_faults
 
+(* ----- CAM keys never alias segment numbers -----
+
+   A CAM key keeps a segment number's low 12 bits under the process
+   handle.  A segment number of 4,096 or more must therefore never be
+   installed: Alice's [rw] at 4,096 above her read-only [ro] would
+   otherwise share [ro]'s key, and a write to [ro] would be granted
+   from the cached [rw] descriptor.  Run on a 2-CPU plant and on the
+   plant [System.create] boots with. *)
+
+let cam_alias_refused ?ncpus () =
+  let system = System.create Config.kernel_6180 in
+  Option.iter
+    (fun ncpus -> System.attach_plant system (Some (Smp.create ~ncpus ~cost:Cost.h6180 ())))
+    ncpus;
+  let handle = login_alice system in
+  let create name mode =
+    match
+      User_env.create_segment_at system ~handle ~path:(">udd>Dev>Alice>" ^ name)
+        ~acl:(Acl.of_strings [ ("Alice.Dev.*", mode) ])
+        ~label:Label.unclassified
+    with
+    | Ok segno -> segno
+    | Error e -> Alcotest.fail (User_env.error_to_string e)
+  in
+  let ro = create "ro" "r" and rw = create "rw" "rw" in
+  let p = Option.get (System.proc system handle) in
+  let uid segno = Result.get_ok (Kst.uid_of_segno p.System.kst segno) in
+  let ro_uid = uid ro and rw_uid = uid rw in
+  (* Re-initiate [rw] until its segment number is 4,096 above [ro]'s. *)
+  let rec land_rw segno =
+    if segno = ro + 4096 then segno
+    else begin
+      ignore (Kst.terminate p.System.kst segno);
+      land_rw (System.install_known system p ~uid:rw_uid)
+    end
+  in
+  let rw = land_rw rw in
+  let word0 () = Hierarchy.raw_read_word (System.hierarchy system) ~uid:ro_uid ~offset:0 in
+  let before = word0 () in
+  (match Gate_calls.write_word system ~handle ~segno:rw ~offset:0 ~value:1 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write to rw at %d: %s" rw (Api.error_to_string e));
+  (match Gate_calls.write_word system ~handle ~segno:ro ~offset:0 ~value:666 with
+  | Error (Api.Hardware_denied (Hardware.Missing_permission _)) -> ()
+  | Error e ->
+      Alcotest.failf "write to ro refused, but not by the hardware: %s" (Api.error_to_string e)
+  | Ok () -> Alcotest.failf "write to ro at %d granted from rw's descriptor at %d" ro rw);
+  Alcotest.(check (option int)) "ro's word unchanged" before (word0 ())
+
+let test_cam_keys_never_alias () =
+  cam_alias_refused ~ncpus:2 ();
+  cam_alias_refused ()
+
+(* ----- Every kernel has a plant ----- *)
+
+let test_boot_plant_is_one_cpu () =
+  (* MULTICS_NCPU reaches the shell's boot alone: the CI legs that set
+     it run this too. *)
+  let plant = System.plant (System.create Config.kernel_6180) in
+  Alcotest.(check int) "one CPU" 1 (Smp.ncpus plant);
+  Alcotest.(check int) "running on it" 0 (Smp.current plant)
+
+let test_smp_status_on_uniprocessor () =
+  let system = System.create Config.kernel_6180 in
+  let handle = login_alice system in
+  match Api.Call.dispatch system ~handle Api.Call.Smp_status with
+  | Ok (Api.Call.Smp_report { ncpus; plant; cpus }) ->
+      Alcotest.(check int) "one CPU" 1 ncpus;
+      Alcotest.(check int) "plant-wide ncpus" 1 (List.assoc "ncpus" plant);
+      Alcotest.(check (list int)) "one per-CPU block" [ 0 ] (List.map fst cpus)
+  | Ok _ -> Alcotest.fail "unexpected reply to Smp_status"
+  | Error e -> Alcotest.fail (Api.error_to_string e)
+
+let test_cache_status_reads_current_cam () =
+  (* Warm CPU 0's CAM only: the report's size follows the CPU the
+     caller runs on. *)
+  let system, plant, handle, segno = boot_two_cpus () in
+  Smp.set_current plant 0;
+  read_ok "warm CPU 0" system ~handle ~segno;
+  let reported cpu =
+    Smp.set_current plant cpu;
+    match Api.Call.dispatch system ~handle Api.Call.Cache_status with
+    | Ok (Api.Call.Cache_report { assoc; _ }) -> assoc
+    | Ok _ -> Alcotest.fail "unexpected reply to Cache_status"
+    | Error e -> Alcotest.fail (Api.error_to_string e)
+  in
+  let cam_size cpu = List.assoc "cam_size" (Smp.cpu_status plant cpu) in
+  Alcotest.(check bool) "CPU 0 is warm, CPU 1 cold" true (cam_size 0 > 0 && cam_size 1 = 0);
+  List.iter
+    (fun cpu ->
+      let assoc = reported cpu in
+      Alcotest.(check int) (Printf.sprintf "cpu %d's size" cpu) (cam_size cpu)
+        (List.assoc "size" assoc);
+      Alcotest.(check bool) (Printf.sprintf "cpu %d's counters" cpu) true
+        (List.mem_assoc "hits" assoc && List.mem_assoc "misses" assoc))
+    [ 0; 1 ]
+
 let suite =
   [
     Alcotest.test_case "lock contention model" `Quick test_lock_contention_model;
@@ -338,4 +438,9 @@ let suite =
     Alcotest.test_case "coherence parity under fault storm" `Quick test_parity_under_fault_storm;
     Alcotest.test_case "multi-CPU run deterministic" `Quick test_multi_cpu_run_deterministic;
     Alcotest.test_case "deferred connects are data" `Quick test_deferred_connects_are_data;
+    Alcotest.test_case "CAM keys never alias segment numbers" `Quick test_cam_keys_never_alias;
+    Alcotest.test_case "System.create's plant has one CPU" `Quick test_boot_plant_is_one_cpu;
+    Alcotest.test_case "smp status on a uniprocessor" `Quick test_smp_status_on_uniprocessor;
+    Alcotest.test_case "cache status reads the current CPU's CAM" `Quick
+      test_cache_status_reads_current_cam;
   ]
