@@ -855,7 +855,8 @@ let smoke () =
   (* ----- the model checker's exploration throughput -----
 
      A bounded exhaustive run at depth 3 (one boot into a memory image,
-     every state a canonical re-execution on a copy of it): the healthy
+     each frontier state replayed once on a copy of it, each candidate
+     its last action fired on a copy of that replay): the healthy
      plant must come back with zero violations, and the replay rate
      lands in BENCH_mc.json so a regression in the canonical-replay hot
      path shows up as a states-per-second collapse between runs. *)
@@ -869,8 +870,8 @@ let smoke () =
   let mc_states_per_sec = float_of_int mc_states /. mc_t in
   (* Medians of 200 runs: the once-per-exploration boot into an image,
      and one empty-trace replay on a copy of it (copy, canonical capture
-     and predicates) — the fixed cost every state of an exploration
-     pays. *)
+     and predicates) — the fixed cost every candidate of an exploration
+     pays besides its one action. *)
   let median_us f =
     let runs = 200 in
     let samples =

@@ -15,15 +15,19 @@
      is the deterministic replay of its action trace from the booted
      plant.  As the paper moves initialization into a memory image
      loaded at start-up, an exploration boots its plant once, into an
-     image nothing replays, and runs every replay on a copy of it
-     ([System.copy], field by field, plus a fresh [Sim]); a copy
+     image nothing replays, replays each frontier state's trace once
+     on a copy of it ([System.copy], field by field, plus a fresh
+     [Sim]), and derives each of that state's candidates from a copy of
+     the replay, firing only the new action (prefix sharing); a copy
      behaves as a boot on the copying domain would.
-     [violations_of_trace] still boots afresh: it is the reference the
-     copies are tested against.  Replay pushes every action of the
-     trace into the simulator's event queue at the same firing time
-     and lets [Sim.run] drain it — ties fire in insertion order
-     ([Event_queue]'s stability contract), which is exactly what makes
-     replay deterministic.
+     [violations_of_trace] still boots afresh, and
+     [Image.violations_of_trace] replays a whole trace on a copy: they
+     are the references the copies and the derived candidates are
+     tested against.  Replay pushes every action of the trace into the
+     simulator's event queue at the same firing time — ties fire in
+     insertion order ([Event_queue]'s stability contract), which is
+     exactly what makes replay deterministic, and what lets a child's
+     action fire after its parent's replay.
 
    - {b Canonicalization.}  After replay the instance is rendered to
      one canonical string: object attributes and contents, per-process
@@ -64,9 +68,10 @@
 
    - {b Streamed levels.}  Each BFS level is generated from the
      frontier as it is replayed, traces stored reversed so a candidate
-     shares its parent's trace.  Candidates go through [Par.map] a
-     chunk at a time and merge in task order, so the outcome is
-     byte-identical at any [MULTICS_JOBS] pool size, and only a chunk's
+     shares its parent's trace.  Parents go through [Par.map] a round
+     at a time, one task deriving one parent's candidates, and the
+     candidates merge in task and alphabet order, so the outcome is
+     byte-identical at any [MULTICS_JOBS] pool size, and only a round's
      replayed states are held before they are merged.  Exploration
      stops at the depth cap or when the frontier empties, whichever
      comes first. *)
@@ -426,7 +431,7 @@ let apply_action t action =
 (* ----- The memory image -----
 
    An exploration boots its plant once, into an image nothing replays,
-   and runs every replay on a copy of it ([System.copy]: the kernel,
+   and replays each parent on a copy of it ([System.copy]: the kernel,
    its processes and the attached plant; a fresh [Sim], as every boot
    gets).  The image's AV cells are detached from the booting domain's
    ACL generation, so they read the same whatever ACLs that domain
@@ -459,11 +464,17 @@ let copy_instance t =
     violations = t.violations;
   }
 
+(* Fold an epoch nothing advances into [t]'s cache epoch in place of
+   the domain's ACL generation, rebased ([Avc.Gen.set_epoch]): every
+   AV cell reads as it does now, whatever ACLs the domain builds
+   afterwards. *)
+let detach t = Hierarchy.set_acl_epoch (System.hierarchy t.system) (Avc.Gen.new_epoch ())
+
 type image = { image_bug : bool; booted : instance }
 
 let build_image ~bug =
   let booted = boot ~bug () in
-  Hierarchy.set_acl_epoch (System.hierarchy booted.system) (Avc.Gen.new_epoch ());
+  detach booted;
   { image_bug = bug; booted }
 
 let copy image = copy_instance image.booted
@@ -473,10 +484,36 @@ let copy image = copy_instance image.booted
    Every action of the trace is pushed at the same firing time; the
    queue's tie-order stability (insertion order) is what makes the
    schedule — and therefore the state — a pure function of the trace. *)
+let push t trace =
+  List.iter (fun action -> Sim.at t.sim ~delay:1 (fun () -> apply_action t action)) trace
+
 let run t trace =
-  List.iter (fun action -> Sim.at t.sim ~delay:1 (fun () -> apply_action t action)) trace;
+  push t trace;
   Sim.run t.sim;
   t
+
+(* ----- Prefix sharing -----
+
+   A candidate t·a is derived from one replay of its parent t: a copy
+   of the replayed parent, with a fresh [Sim], fires only [a].  In a
+   full replay every action fires at time 1 in insertion order, so [a]
+   fires at time 1 after t's actions — and it does so here too, provided
+   none of t's actions scheduled an event of its own (nothing in the
+   plant spawns a process or sets an [Smp] charge).  The parent's replay
+   fires exactly its actions, one event each, and must leave the
+   simulator quiescent: an event an action scheduled would still be
+   queued behind them.  The replayed parent is then detached from the
+   domain's ACL generation, as the image is, so that a sibling's ACL
+   edit on the same domain cannot stale the AV cells its later siblings
+   copy. *)
+let extend image trace =
+  let t = copy image in
+  push t trace;
+  List.iter (fun _ -> ignore (Sim.step t.sim)) trace;
+  if not (Sim.quiescent t.sim) then
+    failwith "Mc: an action scheduled a simulator event; a child cannot be derived from its parent";
+  detach t;
+  { image_bug = image.image_bug; booted = t }
 
 (* ----- Canonicalization -----
 
@@ -782,10 +819,17 @@ let verdict capture t trace =
 (* The reference every image copy is tested against: a fresh boot. *)
 let violations_of_trace ~bug trace = verdict canonical (boot ~bug ()) trace
 
+(* The verdicts of [trace]'s successors, in alphabet order, from one
+   replay of [trace]: each child runs on a copy of the replayed parent. *)
+let successors capture image trace =
+  let parent = extend image trace in
+  List.map (fun a -> verdict capture (copy parent) [ a ]) (alphabet ~bug:image.image_bug)
+
 module Image = struct
   type t = image
 
   let build = build_image
+  let extend = extend
   let violations_of_trace image trace = verdict canonical (copy image) trace
 
   (* Rendered on a copy: even a read-only capture compiles AV cells
@@ -843,7 +887,8 @@ type depth_row = {
   row_depth : int;
   row_new_states : int;  (** states first reached at this depth *)
   row_states : int;  (** cumulative distinct states *)
-  row_expansions : int;  (** replays executed at this depth *)
+  row_expansions : int;
+      (** candidates checked at this depth, one per frontier state and action *)
   row_cpu_s : float;  (** process CPU seconds from the start of the exploration to this row *)
 }
 
@@ -866,11 +911,12 @@ let note_counterexample found trace violation =
    room for a plant that grows. *)
 let depth_cap = 16
 
-(* Candidates replayed per [Par.map] round: a fixed multiple of the
-   pool size, so a level of any width keeps a bounded number of
-   replayed states in flight while every domain still gets a batch;
-   each pooled round spawns and joins the pool's domains, which a
-   smaller multiple pays for more often. *)
+(* Candidates derived per pooled [Par.map] round, at most: a fixed
+   multiple of the pool size, so a level of any width keeps a bounded
+   number of replayed states in flight while every domain still gets a
+   batch; each pooled round spawns and joins the pool's domains, which
+   a smaller multiple pays for more often.  A task is a whole parent,
+   so a round takes as many parents as fit. *)
 let chunk_size ~jobs = 64 * jobs
 
 (* The search [explore] and [successor_check] share.  [on_state rtrace
@@ -878,8 +924,12 @@ let chunk_size ~jobs = 64 * jobs
    its state's key and whether the state is new. *)
 let search ~jobs ~image ~depth ~on_state =
   let bug = image.image_bug in
-  let chunk = chunk_size ~jobs in
   let alpha = alphabet ~bug in
+  (* A sequential search spawns no domains to amortise, so it derives
+     one parent at a time and holds only that parent's candidates. *)
+  let parents_per_round =
+    if jobs <= 1 then 1 else max 1 (chunk_size ~jobs / List.length alpha)
+  in
   let keys = State_key.create () in
   let visited = Visited.create 64 in
   let found = ref [] in
@@ -903,35 +953,35 @@ let search ~jobs ~image ~depth ~on_state =
     end
     else next
   in
-  let replay rtrace = verdict components (copy image) (List.rev rtrace) in
+  let expand rtrace = successors components image (List.rev rtrace) in
   (* The root is the image's own state.  An exploration that expands
      nothing makes no copy after the root, so it checks the root on the
      image itself: one boot and no copy. *)
   let root = if depth < 1 then image.booted else copy image in
   ignore (merge [] [] (verdict components root []));
-  (* A level's candidates are generated from the frontier in order,
-     [a :: rtrace] sharing the parent's trace, and replayed a chunk at a
-     time.  Each chunk merges in task order, so the outcome is
-     byte-identical at any pool size. *)
+  (* A level's parents are expanded from the frontier in order, a round
+     at a time, each task deriving one parent's candidates; the
+     candidates merge in task and alphabet order, [a :: rtrace] sharing
+     the parent's trace, so the outcome is byte-identical at any pool
+     size. *)
   let rec level d frontier rows =
     if d > depth || frontier = [] then (frontier, List.rev rows)
     else begin
-      let next = ref [] and batch = ref [] and batched = ref 0 and expansions = ref 0 in
+      let next = ref [] and batch = ref [] and batched = ref 0 in
+      let merge_parent rtrace verdicts =
+        next := List.fold_left2 (fun next a -> merge next (a :: rtrace)) !next alpha verdicts
+      in
       let flush () =
-        let candidates = List.rev !batch in
+        let parents = List.rev !batch in
         batch := [];
         batched := 0;
-        next := List.fold_left2 merge !next candidates (Par.map ~jobs replay candidates)
+        List.iter2 merge_parent parents (Par.map ~jobs expand parents)
       in
       List.iter
         (fun rtrace ->
-          List.iter
-            (fun a ->
-              batch := (a :: rtrace) :: !batch;
-              incr batched;
-              incr expansions;
-              if !batched = chunk then flush ())
-            alpha)
+          batch := rtrace :: !batch;
+          incr batched;
+          if !batched = parents_per_round then flush ())
         frontier;
       flush ();
       let next = List.rev !next in
@@ -940,7 +990,7 @@ let search ~jobs ~image ~depth ~on_state =
           row_depth = d;
           row_new_states = List.length next;
           row_states = Visited.length visited;
-          row_expansions = !expansions;
+          row_expansions = List.length frontier * List.length alpha;
           row_cpu_s = Sys.time () -. started;
         }
       in
@@ -999,18 +1049,17 @@ let successor_check ?jobs ?(bug = false) ~depth () =
   ignore (search ~jobs ~image ~depth ~on_state);
   let groups = List.filter (fun (_, merged) -> !merged <> []) (List.rev !order) in
   let alpha = alphabet ~bug in
-  let successor rtrace a = fst (verdict canonical (copy image) (List.rev (a :: rtrace))) in
-  (* One task per representative: its successors are replayed once, then
+  let derived rtrace = List.map fst (successors canonical image (List.rev rtrace)) in
+  (* One task per representative: its successors are derived once, then
      compared with each merged trace's. *)
   let check (rep, merged) =
-    let expected = List.map (fun a -> (a, successor rep a)) alpha in
+    let expected = List.combine alpha (derived rep) in
     List.concat_map
       (fun rtrace ->
         List.filter_map
-          (fun (a, want) ->
-            if String.equal want (successor rtrace a) then None
-            else Some (List.rev rtrace, List.rev rep, a))
-          expected)
+          (fun ((a, want), got) ->
+            if String.equal want got then None else Some (List.rev rtrace, List.rev rep, a))
+          (List.combine expected (derived rtrace)))
       (List.rev !merged)
   in
   let merged = List.fold_left (fun n (_, m) -> n + List.length !m) 0 groups in

@@ -24,12 +24,16 @@
     plant, every action pushed into the simulator's event queue at the
     same firing time ([Event_queue]'s tie-order stability makes replay
     a pure function of the trace).  An exploration boots the plant
-    once into a memory image ({!Image}) and replays every state on a
-    copy of it.  The visited set keys on interned canonical
+    once into a memory image ({!Image}), replays each frontier state
+    once on a copy of it ({!Image.extend}), and derives each of the
+    state's candidates from a copy of that replay, firing only the new
+    action: no action schedules a simulator event of its own, so the
+    new action fires after the parent's, at their time, as in a full
+    replay.  The visited set keys on interned canonical
     components ({!State_key}), never on a digest; each level is
     generated from the frontier as it is replayed, fanned out through
-    [Par.map] a chunk at a time and merged in task order, so outcomes
-    are byte-identical at any [MULTICS_JOBS].
+    [Par.map] a round of parents at a time and merged in task order,
+    so outcomes are byte-identical at any [MULTICS_JOBS].
 
     Experiment E21 drives this; the shell's [mc run]/[mc replay]
     commands expose it on the operator console. *)
@@ -94,6 +98,15 @@ module Image : sig
   val build : bug:bool -> t
   (** Boot the plant (with the deferred-connect bug when [bug]). *)
 
+  val extend : t -> action list -> t
+  (** The image of the state the trace reaches: the trace replayed once
+      on a copy of the image, then detached from the domain's ACL
+      generation as {!build} detaches the boot.  A replay of [t'] on
+      [extend image t] derives the candidate [t @ t'] from its parent,
+      as an exploration derives each candidate.  Fails if an action
+      scheduled a simulator event of its own, which would make the
+      split schedule differ from the full replay's. *)
+
   val violations_of_trace : t -> action list -> string * violation list
   (** {!violations_of_trace} on a copy of the image instead of a
       fresh boot.  Safe from any domain, concurrently. *)
@@ -132,7 +145,8 @@ type depth_row = {
   row_depth : int;
   row_new_states : int;  (** states first reached at this depth *)
   row_states : int;  (** cumulative distinct states *)
-  row_expansions : int;  (** replays executed at this depth *)
+  row_expansions : int;
+      (** candidates checked at this depth, one per frontier state and action *)
   row_cpu_s : float;
       (** process CPU seconds from the start of the exploration to the
           end of this depth — the one field that varies from run to run *)
@@ -166,9 +180,11 @@ val depth_cap : int
     at depth 11. *)
 
 val chunk_size : jobs:int -> int
-(** Candidates replayed per [Par.map] round at a pool size, and so the
-    most replayed states an exploration holds before merging them: a
-    fixed multiple of the pool size. *)
+(** The most candidates derived per [Par.map] round at a pool size of
+    two or more (a round takes whole parents, as many as fit), and so
+    the most replayed states a pooled exploration holds before merging
+    them: a fixed multiple of the pool size.  A sequential exploration
+    derives one parent's candidates at a time. *)
 
 (** {1 The successor check}
 
@@ -186,11 +202,12 @@ type successor_report = {
 }
 
 val successor_check : ?jobs:int -> ?bug:bool -> depth:int -> unit -> successor_report
-(** Explore as {!explore} does, then replay every alphabet action after
-    each merged trace and after its representative (the first trace
-    to reach that state), all on copies of one image, and compare the
-    canonical strings.  The representative's successors are replayed
-    once per state. *)
+(** Explore as {!explore} does, then derive every alphabet action's
+    successor of each merged trace and of its representative (the
+    first trace to reach that state) as the exploration derives its
+    candidates, from one replay of the trace on a copy of one image,
+    and compare the canonical strings.  The representative's
+    successors are derived once per state. *)
 
 val summary : outcome -> string
 (** The states/depth/expansions table plus any counterexamples —

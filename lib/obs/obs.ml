@@ -400,12 +400,20 @@ module Snapshot = struct
 
   (* ----- Differencing ----- *)
 
-  let diff_alist ~zero ~sub before after =
-    List.map
-      (fun (key, a) ->
-        let b = match List.assoc_opt key before with Some b -> b | None -> zero in
-        (key, sub a b))
-      after
+  (* [after]'s entries, each less [before]'s entry under its key, or
+     less [zero].  One walk down both lists, which are sorted by key as
+     every snapshot's are, so a diff stays linear in the number of
+     instruments: a registry that has run the whole test suite holds
+     hundreds, and the mc oracles diff once per replay. *)
+  let rec diff_alist ~zero ~sub before after =
+    match (before, after) with
+    | _, [] -> []
+    | [], (ka, a) :: ta -> (ka, sub a zero) :: diff_alist ~zero ~sub [] ta
+    | (kb, b) :: tb, (ka, a) :: ta ->
+        let c = compare kb ka in
+        if c < 0 then diff_alist ~zero ~sub tb after
+        else if c = 0 then (ka, sub a b) :: diff_alist ~zero ~sub tb ta
+        else (ka, sub a zero) :: diff_alist ~zero ~sub before ta
 
   (* A gauge is a reading, neither summed nor differenced: where [from]
      set one, its entry takes [from]'s value. *)

@@ -1,4 +1,4 @@
-(* The healthy plant's whole reachable space, checked two ways.
+(* The healthy plant's whole reachable space, checked three ways.
 
    - The successor check: every trace that merged into an already
      visited state must lead, action by action, to the canonical
@@ -6,8 +6,13 @@
      depth cap).
    - Copy versus boot: every candidate of the fixpoint exploration,
      found by a breadth-first search of its own keyed on canonical
-     strings, replayed on an image copy and on a fresh boot
-     ([Mc_oracle]).
+     strings, replayed on an image copy and on a fresh boot.
+   - Derived versus full: every candidate of that search derived from
+     one replay of its parent, as the exploration derives it, against
+     the same replay on an image copy.
+
+   [Mc_oracle.check_successors] makes both comparisons, sharing each
+   candidate's replay on an image copy.
 
    Prints one verdict line per check and exits 1 on any divergence. *)
 
@@ -26,42 +31,57 @@ let successors () =
     r.Mc.sr_divergent;
   divergent = 0
 
-let copies_are_boots () =
+let fixpoint_candidates () =
   let oracle = Mc_oracle.create ~bug:false in
   let alpha = Mc.alphabet ~bug:false in
   let seen = Hashtbl.create 4096 in
   Hashtbl.replace seen (Mc.Image.canonical (Mc_oracle.image oracle)) ();
-  let candidates = ref 0 and divergent = ref [] in
+  let candidates = ref 0 and by_boot = ref [] and by_prefix = ref [] in
   let rec level frontier =
     if frontier <> [] then begin
       let next =
         List.concat_map
           (fun trace ->
+            let checked, derived = Mc_oracle.check_successors oracle trace in
+            by_prefix := List.rev_append derived !by_prefix;
             List.filter_map
-              (fun a ->
-                let trace = trace @ [ a ] in
+              (fun (a, (canon, divergence)) ->
                 incr candidates;
-                let canon, divergence = Mc_oracle.check oracle trace in
-                Option.iter (fun d -> divergent := d :: !divergent) divergence;
+                Option.iter (fun d -> by_boot := d :: !by_boot) divergence;
                 if Hashtbl.mem seen canon then None
                 else begin
                   Hashtbl.replace seen canon ();
-                  Some trace
+                  Some (trace @ [ a ])
                 end)
-              alpha)
+              (List.combine alpha checked))
           frontier
       in
       level next
     end
   in
   level [ [] ];
-  Printf.printf
-    "[mc-image] %d fixpoint candidates (%d states): image copies agree with fresh boots, %d divergent\n%!"
-    !candidates (Hashtbl.length seen) (List.length !divergent);
-  List.iteri (fun i d -> if i < 10 then Printf.printf "  %s\n" d) (List.rev !divergent);
-  !divergent = []
+  let verdict line divergent =
+    Printf.printf "%s, %d divergent\n%!" line (List.length divergent);
+    List.iteri (fun i d -> if i < 10 then Printf.printf "  %s\n" d) (List.rev divergent);
+    divergent = []
+  in
+  let image_ok =
+    verdict
+      (Printf.sprintf
+         "[mc-image] %d fixpoint candidates (%d states): image copies agree with fresh boots"
+         !candidates (Hashtbl.length seen))
+      !by_boot
+  in
+  let prefix_ok =
+    verdict
+      (Printf.sprintf
+         "[mc-prefix] %d fixpoint candidates: parent-derived replays agree with full replays"
+         !candidates)
+      !by_prefix
+  in
+  image_ok && prefix_ok
 
 let () =
   let ok = successors () in
-  let ok = copies_are_boots () && ok in
+  let ok = fixpoint_candidates () && ok in
   if not ok then exit 1

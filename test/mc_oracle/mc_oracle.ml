@@ -1,8 +1,15 @@
-(* The copy-versus-boot oracle.  An exploration replays every trace on
-   a copy of one booted image; [Mc.violations_of_trace] boots afresh
-   for each.  A copy's replay must reach the same canonical state and
-   violations, and count exactly what the fresh boot counts past the
-   boot itself. *)
+(* The replay oracles.  An exploration replays each parent trace once,
+   on a copy of one booted image, and derives each of its candidates
+   from a copy of that replay; [Mc.violations_of_trace] boots afresh
+   for every trace.
+
+   - Copy versus boot: a copy's replay must reach the fresh boot's
+     canonical state and violations, and count exactly what the fresh
+     boot counts past the boot itself.
+   - Derived versus full: a candidate derived from its replayed parent
+     must reach the canonical state and violations of its full replay
+     on an image copy, and the two obs counts must add exactly; the
+     parent must render the same before and after its children. *)
 
 module Mc = Multics_mc.Mc
 module Obs = Multics_obs.Obs
@@ -35,18 +42,67 @@ let create ~bug =
 
 let image t = t.image
 
+(* What differs between two verdicts and their counts, if anything. *)
+let differs (canon, violations) (canon', violations') counts counts' =
+  if not (String.equal canon canon') then Some "canonical state"
+  else if violations <> violations' then Some "violations"
+  else if counts <> counts' then Some "obs counts"
+  else None
+
+(* A full replay of [trace] on an image copy, with its counts. *)
+let replay t trace = counted (fun () -> Mc.Image.violations_of_trace t.image trace)
+
+(* [None] when a fresh boot's replay of [trace] agrees with the copy's,
+   otherwise what differs. *)
+let against_boot t trace (by_copy, copy_counts) =
+  let by_boot, fresh_counts = counted (fun () -> Mc.violations_of_trace ~bug:t.bug trace) in
+  differs by_boot by_copy fresh_counts (add_counts copy_counts t.boot_counts)
+  |> Option.map (fun what -> Printf.sprintf "[%s]: %s differs" (Mc.trace_to_string trace) what)
+
 (* The copy's canonical state, and [None] when its replay of [trace]
    agrees with a fresh boot's, otherwise what differs. *)
 let check t trace =
-  let (canon, violations), by_boot = counted (fun () -> Mc.violations_of_trace ~bug:t.bug trace) in
-  let (canon', violations'), by_copy =
-    counted (fun () -> Mc.Image.violations_of_trace t.image trace)
+  let copy = replay t trace in
+  (fst (fst copy), against_boot t trace copy)
+
+(* Each successor of [trace], derived from one replay of it
+   ([Mc.Image.extend]), against its full replay, given in alphabet
+   order: counts(full t·a) = counts(replay t) + counts(derived a).
+   Returns what differs, one line per divergent candidate, and one if
+   the parent's rendering moved. *)
+let against_full t trace full =
+  let parent, parent_counts = counted (fun () -> Mc.Image.extend t.image trace) in
+  let rendered = Mc.Image.canonical parent in
+  let divergences =
+    List.filter_map
+      (fun (a, (by_full, full_counts)) ->
+        let derived, derived_counts =
+          counted (fun () -> Mc.Image.violations_of_trace parent [ a ])
+        in
+        differs by_full derived full_counts (add_counts derived_counts parent_counts)
+        |> Option.map (fun what ->
+               Printf.sprintf "[%s] derived from [%s]: %s differs"
+                 (Mc.trace_to_string (trace @ [ a ]))
+                 (Mc.trace_to_string trace) what))
+      (List.combine (Mc.alphabet ~bug:t.bug) full)
   in
-  let what =
-    if not (String.equal canon canon') then Some "canonical state"
-    else if violations <> violations' then Some "violations"
-    else if by_boot <> add_counts by_copy t.boot_counts then Some "obs counts"
-    else None
-  in
-  let report what = Printf.sprintf "[%s]: %s differs" (Mc.trace_to_string trace) what in
-  (canon', Option.map report what)
+  if String.equal rendered (Mc.Image.canonical parent) then divergences
+  else
+    divergences
+    @ [ Printf.sprintf "[%s]: the parent's canonical state moved under its children"
+          (Mc.trace_to_string trace) ]
+
+let successors t trace = List.map (fun a -> trace @ [ a ]) (Mc.alphabet ~bug:t.bug)
+
+let check_derived t trace = against_full t trace (List.map (replay t) (successors t trace))
+
+(* Both checks over every successor of [trace], sharing each full
+   replay: each successor's [check] result, in alphabet order, and
+   [check_derived]'s divergences. *)
+let check_successors t trace =
+  let candidates = successors t trace in
+  let full = List.map (replay t) candidates in
+  ( List.map2
+      (fun candidate copy -> (fst (fst copy), against_boot t candidate copy))
+      candidates full,
+    against_full t trace full )

@@ -2,16 +2,19 @@
 
    Canonical re-execution is the checker's foundation: a state IS its
    trace, replayed through the simulator's event queue — from a fresh
-   boot ([Mc.violations_of_trace]), or on a copy of the booted memory
-   image an exploration makes once ([Mc.Image]).  These tests pin the
-   properties everything above relies on — replay is a pure function
+   boot ([Mc.violations_of_trace]), on a copy of the booted memory
+   image an exploration makes once ([Mc.Image]), or, for a candidate,
+   as its last action fired on a copy of its replayed parent
+   ([Mc.Image.extend]).  These tests pin the properties everything
+   above relies on — replay is a pure function
    of the trace (the Event_queue tie-order regression),
    canonicalization identifies states by content rather than by the
    order that reached them, extending a trace never aliases the
    shorter trace's capture, the visited set's interned keys identify
    exactly the states the canonical strings do, an image copy replays
-   exactly as a fresh boot and the image is never written, merged
-   states have their representative's successors (the successor
+   exactly as a fresh boot and the image is never written, a candidate
+   derived from its parent is its full replay, merged states have
+   their representative's successors (the successor
    check, to depth 4; [dune build @mc_full] runs it over the whole
    space), exploration finds nothing on the healthy plant up to its
    fixpoint and the exact two-action stale-Permit window on the
@@ -252,6 +255,26 @@ let test_canonical_golden () =
   Alcotest.(check string) "canonical-state digest" golden_digest
     (Digest.to_hex (Digest.string (String.concat "\x00" canon)))
 
+let test_derived_candidates_are_replays () =
+  (* An exploration replays each parent once and derives each of its
+     candidates from a copy of that replay, firing only the new action.
+     Over every candidate of at most three actions, on both alphabets,
+     the derived candidate must reach its full replay's canonical state
+     and violations, the full replay must count exactly the parent's
+     replay plus the derived candidate, and the parent must render the
+     same before and after its children ([Mc_oracle.check_derived]). *)
+  List.iter
+    (fun (bug, expected) ->
+      let oracle = Mc_oracle.create ~bug in
+      let alpha = Mc.alphabet ~bug in
+      let parents = List.filter (fun t -> List.length t < 3) (traces_upto_three alpha) in
+      Alcotest.(check int) "candidates" expected (List.length parents * List.length alpha);
+      match List.concat_map (Mc_oracle.check_derived oracle) parents with
+      | [] -> ()
+      | first :: _ as divergent ->
+          Alcotest.failf "%d divergent, first %s" (List.length divergent) first)
+    [ (false, 2954); (true, 4368) ]
+
 let suite =
   [
     Alcotest.test_case "action/trace round-trip" `Quick test_action_roundtrip;
@@ -273,4 +296,6 @@ let suite =
     Alcotest.test_case "the image is never written" `Quick test_image_never_written;
     Alcotest.test_case "merged states have the representative's successors" `Quick
       test_successors_agree;
+    Alcotest.test_case "a derived candidate is its full replay" `Quick
+      test_derived_candidates_are_replays;
   ]

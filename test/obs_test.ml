@@ -324,6 +324,38 @@ let test_snapshot_absorb () =
   Alcotest.(check int) "max" wh.Obs.Snapshot.max_value gh.Obs.Snapshot.max_value;
   Alcotest.(check (list (pair int int))) "buckets" wh.Obs.Snapshot.buckets gh.Obs.Snapshot.buckets
 
+let test_snapshot_diff_one_sided_keys () =
+  (* Diffing walks both sorted lists once: a key only [before] holds is
+     dropped, a key only [after] holds is diffed against zero, and
+     histogram buckets diff the same way. *)
+  let hist buckets =
+    {
+      Obs.Snapshot.count = List.fold_left (fun n (_, c) -> n + c) 0 buckets;
+      sum = 0;
+      min_value = 0;
+      max_value = 0;
+      saturated = false;
+      buckets;
+    }
+  in
+  let snap counters histograms =
+    { Obs.Snapshot.registry = "r"; counters; gauges = []; histograms; spans = [] }
+  in
+  let before =
+    snap [ ("a", 1); ("c", 5); ("d", 2) ] [ ("h", hist [ (1, 1); (4, 2) ]); ("x", hist [ (1, 1) ]) ]
+  in
+  let after =
+    snap [ ("b", 3); ("c", 9); ("e", 4) ]
+      [ ("g", hist [ (2, 1) ]); ("h", hist [ (1, 1); (2, 3); (4, 5) ]) ]
+  in
+  let d = Obs.Snapshot.diff ~before ~after in
+  Alcotest.(check (list (pair string int)))
+    "counters" [ ("b", 3); ("c", 4); ("e", 4) ] d.Obs.Snapshot.counters;
+  Alcotest.(check (list (pair string (list (pair int int)))))
+    "histogram buckets"
+    [ ("g", [ (2, 1) ]); ("h", [ (2, 3); (4, 3) ]) ]
+    (List.map (fun (name, h) -> (name, h.Obs.Snapshot.buckets)) d.Obs.Snapshot.histograms)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -340,4 +372,5 @@ let suite =
     Alcotest.test_case "snapshot merge" `Quick test_snapshot_merge;
     Alcotest.test_case "snapshot merge keeps saturation" `Quick test_snapshot_merge_saturation;
     Alcotest.test_case "snapshot absorb = sequential totals" `Quick test_snapshot_absorb;
+    Alcotest.test_case "snapshot diff over one-sided keys" `Quick test_snapshot_diff_one_sided_keys;
   ]
