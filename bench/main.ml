@@ -1,14 +1,22 @@
-(* The benchmark harness: one Bechamel test per experiment's hot
-   mechanism, followed by the full experiment tables (the same rows
-   EXPERIMENTS.md records).
+(* The benchmark harness, in two modes.
 
-   The Bechamel micro-benchmarks measure the REPRODUCTION's own code
+     dune exec bench/main.exe              # 41 Bechamel tests, then every table
+     dune exec bench/main.exe -- --smoke   # six gated legs (CI)
+
+   The 41 Bechamel micro-benchmarks measure the REPRODUCTION's own code
    (simulated gate validation, fault storms, buffer traffic, attack
-   corpus, ...); the experiment tables report the simulated-machine
-   results.  Both are printed by this one executable:
+   corpus, ...), one group per experiment's hot mechanism plus the
+   [obs/] and [harness/] groups; the experiment tables that follow
+   report the simulated-machine results (the rows EXPERIMENTS.md
+   records).
 
-     dune exec bench/main.exe
-*)
+   [--smoke] is the fast regression check: six legs ([cache],
+   [dispatch], [e19], [harness], [mc], [e22]), each a short function
+   over the primitives at the end of this file.  Each prints one
+   tagged verdict line and fails the run on a missed gate; four of them
+   append a row to a committed BENCH_*.json trajectory in the current
+   directory, so run it in a copy of the tree unless the rows are
+   meant to be committed. *)
 
 open Bechamel
 open Toolkit
@@ -57,8 +65,8 @@ let bench_hardware_check =
    generation before every check, so each iteration pays the
    stale-drop plus the full policy recomputation and re-insert;
    [hardware_check_assoc_hit] is the 6180-style reference with the SDW
-   already in the CAM.  The [--smoke] mode below asserts the hit path
-   beats fresh recomputation by at least 5x. *)
+   already in the CAM.  The [cache] smoke leg below asserts the hit
+   path beats fresh recomputation by at least 5x. *)
 
 (* The fixture models the heavy end of realistic mediation: a project
    segment carrying a 66-entry ACL and an 18-compartment label (the
@@ -72,14 +80,25 @@ let avc_bench_compartments =
     "propin"; "relido"; "imcon"; "medical"; "fiscal"; "audit"; "census"; "budget"; "treaty";
   ]
 
+(* The trusted operator that builds each fixture hierarchy. *)
+let bench_operator () =
+  let open Multics_access in
+  Policy.subject ~trusted:true
+    ~principal:(Principal.make ~person:"Initializer" ~project:"SysDaemon" ~tag:"z")
+    ~clearance:(Label.system_high []) ~ring:(Multics_machine.Ring.of_int 1) ()
+
+(* The subject every mediation fixture times: Bench.Perf, cleared at
+   the hot object's own level. *)
+let bench_subject () =
+  Multics_access.Policy.subject
+    ~principal:(Multics_access.Principal.make ~person:"Bench" ~project:"Perf" ~tag:"a")
+    ~clearance:(Multics_access.Label.make Multics_access.Label.Secret avc_bench_compartments)
+    ~ring:(Multics_machine.Ring.of_int 4) ()
+
 let avc_bench_hierarchy, avc_bench_uid =
   let open Multics_access in
   let open Multics_fs in
-  let operator =
-    Policy.subject ~trusted:true
-      ~principal:(Principal.make ~person:"Initializer" ~project:"SysDaemon" ~tag:"z")
-      ~clearance:(Label.system_high []) ~ring:(Multics_machine.Ring.of_int 1) ()
-  in
+  let operator = bench_operator () in
   let people =
     [| "Jones"; "Smith"; "Quinn"; "Marley"; "Ames"; "Ortiz"; "Patel"; "Weiss" |]
   in
@@ -100,28 +119,22 @@ let avc_bench_hierarchy, avc_bench_uid =
   in
   (h, uid)
 
-let avc_bench_subject =
-  Multics_access.Policy.subject
-    ~principal:(Multics_access.Principal.make ~person:"Bench" ~project:"Perf" ~tag:"a")
-    ~clearance:(Multics_access.Label.make Multics_access.Label.Secret avc_bench_compartments)
-    ~ring:(Multics_machine.Ring.of_int 4) ()
+let avc_bench_subject = bench_subject ()
+
+let avc_bench_check () =
+  Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
+    ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw
 
 let bench_avc_hit =
   (* Warm the entry once; every measured iteration is a hit. *)
-  ignore
-    (Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
-       ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw);
-  Test.make ~name:"e16/avc_hit"
-    (Staged.stage (fun () ->
-         Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
-           ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw))
+  ignore (avc_bench_check ());
+  Test.make ~name:"e16/avc_hit" (Staged.stage avc_bench_check)
 
 let bench_avc_miss_recompute =
   Test.make ~name:"e16/avc_miss_recompute"
     (Staged.stage (fun () ->
          Multics_fs.Hierarchy.invalidate_cached_verdicts avc_bench_hierarchy;
-         Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
-           ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw))
+         avc_bench_check ()))
 
 let bench_hardware_check_assoc_hit =
   let open Multics_machine in
@@ -226,7 +239,7 @@ let bench_verifier =
 
    One full MLF scheduling decision — select (with its aging pass),
    quantum lookup, expiry demotion, re-enqueue — against a deep ready
-   backlog.  The [--smoke] gate below checks the same cycle stays
+   backlog.  The [dispatch] smoke leg below checks the same cycle stays
    near-constant as the backlog grows 1000x: the dispatch path must be
    O(1) in the number of ready processes. *)
 
@@ -353,8 +366,8 @@ let bench_site_revocation_broadcast =
    work it compiled away — a fresh structured [Policy.check] over the
    same label and ACL — plus the two costs the compilation introduces:
    recalling a subject's dense SID (the memo-stamp fast path and the
-   cold re-intern) and an eager whole-table rebuild.  The [--smoke]
-   gate below requires the flat-table hit to beat the fresh check and
+   cold re-intern) and an eager whole-table rebuild.  The [e19] smoke
+   leg below requires the flat-table hit to beat the fresh check and
    records all of these in BENCH_e19_sid.json. *)
 
 let sid_bench_label, sid_bench_acl =
@@ -365,14 +378,7 @@ let sid_bench_label, sid_bench_acl =
    per-registry, so sharing one record across registries would
    re-intern on every call and measure stamp churn instead of the hit
    paths. *)
-let sid_bench_subject_for tag =
-  ignore tag;
-  Multics_access.Policy.subject
-    ~principal:(Multics_access.Principal.make ~person:"Bench" ~project:"Perf" ~tag:"a")
-    ~clearance:(Multics_access.Label.make Multics_access.Label.Secret avc_bench_compartments)
-    ~ring:(Multics_machine.Ring.of_int 4) ()
-
-let sid_bench_check_subject = sid_bench_subject_for `Check
+let sid_bench_check_subject = bench_subject ()
 let sid_bench_obj = Multics_fs.Uid.to_int avc_bench_uid
 
 (* The compiled path against the work it replaced, node fetch excluded
@@ -399,13 +405,14 @@ let bench_sid_fresh_check =
   ignore (sid_bench_fresh_check ());
   Test.make ~name:"e19/policy_check_fresh" (Staged.stage sid_bench_fresh_check)
 
-let sid_bench_intern_subject = sid_bench_subject_for `Flat
+let sid_bench_intern_subject = bench_subject ()
+
+let sid_bench_intern_memo () =
+  Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject
 
 let bench_sid_intern_memo =
-  ignore (Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject);
-  Test.make ~name:"e19/subject_sid_memo_hit"
-    (Staged.stage (fun () ->
-         Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject))
+  ignore (sid_bench_intern_memo ());
+  Test.make ~name:"e19/subject_sid_memo_hit" (Staged.stage sid_bench_intern_memo)
 
 let sid_bench_intern_cold () =
   (* Clearing the stamp forces the registry walk (hash + bucket scan +
@@ -423,11 +430,7 @@ let bench_sid_intern_cold =
 let sid_rebuild_hierarchy =
   let open Multics_access in
   let open Multics_fs in
-  let operator =
-    Policy.subject ~trusted:true
-      ~principal:(Principal.make ~person:"Initializer" ~project:"SysDaemon" ~tag:"z")
-      ~clearance:(Label.system_high []) ~ring:(Multics_machine.Ring.of_int 1) ()
-  in
+  let operator = bench_operator () in
   let h = Hierarchy.create () in
   let acl = Acl.of_strings [ ("*.Perf.*", "rw"); ("Initializer.*.*", "rew") ] in
   let uids =
@@ -455,19 +458,23 @@ let sid_bench_rebuild () = Multics_fs.Hierarchy.rebuild_av_table sid_rebuild_hie
 let bench_sid_rebuild =
   Test.make ~name:"e19/table_rebuild_5subj_64obj" (Staged.stage sid_bench_rebuild)
 
-(* ----- Observability overhead -----
+(* ----- One booted kernel for gate-call timing -----
 
-   The same full gate call (a [Read_word] through [Api.Call.dispatch]:
-   process lookup, gate discipline, SDW check, content fetch, metering
-   branch) with the observability switch on and off.  The off row is the seed-equivalent
-   path: its only extra cost is the single disabled branch, so the two
-   rows must land within noise of each other.  The audit log is
-   disabled for both rows so neither accumulates records across
-   iterations. *)
+   [kernel_6180] with audit retention off (a hot loop would otherwise
+   time the trail's growth and the GC, not the call), one logged-in
+   user, Bench.Perf, and one [rew] segment, >udd>Perf>Bench>hot, whose
+   word 0 holds 42.  The obs/ fixture boots one at start-up; the e22
+   smoke leg boots its own inside the leg, so the kernel it times is
+   fresh. *)
 
-module Obs = Multics_obs.Obs
+type bench_kernel = {
+  system : Multics_kernel.System.t;
+  handle : int;
+  home : int;  (** segno of >udd>Perf>Bench *)
+  segno : int;  (** segno of the segment *)
+}
 
-let obs_bench_system, obs_bench_handle, obs_bench_segno =
+let kernel_6180 () =
   let open Multics_kernel in
   let system = System.create Config.kernel_6180 in
   Audit_log.set_enabled (System.audit system) false;
@@ -479,38 +486,63 @@ let obs_bench_system, obs_bench_handle, obs_bench_segno =
     | Ok handle -> handle
     | Error e -> failwith (System.login_error_to_string e)
   in
-  let segno =
-    match
-      User_env.create_segment_at system ~handle ~path:">udd>Perf>Bench>hot"
-        ~acl:(Multics_access.Acl.of_strings [ ("Bench.Perf.*", "rew") ])
-        ~label:Multics_access.Label.unclassified
-    with
+  let home =
+    match User_env.resolve_path system ~handle ~path:">udd>Perf>Bench" with
     | Ok segno -> segno
     | Error e -> failwith (User_env.error_to_string e)
   in
-  (match
-     Api.Call.dispatch system ~handle (Api.Call.Write_word { segno; offset = 0; value = 42 })
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Api.error_to_string e));
-  (system, handle, segno)
+  let dispatch request =
+    match Api.Call.dispatch system ~handle request with
+    | Ok reply -> reply
+    | Error e -> failwith (Api.error_to_string e)
+  in
+  let segno =
+    match
+      dispatch
+        (Api.Call.Create_segment
+           {
+             dir_segno = home;
+             name = "hot";
+             acl = Multics_access.Acl.of_strings [ ("Bench.Perf.*", "rew") ];
+             label = Multics_access.Label.unclassified;
+             brackets = None;
+           })
+    with
+    | Api.Call.Segno segno -> segno
+    | _ -> failwith "bench: create_segment replied without a segment number"
+  in
+  ignore (dispatch (Api.Call.Write_word { segno; offset = 0; value = 42 }));
+  { system; handle; home; segno }
 
-let obs_bench_request =
-  Multics_kernel.Api.Call.Read_word { segno = obs_bench_segno; offset = 0 }
+(* ----- Observability overhead -----
+
+   The same full gate call (a [Read_word] through [Api.Call.dispatch]:
+   process lookup, gate discipline, SDW check, content fetch, metering
+   branch) with the observability switch on and off.  The off row is
+   the seed-equivalent path: its only extra cost is the single disabled
+   branch, so the two rows must land within noise of each other. *)
+
+module Obs = Multics_obs.Obs
+
+let obs_bench_kernel = kernel_6180 ()
+
+let obs_bench_read =
+  let request = Multics_kernel.Api.Call.Read_word { segno = obs_bench_kernel.segno; offset = 0 } in
+  fun () ->
+    Multics_kernel.Api.Call.dispatch obs_bench_kernel.system ~handle:obs_bench_kernel.handle
+      request
 
 let bench_obs_gate_call_on =
   Test.make ~name:"obs/gate_call_obs_on"
     (Staged.stage (fun () ->
          Obs.set_enabled true;
-         Multics_kernel.Api.Call.dispatch obs_bench_system ~handle:obs_bench_handle
-           obs_bench_request))
+         obs_bench_read ()))
 
 let bench_obs_gate_call_off =
   Test.make ~name:"obs/gate_call_obs_off"
     (Staged.stage (fun () ->
          Obs.set_enabled false;
-         Multics_kernel.Api.Call.dispatch obs_bench_system ~handle:obs_bench_handle
-           obs_bench_request))
+         obs_bench_read ()))
 
 let obs_bench_counter = Obs.Local.counter "bench.counter"
 let bench_obs_counter_incr =
@@ -628,372 +660,296 @@ let print_bench_table results =
   in
   output_image (eol image)
 
-(* ----- The cache smoke gate (--smoke) -----
+(* ----- The smoke runner (--smoke) -----
 
-   A fast regression check for CI: on a hit-heavy workload the cached
-   decision path must beat recomputing the verdict from scratch by at
-   least 5x, and the cache must actually be hitting.  Wall-clock
-   timed, no Bechamel machinery, exits nonzero on regression. *)
+   Wall-clock timed, no Bechamel machinery.  Each leg times with the
+   primitives below, prints one verdict line tagged with the leg's
+   name, and fails the run through [gate]. *)
 
-let smoke_required_speedup = 5.0
+let trials = 5
 
-let time_iters n f =
+(* Every trajectory row records the host's core count, so rows from
+   different hosts can be told apart. *)
+let cores = Domain.recommended_domain_count ()
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
+(* Wall seconds of one call, with its result. *)
+let timed f =
   let start = Unix.gettimeofday () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  Unix.gettimeofday () -. start
+  let result = f () in
+  (Unix.gettimeofday () -. start, result)
 
-let smoke () =
-  let iters = 300_000 and trials = 5 in
-  (* Every trajectory row records the host's core count, so rows from
-     different hosts can be told apart. *)
-  let cores = Domain.recommended_domain_count () in
-  let check () =
-    Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
-      ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw
+let time_iters iters f =
+  fst
+    (timed (fun () ->
+         for _ = 1 to iters do
+           ignore (Sys.opaque_identity (f ()))
+         done))
+
+(* ns per call: the median of [trials] runs of [iters] calls. *)
+let ns_per_call ?(trials = trials) ~iters f =
+  median (List.init trials (fun _ -> time_iters iters f)) *. 1e9 /. float_of_int iters
+
+(* Two paths head to head: warm both, then time them back to back in
+   every trial, so the two medians ride out the same scheduler and
+   frequency jitter a single measurement on a shared machine is
+   exposed to.  ns per call of each. *)
+let paired ~iters a b =
+  ignore (time_iters 10_000 a);
+  ignore (time_iters 10_000 b);
+  let pairs =
+    List.init trials (fun _ ->
+        let ta = time_iters iters a in
+        (ta, time_iters iters b))
   in
+  let ns ts = median ts *. 1e9 /. float_of_int iters in
+  (ns (List.map fst pairs), ns (List.map snd pairs))
+
+let gate ok why =
+  if not ok then begin
+    Printf.printf "bench smoke: FAIL — %s\n" why;
+    exit 1
+  end
+
+(* A trajectory is append-only JSON Lines, one object per run,
+   committed with the code, so the growth of the hot paths stays
+   reviewable across commits instead of each run clobbering the
+   last. *)
+let append file bench fields =
+  let fields =
+    (("bench", Printf.sprintf "%S" bench) :: ("unix_time", Printf.sprintf "%.0f" (Unix.time ()))
+    :: fields)
+    @ [ ("cores", string_of_int cores) ]
+  in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+  Printf.fprintf oc "{%s}\n"
+    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields));
+  close_out oc;
+  Printf.printf "bench smoke: appended to %s\n" file
+
+let int key v = (key, string_of_int v)
+let num decimals key v = (key, Printf.sprintf "%.*f" decimals v)
+let bool key v = (key, string_of_bool v)
+
+(* [cache] (E16): on the hit-heavy fixture the cached decision path
+   must beat recomputing the verdict from scratch by at least 5x, and
+   the cache must actually be hitting.  Returns the fresh path's ns,
+   the speedup and the hit ratio for the e19 row. *)
+let cache_leg () =
+  let iters = 300_000 and required = 5.0 in
   let fresh () =
     Multics_fs.Hierarchy.check_access_fresh avc_bench_hierarchy ~subject:avc_bench_subject
       ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw
   in
-  ignore (check ());
-  (* Warm-up pass for both paths, then several paired trials; the
-     median pair rides out scheduler and frequency jitter that a
-     single measurement is exposed to on shared CI machines. *)
-  ignore (time_iters 10_000 check);
-  ignore (time_iters 10_000 fresh);
-  let pairs =
-    List.init trials (fun _ ->
-        let cached = time_iters iters check in
-        let uncached = time_iters iters fresh in
-        (cached, uncached))
-  in
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (trials / 2)
-  in
-  let cached = median (List.map fst pairs) in
-  let uncached = median (List.map snd pairs) in
+  ignore (avc_bench_check ());
+  let cached, uncached = paired ~iters avc_bench_check fresh in
   let speedup = uncached /. cached in
   let hit_ratio = Multics_fs.Hierarchy.cache_hit_ratio avc_bench_hierarchy in
   Printf.printf
-    "bench smoke: %d hit-heavy decisions — cached %.1f ns/ref, fresh %.1f ns/ref, speedup %.1fx (required >= %.0fx), hit ratio %.1f%%\n"
-    iters
-    (cached *. 1e9 /. float_of_int iters)
-    (uncached *. 1e9 /. float_of_int iters)
-    speedup smoke_required_speedup (hit_ratio *. 100.0);
-  if speedup < smoke_required_speedup then begin
-    print_endline "bench smoke: FAIL — cached decision path lost its edge over recomputation";
-    exit 1
-  end;
-  if hit_ratio < 0.99 then begin
-    print_endline "bench smoke: FAIL — hit-heavy workload is not hitting the cache";
-    exit 1
-  end;
-  (* The dispatch path must not scale with the ready backlog: a full
-     MLF decision against 10,000 ready processes may cost at most a
-     small constant factor over the same decision against 10.  The
-     seed's O(P) dedicated-process scan would fail this gate. *)
-  let dispatch_iters = 200_000 in
-  let shallow = sched_mlf_with_backlog 10 in
-  let deep = sched_mlf_with_backlog 10_000 in
-  ignore (time_iters 10_000 (fun () -> sched_dispatch_cycle shallow));
-  ignore (time_iters 10_000 (fun () -> sched_dispatch_cycle deep));
-  let dispatch_pairs =
-    List.init trials (fun _ ->
-        let s = time_iters dispatch_iters (fun () -> sched_dispatch_cycle shallow) in
-        let d = time_iters dispatch_iters (fun () -> sched_dispatch_cycle deep) in
-        (s, d))
+    "bench smoke: [cache] %d hit-heavy decisions — cached %.1f ns/ref, fresh %.1f ns/ref, speedup %.1fx (required >= %.0fx), hit ratio %.1f%%\n"
+    iters cached uncached speedup required (hit_ratio *. 100.0);
+  gate (speedup >= required) "cached decision path lost its edge over recomputation";
+  gate (hit_ratio >= 0.99) "hit-heavy workload is not hitting the cache";
+  (uncached, speedup, hit_ratio)
+
+(* [dispatch] (E17): a full MLF decision against 10,000 ready
+   processes may cost at most a small constant factor over the same
+   decision against 10.  The seed's O(P) dedicated-process scan would
+   fail this gate. *)
+let dispatch_leg () =
+  let iters = 200_000 and allowed = 20.0 in
+  let shallow = sched_mlf_with_backlog 10 and deep = sched_mlf_with_backlog 10_000 in
+  let shallow_ns, deep_ns =
+    paired ~iters (fun () -> sched_dispatch_cycle shallow) (fun () -> sched_dispatch_cycle deep)
   in
-  let shallow_t = median (List.map fst dispatch_pairs) in
-  let deep_t = median (List.map snd dispatch_pairs) in
-  let blowup = deep_t /. shallow_t in
-  let max_blowup = 20.0 in
+  let blowup = deep_ns /. shallow_ns in
   Printf.printf
-    "bench smoke: dispatch with 10k ready %.1f ns/op vs 10 ready %.1f ns/op — x%.1f (allowed <= x%.0f)\n"
-    (deep_t *. 1e9 /. float_of_int dispatch_iters)
-    (shallow_t *. 1e9 /. float_of_int dispatch_iters)
-    blowup max_blowup;
-  if blowup > max_blowup then begin
-    print_endline "bench smoke: FAIL — scheduler dispatch is scaling with the ready backlog";
-    exit 1
-  end;
-  (* The dense-SID gate: the compiled flat-table hit (what [check]
-     above measures) must beat the fresh structured verdict it
-     compiled away.  Also record the redesign's own costs — SID
-     recall, cold re-intern, eager rebuild — in BENCH_e19_sid.json for
-     the CI artifact. *)
-  let ns_per t iters = t *. 1e9 /. float_of_int iters in
-  let flat = sid_bench_flat_hit and fresh_check = sid_bench_fresh_check in
-  ignore (flat ());
-  ignore (fresh_check ());
-  ignore (time_iters 10_000 flat);
-  ignore (time_iters 10_000 fresh_check);
-  let sid_pairs =
-    List.init trials (fun _ ->
-        let f = time_iters iters flat in
-        let a = time_iters iters fresh_check in
-        (f, a))
-  in
-  let flat_t = median (List.map fst sid_pairs) in
-  let fresh_check_t = median (List.map snd sid_pairs) in
-  let sid_speedup = fresh_check_t /. flat_t in
-  let sid_required_speedup = 2.0 in
+    "bench smoke: [dispatch] MLF decision with 10k ready %.1f ns/op vs 10 ready %.1f ns/op — x%.1f (allowed <= x%.0f)\n"
+    deep_ns shallow_ns blowup allowed;
+  gate (blowup <= allowed) "scheduler dispatch is scaling with the ready backlog"
+
+(* [e19]: the compiled flat-table hit must beat the fresh structured
+   verdict it compiled away by 2x.  The row also records the
+   redesign's own costs (SID recall, cold re-intern, eager rebuild)
+   and the cache leg's figures. *)
+let e19_leg (fresh_recompute_ns, speedup_cached_vs_fresh, hit_ratio) =
+  let iters = 300_000 and required = 2.0 in
+  ignore (sid_bench_flat_hit ());
+  ignore (sid_bench_fresh_check ());
+  let flat, fresh = paired ~iters sid_bench_flat_hit sid_bench_fresh_check in
+  let speedup = fresh /. flat in
   Printf.printf
-    "bench smoke: flat-table hit %.1f ns/ref vs fresh policy check %.1f ns/ref — speedup %.2fx (required >= %.1fx)\n"
-    (ns_per flat_t iters) (ns_per fresh_check_t iters) sid_speedup sid_required_speedup;
-  if sid_speedup < sid_required_speedup then begin
-    print_endline "bench smoke: FAIL — the compiled table lost to the fresh check it replaced";
-    exit 1
-  end;
+    "bench smoke: [e19] flat-table hit %.1f ns/ref vs fresh policy check %.1f ns/ref — speedup %.2fx (required >= %.1fx)\n"
+    flat fresh speedup required;
+  gate (speedup >= required) "the compiled table lost to the fresh check it replaced";
   ignore (sid_bench_intern_cold ());
-  ignore (time_iters 10_000 (fun () -> Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject));
-  let memo_t =
-    median
-      (List.init trials (fun _ ->
-           time_iters iters (fun () ->
-               Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject)))
-  in
-  let cold_t = median (List.init trials (fun _ -> time_iters iters sid_bench_intern_cold)) in
+  ignore (time_iters 10_000 sid_bench_intern_memo);
+  let memo_ns = ns_per_call ~iters sid_bench_intern_memo in
+  let cold_ns = ns_per_call ~iters sid_bench_intern_cold in
   let rebuild_iters = 2_000 in
   let rebuild_cells = sid_bench_rebuild () in
-  let rebuild_t =
-    median (List.init trials (fun _ -> time_iters rebuild_iters sid_bench_rebuild))
-  in
+  let rebuild_ns = ns_per_call ~iters:rebuild_iters sid_bench_rebuild in
   Printf.printf
     "bench smoke: subject SID memo %.1f ns, cold re-intern %.1f ns, rebuild (%d cells) %.1f ns\n"
-    (ns_per memo_t iters) (ns_per cold_t iters) rebuild_cells (ns_per rebuild_t rebuild_iters);
-  (* The trajectory file is append-only (one JSON object per line, a
-     JSON-Lines log) and committed with each PR, so the growth of the
-     hot paths stays reviewable across the stack instead of each run
-     clobbering the last. *)
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e19_sid.json" in
-  Printf.fprintf oc
-    {|{"bench": "e19_sid", "unix_time": %.0f, "trials": %d, "iters": %d, "flat_table_hit_ns": %.2f, "fresh_policy_check_ns": %.2f, "fresh_recompute_ns": %.2f, "speedup_flat_vs_fresh_check": %.3f, "speedup_cached_vs_fresh": %.3f, "required_speedup_flat_vs_fresh_check": %.2f, "subject_intern_memo_ns": %.2f, "subject_intern_cold_ns": %.2f, "table_rebuild_ns": %.2f, "table_rebuild_cells": %d, "hit_ratio": %.4f, "cores": %d}
-|}
-    (Unix.time ()) trials iters (ns_per flat_t iters) (ns_per fresh_check_t iters)
-    (ns_per uncached iters) sid_speedup speedup sid_required_speedup (ns_per memo_t iters)
-    (ns_per cold_t iters) (ns_per rebuild_t rebuild_iters) rebuild_cells hit_ratio cores;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_e19_sid.json";
-  (* The parallel-harness gate: the 100-seed E19 oracle must produce
-     the same results at every pool size, and on a machine with at
-     least 4 cores the 4-domain run must at least halve the sequential
-     wall-clock.  Single-core runners still check determinism — only
-     the speedup assertion is conditional on the hardware. *)
-  let harness_refs = 2_000 and harness_trials = 3 in
-  let time_oracle jobs =
-    let start = Unix.gettimeofday () in
-    let runs = Multics_experiments.E19_sid.parity_runs ~jobs ~refs:harness_refs () in
-    (Unix.gettimeofday () -. start, runs)
+    memo_ns cold_ns rebuild_cells rebuild_ns;
+  append "BENCH_e19_sid.json" "e19_sid"
+    [
+      int "trials" trials;
+      int "iters" iters;
+      num 2 "flat_table_hit_ns" flat;
+      num 2 "fresh_policy_check_ns" fresh;
+      num 2 "fresh_recompute_ns" fresh_recompute_ns;
+      num 3 "speedup_flat_vs_fresh_check" speedup;
+      num 3 "speedup_cached_vs_fresh" speedup_cached_vs_fresh;
+      num 2 "required_speedup_flat_vs_fresh_check" required;
+      num 2 "subject_intern_memo_ns" memo_ns;
+      num 2 "subject_intern_cold_ns" cold_ns;
+      num 2 "table_rebuild_ns" rebuild_ns;
+      int "table_rebuild_cells" rebuild_cells;
+      num 4 "hit_ratio" hit_ratio;
+    ]
+
+(* [harness]: the 100-seed E19 oracle must produce the same results at
+   every pool size, and on a machine with at least 4 cores the
+   4-domain run must at least halve the sequential wall-clock.  On one
+   core a 4-domain pool measures scheduler thrash, not the harness:
+   the timing is skipped (and the row says so, a gap rather than a
+   fabricated speedup) while the sequential runs must still agree. *)
+let harness_leg () =
+  let refs = 2_000 and runs = 3 and required = 2.0 in
+  let oracle jobs = timed (fun () -> Multics_experiments.E19_sid.parity_runs ~jobs ~refs ()) in
+  let seq = List.init runs (fun _ -> oracle 1) in
+  let seq_s = median (List.map fst seq) and reference = snd (List.hd seq) in
+  let divergences =
+    List.fold_left (fun acc r -> acc + r.Multics_experiments.E19_sid.divergences) 0 reference
   in
-  let seq_samples = List.init harness_trials (fun _ -> time_oracle 1) in
-  let median3 xs = List.nth (List.sort compare xs) (harness_trials / 2) in
-  let seq_t = median3 (List.map fst seq_samples) in
-  let reference = snd (List.hd seq_samples) in
-  let oracle_divergences =
-    List.fold_left
-      (fun acc (r : Multics_experiments.E19_sid.run_stats) ->
-        acc + r.Multics_experiments.E19_sid.divergences)
-      0 reference
+  let agree samples = List.for_all (fun (_, r) -> r = reference) samples in
+  let verdict identical = if identical then "identical" else "DIVERGENT" in
+  let head =
+    Printf.sprintf
+      "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s"
+      refs divergences seq_s
+  in
+  let common =
+    [ int "trials" runs; int "seeds" 100; int "refs_per_seed" refs; num 4 "sequential_s" seq_s ]
   in
   if cores < 2 then begin
-    (* A 4-domain pool on one core measures scheduler thrash, not the
-       harness: skip the timing, keep the determinism check over the
-       sequential samples, and record the skip explicitly so the
-       trajectory shows a gap instead of a fabricated speedup. *)
-    let identical = List.for_all (fun (_, runs) -> runs = reference) seq_samples in
-    Printf.printf
-      "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain timing skipped (%d core), results %s across trials\n"
-      harness_refs oracle_divergences seq_t cores
-      (if identical then "identical" else "DIVERGENT");
-    if not identical then begin
-      print_endline "bench smoke: FAIL — repeated sequential runs disagreed";
-      exit 1
-    end;
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_harness.json" in
-    Printf.fprintf oc
-      {|{"bench": "harness", "unix_time": %.0f, "trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "skipped": true, "cores": %d, "results_identical": %b}
-|}
-      (Unix.time ()) harness_trials harness_refs seq_t cores identical;
-    close_out oc
+    let identical = agree seq in
+    Printf.printf "%s, 4-domain timing skipped (%d core), results %s across trials\n" head cores
+      (verdict identical);
+    gate identical "repeated sequential runs disagreed";
+    append "BENCH_harness.json" "harness"
+      (common @ [ bool "skipped" true; bool "results_identical" identical ])
   end
   else begin
-    let par_samples = List.init harness_trials (fun _ -> time_oracle 4) in
-    let par_t = median3 (List.map fst par_samples) in
-    let identical =
-      List.for_all (fun (_, runs) -> runs = reference) (seq_samples @ par_samples)
-    in
-    let harness_speedup = seq_t /. par_t in
-    let harness_required_speedup = 2.0 in
-    let enforce_speedup = cores >= 4 in
-    Printf.printf
-      "bench smoke: [harness] 100-seed E19 oracle (%d refs/seed, %d divergences) — sequential %.3f s, 4-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n"
-      harness_refs oracle_divergences seq_t par_t harness_speedup
-      (if enforce_speedup then Printf.sprintf " (required >= %.1fx)" harness_required_speedup
-       else Printf.sprintf " (speedup gate skipped: %d core%s)" cores (if cores = 1 then "" else "s"))
-      (if identical then "identical" else "DIVERGENT");
-    if not identical then begin
-      print_endline "bench smoke: FAIL — pool size changed the oracle's results";
-      exit 1
-    end;
-    if enforce_speedup && harness_speedup < harness_required_speedup then begin
-      print_endline "bench smoke: FAIL — the 4-domain oracle run lost its wall-clock edge";
-      exit 1
-    end;
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_harness.json" in
-    Printf.fprintf oc
-      {|{"bench": "harness", "unix_time": %.0f, "trials": %d, "seeds": 100, "refs_per_seed": %d, "sequential_s": %.4f, "four_domain_s": %.4f, "speedup": %.3f, "required_speedup": %.2f, "cores": %d, "skipped": false, "speedup_gate_enforced": %b, "results_identical": %b}
-|}
-      (Unix.time ()) harness_trials harness_refs seq_t par_t harness_speedup
-      harness_required_speedup cores enforce_speedup identical;
-    close_out oc
-  end;
-  print_endline "bench smoke: appended to BENCH_harness.json";
+    let par = List.init runs (fun _ -> oracle 4) in
+    let par_s = median (List.map fst par) in
+    let identical = agree (seq @ par) and speedup = seq_s /. par_s and enforce = cores >= 4 in
+    Printf.printf "%s, 4-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n" head par_s
+      speedup
+      (if enforce then Printf.sprintf " (required >= %.1fx)" required
+       else Printf.sprintf " (speedup gate skipped: %d cores)" cores)
+      (verdict identical);
+    gate identical "pool size changed the oracle's results";
+    gate ((not enforce) || speedup >= required) "the 4-domain oracle run lost its wall-clock edge";
+    append "BENCH_harness.json" "harness"
+      (common
+      @ [
+          num 4 "four_domain_s" par_s;
+          num 3 "speedup" speedup;
+          num 2 "required_speedup" required;
+          bool "skipped" false;
+          bool "speedup_gate_enforced" enforce;
+          bool "results_identical" identical;
+        ])
+  end
 
-  (* ----- the model checker's exploration throughput -----
-
-     A bounded exhaustive run at depth 3 (one boot into a memory image,
-     each frontier state replayed once on a copy of it, each candidate
-     its last action fired on a copy of that replay): the healthy
-     plant must come back with zero violations, and the replay rate
-     lands in BENCH_mc.json so a regression in the canonical-replay hot
-     path shows up as a states-per-second collapse between runs. *)
-  let mc_depth = 3 in
-  let mc_start = Unix.gettimeofday () in
-  let mc_outcome = Multics_mc.Mc.explore ~depth:mc_depth () in
-  let mc_t = Unix.gettimeofday () -. mc_start in
-  let mc_states = mc_outcome.Multics_mc.Mc.o_states in
-  let mc_expansions = mc_outcome.Multics_mc.Mc.o_expansions in
-  let mc_violations = List.length mc_outcome.Multics_mc.Mc.o_counterexamples in
-  let mc_states_per_sec = float_of_int mc_states /. mc_t in
-  (* Medians of 200 runs: the once-per-exploration boot into an image,
-     and one empty-trace replay on a copy of it (copy, canonical capture
-     and predicates) — the fixed cost every candidate of an exploration
-     pays besides its one action. *)
-  let median_us f =
-    let runs = 200 in
-    let samples =
-      List.init runs (fun _ ->
-          let start = Unix.gettimeofday () in
-          ignore (Sys.opaque_identity (f ()));
-          (Unix.gettimeofday () -. start) *. 1e6)
-    in
-    List.nth (List.sort compare samples) (runs / 2)
-  in
-  let image_boot_us = median_us (fun () -> Multics_mc.Mc.Image.build ~bug:false) in
-  let image = Multics_mc.Mc.Image.build ~bug:false in
-  let replay_d0_us = median_us (fun () -> Multics_mc.Mc.Image.violations_of_trace image []) in
+(* [mc] (E21): a bounded exhaustive run at depth 3 (one boot into a
+   memory image, each frontier state replayed once on a copy of it,
+   each candidate its last action fired on a copy of that replay) must
+   find no violation on the healthy plant.  The row records the
+   explore's states/s, and, as medians of 200 runs, the image boot and
+   one empty-trace replay on a copy of it (copy, canonical capture and
+   predicates: the fixed cost every candidate pays besides its one
+   action). *)
+let mc_leg () =
+  let module Mc = Multics_mc.Mc in
+  let depth = 3 in
+  let runs = List.init trials (fun _ -> timed (fun () -> Mc.explore ~depth ())) in
+  let wall = median (List.map fst runs) and o = snd (List.hd runs) in
+  let states_per_sec = float_of_int o.Mc.o_states /. wall in
+  let violations = List.length o.Mc.o_counterexamples in
+  let us f = ns_per_call ~trials:200 ~iters:1 f /. 1e3 in
+  let image_boot_us = us (fun () -> Mc.Image.build ~bug:false) in
+  let image = Mc.Image.build ~bug:false in
+  let replay_d0_us = us (fun () -> Mc.Image.violations_of_trace image []) in
   Printf.printf
-    "bench smoke: [mc] exhaustive to depth %d — %d states, %d replays in %.3f s (%.0f states/s), %d violations; image boot %.1f us, empty-trace replay %.1f us\n"
-    mc_depth mc_states mc_expansions mc_t mc_states_per_sec mc_violations image_boot_us replay_d0_us;
-  if mc_violations <> 0 then begin
-    print_endline "bench smoke: FAIL — the healthy plant produced a counterexample";
-    exit 1
-  end;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_mc.json" in
-  Printf.fprintf oc
-    {|{"bench": "mc", "unix_time": %.0f, "depth": %d, "states": %d, "expansions": %d, "wall_s": %.4f, "states_per_sec": %.1f, "image_boot_us": %.1f, "replay_d0_us": %.1f, "violations": %d, "cores": %d}
-|}
-    (Unix.time ()) mc_depth mc_states mc_expansions mc_t mc_states_per_sec image_boot_us
-    replay_d0_us mc_violations cores;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_mc.json";
+    "bench smoke: [mc] exhaustive to depth %d — %d states, %d candidates in %.3f s (%.0f states/s, median of %d), %d violations; image boot %.1f us, empty-trace replay %.1f us\n"
+    depth o.Mc.o_states o.Mc.o_expansions wall states_per_sec trials violations image_boot_us
+    replay_d0_us;
+  gate (violations = 0) "the healthy plant produced a counterexample";
+  append "BENCH_mc.json" "mc"
+    [
+      int "trials" trials;
+      int "depth" depth;
+      int "states" o.Mc.o_states;
+      int "expansions" o.Mc.o_expansions;
+      num 4 "wall_s" wall;
+      num 1 "states_per_sec" states_per_sec;
+      num 1 "image_boot_us" image_boot_us;
+      num 1 "replay_d0_us" replay_d0_us;
+      int "violations" violations;
+    ]
 
-  (* ----- the specialised gate table's dispatch overhead (E22) -----
-
-     The gate mask sits on the dispatch hot path, so it must stay
-     cheap: an admitted call under a specialised table may not cost
-     more than 3x the unmasked call, and a stripped call's Gate_absent
-     refusal is timed alongside (it is the fail-secure fast path — no
-     kernel state is touched). *)
+(* [e22]: the gate mask sits on the dispatch hot path, so an admitted
+   call under a specialised table may cost at most 3x the unmasked
+   call.  A stripped call's Gate_absent refusal is timed alongside: it
+   is the fail-secure fast path, touching no kernel state. *)
+let e22_leg () =
   let module Spec = Multics_spec.Spec in
-  let spec_config = Multics_kernel.Config.kernel_6180 in
-  let spec_system = Multics_kernel.System.create spec_config in
-  (* Retaining half a million audit records would time the GC, not the
-     mask: this system's trail is disabled like the other hot-loop
-     bench systems'. *)
-  Multics_kernel.Audit_log.set_enabled (Multics_kernel.System.audit spec_system) false;
-  ignore
-    (Multics_kernel.System.add_account spec_system ~person:"Bench" ~project:"Spec" ~password:"pw"
-       ~clearance:Multics_access.Label.unclassified);
-  let spec_handle =
-    match Multics_kernel.System.login spec_system ~person:"Bench" ~project:"Spec" ~password:"pw" with
-    | Ok h -> h
-    | Error _ -> failwith "bench: spec login"
-  in
-  let spec_home =
-    match
-      Multics_kernel.User_env.resolve_path spec_system ~handle:spec_handle ~path:">udd>Spec>Bench"
-    with
-    | Ok segno -> segno
-    | Error _ -> failwith "bench: spec home"
-  in
-  let spec_data =
-    match
-      Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-        (Multics_kernel.Api.Call.Create_segment
-           {
-             dir_segno = spec_home;
-             name = "data";
-             acl = Multics_access.Acl.of_strings [ ("Bench.Spec.*", "rew") ];
-             label = Multics_access.Label.unclassified;
-             brackets = None;
-           })
-    with
-    | Ok (Multics_kernel.Api.Call.Segno segno) -> segno
-    | _ -> failwith "bench: spec data segment"
-  in
-  let read_once () =
-    ignore
-      (Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-         (Multics_kernel.Api.Call.Read_word { segno = spec_data; offset = 0 }))
-  in
-  let spec_iters = 20_000 in
-  ignore (time_iters 1_000 read_once);
-  let unmasked_t = median (List.init trials (fun _ -> time_iters spec_iters read_once)) in
-  let profile, () =
-    Spec.Profile.observe ~name:"bench-read" (fun () ->
-        read_once ();
-        ())
-  in
+  let module Call = Multics_kernel.Api.Call in
+  let iters = 20_000 and allowed = 3.0 in
+  let k = kernel_6180 () in
+  let call request () = ignore (Call.dispatch k.system ~handle:k.handle request) in
+  let read = call (Call.Read_word { segno = k.segno; offset = 0 }) in
+  let list = call (Call.List_directory { dir_segno = k.home }) in
+  ignore (time_iters 1_000 read);
+  let unmasked = ns_per_call ~iters read in
+  let profile, () = Spec.Profile.observe ~name:"bench-read" read in
   let spec =
-    Spec.Specialisation.compile ~name:"bench-read" spec_config profile
+    Spec.Specialisation.compile ~name:"bench-read" Multics_kernel.Config.kernel_6180 profile
   in
-  Spec.Specialisation.apply spec_system spec;
-  let masked_t = median (List.init trials (fun _ -> time_iters spec_iters read_once)) in
-  let refuse_once () =
-    ignore
-      (Multics_kernel.Api.Call.dispatch spec_system ~handle:spec_handle
-         (Multics_kernel.Api.Call.List_directory { dir_segno = spec_home }))
-  in
-  let refusal_t = median (List.init trials (fun _ -> time_iters spec_iters refuse_once)) in
-  Spec.Specialisation.clear spec_system;
-  let spec_overhead = masked_t /. unmasked_t in
-  let spec_max_overhead = 3.0 in
+  Spec.Specialisation.apply k.system spec;
+  let masked = ns_per_call ~iters read in
+  let refusal = ns_per_call ~iters list in
+  Spec.Specialisation.clear k.system;
+  let overhead = masked /. unmasked in
+  let kept = Spec.Specialisation.gate_count spec and full = Spec.Specialisation.full_count spec in
   Printf.printf
     "bench smoke: [e22] admitted dispatch %.1f ns unmasked vs %.1f ns under a %d-of-%d-gate table (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns\n"
-    (ns_per unmasked_t spec_iters) (ns_per masked_t spec_iters)
-    (Spec.Specialisation.gate_count spec)
-    (Spec.Specialisation.full_count spec)
-    spec_overhead spec_max_overhead (ns_per refusal_t spec_iters);
-  if spec_overhead > spec_max_overhead then begin
-    print_endline "bench smoke: FAIL — the gate mask made admitted dispatch too expensive";
-    exit 1
-  end;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_e22_spec.json" in
-  Printf.fprintf oc
-    {|{"bench": "e22_spec", "unix_time": %.0f, "trials": %d, "iters": %d, "unmasked_dispatch_ns": %.2f, "masked_dispatch_ns": %.2f, "overhead_ratio": %.3f, "max_overhead_ratio": %.2f, "stripped_refusal_ns": %.2f, "gates_kept": %d, "gates_full": %d, "cores": %d}
-|}
-    (Unix.time ()) trials spec_iters (ns_per unmasked_t spec_iters)
-    (ns_per masked_t spec_iters) spec_overhead spec_max_overhead
-    (ns_per refusal_t spec_iters)
-    (Spec.Specialisation.gate_count spec)
-    (Spec.Specialisation.full_count spec)
-    cores;
-  close_out oc;
-  print_endline "bench smoke: appended to BENCH_e22_spec.json";
+    unmasked masked kept full overhead allowed refusal;
+  gate (overhead <= allowed) "the gate mask made admitted dispatch too expensive";
+  append "BENCH_e22_spec.json" "e22_spec"
+    [
+      int "trials" trials;
+      int "iters" iters;
+      num 2 "unmasked_dispatch_ns" unmasked;
+      num 2 "masked_dispatch_ns" masked;
+      num 3 "overhead_ratio" overhead;
+      num 2 "max_overhead_ratio" allowed;
+      num 2 "stripped_refusal_ns" refusal;
+      int "gates_kept" kept;
+      int "gates_full" full;
+    ]
+
+let smoke () =
+  let cache = cache_leg () in
+  dispatch_leg ();
+  e19_leg cache;
+  harness_leg ();
+  mc_leg ();
+  e22_leg ();
   print_endline "bench smoke: OK"
 
 let () =
@@ -1004,7 +960,7 @@ let () =
     Obs.set_enabled true;
     print_bench_table results;
     print_newline ();
-    print_endline "=== Experiment tables (E1..E18 + ablations) ===";
+    print_endline "=== Experiment tables (E1..E22 + ablations) ===";
     print_newline ();
     print_string (Multics_experiments.Registry.render_all ());
     print_newline ()

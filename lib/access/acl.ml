@@ -66,9 +66,6 @@ let remove t ~pattern =
     (fun e -> Principal.pattern_to_string e.pattern <> Principal.pattern_to_string pattern)
     t
 
-let of_entries entries =
-  List.fold_left (fun acc (pattern, mode) -> add acc ~pattern ~mode) empty entries
-
 let of_strings entries =
   List.fold_left (fun acc (pattern, mode) -> add_string acc ~pattern ~mode) empty entries
 

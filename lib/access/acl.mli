@@ -18,7 +18,6 @@ val add_string : t -> pattern:string -> mode:string -> t
 
 val remove : t -> pattern:Principal.pattern -> t
 
-val of_entries : (Principal.pattern * Mode.t) list -> t
 val of_strings : (string * string) list -> t
 
 val entries : t -> (Principal.pattern * Mode.t) list

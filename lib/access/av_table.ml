@@ -74,11 +74,6 @@ let compute ~(subject : Policy.subject) ~object_label ~acl ~brackets =
   lor (if Brackets.read_ok brackets ~ring then bit_bracket_read else 0)
   lor if Brackets.write_ok brackets ~ring then bit_bracket_write else 0
 
-let pp_av ppf av =
-  let bit b c = if av land b <> 0 then c else '-' in
-  Fmt.pf ppf "%c%c%c/%c%c" (bit bit_read 'r') (bit bit_execute 'e') (bit bit_write 'w')
-    (bit bit_bracket_read 'R') (bit bit_bracket_write 'W')
-
 (* ----- The table ----- *)
 
 (* Columns are object uids (already a dense SID space); cells for uids
@@ -144,7 +139,6 @@ let copy ~gens t =
 
 let name t = t.name
 let gens t = t.gens
-let subject_sids t = t.sids
 let subject_sid t subject = Policy.Subject_sids.sid_of t.sids subject
 let subject_count t = Policy.Subject_sids.count t.sids
 let set_flush_probe t probe = t.flush_probe <- probe

@@ -40,8 +40,6 @@ val compute :
     equal to the structured path by the E19 oracle and the unit
     tests. *)
 
-val pp_av : Format.formatter -> int -> unit
-
 (** {1 The table} *)
 
 type t
@@ -69,7 +67,6 @@ val subject_sid : t -> Policy.subject -> Sid.t
 (** Intern (or recall, via the subject's memo stamp — two int
     compares) the subject's row. *)
 
-val subject_sids : t -> Policy.Subject_sids.t
 val subject_count : t -> int
 
 val find : t -> subj:Sid.t -> obj:int -> int

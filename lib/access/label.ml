@@ -49,8 +49,6 @@ let dominates a b =
 
 let equal a b = a.level = b.level && Compartments.equal a.compartments b.compartments
 
-let strictly_dominates a b = dominates a b && not (equal a b)
-
 let comparable a b = dominates a b || dominates b a
 
 let lub a b =

@@ -32,8 +32,6 @@ val dominates : t -> t -> bool
     [a]'s level is at least [b]'s and [a]'s compartments include
     [b]'s. *)
 
-val strictly_dominates : t -> t -> bool
-
 val comparable : t -> t -> bool
 (** Whether either label dominates the other. *)
 

@@ -357,7 +357,3 @@ let counters t =
     ("insertions", Obs.Counter.get t.obs.insertions);
     ("flushes", Obs.Counter.get t.obs.flushes);
   ]
-
-let hit_ratio t =
-  let h = Obs.Counter.get t.obs.hits and m = Obs.Counter.get t.obs.misses in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

@@ -169,6 +169,3 @@ val flush : ('k, 'v) t -> unit
 
 val counters : ('k, 'v) t -> (string * int) list
 (** Current readings of this cache's obs counters (shared by name). *)
-
-val hit_ratio : ('k, 'v) t -> float
-(** hits / (hits + misses), 0 when no lookups yet. *)

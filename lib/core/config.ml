@@ -32,14 +32,6 @@ type t = {
   login : login_mechanism;
 }
 
-let io_strategy_name = function
-  | Device_drivers -> "per-device drivers"
-  | Network_only -> "network-only"
-
-let buffer_strategy_name = function
-  | Circular_ring n -> Printf.sprintf "circular ring (%d)" n
-  | Infinite_vm -> "infinite VM buffer"
-
 let policy_placement_name = function
   | Policy_in_ring0 -> "policy in ring 0"
   | Policy_in_ring1 -> "policy in ring 1"
@@ -47,10 +39,6 @@ let policy_placement_name = function
 let init_strategy_name = function
   | Bootstrap -> "bootstrap each start"
   | Memory_image -> "memory image"
-
-let login_mechanism_name = function
-  | Privileged_login -> "privileged login"
-  | Unified_subsystem_entry -> "unified subsystem entry"
 
 (* The supervisor as the project found it: software rings on the 645,
    everything in ring 0, with the historically attested linker flaws

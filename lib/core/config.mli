@@ -28,11 +28,8 @@ type t = {
   login : login_mechanism;
 }
 
-val io_strategy_name : io_strategy -> string
-val buffer_strategy_name : buffer_strategy -> string
 val policy_placement_name : policy_placement -> string
 val init_strategy_name : init_strategy -> string
-val login_mechanism_name : login_mechanism -> string
 
 val baseline_645 : t
 (** The pre-project supervisor: 645 processor, everything in ring 0,

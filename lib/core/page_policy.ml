@@ -128,6 +128,3 @@ let attack_matrix () =
         { placement = Config.Policy_in_ring1; attack; result = run_in_ring1 restricted ~attack };
       ])
     [ Read_secret; Overwrite_segment; Deny_service ]
-
-let violation_achieved row =
-  row.result.released || row.result.modified || row.result.denied

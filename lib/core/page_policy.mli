@@ -33,5 +33,3 @@ type experiment_row = {
 
 val attack_matrix : unit -> experiment_row list
 (** The full placement x attack matrix over a fresh little world. *)
-
-val violation_achieved : experiment_row -> bool

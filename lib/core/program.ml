@@ -57,23 +57,6 @@ type env = {
       (** called before each content reference (paging hook) *)
 }
 
-let describe_step = function
-  | Create_segment { path; _ } -> "create_segment " ^ path
-  | Create_directory { path; _ } -> "create_directory " ^ path
-  | Resolve { path; _ } -> "resolve " ^ path
-  | Delete { path } -> "delete " ^ path
-  | Write_word { seg; offset; _ } -> Printf.sprintf "write %s[%d]" seg offset
-  | Read_word { seg; offset; _ } -> Printf.sprintf "read %s[%d]" seg offset
-  | Bind_name { name; _ } -> "bind " ^ name
-  | Lookup_name { name; _ } -> "lookup " ^ name
-  | Snap_link { seg; link_index; _ } -> Printf.sprintf "snap %s#%d" seg link_index
-  | Enter_subsystem { name; _ } -> "enter " ^ name
-  | Exit_subsystem -> "exit subsystem"
-  | Set_acl { seg; _ } -> "set_acl " ^ seg
-  | Compute n -> Printf.sprintf "compute %d" n
-  | Assert_slot { slot; expected } -> Printf.sprintf "assert %s = %d" slot expected
-  | Repeat (n, _) -> Printf.sprintf "repeat %d" n
-
 exception Step_failed of string
 
 let slot_value env slot =

@@ -37,8 +37,6 @@ type t
 val make : name:string -> step list -> t
 val name : t -> string
 
-val describe_step : step -> string
-
 type outcome = {
   completed : bool;
   failed_step : string option;  (** first failing step's message *)

@@ -140,9 +140,6 @@ let now t = Sim.now t.sim
 
 let results t = List.rev t.results
 
-let outcome_for t ~pid =
-  List.find_map (fun (p, _, outcome) -> if p = pid then Some outcome else None) t.results
-
 let all_completed t =
   t.results <> [] && List.for_all (fun (_, _, o) -> o.Program.completed) t.results
 

@@ -39,7 +39,6 @@ val now : t -> int
 val results : t -> (Sim.pid * string * Program.outcome) list
 (** (pid, program name, outcome) in completion order. *)
 
-val outcome_for : t -> pid:Sim.pid -> Program.outcome option
 val all_completed : t -> bool
 
 val gate_cycles : t -> int

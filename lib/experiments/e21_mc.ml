@@ -46,14 +46,14 @@ let exhaustive_verdict (o : Mc.outcome) =
   if n = 0 && o.Mc.o_fixpoint then
     ( true,
       Printf.sprintf
-        "[mc] 0 violations: all %d reachable states (fixpoint at depth %d, %d replays) — \
+        "[mc] 0 violations: all %d reachable states (fixpoint at depth %d, %d candidates) — \
          stale-Permit, fail-secure, lattice-flow and AV-parity hold on every reachable state"
         o.Mc.o_states (List.length o.Mc.o_rows) o.Mc.o_expansions )
   else if n = 0 then
     ( false,
       Printf.sprintf
         "[mc] FAILED: the frontier is still non-empty at the depth cap %d (%d states, %d \
-         replays) — not every reachable state was checked"
+         candidates) — not every reachable state was checked"
         o.Mc.o_depth o.Mc.o_states o.Mc.o_expansions )
   else
     ( false,

@@ -239,14 +239,6 @@ module Injector = struct
   let retries t = t.total_retries
   let giveups t = t.total_giveups
 
-  let site_state t site = Hashtbl.find_opt t.states (site_name site)
-
-  let injected_at t site =
-    match site_state t site with None -> 0 | Some st -> st.site_injected
-
-  let occurrences_at t site =
-    match site_state t site with None -> 0 | Some st -> st.occurrences
-
   let counts t =
     let per_site =
       Hashtbl.fold

@@ -115,9 +115,6 @@ module Injector : sig
   val retries : t -> int
   val giveups : t -> int
 
-  val injected_at : t -> site -> int
-  val occurrences_at : t -> site -> int
-
   val counts : t -> (string * int) list
   (** Totals plus per-site injection counts, for reports and the shell
       [fault status] command; sorted by name. *)

@@ -195,7 +195,6 @@ let acl_of t uid = Option.map (fun n -> n.acl) (node t uid)
 let brackets_of t uid = Option.map (fun n -> n.brackets) (node t uid)
 let gate_bound_of t uid = Option.map (fun n -> n.gate_bound) (node t uid)
 let name_of t uid = Option.map (fun n -> n.name) (node t uid)
-let parent_of t uid = Option.bind (node t uid) (fun n -> n.parent)
 let page_count_of t uid = Option.map (fun n -> n.pages) (node t uid)
 
 (* ----- The access check used by every operation -----

@@ -63,7 +63,6 @@ val acl_of : t -> Uid.t -> Acl.t option
 val brackets_of : t -> Uid.t -> Brackets.t option
 val gate_bound_of : t -> Uid.t -> int option
 val name_of : t -> Uid.t -> string option
-val parent_of : t -> Uid.t -> Uid.t option
 val page_count_of : t -> Uid.t -> int option
 val path_of : t -> Uid.t -> string option
 val node_count : t -> int

@@ -19,8 +19,6 @@ module Int_table = Multics_util.Int_table
 
 type variant = Unified | Split
 
-let variant_name = function Unified -> "unified (naming in kernel)" | Split -> "split (naming in user ring)"
-
 type entry = {
   segno : int;
   uid : Uid.t;
@@ -100,8 +98,6 @@ let uid_of_segno t segno =
 let segno_of_uid t ~uid =
   Option.map (fun e -> e.segno) (Int_table.find_opt t.by_uid (Uid.to_int uid))
 
-let is_known t ~uid = Int_table.mem t.by_uid (Uid.to_int uid)
-
 let set_sdw t segno sdw =
   match Int_table.find_opt t.by_segno segno with
   | Some entry ->
@@ -123,14 +119,6 @@ let record_pathname t segno path =
       | Some entry ->
           entry.pathname <- Some path;
           Ok ()
-      | None -> Error (Unknown_segno segno))
-
-let pathname_of t segno =
-  match t.variant with
-  | Split -> Error Naming_not_in_kernel
-  | Unified -> (
-      match Int_table.find_opt t.by_segno segno with
-      | Some entry -> Ok entry.pathname
       | None -> Error (Unknown_segno segno))
 
 let terminate t segno =

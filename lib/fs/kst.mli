@@ -6,8 +6,6 @@ type t
 
 type variant = Unified | Split
 
-val variant_name : variant -> string
-
 type error = Unknown_segno of int | Naming_not_in_kernel
 
 val error_to_string : error -> string
@@ -29,7 +27,6 @@ val make_known : t -> uid:Uid.t -> int * bool
 
 val uid_of_segno : t -> int -> (Uid.t, error) result
 val segno_of_uid : t -> uid:Uid.t -> int option
-val is_known : t -> uid:Uid.t -> bool
 
 val set_sdw : t -> int -> Multics_machine.Sdw.t -> (unit, error) result
 val sdw_of : t -> int -> Multics_machine.Sdw.t option
@@ -44,8 +41,6 @@ val set_on_sdw_change : t -> (int -> unit) -> unit
 val record_pathname : t -> int -> string -> (unit, error) result
 (** [Error Naming_not_in_kernel] under the [Split] variant — the
     removal took this function out of the kernel. *)
-
-val pathname_of : t -> int -> (string option, error) result
 
 val terminate : t -> int -> (unit, error) result
 

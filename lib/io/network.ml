@@ -185,9 +185,10 @@ module Link = struct
   (* A congested link stretches the one-way latency by this factor. *)
   let delay_factor = 4
 
+  let latency = 1_000
+
   type t = {
     name : string;
-    latency : int;
     mutable faults : Fault.Injector.t option;
     mutable partitioned : bool;
     mutable sent : int;
@@ -196,10 +197,9 @@ module Link = struct
     mutable severed : int;
   }
 
-  let create ?(latency = 1_000) ~name () =
+  let create ~name =
     {
       name;
-      latency;
       faults = None;
       partitioned = false;
       sent = 0;
@@ -209,7 +209,6 @@ module Link = struct
     }
 
   let name t = t.name
-  let latency t = t.latency
   let set_faults t faults = t.faults <- faults
   let partition t = t.partitioned <- true
   let heal t = t.partitioned <- false
@@ -230,19 +229,19 @@ module Link = struct
     if t.partitioned || fire t Fault.Site_partition then begin
       t.severed <- t.severed + 1;
       Obs.Counter.incr (obs_severed ());
-      Severed { cycles = t.latency }
+      Severed { cycles = latency }
     end
     else if fire t Fault.Site_drop then begin
       t.dropped <- t.dropped + 1;
       Obs.Counter.incr (obs_dropped ());
-      Dropped { cycles = t.latency }
+      Dropped { cycles = latency }
     end
     else if fire t Fault.Site_delay then begin
       t.delayed <- t.delayed + 1;
       Obs.Counter.incr (obs_delayed ());
-      Delivered { cycles = 2 * t.latency * delay_factor }
+      Delivered { cycles = 2 * latency * delay_factor }
     end
-    else Delivered { cycles = 2 * t.latency }
+    else Delivered { cycles = 2 * latency }
 
   let counters t =
     [

@@ -64,10 +64,12 @@ module Link : sig
 
   val delay_factor : int
 
-  val create : ?latency:int -> name:string -> unit -> t
+  val latency : int
+  (** Every link's one-way latency: 1,000 cycles. *)
+
+  val create : name:string -> t
 
   val name : t -> string
-  val latency : t -> int
 
   val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
 

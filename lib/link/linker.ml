@@ -30,10 +30,6 @@ let placement_name = function
 
 type flaw = Unvalidated_input | Supervisor_authority_walk
 
-let flaw_to_string = function
-  | Unvalidated_input -> "unvalidated object-segment input"
-  | Supervisor_authority_walk -> "directory walk with supervisor authority"
-
 type outcome =
   | Snapped of { target : Uid.t; offset : int; dirs_searched : int }
   | Already_snapped of { target : Uid.t; offset : int }
@@ -47,11 +43,6 @@ type outcome =
       (** user-ring parser crashed in the caller's own ring: contained *)
   | No_such_link of int
   | Not_an_object of Uid.t
-
-let outcome_is_security_incident = function
-  | Supervisor_damaged _ -> true
-  | Snapped _ | Already_snapped _ | Segment_not_found _ | Definition_not_found _
-  | Malformed_rejected _ | User_ring_fault _ | No_such_link _ | Not_an_object _ -> false
 
 let outcome_to_string = function
   | Snapped { target; offset; dirs_searched } ->

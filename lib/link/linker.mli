@@ -15,8 +15,6 @@ type flaw =
   | Supervisor_authority_walk
       (** the ring-0 search runs with supervisor, not user, authority *)
 
-val flaw_to_string : flaw -> string
-
 type outcome =
   | Snapped of { target : Uid.t; offset : int; dirs_searched : int }
   | Already_snapped of { target : Uid.t; offset : int }
@@ -27,9 +25,6 @@ type outcome =
   | User_ring_fault of Object_seg.malformation
   | No_such_link of int
   | Not_an_object of Uid.t
-
-val outcome_is_security_incident : outcome -> bool
-(** True exactly for [Supervisor_damaged]. *)
 
 val outcome_to_string : outcome -> string
 

@@ -32,7 +32,6 @@ let user_data = make ~r1:4 ~r2:4 ~r3:4
 let user_procedure = make ~r1:4 ~r2:4 ~r3:4
 let kernel_private = make ~r1:0 ~r2:0 ~r3:0
 let kernel_gate = make ~r1:0 ~r2:0 ~r3:7
-let policy_ring_gate = make ~r1:1 ~r2:1 ~r3:7
 
 let for_single_ring r = make ~r1:r ~r2:r ~r3:r
 

@@ -28,9 +28,6 @@ val kernel_gate : t
 (** (0,0,7): a ring-0 procedure callable from any ring through a gate
     — the shape of every supervisor entry point. *)
 
-val policy_ring_gate : t
-(** (1,1,7): a ring-1 procedure (the partitioned policy layer). *)
-
 val for_single_ring : int -> t
 (** (r,r,r). *)
 

@@ -100,5 +100,3 @@ let cross_ring_penalty t =
   /. float_of_int (round_trip_call_cost t ~cross_ring:false)
 
 let processor_name = function H645 -> "H645" | H6180 -> "H6180"
-
-let pp_processor ppf p = Fmt.string ppf (processor_name p)

@@ -37,4 +37,3 @@ val cross_ring_penalty : t -> float
     the 645, ~1 on the 6180. *)
 
 val processor_name : processor -> string
-val pp_processor : Format.formatter -> processor -> unit

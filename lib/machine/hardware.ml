@@ -134,12 +134,6 @@ let check_via_assoc assoc ~key ~fetch ~ring ~operation =
           Assoc.install assoc ~key sdw;
           Some (check sdw ~ring ~operation))
 
-let pp_operation ppf = function
-  | Read -> Fmt.string ppf "read"
-  | Write -> Fmt.string ppf "write"
-  | Execute -> Fmt.string ppf "execute"
-  | Call off -> Fmt.pf ppf "call@%d" off
-
 let pp_decision ppf = function
   | Granted Access_ok -> Fmt.string ppf "granted"
   | Granted (Gate_entry r) -> Fmt.pf ppf "granted via gate into %a" Ring.pp r

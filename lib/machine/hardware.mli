@@ -73,5 +73,4 @@ val check_via_assoc :
     checking.  [None] when [fetch] finds no descriptor. *)
 
 val denial_to_string : denial -> string
-val pp_operation : Format.formatter -> operation -> unit
 val pp_decision : Format.formatter -> decision -> unit

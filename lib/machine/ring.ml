@@ -19,7 +19,6 @@ let to_int r = r
 let r0 = 0
 let r1 = 1
 let kernel = r0
-let kernel_policy = r1
 let user = 4
 let outermost = count - 1
 

@@ -16,10 +16,6 @@ val r1 : t
 val kernel : t
 (** Ring 0: the security kernel. *)
 
-val kernel_policy : t
-(** Ring 1: the less-privileged kernel partition that holds resource
-    management {e policy} in the paper's partitioning experiments. *)
-
 val user : t
 (** Ring 4: the conventional user ring. *)
 

@@ -26,8 +26,6 @@ let user_data_segment ~writable =
   let mode = if writable then Mode.rw else Mode.r in
   make ~mode ~brackets:Brackets.user_data ()
 
-let user_procedure_segment = make ~mode:Mode.re ~brackets:Brackets.user_procedure ()
-
 let kernel_gate_segment ~gate_bound = make ~gate_bound ~mode:Mode.re ~brackets:Brackets.kernel_gate ()
 
 let kernel_data_segment = make ~mode:Mode.rw ~brackets:Brackets.kernel_private ()

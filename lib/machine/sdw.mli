@@ -14,7 +14,6 @@ val is_gate_offset : t -> int -> bool
 (** Whether an inward call may target this entry offset. *)
 
 val user_data_segment : writable:bool -> t
-val user_procedure_segment : t
 val kernel_gate_segment : gate_bound:int -> t
 val kernel_data_segment : t
 

@@ -1101,10 +1101,10 @@ let summary o =
   let violations = List.length o.o_counterexamples in
   let plural = if violations = 1 then "" else "s" in
   if o.o_fixpoint then
-    bpf "  fixpoint at depth %d: all %d reachable states, %d replays, %d violation%s\n"
+    bpf "  fixpoint at depth %d: all %d reachable states, %d candidates, %d violation%s\n"
       (List.length o.o_rows) o.o_states o.o_expansions violations plural
   else
-    bpf "  exhaustive to depth %d: %d distinct states, %d replays, %d violation%s\n" o.o_depth
+    bpf "  exhaustive to depth %d: %d distinct states, %d candidates, %d violation%s\n" o.o_depth
       o.o_states o.o_expansions violations plural;
   List.iter
     (fun c ->

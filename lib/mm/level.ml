@@ -18,7 +18,4 @@ let compare a b = Int.compare (depth a) (depth b)
 
 let equal a b = compare a b = 0
 
-(* The next level outward — where an evicted page goes. *)
-let eviction_target = function Core -> Some Bulk | Bulk -> Some Disk | Disk -> None
-
 let pp ppf t = Fmt.string ppf (name t)

@@ -11,8 +11,4 @@ val depth : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val eviction_target : t -> t option
-(** Where an evicted page goes: core -> bulk, bulk -> disk, disk ->
-    nowhere. *)
-
 val pp : Format.formatter -> t -> unit

@@ -68,8 +68,6 @@ let capacity t level = Array.length (pool t level).frames
 
 let free_count t level = (pool t level).free_count
 
-let in_use t level = capacity t level - free_count t level
-
 let location t page = Page_map.find_opt t.locations page
 
 let occupant t block = (pool t (Block.level block)).frames.(Block.index block).occupant

@@ -19,7 +19,6 @@ val create : cost:Multics_machine.Cost.t -> core:int -> bulk:int -> disk:int -> 
 
 val capacity : t -> Level.t -> int
 val free_count : t -> Level.t -> int
-val in_use : t -> Level.t -> int
 
 val location : t -> Page_id.t -> Block.t option
 val occupant : t -> Block.t -> Page_id.t option

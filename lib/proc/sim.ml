@@ -54,7 +54,6 @@ type process = {
   mutable state : proc_state;
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable cycles_used : int;
-  mutable block_count : int;
   mutable extra_delay : int;  (** cycles stolen by inline interrupt handling *)
   mutable perturbation_count : int;
   mutable failure : string option;
@@ -75,7 +74,6 @@ type event = Start of pid | Resume of pid | Slice of pid | Thunk of (unit -> uni
    they are the kernel mechanisms the traffic controller itself relies
    on, and preempting them could deadlock page control. *)
 type scheduler = {
-  sched_name : string;
   sched_enqueue : pid -> unit;  (** a process became ready (spawn or counted wakeup) *)
   sched_select : vp:int -> pid option;
       (** pick the next process for the given free VP; under a
@@ -145,8 +143,6 @@ let fault_injector t = t.faults
 
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
-let scheduler_installed t = Option.map (fun s -> s.sched_name) t.scheduler
-
 let now t = Clock.now t.clock
 
 let cost_model t = t.cost
@@ -169,8 +165,6 @@ let new_channel t ~name =
   t.next_chan <- chan_id + 1;
   { chan_id; chan_name = name; waiters = Multics_util.Fqueue.empty; pending = 0 }
 
-let channel_name c = c.chan_name
-
 let waiter_count c = Multics_util.Fqueue.length c.waiters
 
 let pending_wakeups c = c.pending
@@ -187,7 +181,6 @@ let ring_of t pid = (proc t pid).ring
 let set_ring t pid ring = (proc t pid).ring <- ring
 let state_of t pid = (proc t pid).state
 let cycles_of t pid = (proc t pid).cycles_used
-let block_count_of t pid = (proc t pid).block_count
 let perturbations_of t pid = (proc t pid).perturbation_count
 let failure_of t pid = (proc t pid).failure
 let exit_channel t pid = (proc t pid).exit_chan
@@ -305,7 +298,6 @@ let spawn ?(ring = Ring.user) ?(dedicated = false) t ~name body =
       state = Unborn;
       cont = None;
       cycles_used = 0;
-      block_count = 0;
       extra_delay = 0;
       perturbation_count = 0;
       failure = None;
@@ -350,8 +342,6 @@ let compute cycles =
   if cycles > 0 then Effect.perform (Compute cycles)
 
 let block chan = Effect.perform (Block_on chan)
-
-let yield () = Effect.perform (Compute 1)
 
 (* ----- Execution engine ----- *)
 
@@ -409,7 +399,6 @@ let handler_for t p : (unit, unit) Effect.Deep.handler =
         | Block_on chan ->
             Some
               (fun (k : (c, unit) Effect.Deep.continuation) ->
-                p.block_count <- p.block_count + 1;
                 Obs.Counter.incr (obs_blocks ());
                 if chan.pending > 0 then begin
                   (* A counted wakeup already arrived: block returns at

@@ -48,7 +48,6 @@ val fault_injector : t -> Multics_fault.Fault.Injector.t option
     computed result — only timing. *)
 
 type scheduler = {
-  sched_name : string;
   sched_enqueue : pid -> unit;
       (** a process became ready (spawn or counted wakeup) *)
   sched_select : vp:int -> pid option;
@@ -72,9 +71,6 @@ val set_scheduler : t -> scheduler option -> unit
     spawning the processes it is to manage: already-queued processes
     stay in the fallback FIFO queue. *)
 
-val scheduler_installed : t -> string option
-(** [sched_name] of the installed controller, if any. *)
-
 val reschedule : t -> unit
 (** Re-run dispatch: bind ready processes to free VPs.  Call after an
     external change makes new processes selectable (e.g. the traffic
@@ -89,7 +85,6 @@ val counters : t -> Multics_util.Stats.Counters.t
 (** {1 Channels} *)
 
 val new_channel : t -> name:string -> chan
-val channel_name : chan -> string
 val waiter_count : chan -> int
 val pending_wakeups : chan -> int
 
@@ -113,9 +108,6 @@ val compute : int -> unit
 val block : chan -> unit
 (** Wait for a wakeup on the channel.  Only inside a process body. *)
 
-val yield : unit -> unit
-(** Let simultaneous events run (costs one cycle). *)
-
 val name_of : t -> pid -> string
 val ring_of : t -> pid -> Ring.t
 val set_ring : t -> pid -> Ring.t -> unit
@@ -127,7 +119,6 @@ val state_of : t -> pid -> proc_state
 val cycles_of : t -> pid -> int
 (** Total cycles the process has consumed (including perturbations). *)
 
-val block_count_of : t -> pid -> int
 val perturbations_of : t -> pid -> int
 
 val failure_of : t -> pid -> string option

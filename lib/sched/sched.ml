@@ -395,8 +395,7 @@ let create ?(eligibility_cap = 0) ?(policy = default_mlf) ?plant sim =
   Sim.set_scheduler sim
     (Some
        {
-         Sim.sched_name = policy_name policy;
-         sched_enqueue = enqueue t;
+         Sim.sched_enqueue = enqueue t;
          sched_select = (fun ~vp -> select t ~vp);
          sched_quantum = quantum t;
          sched_quantum_expired = quantum_expired t;
@@ -405,8 +404,6 @@ let create ?(eligibility_cap = 0) ?(policy = default_mlf) ?plant sim =
          sched_backlog = (fun () -> backlog t);
        });
   t
-
-let uninstall t = Sim.set_scheduler t.sim None
 
 let negotiated_cap ~core_frames ~working_set = max 1 (core_frames / max 1 working_set)
 

@@ -128,9 +128,6 @@ val create :
     preemption storm — pure extra switching cost, never a change in
     what any process may touch. *)
 
-val uninstall : t -> unit
-(** Remove the controller from the simulator (back to seed FIFO). *)
-
 val sim : t -> Sim.t
 val policy : t -> policy
 val name : t -> string

@@ -33,12 +33,6 @@ let policy_choice_name = function
   | Use_fifo -> "fifo"
   | Use_external -> "external"
 
-let policy_choice_of_string = function
-  | "mlf" -> Some Use_mlf
-  | "fifo" -> Some Use_fifo
-  | "external" -> Some Use_external
-  | _ -> None
-
 type spec = {
   seed : int;
   users : int;
@@ -143,12 +137,7 @@ let mediation_signature system =
          Printf.sprintf "%s|%d|%s|%s|%s" r.subject r.ring r.operation r.target
            (verdict_str r.verdict))
   |> List.sort String.compare
-  |> List.fold_left
-       (fun h s ->
-         let h = ref h in
-         String.iter (fun c -> h := ((!h * 33) + Char.code c) land 0x3FFF_FFFF) s;
-         (!h * 33) land 0x3FFF_FFFF)
-       5381
+  |> List.fold_left Site.hash_string 5381
 
 let run spec =
   if spec.users < 0 || spec.batch < 0 || spec.daemons < 0 then

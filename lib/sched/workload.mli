@@ -22,9 +22,6 @@ type policy_choice = Use_mlf | Use_fifo | Use_external
 
 val policy_choice_name : policy_choice -> string
 
-val policy_choice_of_string : string -> policy_choice option
-(** ["mlf"], ["fifo"], ["external"]. *)
-
 type spec = {
   seed : int;
   users : int;  (** interactive sessions *)

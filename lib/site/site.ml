@@ -138,7 +138,7 @@ let obs_replica_mismatch = Obs.Local.counter "site.replica.mismatch"
 let obs_revocation_cycles = Obs.Local.histogram "site.revocation.cycles"
 (* ----- Creation ----- *)
 
-let create ?(nsites = default_nsites ()) ?(config = Config.kernel_6180) ?(latency = 1_000) () =
+let create ~nsites ?(config = Config.kernel_6180) () =
   if nsites < 1 || nsites > max_sites then
     invalid_arg (Printf.sprintf "Site.create: nsites must be in 1..%d" max_sites);
   let members =
@@ -152,11 +152,11 @@ let create ?(nsites = default_nsites ()) ?(config = Config.kernel_6180) ?(latenc
           mismatches = 0;
         })
   in
-  let self = Link.create ~latency ~name:"self" () in
+  let self = Link.create ~name:"self" in
   let links = Array.make_matrix nsites nsites self in
   for a = 0 to nsites - 1 do
     for b = a + 1 to nsites - 1 do
-      let link = Link.create ~latency ~name:(Printf.sprintf "%d-%d" a b) () in
+      let link = Link.create ~name:(Printf.sprintf "%d-%d" a b) in
       links.(a).(b) <- link;
       links.(b).(a) <- link
     done
@@ -337,7 +337,7 @@ let log_op t ?origin op =
    connect storms to its own congestion.  Escalation is the fail-secure
    branch: fence the peer. *)
 
-let ack_timeout link = 4 * Link.latency link
+let ack_timeout = 4 * Link.latency
 
 let deliver_to_peer t ~entry_epoch ~origin peer op =
   let link = link_for t origin peer.id in
@@ -358,7 +358,7 @@ let deliver_to_peer t ~entry_epoch ~origin peer op =
               Obs.Counter.incr (obs_connects_lost ());
               Obs.Counter.incr (obs_connect_retries ())
             end;
-            `Lost (cycles + (ack_timeout link * (1 lsl min (n - 1) 8))))
+            `Lost (cycles + (ack_timeout * (1 lsl min (n - 1) 8))))
       ~escalate:(fun () ->
         (* The peer would not acknowledge within the budget.  The one
            safe degradation is to take its shard out of service: mark
@@ -556,10 +556,6 @@ let partition t a b =
 let heal_link t a b =
   check_pair t a b;
   Link.heal (link_for t a b)
-
-let link_partitioned t a b =
-  check_pair t a b;
-  Link.partitioned (link_for t a b)
 
 let crash t i =
   let m = member t i in

@@ -70,11 +70,13 @@ type rejoin_report = {
 
 type t
 
-val create : ?nsites:int -> ?config:Multics_kernel.Config.t -> ?latency:int -> unit -> t
-(** Boot [nsites] (default {!default_nsites}[ ()]) identical kernels
-    and join them pairwise with links of the given one-way [latency]
-    (cycles).  An operator principal is created and logged in on every
-    site (same handle everywhere, by determinism of the boot).  Obs
+val create : nsites:int -> ?config:Multics_kernel.Config.t -> unit -> t
+(** Boot [nsites] identical kernels and join them pairwise with links
+    of one-way latency {!Multics_io.Network.Link.latency}.  Nothing
+    here reads [MULTICS_SITES]: the caller picks the count (the shell
+    passes {!default_nsites}[ ()]).  An operator principal is created
+    and logged in on every site (same handle everywhere, by
+    determinism of the boot).  Obs
     instruments: ["site.connects.sent"/".lost"/".retries"],
     ["site.fenced"], ["site.fenced.refusals"], ["site.rejoins"],
     ["site.replica.mismatch"], the ["site.revocation.cycles"]
@@ -161,7 +163,6 @@ val partition : t -> int -> int -> unit
 (** Operator-sever the link between two sites ([site partition a b]). *)
 
 val heal_link : t -> int -> int -> unit
-val link_partitioned : t -> int -> int -> bool
 
 val crash : t -> int -> unit
 (** Take a site down: volatile state (every cached access decision) is
@@ -181,6 +182,11 @@ val heal_all : t -> int * (int * rejoin_report) list
     fenced/crashed site.  Returns (links healed, rejoins performed). *)
 
 (** {1 Fleet-wide accounting} *)
+
+val hash_string : int -> string -> int
+(** [hash_string h s] folds [s] into the djb2 digest [h] (30 bits);
+    start a fold at 5381.  The fleet digests below and
+    [Workload]'s audit-trail digest share it. *)
 
 val signature : t -> int
 (** Order-preserving djb2 digest of every primary dispatch

@@ -57,10 +57,6 @@ let mean samples = (summarize samples).mean
 
 let ratio ~num ~den = if den = 0.0 then Float.nan else num /. den
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.1f sd=%.1f min=%.0f p50=%.0f p90=%.0f p99=%.0f max=%.0f" s.count
-    s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 (* A counter bag: named integer counters, used for event accounting in
    the simulators. *)
 module Counters = struct

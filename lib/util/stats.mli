@@ -23,8 +23,6 @@ val mean : float list -> float
 val ratio : num:float -> den:float -> float
 (** [num /. den], [nan] when [den = 0.]. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Named integer counters for event accounting. *)
 module Counters : sig
   type t

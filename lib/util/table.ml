@@ -19,8 +19,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: cell count does not match column count";
   t.rows <- cells :: t.rows
 
-let add_int_row t cells = add_row t (List.map string_of_int cells)
-
 let utf8_length s =
   (* Column widths must count characters, not bytes, or multibyte
      glyphs (e.g. the multiplication sign) misalign every rule. *)

@@ -10,8 +10,6 @@ val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] if the number of cells does not match the
     number of columns. *)
 
-val add_int_row : t -> int list -> unit
-
 val render : t -> string
 
 val print : t -> unit

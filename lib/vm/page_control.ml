@@ -435,26 +435,10 @@ let reference ?(write = false) t ~pid ~page =
 
 (* ----- The PTW lookaside, exposed ----- *)
 
-let flush_ptw t = Avc.flush t.ptw
-let ptw_stats t = ("size", Avc.size t.ptw) :: Avc.counters t.ptw
-
 (* The lookaside's generation counters, exposed so per-CPU PTW fronts
    (lib/smp) can share them: an eviction's bump then stales every
    CPU's front in the same step it stales this cache. *)
 let ptw_gens t = Avc.gens t.ptw
-let ptw_hit_ratio t = Avc.hit_ratio t.ptw
-
-(* Soundness of the lookaside: every page it would vouch for really is
-   core-resident.  Checked by tests after eviction storms.  Keys are
-   SIDs; the registry maps them back to the page ids they name. *)
-let check_ptw_invariant t =
-  List.for_all
-    (fun sid ->
-      let page = Sid.Map.value t.page_sids (Sid.of_int sid) in
-      match Memory.location t.mem page with
-      | Some block -> Level.equal (Block.level block) Level.Core
-      | None -> false)
-    (Avc.keys t.ptw)
 
 (* ----- Reporting ----- *)
 

@@ -71,16 +71,6 @@ val page_sid : t -> Page_id.t -> Multics_access.Sid.t
 (** The page's dense SID (interned on first sight, never reused).
     The key the per-CPU PTW fronts (lib/smp) take. *)
 
-val flush_ptw : t -> unit
-
-val ptw_stats : t -> (string * int) list
-(** [("size", _)] plus the obs counter readings. *)
-
-val ptw_hit_ratio : t -> float
-
-val check_ptw_invariant : t -> bool
-(** Every page the lookaside would vouch for is core-resident. *)
-
 val ptw_gens : t -> Multics_cache.Avc.Gen.t
 (** The lookaside's generation counters, for per-CPU PTW fronts to
     share: an eviction's bump stales every sharing cache at once. *)

@@ -211,7 +211,7 @@ let test_explore_to_fixpoint () =
   let o = Lazy.force fixpoint in
   Alcotest.(check bool) "the frontier emptied" true o.Mc.o_fixpoint;
   Alcotest.(check int) "every reachable state" 2048 o.Mc.o_states;
-  Alcotest.(check int) "replays: 14 per state" 28_672 o.Mc.o_expansions;
+  Alcotest.(check int) "candidates: 14 per state" 28_672 o.Mc.o_expansions;
   Alcotest.(check int) "rows to the empty level" 11 (List.length o.Mc.o_rows);
   Alcotest.(check int) "no counterexamples" 0 (List.length o.Mc.o_counterexamples);
   let shallow = Mc.explore ~jobs:1 ~depth:4 () in
