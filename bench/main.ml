@@ -1,76 +1,21 @@
-(* The benchmark harness, in two modes.
+(* The bench smoke runner: six gated legs, wall-clock timed.
 
-     dune exec bench/main.exe              # 41 Bechamel tests, then every table
-     dune exec bench/main.exe -- --smoke   # six gated legs (CI)
+     dune exec bench/main.exe
 
-   The 41 Bechamel micro-benchmarks measure the REPRODUCTION's own code
-   (simulated gate validation, fault storms, buffer traffic, attack
-   corpus, ...), one group per experiment's hot mechanism plus the
-   [obs/] and [harness/] groups; the experiment tables that follow
-   report the simulated-machine results (the rows EXPERIMENTS.md
-   records).
+   [cache], [dispatch], [e19], [harness], [mc] and [e22] each print one
+   verdict line tagged with the leg's name and fail the run through
+   [gate] on a missed threshold; the last line is [bench smoke: OK].
+   Four legs append a row to a committed BENCH_*.json trajectory in the
+   current directory, so run it in a copy of the tree unless the rows
+   are meant to be committed.  The experiment tables themselves are
+   bin/experiments.exe's; perfbench/ measures the kernel end to end and
+   layer by layer. *)
 
-   [--smoke] is the fast regression check: six legs ([cache],
-   [dispatch], [e19], [harness], [mc], [e22]), each a short function
-   over the primitives at the end of this file.  Each prints one
-   tagged verdict line and fails the run on a missed gate; four of them
-   append a row to a committed BENCH_*.json trajectory in the current
-   directory, so run it in a copy of the tree unless the rows are
-   meant to be committed. *)
+(* ----- Fixtures -----
 
-open Bechamel
-open Toolkit
-
-(* ----- E1/E3: gate-table construction and validation ----- *)
-
-let bench_gate_catalog =
-  Test.make ~name:"e1_e3/gate_catalog_baseline"
-    (Staged.stage (fun () -> Multics_kernel.Gate.count Multics_kernel.Config.baseline_645))
-
-let bench_gate_lookup =
-  Test.make ~name:"e1_e3/gate_lookup"
-    (Staged.stage (fun () ->
-         Multics_kernel.Gate.find Multics_kernel.Config.kernel_6180 ~gate_name:"initiate"))
-
-(* ----- E2: the live protected-footprint workload ----- *)
-
-let bench_kst_unified =
-  Test.make ~name:"e2/kst_unified_64segs"
-    (Staged.stage (fun () ->
-         Multics_experiments.E2_naming_removal.live_protected_words
-           ~kst_variant:Multics_fs.Kst.Unified ~rnt_placement:Multics_link.Rnt.In_kernel
-           ~segments:64))
-
-let bench_kst_split =
-  Test.make ~name:"e2/kst_split_64segs"
-    (Staged.stage (fun () ->
-         Multics_experiments.E2_naming_removal.live_protected_words
-           ~kst_variant:Multics_fs.Kst.Split ~rnt_placement:Multics_link.Rnt.In_user_ring
-           ~segments:64))
-
-(* ----- E4: the hardware access check itself ----- *)
-
-let bench_hardware_check =
-  let sdw = Multics_machine.Sdw.kernel_gate_segment ~gate_bound:8 in
-  Test.make ~name:"e4/hardware_gate_check"
-    (Staged.stage (fun () ->
-         Multics_machine.Hardware.check sdw ~ring:Multics_machine.Ring.user
-           ~operation:(Multics_machine.Hardware.Call 3)))
-
-(* ----- E16/E4: the access-decision cache and the SDW associative
-   memory on the mediation hot path -----
-
-   [avc_hit] is the hit-heavy steady state (one warm object, checked
-   repeatedly); [avc_miss_recompute] invalidates the object's
-   generation before every check, so each iteration pays the
-   stale-drop plus the full policy recomputation and re-insert;
-   [hardware_check_assoc_hit] is the 6180-style reference with the SDW
-   already in the CAM.  The [cache] smoke leg below asserts the hit
-   path beats fresh recomputation by at least 5x. *)
-
-(* The fixture models the heavy end of realistic mediation: a project
-   segment carrying a 66-entry ACL and an 18-compartment label (the
-   AIM ceiling), accessed read-write by a subject cleared at the
+   The mediation fixture models the heavy end of realistic mediation: a
+   project segment carrying a 66-entry ACL and an 18-compartment label
+   (the AIM ceiling), accessed read-write by a subject cleared at the
    object's own level — so the fresh path pays the most-specific ACL
    scan plus both dominance subset checks on every reference, exactly
    the work the associative memory exists to bypass. *)
@@ -121,128 +66,15 @@ let avc_bench_hierarchy, avc_bench_uid =
 
 let avc_bench_subject = bench_subject ()
 
+(* The redesigned decision path: the hierarchy serves [check_access]
+   from the compiled [Av_table]. *)
 let avc_bench_check () =
   Multics_fs.Hierarchy.check_access avc_bench_hierarchy ~subject:avc_bench_subject
     ~uid:avc_bench_uid ~requested:Multics_machine.Mode.rw
 
-let bench_avc_hit =
-  (* Warm the entry once; every measured iteration is a hit. *)
-  ignore (avc_bench_check ());
-  Test.make ~name:"e16/avc_hit" (Staged.stage avc_bench_check)
-
-let bench_avc_miss_recompute =
-  Test.make ~name:"e16/avc_miss_recompute"
-    (Staged.stage (fun () ->
-         Multics_fs.Hierarchy.invalidate_cached_verdicts avc_bench_hierarchy;
-         avc_bench_check ()))
-
-let bench_hardware_check_assoc_hit =
-  let open Multics_machine in
-  let assoc = Hardware.Assoc.create () in
-  let sdw = Sdw.make ~mode:Mode.rew ~brackets:Brackets.user_data () in
-  Hardware.Assoc.install assoc ~key:7 sdw;
-  Test.make ~name:"e4/hardware_check_assoc_hit"
-    (Staged.stage (fun () ->
-         Hardware.check_via_assoc assoc ~key:7 ~fetch:(fun () -> Some sdw) ~ring:Ring.user
-           ~operation:Hardware.Read))
-
-(* ----- E5: the boundary sweep ----- *)
-
-let bench_boundary_sweep =
-  Test.make ~name:"e5/boundary_sweep"
-    (Staged.stage (fun () ->
-         Multics_kernel.Boundary.sweep ~inner_calls_list:[ 0; 1; 2; 5; 10; 20; 50; 100 ] ()))
-
-(* ----- E6: one full page-fault storm per discipline ----- *)
-
-let bench_page_storm_sequential =
-  Test.make ~name:"e6/page_storm_sequential"
-    (Staged.stage (fun () ->
-         Multics_experiments.E6_page_control.run_storm ~core:8 ~bulk:12
-           ~discipline:Multics_vm.Page_control.Sequential ~processes:4 ~pages_per_process:10
-           ~sweeps:2 ()))
-
-let bench_page_storm_parallel =
-  Test.make ~name:"e6/page_storm_parallel"
-    (Staged.stage (fun () ->
-         Multics_experiments.E6_page_control.run_storm ~core:8 ~bulk:12
-           ~discipline:Multics_vm.Page_control.Parallel_processes ~processes:4
-           ~pages_per_process:10 ~sweeps:2 ()))
-
-(* ----- E7: buffer mechanisms under burst traffic ----- *)
-
-let bench_buffer_circular =
-  Test.make ~name:"e7/buffer_circular"
-    (Staged.stage (fun () ->
-         Multics_io.Network.run ~seed:7
-           (Multics_io.Network.Circular (Multics_io.Circular_buffer.create ~capacity:16))))
-
-let bench_buffer_infinite =
-  Test.make ~name:"e7/buffer_infinite"
-    (Staged.stage (fun () ->
-         Multics_io.Network.run ~seed:7
-           (Multics_io.Network.Infinite (Multics_io.Infinite_buffer.create ()))))
-
-(* ----- E8: interrupt storms per discipline ----- *)
-
-let bench_interrupts_inline =
-  Test.make ~name:"e8/interrupt_storm_inline"
-    (Staged.stage (fun () ->
-         Multics_experiments.E8_interrupts.run_storm ~discipline:Multics_proc.Interrupt.Inline
-           ~interrupts:40 ~gap:4_000))
-
-let bench_interrupts_processes =
-  Test.make ~name:"e8/interrupt_storm_processes"
-    (Staged.stage (fun () ->
-         Multics_experiments.E8_interrupts.run_storm
-           ~discipline:Multics_proc.Interrupt.Handler_processes ~interrupts:40 ~gap:4_000))
-
-(* ----- E9: the policy/mechanism attack matrix ----- *)
-
-let bench_policy_matrix =
-  Test.make ~name:"e9/policy_attack_matrix"
-    (Staged.stage (fun () -> Multics_kernel.Page_policy.attack_matrix ()))
-
-(* ----- E10: lattice checks ----- *)
-
-let bench_lattice_trace =
-  Test.make ~name:"e10/lattice_flow_trace"
-    (Staged.stage (fun () ->
-         Multics_experiments.E10_lattice_flow.measure ~seed:7 ~operations:1_000 ()))
-
-(* ----- E11: the full corpus against the kernel ----- *)
-
-let bench_pentest_kernel =
-  Test.make ~name:"e11/corpus_vs_kernel"
-    (Staged.stage (fun () -> Multics_audit.Pentest.run_corpus Multics_kernel.Config.kernel_6180))
-
-(* ----- E12: inventory metrics ----- *)
-
-let bench_inventory_stages =
-  Test.make ~name:"e12/inventory_stages"
-    (Staged.stage (fun () -> Multics_audit.Metrics.stages ()))
-
-(* ----- E13: the full-system session ----- *)
-
-let bench_session_kernel =
-  Test.make ~name:"e13/full_system_session"
-    (Staged.stage (fun () ->
-         Multics_experiments.E13_cost_of_security.measure ()))
-
-(* ----- E14: the exhaustive verifier ----- *)
-
-let bench_verifier =
-  Test.make ~name:"e14/exhaustive_verifier"
-    (Staged.stage (fun () -> Multics_audit.Verifier.run_all ()))
-
-(* ----- E17: the traffic controller's dispatch path -----
-
-   One full MLF scheduling decision — select (with its aging pass),
-   quantum lookup, expiry demotion, re-enqueue — against a deep ready
-   backlog.  The [dispatch] smoke leg below checks the same cycle stays
-   near-constant as the backlog grows 1000x: the dispatch path must be
-   O(1) in the number of ready processes. *)
-
+(* One full MLF scheduling decision — select (with its aging pass),
+   quantum lookup, expiry demotion, re-enqueue — against a ready
+   backlog of [n]. *)
 let sched_mlf_with_backlog n =
   let m = Multics_sched.Sched.Mlf.create ~levels:4 ~base_quantum:4_000 ~age_after:1_000_000 in
   for pid = 1 to n do
@@ -258,118 +90,11 @@ let sched_dispatch_cycle m =
       Multics_sched.Sched.Mlf.expired m pid;
       Multics_sched.Sched.Mlf.enqueue m ~now:0 pid
 
-let bench_sched_dispatch =
-  let m = sched_mlf_with_backlog 10_000 in
-  Test.make ~name:"e17/dispatch_10k_ready"
-    (Staged.stage (fun () -> sched_dispatch_cycle m))
-
-(* ----- E18: the multiprocessor plant's hot paths -----
-
-   The connect broadcast (one descriptor mutation's synchronous
-   coherence round over 3 remote CPUs), the per-CPU CAM front of the
-   SDW check, and one dispatcher-lock acquisition.  All three sit on
-   mediation or dispatch hot paths, so their cost is the price of
-   running the kernel on more than one processor. *)
-
-module Smp = Multics_smp.Smp
-
-let smp_bench_plant =
-  let plant = Smp.create ~ncpus:4 ~cost:Multics_machine.Cost.h6180 () in
-  Smp.set_current plant 0;
-  plant
-
-let bench_smp_connect_broadcast =
-  Test.make ~name:"e18/connect_broadcast_4cpu"
-    (Staged.stage (fun () -> Smp.connect_invalidate smp_bench_plant ~handle:1 ~segno:8))
-
-let smp_bench_sdw =
-  Multics_machine.Sdw.make ~mode:Multics_machine.Mode.rw
-    ~brackets:(Multics_machine.Brackets.make ~r1:4 ~r2:4 ~r3:4)
-    ()
-
-let bench_smp_check_sdw_hit =
-  (* Warm the CAM once; every iteration is then the per-CPU hit path. *)
-  ignore
-    (Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8
-       ~fetch:(fun () -> Some smp_bench_sdw)
-       ~ring:Multics_machine.Ring.user ~operation:Multics_machine.Hardware.Read);
-  Test.make ~name:"e18/check_sdw_cam_hit"
-    (Staged.stage (fun () ->
-         Smp.check_sdw smp_bench_plant ~handle:1 ~segno:8
-           ~fetch:(fun () -> Some smp_bench_sdw)
-           ~ring:Multics_machine.Ring.user ~operation:Multics_machine.Hardware.Read))
-
-let bench_smp_dispatch_lock =
-  Test.make ~name:"e18/dispatch_lock_4cpu"
-    (Staged.stage (fun () -> Smp.dispatch_lock smp_bench_plant ~now:0))
-
-(* ----- E20: the distributed fleet -----
-
-   One replicated revocation on a 4-site fleet: resolve the path at
-   the home site, apply the edit, then replay it at 3 peers over the
-   links and wait for every acknowledgement before returning — the
-   cross-kernel analogue of [e18/connect_broadcast_4cpu].  Audit
-   recording is off so iterations measure the broadcast, not log
-   growth; the backlog compacts to empty while the fleet is healthy,
-   so the loop is steady-state. *)
-
-module Site = Multics_site.Site
-
-let site_bench_fleet, site_bench_handle =
-  let fleet = Site.create ~nsites:4 () in
-  for s = 0 to Site.nsites fleet - 1 do
-    Multics_kernel.Audit_log.set_enabled
-      (Multics_kernel.System.audit (Site.member_system fleet s))
-      false
-  done;
-  Site.add_account fleet ~person:"Bench" ~project:"Site" ~password:"pw"
-    ~clearance:Multics_access.Label.unclassified;
-  let handle =
-    match Site.login fleet ~person:"Bench" ~project:"Site" ~password:"pw" with
-    | Ok handle -> handle
-    | Error e -> failwith (Multics_kernel.System.login_error_to_string e)
-  in
-  let user = 0 in
-  (match
-     Site.dispatch fleet ~user ~handle
-       (Multics_kernel.Api.Call.Create_segment_by_path
-          {
-            path = ">udd>Site>Bench>scratch";
-            acl = Multics_access.Acl.of_strings [ ("Bench.Site.*", "rw") ];
-            label = Multics_access.Label.unclassified;
-            brackets = None;
-          })
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Multics_kernel.Api.error_to_string e));
-  (fleet, handle)
-
-let site_bench_revoke () =
-  Site.dispatch site_bench_fleet ~user:0 ~handle:site_bench_handle
-    (Multics_kernel.Api.Call.Set_acl_by_path
-       {
-         path = ">udd>Site>Bench>scratch";
-         acl = Multics_access.Acl.of_strings [ ("Bench.Site.*", "rw") ];
-       })
-
-let bench_site_revocation_broadcast =
-  (match site_bench_revoke () with
-  | Ok _ -> ()
-  | Error e -> failwith (Multics_kernel.Api.error_to_string e));
-  Test.make ~name:"e20/revocation_broadcast_4site" (Staged.stage site_bench_revoke)
-
-(* ----- E19: the dense-SID flat-table mediation path -----
-
-   [bench_avc_hit] above already measures the redesigned decision path
-   (the hierarchy serves [check_access] from the compiled
-   [Av_table]).  This section puts that hit head to head against the
-   work it compiled away — a fresh structured [Policy.check] over the
-   same label and ACL — plus the two costs the compilation introduces:
-   recalling a subject's dense SID (the memo-stamp fast path and the
-   cold re-intern) and an eager whole-table rebuild.  The [e19] smoke
-   leg below requires the flat-table hit to beat the fresh check and
-   records all of these in BENCH_e19_sid.json. *)
-
+(* The dense-SID path against the work it compiled away — a fresh
+   structured [Policy.check] over the same label and ACL — plus the two
+   costs the compilation introduces: recalling a subject's dense SID
+   (the memo-stamp fast path and the cold re-intern) and an eager
+   whole-table rebuild. *)
 let sid_bench_label, sid_bench_acl =
   ( Option.get (Multics_fs.Hierarchy.label_of avc_bench_hierarchy avc_bench_uid),
     Option.get (Multics_fs.Hierarchy.acl_of avc_bench_hierarchy avc_bench_uid) )
@@ -393,26 +118,14 @@ let sid_bench_flat_hit () =
   let av = Multics_access.Av_table.find sid_bench_avtab ~subj ~obj:sid_bench_obj in
   av >= 0 && Multics_access.Av_table.covers ~av ~need:sid_bench_need
 
-let bench_sid_flat_find =
-  ignore (sid_bench_flat_hit ());
-  Test.make ~name:"e19/flat_table_find_hit" (Staged.stage sid_bench_flat_hit)
-
 let sid_bench_fresh_check () =
   Multics_access.Policy.check ~subject:sid_bench_check_subject ~object_label:sid_bench_label
     ~acl:sid_bench_acl ~requested:Multics_machine.Mode.rw
-
-let bench_sid_fresh_check =
-  ignore (sid_bench_fresh_check ());
-  Test.make ~name:"e19/policy_check_fresh" (Staged.stage sid_bench_fresh_check)
 
 let sid_bench_intern_subject = bench_subject ()
 
 let sid_bench_intern_memo () =
   Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject
-
-let bench_sid_intern_memo =
-  ignore (sid_bench_intern_memo ());
-  Test.make ~name:"e19/subject_sid_memo_hit" (Staged.stage sid_bench_intern_memo)
 
 let sid_bench_intern_cold () =
   (* Clearing the stamp forces the registry walk (hash + bucket scan +
@@ -420,9 +133,6 @@ let sid_bench_intern_cold () =
      ring change. *)
   sid_bench_intern_subject.Multics_access.Policy.sid_memo <- (0, -1);
   Multics_fs.Hierarchy.subject_sid avc_bench_hierarchy sid_bench_intern_subject
-
-let bench_sid_intern_cold =
-  Test.make ~name:"e19/subject_sid_intern_cold" (Staged.stage sid_bench_intern_cold)
 
 (* A populated hierarchy for the rebuild: 64 objects under churn-free
    attributes, a handful of interned subjects — the rebuild recompiles
@@ -455,17 +165,11 @@ let sid_rebuild_hierarchy =
 
 let sid_bench_rebuild () = Multics_fs.Hierarchy.rebuild_av_table sid_rebuild_hierarchy
 
-let bench_sid_rebuild =
-  Test.make ~name:"e19/table_rebuild_5subj_64obj" (Staged.stage sid_bench_rebuild)
-
-(* ----- One booted kernel for gate-call timing -----
-
-   [kernel_6180] with audit retention off (a hot loop would otherwise
-   time the trail's growth and the GC, not the call), one logged-in
-   user, Bench.Perf, and one [rew] segment, >udd>Perf>Bench>hot, whose
-   word 0 holds 42.  The obs/ fixture boots one at start-up; the e22
-   smoke leg boots its own inside the leg, so the kernel it times is
-   fresh. *)
+(* One booted kernel for gate-call timing: [kernel_6180] with audit
+   retention off (a hot loop would otherwise time the trail's growth
+   and the GC, not the call), one logged-in user, Bench.Perf, and one
+   [rew] segment, >udd>Perf>Bench>hot, whose word 0 holds 42.  The e22
+   leg boots it inside the leg, so the kernel it times is fresh. *)
 
 type bench_kernel = {
   system : Multics_kernel.System.t;
@@ -514,157 +218,7 @@ let kernel_6180 () =
   ignore (dispatch (Api.Call.Write_word { segno; offset = 0; value = 42 }));
   { system; handle; home; segno }
 
-(* ----- Observability overhead -----
-
-   The same full gate call (a [Read_word] through [Api.Call.dispatch]:
-   process lookup, gate discipline, SDW check, content fetch, metering
-   branch) with the observability switch on and off.  The off row is
-   the seed-equivalent path: its only extra cost is the single disabled
-   branch, so the two rows must land within noise of each other. *)
-
-module Obs = Multics_obs.Obs
-
-let obs_bench_kernel = kernel_6180 ()
-
-let obs_bench_read =
-  let request = Multics_kernel.Api.Call.Read_word { segno = obs_bench_kernel.segno; offset = 0 } in
-  fun () ->
-    Multics_kernel.Api.Call.dispatch obs_bench_kernel.system ~handle:obs_bench_kernel.handle
-      request
-
-let bench_obs_gate_call_on =
-  Test.make ~name:"obs/gate_call_obs_on"
-    (Staged.stage (fun () ->
-         Obs.set_enabled true;
-         obs_bench_read ()))
-
-let bench_obs_gate_call_off =
-  Test.make ~name:"obs/gate_call_obs_off"
-    (Staged.stage (fun () ->
-         Obs.set_enabled false;
-         obs_bench_read ()))
-
-let obs_bench_counter = Obs.Local.counter "bench.counter"
-let bench_obs_counter_incr =
-  Test.make ~name:"obs/counter_incr"
-    (Staged.stage (fun () -> Obs.Counter.incr (obs_bench_counter ())))
-
-let obs_bench_histogram = Obs.Local.histogram "bench.histogram"
-let bench_obs_histogram_observe =
-  Test.make ~name:"obs/histogram_observe"
-    (Staged.stage (fun () -> Obs.Histogram.observe (obs_bench_histogram ()) 1234))
-
-(* ----- The parallel harness (lib/par) ----- *)
-
-module Par = Multics_par.Par
-
-(* The task unit the domain pool schedules: one seeded E19 churn run,
-   sized down so Bechamel can sample it. *)
-let harness_seed_refs = 30
-
-let bench_harness_seed_run =
-  Test.make ~name:"harness/e19_seed_run"
-    (Staged.stage (fun () ->
-         Multics_experiments.E19_sid.run_seed ~seed:7 ~refs:harness_seed_refs))
-
-let bench_harness_pool_seq =
-  Test.make ~name:"harness/run_seeds_1dom"
-    (Staged.stage (fun () ->
-         Par.run_seeds ~jobs:1 8 (fun seed ->
-             Multics_experiments.E19_sid.run_seed ~seed ~refs:harness_seed_refs)))
-
-let bench_harness_pool_4dom =
-  Test.make ~name:"harness/run_seeds_4dom"
-    (Staged.stage (fun () ->
-         Par.run_seeds ~jobs:4 8 (fun seed ->
-             Multics_experiments.E19_sid.run_seed ~seed ~refs:harness_seed_refs)))
-
-let bench_harness_spawn_join =
-  Test.make ~name:"harness/pool_spawn_join"
-    (Staged.stage (fun () -> Par.map ~jobs:4 Fun.id [ 1; 2; 3; 4 ]))
-
-(* ----- Ablations ----- *)
-
-let bench_ablation_policies =
-  Test.make ~name:"a1/eviction_policies"
-    (Staged.stage (fun () -> Multics_experiments.Ablations.A1.measure ()))
-
-let bench_ablation_watermark =
-  Test.make ~name:"a3/watermark_sweep"
-    (Staged.stage (fun () -> Multics_experiments.Ablations.A3.measure ()))
-
-let tests =
-  [
-    bench_gate_catalog;
-    bench_gate_lookup;
-    bench_kst_unified;
-    bench_kst_split;
-    bench_hardware_check;
-    bench_avc_hit;
-    bench_avc_miss_recompute;
-    bench_hardware_check_assoc_hit;
-    bench_sid_flat_find;
-    bench_sid_fresh_check;
-    bench_sid_intern_memo;
-    bench_sid_intern_cold;
-    bench_sid_rebuild;
-    bench_boundary_sweep;
-    bench_page_storm_sequential;
-    bench_page_storm_parallel;
-    bench_buffer_circular;
-    bench_buffer_infinite;
-    bench_interrupts_inline;
-    bench_interrupts_processes;
-    bench_policy_matrix;
-    bench_lattice_trace;
-    bench_pentest_kernel;
-    bench_inventory_stages;
-    bench_session_kernel;
-    bench_verifier;
-    bench_sched_dispatch;
-    bench_smp_connect_broadcast;
-    bench_smp_check_sdw_hit;
-    bench_smp_dispatch_lock;
-    bench_site_revocation_broadcast;
-    bench_obs_gate_call_on;
-    bench_obs_gate_call_off;
-    bench_obs_counter_incr;
-    bench_obs_histogram_observe;
-    bench_harness_seed_run;
-    bench_harness_pool_seq;
-    bench_harness_pool_4dom;
-    bench_harness_spawn_join;
-    bench_ablation_policies;
-    bench_ablation_watermark;
-  ]
-
-let benchmark () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let grouped = Test.make_grouped ~name:"multics" ~fmt:"%s %s" tests in
-  let raw_results = Benchmark.all cfg instances grouped in
-  let results = List.map (fun instance -> Analyze.all ols instance raw_results) instances in
-  Analyze.merge ols instances results
-
-let print_bench_table results =
-  let open Notty_unix in
-  let window =
-    match winsize Unix.stdout with
-    | Some (w, h) -> { Bechamel_notty.w; h }
-    | None -> { Bechamel_notty.w = 120; h = 1 }
-  in
-  Bechamel_notty.Unit.add Instance.monotonic_clock (Measure.unit Instance.monotonic_clock);
-  let image =
-    Bechamel_notty.Multiple.image_of_ols_results ~rect:window ~predictor:Measure.run results
-  in
-  output_image (eol image)
-
-(* ----- The smoke runner (--smoke) -----
-
-   Wall-clock timed, no Bechamel machinery.  Each leg times with the
-   primitives below, prints one verdict line tagged with the leg's
-   name, and fails the run through [gate]. *)
+(* ----- Timing, gates and trajectory rows ----- *)
 
 let trials = 5
 
@@ -731,6 +285,8 @@ let append file bench fields =
 let int key v = (key, string_of_int v)
 let num decimals key v = (key, Printf.sprintf "%.*f" decimals v)
 let bool key v = (key, string_of_bool v)
+
+(* ----- The legs ----- *)
 
 (* [cache] (E16): on the hit-heavy fixture the cached decision path
    must beat recomputing the verdict from scratch by at least 5x, and
@@ -811,13 +367,15 @@ let e19_leg (fresh_recompute_ns, speedup_cached_vs_fresh, hit_ratio) =
     ]
 
 (* [harness]: the 100-seed E19 oracle must produce the same results at
-   every pool size, and on a machine with at least 4 cores the
-   4-domain run must at least halve the sequential wall-clock.  On one
-   core a 4-domain pool measures scheduler thrash, not the harness:
-   the timing is skipped (and the row says so, a gap rather than a
-   fabricated speedup) while the sequential runs must still agree. *)
+   every pool size, and on a machine with at least 4 cores a 4-domain
+   run must at least halve the sequential wall-clock.  The pool gets
+   [min 4 cores] domains: more domains than cores would time scheduler
+   thrash, not the harness, so a 2-core host records what 2 domains
+   buy and skips the gate.  On one core no pool can help: the timing
+   is skipped (and the row says so, a gap rather than a fabricated
+   speedup) while the sequential runs must still agree. *)
 let harness_leg () =
-  let refs = 2_000 and runs = 3 and required = 2.0 in
+  let refs = 2_000 and runs = 3 and required = 2.0 and domains = min 4 cores in
   let oracle jobs = timed (fun () -> Multics_experiments.E19_sid.parity_runs ~jobs ~refs ()) in
   let seq = List.init runs (fun _ -> oracle 1) in
   let seq_s = median (List.map fst seq) and reference = snd (List.hd seq) in
@@ -834,20 +392,20 @@ let harness_leg () =
   let common =
     [ int "trials" runs; int "seeds" 100; int "refs_per_seed" refs; num 4 "sequential_s" seq_s ]
   in
-  if cores < 2 then begin
+  if domains < 2 then begin
     let identical = agree seq in
-    Printf.printf "%s, 4-domain timing skipped (%d core), results %s across trials\n" head cores
+    Printf.printf "%s, parallel timing skipped (%d core), results %s across trials\n" head cores
       (verdict identical);
     gate identical "repeated sequential runs disagreed";
     append "BENCH_harness.json" "harness"
       (common @ [ bool "skipped" true; bool "results_identical" identical ])
   end
   else begin
-    let par = List.init runs (fun _ -> oracle 4) in
+    let par = List.init runs (fun _ -> oracle domains) in
     let par_s = median (List.map fst par) in
-    let identical = agree (seq @ par) and speedup = seq_s /. par_s and enforce = cores >= 4 in
-    Printf.printf "%s, 4-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n" head par_s
-      speedup
+    let identical = agree (seq @ par) and speedup = seq_s /. par_s and enforce = domains >= 4 in
+    Printf.printf "%s, %d-domain %.3f s, speedup %.2fx%s, results %s across pool sizes\n" head
+      domains par_s speedup
       (if enforce then Printf.sprintf " (required >= %.1fx)" required
        else Printf.sprintf " (speedup gate skipped: %d cores)" cores)
       (verdict identical);
@@ -856,7 +414,8 @@ let harness_leg () =
     append "BENCH_harness.json" "harness"
       (common
       @ [
-          num 4 "four_domain_s" par_s;
+          int "domains" domains;
+          num 4 "parallel_s" par_s;
           num 3 "speedup" speedup;
           num 2 "required_speedup" required;
           bool "skipped" false;
@@ -904,8 +463,10 @@ let mc_leg () =
 
 (* [e22]: the gate mask sits on the dispatch hot path, so an admitted
    call under a specialised table may cost at most 3x the unmasked
-   call.  A stripped call's Gate_absent refusal is timed alongside: it
-   is the fail-secure fast path, touching no kernel state. *)
+   call.  The unmasked read is timed again with observability off: the
+   difference is what metering a gate call costs (recorded, not
+   gated).  A stripped call's Gate_absent refusal is timed alongside:
+   it is the fail-secure fast path, touching no kernel state. *)
 let e22_leg () =
   let module Spec = Multics_spec.Spec in
   let module Call = Multics_kernel.Api.Call in
@@ -916,6 +477,7 @@ let e22_leg () =
   let list = call (Call.List_directory { dir_segno = k.home }) in
   ignore (time_iters 1_000 read);
   let unmasked = ns_per_call ~iters read in
+  let obs_off = Multics_obs.Obs.with_disabled (fun () -> ns_per_call ~iters read) in
   let profile, () = Spec.Profile.observe ~name:"bench-read" read in
   let spec =
     Spec.Specialisation.compile ~name:"bench-read" Multics_kernel.Config.kernel_6180 profile
@@ -927,14 +489,15 @@ let e22_leg () =
   let overhead = masked /. unmasked in
   let kept = Spec.Specialisation.gate_count spec and full = Spec.Specialisation.full_count spec in
   Printf.printf
-    "bench smoke: [e22] admitted dispatch %.1f ns unmasked vs %.1f ns under a %d-of-%d-gate table (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns\n"
-    unmasked masked kept full overhead allowed refusal;
+    "bench smoke: [e22] admitted dispatch %.1f ns unmasked (%.1f ns obs off) vs %.1f ns under a %d-of-%d-gate table (%.2fx, required <= %.1fx); stripped-gate refusal %.1f ns\n"
+    unmasked obs_off masked kept full overhead allowed refusal;
   gate (overhead <= allowed) "the gate mask made admitted dispatch too expensive";
   append "BENCH_e22_spec.json" "e22_spec"
     [
       int "trials" trials;
       int "iters" iters;
       num 2 "unmasked_dispatch_ns" unmasked;
+      num 2 "obs_off_dispatch_ns" obs_off;
       num 2 "masked_dispatch_ns" masked;
       num 3 "overhead_ratio" overhead;
       num 2 "max_overhead_ratio" allowed;
@@ -943,7 +506,7 @@ let e22_leg () =
       int "gates_full" full;
     ]
 
-let smoke () =
+let () =
   let cache = cache_leg () in
   dispatch_leg ();
   e19_leg cache;
@@ -951,17 +514,3 @@ let smoke () =
   mc_leg ();
   e22_leg ();
   print_endline "bench smoke: OK"
-
-let () =
-  if Array.exists (fun a -> a = "--smoke") Sys.argv then smoke ()
-  else begin
-    print_endline "=== Bechamel micro-benchmarks (one per experiment mechanism) ===";
-    let results = benchmark () in
-    Obs.set_enabled true;
-    print_bench_table results;
-    print_newline ();
-    print_endline "=== Experiment tables (E1..E22 + ablations) ===";
-    print_newline ();
-    print_string (Multics_experiments.Registry.render_all ());
-    print_newline ()
-  end

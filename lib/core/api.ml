@@ -265,12 +265,14 @@ let call system ~handle ~operation admission ~target body =
         let* () = admit system p ~operation admission in
         body p subject
       in
-      let verdict =
-        match result with
-        | Ok _ -> Audit_log.Granted
-        | Error e -> Audit_log.Refused (error_to_string e)
-      in
-      Audit_log.log (System.audit system) ~subject ~operation ~target ~verdict;
+      let audit = System.audit system in
+      (* A refusal's text is rendered only for a trail that keeps it. *)
+      if Audit_log.enabled audit then
+        Audit_log.log audit ~subject ~operation ~target
+          ~verdict:
+            (match result with
+            | Ok _ -> Audit_log.Granted
+            | Error e -> Audit_log.Refused (error_to_string e));
       meter system ~operation ~refused:(Result.is_error result);
       result
 

@@ -26,6 +26,7 @@ let create () = { records = []; next_seq = 0; enabled = true }
 let copy t = { records = t.records; next_seq = t.next_seq; enabled = t.enabled }
 
 let set_enabled t enabled = t.enabled <- enabled
+let enabled t = t.enabled
 
 let log t ~(subject : Policy.subject) ~operation ~target ~verdict =
   if t.enabled then begin

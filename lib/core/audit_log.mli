@@ -22,6 +22,10 @@ val copy : t -> t
 
 val set_enabled : t -> bool -> unit
 
+val enabled : t -> bool
+(** Whether {!log} retains records.  A caller that builds a record's
+    text only for the trail asks first. *)
+
 val log :
   t -> subject:Policy.subject -> operation:string -> target:string -> verdict:verdict -> unit
 

@@ -15,14 +15,6 @@ type result = {
   data_factor : float;
 }
 
-val live_protected_words :
-  kst_variant:Multics_fs.Kst.variant ->
-  rnt_placement:Multics_link.Rnt.placement ->
-  segments:int ->
-  int
-(** The live workload: make [segments] segments known, bind one
-    reference name each, count the words left kernel-protected. *)
-
 val measure : ?segments:int -> unit -> result
 val table : unit -> Multics_util.Table.t
 val render : unit -> string

@@ -16,9 +16,6 @@ type row = {
   borrowed_privileged_cycles : int;
 }
 
-val run_storm :
-  discipline:Multics_proc.Interrupt.discipline -> interrupts:int -> gap:int -> row
-
 val measure : ?interrupts:int -> ?gap:int -> unit -> row list
 val table : unit -> Multics_util.Table.t
 val render : unit -> string

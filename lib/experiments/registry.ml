@@ -171,8 +171,6 @@ let ids = List.map (fun e -> e.id) all
 let render_one e =
   Printf.sprintf "%s — %s\npaper: %s\n\n%s" e.id e.title e.paper_claim (e.render ())
 
-let render_all () = String.concat "\n\n" (List.map render_one all)
-
 (* The harness's command line, as data: bin/experiments.exe evaluates
    this term, and the test suite drives [parse] over every registered
    id to prove each runner accepts its flags without rendering

@@ -16,7 +16,6 @@ val find : string -> experiment option
 val ids : string list
 
 val render_one : experiment -> string
-val render_all : unit -> string
 
 (** The harness's command line as a reusable Cmdliner term:
     [bin/experiments.exe] evaluates it, and the test suite proves every

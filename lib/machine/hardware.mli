@@ -43,8 +43,6 @@ module Assoc : sig
   (** The same entries over copied generations (see
       {!Multics_cache.Avc.copy}). *)
 
-  val lookup : t -> key:int -> Sdw.t option
-  val install : t -> key:int -> Sdw.t -> unit
   val invalidate : t -> key:int -> unit
   val flush : t -> unit
   val size : t -> int

@@ -27,8 +27,8 @@ module Sim = Multics_proc.Sim
 
 (** {1 The multi-level-feedback queues}
 
-    Exposed directly (not just as a policy) so the [e17/dispatch]
-    bench and the unit tests can drive the queueing discipline without
+    Exposed directly (not just as a policy) so the bench's [dispatch]
+    leg and the unit tests can drive the queueing discipline without
     a simulator: new arrivals enter level 0 with quantum
     [base_quantum]; a quantum expiry demotes one level (quantum doubles
     per level); blocking — the interactive signature — boosts back to

@@ -590,9 +590,11 @@ let test_every_request_audited config () =
         (List.nth appended (List.length appended - 1)).Audit_log.operation)
     names
 
-let gate_refusals () =
+let counter name =
   Multics_obs.Obs.Counter.get
-    (Multics_obs.Obs.Registry.counter (Multics_obs.Obs.Registry.global ()) "gate.refusals")
+    (Multics_obs.Obs.Registry.counter (Multics_obs.Obs.Registry.global ()) name)
+
+let gate_refusals () = counter "gate.refusals"
 
 (* Once naming is out of the kernel, a by-path attribute edit names a
    gate the kernel does not have: the ordinary gate check refuses it,
@@ -634,6 +636,41 @@ let test_stripped_login_gate_refused () =
   | { Audit_log.operation = "create_process"; verdict = Audit_log.Refused _; _ } :: _ -> ()
   | _ -> Alcotest.fail "stripped create_process left no refusal in the audit trail"
 
+(* With audit retention off the trail keeps nothing, but a refusal is
+   still a refusal: the same typed error as with retention on, and the
+   same metered refusal, in total and per gate.  One refusal at
+   admission, one in the body. *)
+let test_refusal_retention_off () =
+  List.iter
+    (fun (what, request) ->
+      let refuse ~retain =
+        let env, _, _ = audited_env Config.kernel_6180 in
+        let audit = System.audit env.system in
+        Audit_log.set_enabled audit retain;
+        let per_gate = "gate." ^ Api.Call.operation_name env.system request ^ ".refusals" in
+        let records = Audit_log.length audit
+        and refusals = gate_refusals ()
+        and op_refusals = counter per_gate in
+        match d env request with
+        | Ok _ -> Alcotest.failf "%s admitted" what
+        | Error e ->
+            ( e,
+              Audit_log.length audit - records,
+              gate_refusals () - refusals,
+              counter per_gate - op_refusals )
+      in
+      let retained, kept, _, _ = refuse ~retain:true in
+      let error, records, refusals, op_refusals = refuse ~retain:false in
+      Alcotest.check (Alcotest.testable Api.pp ( = )) (what ^ ": same typed error") retained error;
+      Alcotest.(check int) (what ^ ": retention on keeps one record") 1 kept;
+      Alcotest.(check int) (what ^ ": retention off keeps none") 0 records;
+      Alcotest.(check int) (what ^ ": gate.refusals") 1 refusals;
+      Alcotest.(check int) (what ^ ": gate.<op>.refusals") 1 op_refusals)
+    [
+      ("absent gate", Api.Call.Set_acl_by_path { path = ">udd>Dev>Alice>data"; acl = acl_rw });
+      ("unknown segment", Api.Call.Read_word { segno = 4000; offset = 0 });
+    ]
+
 let audit_suite =
   List.map
     (fun (config : Config.t) ->
@@ -646,6 +683,8 @@ let audit_suite =
         test_by_path_edit_refused_audited;
       Alcotest.test_case "stripped login gate refuses, never falls through" `Quick
         test_stripped_login_gate_refused;
+      Alcotest.test_case "refusal with audit retention off: same error, no record, metered"
+        `Quick test_refusal_retention_off;
     ]
 
 (* ----- Instrument names and per-domain counts -----
