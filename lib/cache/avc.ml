@@ -1,5 +1,5 @@
 (* A revocation-correct decision cache — the associative memory of the
-   6180, generalised.
+   6180.
 
    The 6180 the paper describes pays the full mediation cost (descriptor
    fetch, access computation) only on an associative-memory miss; on a
@@ -18,14 +18,14 @@
    the entry dies in the same step as the ACL edit, label change,
    deletion, branch move or salvager repair that revoked it.
 
-   The cache is deliberately generic: one mechanism backs three
-   caches — the policy-verdict cache in the file-system hierarchy,
-   each CPU's SDW associative memory, and the PTW lookaside in page
-   control.  Each
-   instance reports hits/misses/invalidations through [lib/obs] under
-   "cache.<name>.*", and may carry a fault-injection probe that models
-   spurious full flushes (the [cache.flush] site): a flush storm may
-   cost performance, never correctness. *)
+   One mechanism backs the hardware's caches: each CPU's SDW
+   associative memory, page control's PTW lookaside and each CPU's PTW
+   front.  Each keys by a small integer (a CAM tag, a page SID) that
+   also names the object its decision derives from.  Each instance
+   reports hits/misses/invalidations through [lib/obs] under
+   "cache.<name>.*".  The policy-verdict cache is [Av_table]
+   (lib/access), a flat table that shares only [Gen] and these counter
+   names. *)
 
 module Obs = Multics_obs.Obs
 
@@ -187,34 +187,25 @@ module Gen = struct
     c
 end
 
-type ('k, 'v) entry = { value : 'v; obj : int; g_global : int; g_obj : int }
+type 'v entry = { key : int; value : 'v; g_global : int; g_obj : int }
 
-(* The table is a direct-mapped slot array indexed by a caller-supplied
-   integer hash, like the set-associative memories it simulates.  On
-   the hot path this matters twice over: the polymorphic
-   [Hashtbl.hash] would traverse the whole key (principal strings,
-   label compartments) on every lookup, and a chained hashtable pays
-   bucket-walk overhead — together they can cost more than recomputing
-   a cheap decision, making the associative memory slower than the
-   thing it bypasses.  A cheap key-specific hash (a few integer
-   mixes), one array probe, and one key equality on the probable match
-   keep a hit well under the recomputation cost, which is the entire
-   point of the mechanism.
+(* The table is a direct-mapped slot array indexed by the key's low
+   bits, like the set-associative memories it simulates: a hit is one
+   array probe, one integer compare and two generation reads, well
+   under the cost of the decision the cache bypasses, which is the
+   entire point of the mechanism.
 
    Direct mapping also settles the replacement question the hardware
    way: a new decision whose slot is occupied by a different key
    simply displaces it.  Displacement only ever discards a cached
    decision, so it is always sound. *)
-type ('k, 'v) t = {
+type 'v t = {
   name : string;
   capacity : int;  (** number of slots, rounded up to a power of two *)
   mask : int;
   gens : Gen.t;
-  hash : 'k -> int;
-  equal : 'k -> 'k -> bool;
-  slots : ('k * ('k, 'v) entry) option array;
+  slots : 'v entry option array;
   mutable population : int;
-  mutable flush_probe : (unit -> bool) option;
   obs : instruments;
 }
 
@@ -239,7 +230,7 @@ let instruments =
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name () =
+let create ~capacity ?gens ~name () =
   let gens = match gens with Some g -> g | None -> Gen.create () in
   let capacity = pow2_at_least (max 1 capacity) 1 in
   {
@@ -247,58 +238,36 @@ let create ?(capacity = 256) ?gens ?(hash = Hashtbl.hash) ?(equal = ( = )) ~name
     capacity;
     mask = capacity - 1;
     gens;
-    hash;
-    equal;
     slots = Array.make capacity None;
     population = 0;
-    flush_probe = None;
     obs = instruments name;
   }
 
 (* Entries are immutable, so copying the slot array copies the cache.
-   A probe fires its source's fault injector, so the copy has none; the
-   counters are the copying domain's. *)
+   The counters are the copying domain's. *)
 let copy ?gens t =
   {
-    name = t.name;
-    capacity = t.capacity;
-    mask = t.mask;
+    t with
     gens = (match gens with Some g -> g | None -> Gen.copy t.gens);
-    hash = t.hash;
-    equal = t.equal;
     slots = Array.copy t.slots;
-    population = t.population;
-    flush_probe = None;
     obs = instruments t.name;
   }
 
-let name t = t.name
 let capacity t = t.capacity
 let gens t = t.gens
 let size t = t.population
-let set_flush_probe t probe = t.flush_probe <- probe
 
 let flush t =
   Array.fill t.slots 0 (Array.length t.slots) None;
   t.population <- 0;
   Obs.Counter.incr t.obs.flushes
 
-(* A fault-injected flush models the hardware clearing its associative
-   memory at an arbitrary moment (power event, diagnostic, paranoid
-   kernel).  Probed on every lookup so a storm plan hits the cache as
-   often as the schedule dictates. *)
-let probe_fault t =
-  match t.flush_probe with Some fires when fires () -> flush t | _ -> ()
-
-let fresh t e = e.g_global = Gen.global t.gens && e.g_obj = Gen.of_object t.gens e.obj
-
-let slot_of t key = t.hash key land t.mask
+let fresh t e = e.g_global = Gen.global t.gens && e.g_obj = Gen.of_object t.gens e.key
 
 let find t key =
-  probe_fault t;
-  let i = slot_of t key in
+  let i = key land t.mask in
   match t.slots.(i) with
-  | Some (k, e) when t.equal k key ->
+  | Some e when e.key = key ->
       if fresh t e then begin
         Obs.Counter.incr t.obs.hits;
         Some e.value
@@ -314,40 +283,25 @@ let find t key =
       Obs.Counter.incr t.obs.misses;
       None
 
-let add t ~obj key value =
+let add t key value =
   (* Direct-mapped, hardware-style: a collision displaces the resident
      entry rather than maintain LRU bookkeeping the 6180 never had.
      Displacement discards a decision; it can never resurrect one. *)
-  let i = slot_of t key in
-  if t.slots.(i) = None then t.population <- t.population + 1;
+  let i = key land t.mask in
+  if Option.is_none t.slots.(i) then t.population <- t.population + 1;
   t.slots.(i) <-
-    Some (key, { value; obj; g_global = Gen.global t.gens; g_obj = Gen.of_object t.gens obj });
+    Some { key; value; g_global = Gen.global t.gens; g_obj = Gen.of_object t.gens key };
   Obs.Counter.incr t.obs.insertions
-
-let find_or_add t ~obj key compute =
-  match find t key with
-  | Some v -> (v, true)
-  | None ->
-      let v = compute () in
-      add t ~obj key v;
-      (v, false)
-
-let keys t =
-  Array.fold_left
-    (fun acc slot ->
-      match slot with Some (k, e) when fresh t e -> k :: acc | Some _ | None -> acc)
-    [] t.slots
 
 let entries t =
   Array.fold_left
     (fun acc slot ->
       match slot with
-      | Some (k, e) when fresh t e -> (k, e.value) :: acc
+      | Some e when fresh t e -> (e.key, e.value) :: acc
       | Some _ | None -> acc)
     [] t.slots
 
-let invalidate_object t obj = Gen.bump_object t.gens obj
-let invalidate_all t = Gen.bump_global t.gens
+let invalidate_object t key = Gen.bump_object t.gens key
 
 let counters t =
   [

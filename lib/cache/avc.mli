@@ -1,7 +1,10 @@
-(** A generic fixed-capacity, epoch-versioned decision cache — the
-    simulated counterpart of the 6180's associative memory, generalised
-    to back three caches: the policy-verdict cache, each CPU's SDW
-    associative memory and the PTW lookaside.
+(** A fixed-capacity, epoch-versioned decision cache — the simulated
+    counterpart of the 6180's associative memory.  It backs each CPU's
+    SDW associative memory, page control's PTW lookaside and each
+    CPU's PTW front; each keys by a small integer that also names the
+    object its decision derives from.  (The policy-verdict cache is
+    [Multics_access.Av_table], which shares only {!Gen} and the counter
+    names.)
 
     Revocation correctness is the design center: entries are stamped
     with generation counters (one global, one per object id) at
@@ -86,32 +89,18 @@ module Gen : sig
       other. *)
 end
 
-type ('k, 'v) t
+type 'v t
 
-val create :
-  ?capacity:int ->
-  ?gens:Gen.t ->
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
-  name:string ->
-  unit ->
-  ('k, 'v) t
-(** [capacity] defaults to 256 and is rounded up to a power of two.
-    The table is a direct-mapped slot array (hardware-style): an
-    insertion whose slot is occupied by a different key displaces the
-    resident entry rather than maintain LRU bookkeeping.  Displacement
-    only ever discards a cached decision, so it is always sound.
-    Counters are registered in {!Multics_obs.Obs.Registry.global} under
+val create : capacity:int -> ?gens:Gen.t -> name:string -> unit -> 'v t
+(** [capacity] is rounded up to a power of two.  The table is a
+    direct-mapped slot array (hardware-style): key [k] lives in slot
+    [k land (capacity - 1)], and an insertion whose slot is occupied by
+    a different key displaces the resident entry rather than maintain
+    LRU bookkeeping.  Displacement only ever discards a cached
+    decision, so it is always sound.  Counters are registered in
+    {!Multics_obs.Obs.Registry.global} under
     ["cache.<name>.hits"/"misses"/"invalidations"/"insertions"/
-    "flushes"]; instances sharing a [name] share counters.
-
-    [hash]/[equal] default to the polymorphic [Hashtbl.hash] and [=].
-    Hot-path instances should supply a cheap [hash] (a few integer
-    mixes): the polymorphic hash re-traverses the whole key on every
-    lookup, which can cost more than the decision the cache was meant
-    to bypass.  [hash] need not be injective — two keys mapping to the
-    same slot simply displace one another; [equal] keeps a collision
-    from ever being mistaken for a hit. *)
+    "flushes"]; instances sharing a [name] share counters. *)
 
 (** The obs counters behind a cache name: ["cache.<name>.hits"] and so
     on, resolved once per domain and name (see
@@ -127,45 +116,33 @@ type instruments = {
 
 val instruments : string -> instruments
 
-val copy : ?gens:Gen.t -> ('k, 'v) t -> ('k, 'v) t
+val copy : ?gens:Gen.t -> 'v t -> 'v t
 (** The same entries, answering every lookup as [t] would now, stamped
-    against [gens] (default: a {!Gen.copy} of [t]'s).  The copy has no
-    flush probe (a probe fires its source's fault injector) and records
+    against [gens] (default: a {!Gen.copy} of [t]'s).  The copy records
     into the calling domain's counters. *)
 
-val name : ('k, 'v) t -> string
-val capacity : ('k, 'v) t -> int
-val gens : ('k, 'v) t -> Gen.t
-val size : ('k, 'v) t -> int
+val capacity : 'v t -> int
+val gens : 'v t -> Gen.t
+val size : 'v t -> int
 
-val set_flush_probe : ('k, 'v) t -> (unit -> bool) option -> unit
-(** Install a fault-injection probe consulted on every lookup; when it
-    fires the cache is flushed first (the [cache.flush] storm site).
-    Flush storms cost performance, never correctness. *)
-
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : 'v t -> int -> 'v option
 (** Stale entries (stamp mismatch) are dropped and counted as an
     invalidation plus a miss. *)
 
-val add : ('k, 'v) t -> obj:int -> 'k -> 'v -> unit
-(** Insert a decision derived from object [obj], stamped with the
-    current generations. *)
+val add : 'v t -> int -> 'v -> unit
+(** Insert a decision under its key, stamped with the current global
+    generation and the key's own object generation. *)
 
-val find_or_add : ('k, 'v) t -> obj:int -> 'k -> (unit -> 'v) -> 'v * bool
-(** [find_or_add t ~obj key compute] returns [(value, was_hit)]. *)
-
-val keys : ('k, 'v) t -> 'k list
-(** Keys of the entries that would currently hit (stale entries are
-    skipped); order unspecified.  For invariant checks. *)
-
-val entries : ('k, 'v) t -> ('k * 'v) list
+val entries : 'v t -> (int * 'v) list
 (** Key/value pairs of the entries that would currently hit (stale
     entries are skipped); order unspecified.  Read-only: no counter
     moves, no entry is dropped.  For invariant checks. *)
 
-val invalidate_object : ('k, 'v) t -> int -> unit
-val invalidate_all : ('k, 'v) t -> unit
-val flush : ('k, 'v) t -> unit
+val invalidate_object : 'v t -> int -> unit
+(** Stale every entry whose key is the given object id: a bump of its
+    generation (see {!Gen.bump_object}). *)
 
-val counters : ('k, 'v) t -> (string * int) list
+val flush : 'v t -> unit
+
+val counters : 'v t -> (string * int) list
 (** Current readings of this cache's obs counters (shared by name). *)

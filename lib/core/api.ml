@@ -172,7 +172,6 @@ type meters = {
   cycles : Obs.Counter.t;
   refusals : Obs.Counter.t Lazy.t;
   audit_depth : Obs.Gauge.t;
-  dispatch : Obs.Span.t;
   op_calls : string -> Obs.Counter.t;
   op_refusals : string -> Obs.Counter.t;
   config : string -> Obs.Counter.t * Obs.Counter.t;
@@ -185,7 +184,6 @@ let meters =
         cycles = Obs.Registry.counter r "gate.cycles";
         refusals = lazy (Obs.Registry.counter r "gate.refusals");
         audit_depth = Obs.Registry.gauge r "audit.depth";
-        dispatch = Obs.Registry.span r "gate.dispatch";
         op_calls =
           Obs.Local.family r (fun r op -> Obs.Registry.counter r ("gate." ^ op ^ ".calls"));
         op_refusals =
@@ -207,7 +205,6 @@ let meter system ~operation ~refused =
     let cycles = Cost.round_trip_call_cost (System.cost system) ~cross_ring:true in
     Obs.Counter.incr m.calls;
     Obs.Counter.incr ~by:cycles m.cycles;
-    Obs.Span.record m.dispatch ~cycles;
     Obs.Counter.incr (m.op_calls operation);
     let config_calls, config_cycles = m.config (System.config system).Config.name in
     Obs.Counter.incr config_calls;
@@ -349,6 +346,14 @@ let check_sdw system (p : System.proc) ~segno ~operation =
   | None -> Error (Kst_error (Kst.Unknown_segno segno))
   | Some (Hardware.Granted grant) -> Ok grant
   | Some (Hardware.Denied denial) -> Error (Hardware_denied denial)
+
+(* The longest segment bounds every content reference: an offset
+   outside it is refused before the reference is served or any growth
+   is charged, so a refused write cannot consume quota. *)
+let in_bounds offset =
+  if offset < 0 || offset >= Hierarchy.max_segment_words then
+    Error (Fs (Hierarchy.Out_of_bounds offset))
+  else Ok ()
 
 let parent_path path =
   match String.rindex_opt path '>' with
@@ -675,6 +680,7 @@ module Call = struct
     | Read_word { segno; offset } ->
         call Gate ~target:(Decimal.pair segno '|' offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Read in
+            let* () = in_bounds offset in
             let* uid = uid_of_segno p segno in
             match Hierarchy.raw_read_word (System.hierarchy system) ~uid ~offset with
             | Some value -> Ok (Word value)
@@ -682,10 +688,10 @@ module Call = struct
     | Write_word { segno; offset; value } ->
         call Gate ~target:(Decimal.pair segno '|' offset) (fun p _subject ->
             let* _grant = check_sdw system p ~segno ~operation:Hardware.Write in
+            let* () = in_bounds offset in
             let* uid = uid_of_segno p segno in
             (* Segment control charges the quota cell for any growth
-               before the page materializes, whichever path the write
-               came by. *)
+               before the page materializes. *)
             let* () = fs_result (Hierarchy.charge_growth (System.hierarchy system) ~uid ~offset) in
             if Hierarchy.raw_write_word (System.hierarchy system) ~uid ~offset ~value then Ok Done
             else Error (Fs (Hierarchy.Not_a_segment (string_of_int segno))))

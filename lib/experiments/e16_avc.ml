@@ -7,7 +7,8 @@
    the price of that speed is the "setfaults" discipline — any
    attribute change must reach every cached copy immediately.  This
    experiment drives the software analogue (the {!Multics_fs}
-   verdict cache, lib/cache's [Avc]) with workloads of varying
+   verdict cache: lib/access's [Av_table], stamped by lib/cache's
+   generation counters) with workloads of varying
    locality and revocation churn, reads the hit ratio out of the
    cache's own obs counters, and prices a reference on both processor
    models:

@@ -640,40 +640,20 @@ let ensure_capacity t n offset =
 
 let max_segment_words = 256 * 1024
 
-let read_word t ~subject ~uid ~offset =
-  let* n = seg_node t uid in
-  guard t subject n ~requested:Mode.r (fun () ->
-      if offset < 0 || offset >= max_segment_words then Error (Out_of_bounds offset)
-      else if offset >= Array.length n.words then Ok 0
-      else Ok n.words.(offset))
-
 let pages_for t offset = ((offset + 1) + t.words_per_page - 1) / t.words_per_page
 
 (* Charge the quota cell for growing a segment to cover [offset],
-   without touching contents.  Used by the SDW-checked write path (the
-   kernel's segment control charges quota whichever way the write
-   arrives). *)
+   without touching contents: segment control charges the governing
+   cell before any page materializes.  The write gate calls it before
+   [raw_write_word]. *)
 let charge_growth t ~uid ~offset =
   let* n = seg_node t uid in
   let growth = max 0 (pages_for t offset - n.pages) in
   if growth > 0 then charge_pages t n growth else Ok ()
 
-let write_word t ~subject ~uid ~offset ~value =
-  let* n = seg_node t uid in
-  guard t subject n ~requested:Mode.w (fun () ->
-      if offset < 0 || offset >= max_segment_words then Error (Out_of_bounds offset)
-      else begin
-        (* Growth is charged to the governing quota cell before any
-           page materializes. *)
-        let growth = max 0 (pages_for t offset - n.pages) in
-        let* () = if growth > 0 then charge_pages t n growth else Ok () in
-        ensure_capacity t n offset;
-        n.words.(offset) <- value;
-        Ok ()
-      end)
-
-(* Raw accessors for kernel-internal use (already-mediated paths and
-   the audit tooling). *)
+(* Unmediated accessors: the content gates call them once the SDW has
+   granted the reference, and kernel-internal paths and the audit
+   tooling call them directly. *)
 let raw_read_word t ~uid ~offset =
   match seg_node t uid with
   | Error _ -> None

@@ -133,8 +133,8 @@ val pages_charged_of : t -> Uid.t -> int option
 
 val charge_growth : t -> uid:Uid.t -> offset:int -> (unit, error) result
 (** Charge the governing cell for growing the segment to cover
-    [offset] (no contents touched); used by the SDW-checked write
-    path. *)
+    [offset] (no contents touched); the write gate calls it before
+    {!raw_write_word}. *)
 
 val check_quota_invariant : t -> bool
 (** Every cell's charge equals its governed subtree's page total and
@@ -208,22 +208,22 @@ val resolve : t -> subject:Policy.subject -> path:string -> (Uid.t, error) resul
 (** Walk a [>a>b>c] tree name from the root, applying the status check
     (and its No_entry lie) at each step. *)
 
-(** {1 Segment contents} *)
+(** {1 Segment contents}
+
+    Unmediated: the content gates ([Read_word]/[Write_word]) call
+    these once the SDW has granted the reference, after refusing an
+    offset outside [0 .. max_segment_words - 1] with
+    [Out_of_bounds]. *)
 
 val max_segment_words : int
 
-val read_word :
-  t -> subject:Policy.subject -> uid:Uid.t -> offset:int -> (int, error) result
-(** Reading past the written length yields 0 (segments are
-    zero-extended). *)
-
-val write_word :
-  t -> subject:Policy.subject -> uid:Uid.t -> offset:int -> value:int -> (unit, error) result
-
 val raw_read_word : t -> uid:Uid.t -> offset:int -> int option
-(** Kernel-internal (unmediated); [None] if not a segment. *)
+(** [None] if not a segment or the offset is negative.  Reading past
+    the written length yields 0 (segments are zero-extended). *)
 
 val raw_write_word : t -> uid:Uid.t -> offset:int -> value:int -> bool
+(** [false] if not a segment or the offset is outside the maximum
+    length; charges no quota (see {!charge_growth}). *)
 
 (** {1 Descriptor construction} *)
 

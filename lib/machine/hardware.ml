@@ -107,16 +107,13 @@ let allowed sdw ~ring ~operation =
    {!invalidate}/{!flush}, so a cached SDW always equals the SDW the
    descriptor segment currently holds. *)
 module Assoc = struct
-  type t = (int, Sdw.t) Multics_cache.Avc.t
+  type t = Sdw.t Multics_cache.Avc.t
 
   (* 16 entries, as on the 6180 appending unit. *)
-  let create () =
-    Multics_cache.Avc.create ~capacity:16 ~hash:(fun key -> key) ~equal:Int.equal
-      ~name:"hw.assoc" ()
-
+  let create () = Multics_cache.Avc.create ~capacity:16 ~name:"hw.assoc" ()
   let copy t = Multics_cache.Avc.copy t
   let lookup t ~key = Multics_cache.Avc.find t key
-  let install t ~key sdw = Multics_cache.Avc.add t ~obj:key key sdw
+  let install t ~key sdw = Multics_cache.Avc.add t key sdw
   let invalidate t ~key = Multics_cache.Avc.invalidate_object t key
   let flush t = Multics_cache.Avc.flush t
   let size t = Multics_cache.Avc.size t

@@ -1,4 +1,4 @@
-(* Kernel observability: counters, log-bucketed histograms and spans,
+(* Kernel observability: counters, gauges and log-bucketed histograms,
    in named registries, with text-table and JSON renderers.
 
    Design constraints, in order:
@@ -192,51 +192,6 @@ module Histogram = struct
     h.saturated <- false
 end
 
-(* ----- Spans ----- *)
-
-module Span = struct
-  type t = {
-    name : string;
-    cycles : Histogram.t;
-    mutable entries : int;
-    mutable live : int;
-    mutable max_depth : int;
-  }
-
-  let make switch name =
-    { name; cycles = Histogram.make switch name; entries = 0; live = 0; max_depth = 0 }
-
-  let name s = s.name
-
-  let enter s =
-    if s.cycles.Histogram.switch.on then begin
-      s.entries <- s.entries + 1;
-      s.live <- s.live + 1;
-      if s.live > s.max_depth then s.max_depth <- s.live
-    end
-
-  let leave s ~cycles =
-    if s.cycles.Histogram.switch.on then begin
-      if s.live > 0 then s.live <- s.live - 1;
-      Histogram.observe s.cycles cycles
-    end
-
-  let record s ~cycles =
-    enter s;
-    leave s ~cycles
-
-  let entries s = s.entries
-  let live s = s.live
-  let max_depth s = s.max_depth
-  let cycles s = s.cycles
-
-  let reset s =
-    s.entries <- 0;
-    s.live <- 0;
-    s.max_depth <- 0;
-    Histogram.reset s.cycles
-end
-
 (* ----- Registries ----- *)
 
 module Registry = struct
@@ -246,7 +201,6 @@ module Registry = struct
     counters : (string, Counter.t) Hashtbl.t;
     gauges : (string, Gauge.t) Hashtbl.t;
     histograms : (string, Histogram.t) Hashtbl.t;
-    spans : (string, Span.t) Hashtbl.t;
   }
 
   let create ~name =
@@ -256,7 +210,6 @@ module Registry = struct
       counters = Hashtbl.create 64;
       gauges = Hashtbl.create 4;
       histograms = Hashtbl.create 16;
-      spans = Hashtbl.create 16;
     }
 
   let name t = t.name
@@ -279,7 +232,6 @@ module Registry = struct
   let counter t key = memo t.counters (Counter.make t.switch) key
   let gauge t key = memo t.gauges (Gauge.make t.switch) key
   let histogram t key = memo t.histograms (Histogram.make t.switch) key
-  let span t key = memo t.spans (Span.make t.switch) key
 
   let sorted_bindings table value =
     Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
@@ -290,8 +242,7 @@ module Registry = struct
   let reset t =
     Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
     Hashtbl.iter (fun _ g -> Gauge.reset g) t.gauges;
-    Hashtbl.iter (fun _ h -> Histogram.reset h) t.histograms;
-    Hashtbl.iter (fun _ s -> Span.reset s) t.spans
+    Hashtbl.iter (fun _ h -> Histogram.reset h) t.histograms
 end
 
 (* ----- Domain-local instrument handles ----- *)
@@ -314,7 +265,6 @@ module Local = struct
   let counter name = make (fun r -> Registry.counter r name)
   let gauge name = make (fun r -> Registry.gauge r name)
   let histogram name = make (fun r -> Registry.histogram r name)
-  let span name = make (fun r -> Registry.span r name)
 
   (* A family of instruments whose names vary in one part (a gate, a
      cache, a configuration).  The per-domain memo is keyed by that
@@ -351,14 +301,11 @@ module Snapshot = struct
     buckets : (int * int) list;
   }
 
-  type span_data = { entries : int; live : int; max_depth : int; span_cycles : histogram_data }
-
   type t = {
     registry : string;
     counters : (string * int) list;
     gauges : string list;
     histograms : (string * histogram_data) list;
-    spans : (string * span_data) list;
   }
 
   let histogram_data h =
@@ -388,14 +335,6 @@ module Snapshot = struct
       counters = List.merge by_name (Registry.counters registry) gauges;
       gauges = List.map fst gauges;
       histograms = Registry.sorted_bindings registry.Registry.histograms histogram_data;
-      spans =
-        Registry.sorted_bindings registry.Registry.spans (fun s ->
-            {
-              entries = Span.entries s;
-              live = Span.live s;
-              max_depth = Span.max_depth s;
-              span_cycles = histogram_data (Span.cycles s);
-            });
     }
 
   (* ----- Differencing ----- *)
@@ -456,23 +395,11 @@ module Snapshot = struct
       histograms =
         diff_alist ~zero:empty_hist ~sub:(fun a b -> diff_histogram b a) before.histograms
           after.histograms;
-      spans =
-        diff_alist
-          ~zero:{ entries = 0; live = 0; max_depth = 0; span_cycles = empty_hist }
-          ~sub:(fun a b ->
-            {
-              entries = a.entries - b.entries;
-              live = a.live;
-              max_depth = a.max_depth;
-              span_cycles = diff_histogram b.span_cycles a.span_cycles;
-            })
-          before.spans after.spans;
     }
 
   let is_empty t =
     List.for_all (fun (_, v) -> v = 0) t.counters
     && List.for_all (fun (_, h) -> h.count = 0) t.histograms
-    && List.for_all (fun (_, s) -> s.entries = 0) t.spans
 
   (* ----- Merging (the parallel-harness join path) ----- *)
 
@@ -507,21 +434,12 @@ module Snapshot = struct
       }
     end
 
-  let merge_span_data a b =
-    {
-      entries = a.entries + b.entries;
-      live = a.live + b.live;
-      max_depth = max a.max_depth b.max_depth;
-      span_cycles = merge_histogram_data a.span_cycles b.span_cycles;
-    }
-
   let merge a b =
     {
       registry = a.registry;
       counters = gauge_readings ~from:b (merge_alist ~add:( + ) a.counters b.counters);
       gauges = List.sort_uniq String.compare (a.gauges @ b.gauges);
       histograms = merge_alist ~add:merge_histogram_data a.histograms b.histograms;
-      spans = merge_alist ~add:merge_span_data a.spans b.spans;
     }
 
   (* Fold a snapshot into live instruments — how a parallel join folds
@@ -556,15 +474,7 @@ module Snapshot = struct
         if d.max_value > h.Histogram.max_value then h.Histogram.max_value <- d.max_value
       end
     in
-    List.iter (fun (name, d) -> absorb_hist (Registry.histogram into name) d) t.histograms;
-    List.iter
-      (fun (name, (s : span_data)) ->
-        let sp = Registry.span into name in
-        sp.Span.entries <- sp.Span.entries + s.entries;
-        sp.Span.live <- sp.Span.live + s.live;
-        if s.max_depth > sp.Span.max_depth then sp.Span.max_depth <- s.max_depth;
-        absorb_hist (Span.cycles sp) s.span_cycles)
-      t.spans
+    List.iter (fun (name, d) -> absorb_hist (Registry.histogram into name) d) t.histograms
 
   (* ----- Text rendering ----- *)
 
@@ -603,14 +513,6 @@ module Snapshot = struct
     let live_hists = List.filter (fun (_, h) -> h.count > 0) t.histograms in
     render_rows buf ~header:"histograms"
       (List.map (fun (n, h) -> (n, describe_histogram h)) live_hists);
-    let live_spans = List.filter (fun (_, s) -> s.entries > 0) t.spans in
-    render_rows buf ~header:"spans"
-      (List.map
-         (fun (n, s) ->
-           ( n,
-             Printf.sprintf "entries=%d live=%d max_depth=%d cycles: %s" s.entries s.live
-               s.max_depth (describe_histogram s.span_cycles) ))
-         live_spans);
     if is_empty t then Buffer.add_string buf "(no recorded activity)\n";
     Buffer.contents buf
 
@@ -656,18 +558,5 @@ module Snapshot = struct
         ("registry", "\"" ^ json_escape t.registry ^ "\"");
         ("counters", json_object (List.map (fun (n, v) -> (n, string_of_int v)) t.counters));
         ("histograms", json_object (List.map (fun (n, h) -> (n, json_histogram h)) t.histograms));
-        ( "spans",
-          json_object
-            (List.map
-               (fun (n, s) ->
-                 ( n,
-                   json_object
-                     [
-                       ("entries", string_of_int s.entries);
-                       ("live", string_of_int s.live);
-                       ("max_depth", string_of_int s.max_depth);
-                       ("cycles", json_histogram s.span_cycles);
-                     ] ))
-               t.spans) );
       ]
 end

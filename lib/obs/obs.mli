@@ -1,6 +1,6 @@
-(** Kernel observability: monotonic counters, log-bucketed cycle
-    histograms and lightweight spans, collected in named registries and
-    rendered as text tables or JSON.
+(** Kernel observability: monotonic counters, gauges and log-bucketed
+    cycle histograms, collected in named registries and rendered as
+    text tables or JSON.
 
     The library is dependency-free and built for instrumentation of hot
     paths: every recording primitive is gated on one domain-local
@@ -95,30 +95,6 @@ module Histogram : sig
   (** Smallest sample value of bucket [i]. *)
 end
 
-(** A lightweight span: tracks concurrent/nested activations and feeds
-    the cycles spent per activation into a histogram.  The simulation
-    supplies cycle counts explicitly (there is no wall clock in a
-    deterministic simulator). *)
-module Span : sig
-  type t
-
-  val name : t -> string
-
-  val enter : t -> unit
-  val leave : t -> cycles:int -> unit
-  (** [leave] records one completed activation of [cycles]. *)
-
-  val record : t -> cycles:int -> unit
-  (** [enter] immediately followed by [leave]. *)
-
-  val entries : t -> int
-  val live : t -> int
-  (** Activations currently entered but not left. *)
-
-  val max_depth : t -> int
-  val cycles : t -> Histogram.t
-end
-
 (** {1 Registries} *)
 
 (** A named collection of instruments.  Instruments are created on
@@ -138,7 +114,6 @@ module Registry : sig
   val counter : t -> string -> Counter.t
   val gauge : t -> string -> Gauge.t
   val histogram : t -> string -> Histogram.t
-  val span : t -> string -> Span.t
 
   val counters : t -> (string * int) list
   (** Current counter readings, sorted by name. *)
@@ -169,7 +144,6 @@ module Local : sig
   val counter : string -> Counter.t handle
   val gauge : string -> Gauge.t handle
   val histogram : string -> Histogram.t handle
-  val span : string -> Span.t handle
 
   val keyed : (Registry.t -> string -> 'a) -> string -> 'a
   (** A family of instruments named by parts.  [keyed resolve part]
@@ -201,13 +175,6 @@ module Snapshot : sig
     buckets : (int * int) list;  (** (bucket lower bound, count) *)
   }
 
-  type span_data = {
-    entries : int;
-    live : int;
-    max_depth : int;
-    span_cycles : histogram_data;
-  }
-
   type t = {
     registry : string;
     counters : (string * int) list;
@@ -215,7 +182,6 @@ module Snapshot : sig
             registry's last reset; sorted by name *)
     gauges : string list;  (** the names in [counters] that are gauges, sorted *)
     histograms : (string * histogram_data) list;
-    spans : (string * span_data) list;
   }
 
   val capture : ?registry:Registry.t -> unit -> t
@@ -230,15 +196,14 @@ module Snapshot : sig
   val merge : t -> t -> t
   (** Instrument-wise merge of two snapshots, the second taken as the
       later: counters and histogram bucket counts add, a gauge takes the
-      second snapshot's reading when it has one, span depths take the
-      max, histogram sums saturate at [max_int] exactly as live
+      second snapshot's reading when it has one, histogram sums saturate at [max_int] exactly as live
       observation does — merging two saturated snapshots stays
       saturated (never wraps).  Keyed union: instruments present on one
       side only pass through. *)
 
   val absorb : ?into:Registry.t -> t -> unit
   (** Fold a snapshot into live instruments (created on demand): add its
-      counter, histogram and span totals, and write its gauge readings.
+      counter and histogram totals, and write its gauge readings.
       This is the parallel join path: each worker task's private
       recordings are folded back into the caller's registry in task
       order, so counter totals match a sequential run and each gauge
@@ -248,12 +213,11 @@ module Snapshot : sig
       the worker's own gate.  Default registry: [Registry.global ()]. *)
 
   val is_empty : t -> bool
-  (** No counters/histograms/spans with any recorded activity. *)
+  (** No counters or histograms with any recorded activity. *)
 
   val to_text : t -> string
   (** An aligned, sectioned text table (the shell's [stats] output). *)
 
   val to_json : t -> string
-  (** One JSON object; keys [registry], [counters], [histograms],
-      [spans]. *)
+  (** One JSON object; keys [registry], [counters], [histograms]. *)
 end

@@ -67,12 +67,12 @@ type vp = { vp_id : int; mutable current : pid option; mutable reserved : bool }
 type event = Start of pid | Resume of pid | Slice of pid | Thunk of (unit -> unit)
 
 (* The traffic controller lives ABOVE this library (lib/sched), so
-   layer 2 consults it through a neutral record of closures.  With no
-   scheduler installed, layer 2 falls back to the original FIFO ready
-   queue with unlimited quanta — byte-for-byte the seed behaviour.
-   Dedicated processes (reserved VPs) never pass through the scheduler:
-   they are the kernel mechanisms the traffic controller itself relies
-   on, and preempting them could deadlock page control. *)
+   layer 2 consults it through a neutral record of closures.  A fresh
+   simulator runs the seed discipline, a FIFO ready queue with
+   unlimited quanta ([fifo]), as one such record; [Sched.create]
+   replaces it.  Dedicated processes (reserved VPs) never pass through
+   the scheduler: they are the kernel mechanisms the traffic controller
+   itself relies on, and preempting them could deadlock page control. *)
 type scheduler = {
   sched_enqueue : pid -> unit;  (** a process became ready (spawn or counted wakeup) *)
   sched_select : vp:int -> pid option;
@@ -93,7 +93,6 @@ type t = {
   cost : Cost.t;
   events : event Event_queue.t;
   procs : (pid, process) Hashtbl.t;
-  mutable ready : pid Multics_util.Fqueue.t;
   mutable ready_dedicated : pid Multics_util.Fqueue.t;
       (** dedicated processes awaiting their reserved VP; kept apart so
           finding one is O(1), not a scan of the whole process table *)
@@ -104,7 +103,7 @@ type t = {
   mutable trace : (int * string) list;  (** reversed *)
   mutable trace_enabled : bool;
   mutable faults : Multics_fault.Fault.Injector.t option;
-  mutable scheduler : scheduler option;
+  mutable scheduler : scheduler;
   counters : Multics_util.Stats.Counters.t;
 }
 
@@ -117,6 +116,26 @@ exception Process_crashed
    names the blocking process so the handler needn't look it up. *)
 type _ Effect.t += Compute : int -> unit Effect.t | Block_on : chan -> unit Effect.t
 
+(* The seed traffic controller: one FIFO ready queue, every process
+   run until it blocks. *)
+let fifo () =
+  let ready = ref Multics_util.Fqueue.empty in
+  {
+    sched_enqueue = (fun pid -> ready := Multics_util.Fqueue.push !ready pid);
+    sched_select =
+      (fun ~vp:_ ->
+        match Multics_util.Fqueue.pop !ready with
+        | Some (pid, rest) ->
+            ready := rest;
+            Some pid
+        | None -> None);
+    sched_quantum = (fun _ -> None);
+    sched_quantum_expired = (fun _ ~preempted:_ -> ());
+    sched_blocked = ignore;
+    sched_retired = ignore;
+    sched_backlog = (fun () -> Multics_util.Fqueue.length !ready);
+  }
+
 let create ~cost ~virtual_processors =
   if virtual_processors <= 0 then invalid_arg "Sim.create: need at least one virtual processor";
   {
@@ -124,7 +143,6 @@ let create ~cost ~virtual_processors =
     cost;
     events = Event_queue.create ();
     procs = Hashtbl.create 64;
-    ready = Multics_util.Fqueue.empty;
     ready_dedicated = Multics_util.Fqueue.empty;
     vps = Array.init virtual_processors (fun vp_id -> { vp_id; current = None; reserved = false });
     free_vps = List.init virtual_processors (fun i -> i);
@@ -133,7 +151,7 @@ let create ~cost ~virtual_processors =
     trace = [];
     trace_enabled = false;
     faults = None;
-    scheduler = None;
+    scheduler = fifo ();
     counters = Multics_util.Stats.Counters.create ();
   }
 
@@ -195,26 +213,11 @@ let bind_to_vp t p vp =
   p.state <- Running;
   Multics_util.Stats.Counters.incr t.counters "dispatches";
   (* A fresh quantum per dispatch; dedicated kernel processes run
-     unclocked even under a traffic controller. *)
-  (match t.scheduler with
-  | Some s when p.dedicated_vp = None -> p.quantum_left <- s.sched_quantum p.pid
-  | _ -> p.quantum_left <- None);
+     unclocked. *)
+  p.quantum_left <- (if p.dedicated_vp = None then t.scheduler.sched_quantum p.pid else None);
   let start_time = now t + t.cost.Cost.process_switch in
   let event = match p.cont with None -> Start p.pid | Some _ -> Resume p.pid in
   Event_queue.push t.events ~time:start_time event
-
-(* The next runnable process: the traffic controller's choice when one
-   is installed, the plain FIFO ready queue otherwise.  Only called
-   with a VP in hand — selection removes the pid from its queue. *)
-let next_ready t ~vp =
-  match t.scheduler with
-  | Some s -> s.sched_select ~vp
-  | None -> (
-      match Multics_util.Fqueue.pop t.ready with
-      | Some (pid, rest) ->
-          t.ready <- rest;
-          Some pid
-      | None -> None)
 
 let rec dispatch t =
   match p_dedicated_waiting t with
@@ -225,7 +228,8 @@ let rec dispatch t =
       match t.free_vps with
       | [] -> ()
       | vp_id :: vps -> (
-          match next_ready t ~vp:vp_id with
+          (* Only asked with a VP in hand: selection dequeues. *)
+          match t.scheduler.sched_select ~vp:vp_id with
           | None -> ()
           | Some pid ->
               let p = proc t pid in
@@ -249,16 +253,11 @@ and p_dedicated_waiting t =
           Some (p, t.vps.(vp_id))
       | _ -> p_dedicated_waiting t (* stale entry *))
 
-let enqueue_ready t p =
-  match t.scheduler with
-  | Some s -> s.sched_enqueue p.pid
-  | None -> t.ready <- Multics_util.Fqueue.push t.ready p.pid
-
 let make_ready t p =
   p.state <- Ready;
   (match p.dedicated_vp with
   | Some _ -> t.ready_dedicated <- Multics_util.Fqueue.push t.ready_dedicated p.pid
-  | None -> enqueue_ready t p);
+  | None -> t.scheduler.sched_enqueue p.pid);
   dispatch t
 
 let release_vp t p =
@@ -363,9 +362,7 @@ let terminate t p =
   p.compute_left <- 0;
   Multics_util.Stats.Counters.incr t.counters "terminations";
   tracef t "exit %s" p.pname;
-  (match t.scheduler with
-  | Some s when p.dedicated_vp = None -> s.sched_retired p.pid
-  | _ -> ());
+  if p.dedicated_vp = None then t.scheduler.sched_retired p.pid;
   broadcast t p.exit_chan;
   release_vp t p
 
@@ -412,9 +409,7 @@ let handler_for t p : (unit, unit) Effect.Deep.handler =
                   p.cont <- Some k;
                   chan.waiters <- Multics_util.Fqueue.push chan.waiters p.pid;
                   tracef t "%s blocks on %s" p.pname chan.chan_name;
-                  (match t.scheduler with
-                  | Some s when p.dedicated_vp = None -> s.sched_blocked p.pid
-                  | _ -> ());
+                  if p.dedicated_vp = None then t.scheduler.sched_blocked p.pid;
                   release_vp t p
                 end)
         | _ -> None);
@@ -450,7 +445,7 @@ let preempt t p =
   Multics_util.Stats.Counters.incr t.counters "preemptions";
   tracef t "preempt %s (%d cycles owed)" p.pname p.compute_left;
   p.state <- Ready;
-  (match p.dedicated_vp with Some _ -> () | None -> enqueue_ready t p);
+  if p.dedicated_vp = None then t.scheduler.sched_enqueue p.pid;
   release_vp t p
 
 let slice_done t p =
@@ -462,10 +457,8 @@ let slice_done t p =
     let expired = match p.quantum_left with Some q -> q <= 0 | None -> false in
     if expired then begin
       Multics_util.Stats.Counters.incr t.counters "quantum_expiries";
-      match t.scheduler with
-      | Some s when p.dedicated_vp = None ->
-          s.sched_quantum_expired p.pid ~preempted:(p.compute_left > 0)
-      | _ -> ()
+      if p.dedicated_vp = None then
+        t.scheduler.sched_quantum_expired p.pid ~preempted:(p.compute_left > 0)
     end;
     if p.compute_left > 0 then preempt t p else resume_process t p
   end
@@ -538,7 +531,4 @@ let blocked_pids t =
 
 let reschedule t = dispatch t
 
-let quiescent t =
-  Event_queue.is_empty t.events
-  && Multics_util.Fqueue.is_empty t.ready
-  && match t.scheduler with None -> true | Some s -> s.sched_backlog () = 0
+let quiescent t = Event_queue.is_empty t.events && t.scheduler.sched_backlog () = 0

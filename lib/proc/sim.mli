@@ -18,7 +18,9 @@ type chan
     waiter is remembered and satisfies the next [block] immediately. *)
 
 val create : cost:Cost.t -> virtual_processors:int -> t
-(** Raises [Invalid_argument] if [virtual_processors <= 0]. *)
+(** A simulator running the seed FIFO traffic controller (see
+    {!set_scheduler}).  Raises [Invalid_argument] if
+    [virtual_processors <= 0]. *)
 
 exception Process_crashed
 (** What a process body observes when an injected [Proc_crash] fault
@@ -35,9 +37,9 @@ val fault_injector : t -> Multics_fault.Fault.Injector.t option
 (** {1 The traffic controller hook}
 
     [lib/sched] lives above this library, so layer 2 consults the
-    traffic controller through a neutral record of closures.  With no
-    scheduler installed, dispatch falls back to the original FIFO ready
-    queue with unlimited quanta — exactly the seed behaviour.
+    traffic controller through a neutral record of closures, and only
+    through it.  {!create} installs the seed discipline as one: a FIFO
+    ready queue with unlimited quanta.  [Sched.create] replaces it.
     Dedicated processes (reserved VPs) never pass through the
     scheduler: they are the kernel mechanisms the controller itself
     relies on, and preempting them could deadlock page control.
@@ -66,10 +68,10 @@ type scheduler = {
           consulted by {!quiescent} *)
 }
 
-val set_scheduler : t -> scheduler option -> unit
-(** Install (or remove) a traffic controller.  Install it before
-    spawning the processes it is to manage: already-queued processes
-    stay in the fallback FIFO queue. *)
+val set_scheduler : t -> scheduler -> unit
+(** Replace the traffic controller.  Install it before spawning the
+    processes it is to manage: processes the replaced one still holds
+    are not carried over. *)
 
 val reschedule : t -> unit
 (** Re-run dispatch: bind ready processes to free VPs.  Call after an

@@ -393,16 +393,15 @@ let create ?(eligibility_cap = 0) ?(policy = default_mlf) ?plant sim =
     }
   in
   Sim.set_scheduler sim
-    (Some
-       {
-         Sim.sched_enqueue = enqueue t;
-         sched_select = (fun ~vp -> select t ~vp);
-         sched_quantum = quantum t;
-         sched_quantum_expired = quantum_expired t;
-         sched_blocked = p_blocked t;
-         sched_retired = retired t;
-         sched_backlog = (fun () -> backlog t);
-       });
+    {
+      Sim.sched_enqueue = enqueue t;
+      sched_select = (fun ~vp -> select t ~vp);
+      sched_quantum = quantum t;
+      sched_quantum_expired = quantum_expired t;
+      sched_blocked = p_blocked t;
+      sched_retired = retired t;
+      sched_backlog = (fun () -> backlog t);
+    };
   t
 
 let negotiated_cap ~core_frames ~working_set = max 1 (core_frames / max 1 working_set)

@@ -139,6 +139,41 @@ let mediation_signature system =
   |> List.sort String.compare
   |> List.fold_left Site.hash_string 5381
 
+(* The scratch segment per pool principal: the standing revocation
+   target.  Re-granting its ACL is idempotent on policy but runs the
+   full setfaults path — and, on a fleet, the cross-site connect
+   storm. *)
+let scratch_path i = Printf.sprintf ">udd>Load>User%d>scratch" i
+let scratch_acl i = Acl.of_strings [ (Printf.sprintf "User%d.Load.*" i, "rw") ]
+
+(* A fleet's principal pool for [users] sessions: up to four
+   principals, each logged in fleet-wide (logins are replicated, so a
+   handle is valid on every site) with its scratch segment and one IPC
+   channel.  Fleet user [i] is principal [i mod pool], so sessions
+   shard across every site while sharing the pool's handles. *)
+let fleet_pool fleet ~users =
+  Array.init
+    (min 4 (max 1 users))
+    (fun i ->
+      let person = Printf.sprintf "User%d" i in
+      Site.add_account fleet ~person ~project:"Load" ~password:"pw" ~clearance:Label.unclassified;
+      let handle =
+        match Site.login fleet ~person ~project:"Load" ~password:"pw" with
+        | Ok handle -> handle
+        | Error e -> failwith (System.login_error_to_string e)
+      in
+      (match
+         Site.dispatch fleet ~user:i ~handle
+           (Api.Call.Create_segment_by_path
+              { path = scratch_path i; acl = scratch_acl i; label = Label.unclassified; brackets = None })
+       with
+      | Ok _ -> ()
+      | Error e -> failwith (Api.error_to_string e));
+      match Site.dispatch fleet ~user:i ~handle Api.Call.Create_channel with
+      | Ok (Api.Call.Channel channel) -> (handle, channel)
+      | Ok _ -> failwith "workload: unexpected reply to Create_channel"
+      | Error e -> failwith (Api.error_to_string e))
+
 let run spec =
   if spec.users < 0 || spec.batch < 0 || spec.daemons < 0 then
     invalid_arg "Workload.run: negative population";
@@ -204,12 +239,6 @@ let run spec =
   (* Gate traffic runs against a booted kernel through a small pool of
      logged-in principals — the audit subject for session i is a pure
      function of i, never of the schedule. *)
-  (* The scratch segment per pool principal: the standing revocation
-     target.  Re-granting its ACL is idempotent on policy but runs the
-     full setfaults path — and, on a fleet, the cross-site connect
-     storm. *)
-  let scratch_path i = Printf.sprintf ">udd>Load>User%d>scratch" i in
-  let scratch_acl i = Acl.of_strings [ (Printf.sprintf "User%d.Load.*" i, "rw") ] in
   let fleet =
     if spec.sites <= 0 || not spec.gate_calls then None
     else begin
@@ -222,38 +251,8 @@ let run spec =
     match fleet with
     | Some f ->
         (* The same principal pool as the single-kernel path, logged in
-           fleet-wide; session i is fleet user i, so sessions shard
-           across every site while sharing the pool's handles (valid on
-           every site — logins are replicated). *)
-        let pool = min 4 (max 1 spec.users) in
-        let handles =
-          Array.init pool (fun i ->
-              let person = Printf.sprintf "User%d" i in
-              Site.add_account f ~person ~project:"Load" ~password:"pw"
-                ~clearance:Label.unclassified;
-              let handle =
-                match Site.login f ~person ~project:"Load" ~password:"pw" with
-                | Ok handle -> handle
-                | Error e -> failwith (System.login_error_to_string e)
-              in
-              (match
-                 Site.dispatch f ~user:i ~handle
-                   (Api.Call.Create_segment_by_path
-                      {
-                        path = scratch_path i;
-                        acl = scratch_acl i;
-                        label = Label.unclassified;
-                        brackets = None;
-                      })
-               with
-              | Ok _ -> ()
-              | Error e -> failwith (Api.error_to_string e));
-              match Site.dispatch f ~user:i ~handle Api.Call.Create_channel with
-              | Ok (Api.Call.Channel channel) -> (handle, channel)
-              | Ok _ -> failwith "workload: unexpected reply to Create_channel"
-              | Error e -> failwith (Api.error_to_string e))
-        in
-        (None, handles)
+           fleet-wide; session i is fleet user i. *)
+        (None, fleet_pool f ~users:spec.users)
     | None ->
     if not spec.gate_calls then (None, [||])
     else begin
@@ -516,36 +515,8 @@ let run_fleet_sweep ?(revoke_every = 1_000) ?(fault_spec = "") ~users ~sites ~se
   for site = 0 to sites - 1 do
     Audit_log.set_enabled (System.audit (Site.member_system fleet site)) false
   done;
-  let scratch_path i = Printf.sprintf ">udd>Load>User%d>scratch" i in
-  let scratch_acl i = Acl.of_strings [ (Printf.sprintf "User%d.Load.*" i, "rw") ] in
-  let pool = min 4 users in
-  let handles =
-    Array.init pool (fun i ->
-        let person = Printf.sprintf "User%d" i in
-        Site.add_account fleet ~person ~project:"Load" ~password:"pw"
-          ~clearance:Label.unclassified;
-        let handle =
-          match Site.login fleet ~person ~project:"Load" ~password:"pw" with
-          | Ok handle -> handle
-          | Error e -> failwith (System.login_error_to_string e)
-        in
-        (match
-           Site.dispatch fleet ~user:i ~handle
-             (Api.Call.Create_segment_by_path
-                {
-                  path = scratch_path i;
-                  acl = scratch_acl i;
-                  label = Label.unclassified;
-                  brackets = None;
-                })
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Api.error_to_string e));
-        match Site.dispatch fleet ~user:i ~handle Api.Call.Create_channel with
-        | Ok (Api.Call.Channel channel) -> (handle, channel)
-        | Ok _ -> failwith "workload: unexpected reply to Create_channel"
-        | Error e -> failwith (Api.error_to_string e))
-  in
+  let handles = fleet_pool fleet ~users in
+  let pool = Array.length handles in
   for u = 0 to users - 1 do
     let p = u mod pool in
     let handle, channel = handles.(p) in

@@ -119,7 +119,7 @@ type cpu = {
       (** this CPU's SDW associative memory; keyed by the composite
           [(handle lsl segno_bits) lor segno] so entries from different
           processes' descriptor segments can never be confused *)
-  ptw : (int, unit) Avc.t;
+  ptw : unit Avc.t;
       (** this CPU's PTW lookaside front, keyed by dense page SID
           (see {!Multics_vm.Page_control.page_sid}); shares its
           generations with page control's [vm.ptw] cache so an
@@ -179,10 +179,7 @@ let create ~ncpus ?ptw_gens ~cost () =
     {
       id;
       cam = Hardware.Assoc.create ();
-      ptw =
-        Avc.create ~capacity:64 ?gens:ptw_gens
-          ~hash:(fun page -> page)
-          ~equal:Int.equal ~name:"smp.ptw" ();
+      ptw = Avc.create ~capacity:64 ?gens:ptw_gens ~name:"smp.ptw" ();
       connects_received = 0;
     }
   in
@@ -449,7 +446,7 @@ let ptw_touch t ~page =
   match Avc.find c.ptw key with
   | Some () -> true
   | None ->
-      Avc.add c.ptw ~obj:key key ();
+      Avc.add c.ptw key ();
       false
 
 (* ----- Dispatcher lock -----

@@ -90,7 +90,7 @@ type t = {
      landed in the sparse table and churned it toward epoch
      compactions (system-wide miss storms) on long runs. *)
   page_sids : Page_id.t Sid.Map.t;
-  ptw : (int, unit) Avc.t;
+  ptw : unit Avc.t;
 }
 
 (* The page's dense SID — interned on first sight, stable for the
@@ -168,7 +168,7 @@ let create ?(core_target = 2) ?(bulk_target = 2) ?(zero_fill_cycles = 300) ?faul
       fault_inj = faults;
       counters = Multics_util.Stats.Counters.create ();
       page_sids = Sid.Map.create ~hash:Page_id.hash ~equal:Page_id.equal ();
-      ptw = Avc.create ~capacity:64 ~hash:(fun sid -> sid) ~equal:Int.equal ~name:"vm.ptw" ();
+      ptw = Avc.create ~capacity:64 ~name:"vm.ptw" ();
     }
   in
   t.victim_policy <- default_policy t;
@@ -377,7 +377,7 @@ let reference ?(write = false) t ~pid ~page =
        install the PTW, as the 6180 does on an associative miss. *)
     Sim.compute
       (cost.Multics_machine.Cost.memory_reference + cost.Multics_machine.Cost.ptw_fetch);
-    Avc.add t.ptw ~obj:sid sid ();
+    Avc.add t.ptw sid ();
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     0
   end
@@ -410,7 +410,7 @@ let reference ?(write = false) t ~pid ~page =
       else settle () (* lost the free frame to a racing faulter *)
     in
     settle ();
-    Avc.add t.ptw ~obj:sid sid ();
+    Avc.add t.ptw sid ();
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     (* Keep the freer running ahead of demand. *)
     (match t.discipline with

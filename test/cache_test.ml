@@ -1,8 +1,9 @@
-(* The access-decision cache (AVC): unit tests for the generic
-   associative memory, revocation coverage for every mutating entry
-   point of the hierarchy, the salvager's cache invalidation, and the
-   100-seed parity property — the cached mediation path must agree with
-   fresh recomputation at every step, including under flush storms. *)
+(* The access-decision caches: unit tests for the associative memory
+   ([Avc]) and its generation counters, revocation coverage for every
+   mutating entry point of the hierarchy, the salvager's cache
+   invalidation, and the 100-seed parity property — the cached
+   mediation path must agree with fresh recomputation at every step,
+   including under flush storms. *)
 
 open Multics_access
 open Multics_machine
@@ -21,7 +22,7 @@ let test_avc_basics () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.basics" () in
   Alcotest.(check (option int)) "miss before add" None (Avc.find c 1);
-  Avc.add c ~obj:1 1 10;
+  Avc.add c 1 10;
   Alcotest.(check (option int)) "hit after add" (Some 10) (Avc.find c 1);
   Alcotest.(check int) "size" 1 (Avc.size c);
   Alcotest.(check int) "one hit" 1 (counter_of c "hits");
@@ -30,67 +31,47 @@ let test_avc_basics () =
 let test_avc_invalidate_object () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.inv_obj" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
   Avc.invalidate_object c 1;
   Alcotest.(check (option int)) "stale entry dropped" None (Avc.find c 1);
   Alcotest.(check (option int)) "other object unaffected" (Some 20) (Avc.find c 2);
   Alcotest.(check int) "invalidation counted" 1 (counter_of c "invalidations");
-  Avc.add c ~obj:1 1 11;
+  Avc.add c 1 11;
   Alcotest.(check (option int)) "re-add after invalidation hits" (Some 11) (Avc.find c 1)
 
+(* A bump of the global generation stales every entry. *)
 let test_avc_invalidate_all () =
   Obs.set_enabled true;
   let c = Avc.create ~capacity:8 ~name:"t.inv_all" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
-  Avc.invalidate_all c;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
+  Avc.Gen.bump_global (Avc.gens c);
   Alcotest.(check (option int)) "entry 1 dead" None (Avc.find c 1);
   Alcotest.(check (option int)) "entry 2 dead" None (Avc.find c 2)
 
-let test_avc_flush_probe () =
-  Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.probe" () in
-  Avc.add c ~obj:1 1 10;
-  let armed = ref false in
-  Avc.set_flush_probe c (Some (fun () -> !armed));
-  Alcotest.(check (option int)) "probe quiet: hit" (Some 10) (Avc.find c 1);
-  armed := true;
-  Alcotest.(check (option int)) "probe fires: flushed before lookup" None (Avc.find c 1);
-  Alcotest.(check int) "flush counted" 1 (counter_of c "flushes");
-  Alcotest.(check int) "emptied" 0 (Avc.size c)
-
 let test_avc_direct_mapped_displacement () =
   Obs.set_enabled true;
-  (* Force every key into one slot: displacement must evict the
-     resident entry, and equality must keep a collision from ever
-     being served as a hit. *)
-  let c = Avc.create ~capacity:4 ~hash:(fun _ -> 0) ~equal:Int.equal ~name:"t.collide" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  (* Keys 1 and 5 share slot 1 of four: displacement must evict the
+     resident entry, and the key compare must keep a collision from
+     ever being served as a hit. *)
+  let c = Avc.create ~capacity:4 ~name:"t.collide" () in
+  Avc.add c 1 10;
+  Avc.add c 5 50;
   Alcotest.(check (option int)) "displaced entry is a miss" None (Avc.find c 1);
-  Alcotest.(check (option int)) "resident entry hits" (Some 20) (Avc.find c 2);
+  Alcotest.(check (option int)) "resident entry hits" (Some 50) (Avc.find c 5);
   Alcotest.(check int) "population stays 1" 1 (Avc.size c)
 
 let test_avc_capacity_rounding () =
   let c = Avc.create ~capacity:10 ~name:"t.cap" () in
   Alcotest.(check int) "rounded to power of two" 16 (Avc.capacity c)
 
-let test_avc_find_or_add () =
-  Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.foa" () in
-  let computes = ref 0 in
-  let compute () = incr computes; 42 in
-  Alcotest.(check (pair int bool)) "first computes" (42, false) (Avc.find_or_add c ~obj:1 1 compute);
-  Alcotest.(check (pair int bool)) "second hits" (42, true) (Avc.find_or_add c ~obj:1 1 compute);
-  Alcotest.(check int) "computed once" 1 !computes
-
 let test_avc_keys_skip_stale () =
   let c = Avc.create ~capacity:8 ~name:"t.keys" () in
-  Avc.add c ~obj:1 1 10;
-  Avc.add c ~obj:2 2 20;
+  Avc.add c 1 10;
+  Avc.add c 2 20;
   Avc.invalidate_object c 2;
-  Alcotest.(check (list int)) "only fresh keys" [ 1 ] (List.sort compare (Avc.keys c))
+  Alcotest.(check (list (pair int int))) "only fresh entries" [ (1, 10) ] (Avc.entries c)
 
 let test_gen_sparse_and_dense_ids () =
   (* Small non-negative ids take the dense-array path; huge or negative
@@ -118,14 +99,14 @@ let test_gen_sparse_table_bounded () =
      table stays within its limit, compacting as it goes. *)
   let churn = 100_000 in
   let hashed i = (1 lsl 16) + i in
-  let c = Avc.create ~capacity:16 ~hash:(fun k -> k) ~equal:Int.equal ~name:"t.gen_churn" () in
+  let c = Avc.create ~capacity:16 ~name:"t.gen_churn" () in
   let g = Avc.gens c in
   (* A verdict revoked before the churn must stay revoked across every
      compaction: a compaction resets the per-object counter the entry
      was stamped against, which would resurrect it were the global
      epoch not bumped first. *)
   let victim = hashed (churn + 1) in
-  Avc.add c ~obj:victim victim 99;
+  Avc.add c victim 99;
   Alcotest.(check (option int)) "victim cached" (Some 99) (Avc.find c victim);
   Avc.invalidate_object c victim;
   for i = 0 to churn - 1 do
@@ -140,7 +121,7 @@ let test_gen_sparse_table_bounded () =
     (Avc.Gen.compactions g >= floor);
   Alcotest.(check (option int)) "revoked verdict never resurrected" None (Avc.find c victim);
   (* The cache still works after compaction: fresh entries hit. *)
-  Avc.add c ~obj:victim victim 7;
+  Avc.add c victim 7;
   Alcotest.(check (option int)) "fresh entry after compaction hits" (Some 7) (Avc.find c victim)
 
 (* The paged dense range against a reference model: a plain hashtable
@@ -222,9 +203,9 @@ let test_gen_sparse_key_not_shadowed () =
      had gone to the sparse table — a revoked CAM entry served as
      fresh. *)
   let key handle segno = (handle lsl 12) lor segno in
-  let c = Avc.create ~capacity:16 ~hash:(fun k -> k) ~equal:Int.equal ~name:"t.cam_keys" () in
+  let c = Avc.create ~capacity:16 ~name:"t.cam_keys" () in
   let victim = key 16 2 in
-  Avc.add c ~obj:victim victim 1;
+  Avc.add c victim 1;
   Avc.invalidate_object c (key 8 1);
   Avc.invalidate_object c (key 9 1);
   Avc.invalidate_object c victim;
@@ -626,13 +607,15 @@ let suite =
     Alcotest.test_case "avc: find/add basics" `Quick test_avc_basics;
     Alcotest.test_case "avc: invalidate object" `Quick test_avc_invalidate_object;
     Alcotest.test_case "avc: invalidate all" `Quick test_avc_invalidate_all;
-    Alcotest.test_case "avc: flush probe storms" `Quick test_avc_flush_probe;
     Alcotest.test_case "avc: direct-mapped displacement" `Quick test_avc_direct_mapped_displacement;
     Alcotest.test_case "avc: capacity rounds to power of two" `Quick test_avc_capacity_rounding;
-    Alcotest.test_case "avc: find_or_add computes once" `Quick test_avc_find_or_add;
     Alcotest.test_case "avc: keys skip stale entries" `Quick test_avc_keys_skip_stale;
     Alcotest.test_case "gen: dense and sparse object ids" `Quick test_gen_sparse_and_dense_ids;
     Alcotest.test_case "gen: sparse table bounded under churn" `Quick test_gen_sparse_table_bounded;
+    Alcotest.test_case "gen: model agrees across a sparse compaction" `Quick
+      test_gen_compaction_model;
+    Alcotest.test_case "gen: sparse CAM keys are never shadowed" `Quick
+      test_gen_sparse_key_not_shadowed;
     Alcotest.test_case "revocation: set_acl" `Quick test_set_acl_revokes;
     Alcotest.test_case "revocation: raw_set_label" `Quick test_raw_set_label_revokes;
     Alcotest.test_case "revocation: delete" `Quick test_delete_revokes;
@@ -642,10 +625,6 @@ let suite =
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
     Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
     QCheck_alcotest.to_alcotest test_gen_paging_model;
-    Alcotest.test_case "gen: model agrees across a sparse compaction" `Quick
-      test_gen_compaction_model;
-    Alcotest.test_case "gen: sparse CAM keys are never shadowed" `Quick
-      test_gen_sparse_key_not_shadowed;
     Alcotest.test_case "gen: first CAM-key bump allocates one page" `Quick test_gen_page_allocation;
     Alcotest.test_case "gen: bookkeeping allocated on first write" `Quick
       test_gen_allocated_on_first_write;

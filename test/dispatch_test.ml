@@ -671,6 +671,54 @@ let test_refusal_retention_off () =
       ("unknown segment", Api.Call.Read_word { segno = 4000; offset = 0 });
     ]
 
+(* Every content reference is bounded by the longest segment: an
+   offset outside [0 .. max_segment_words - 1] is refused with
+   [Out_of_bounds] before the reference is served or any growth is
+   charged.  Refused writes, however many, leave the home quota cell's
+   charge and its invariant as they were. *)
+let test_content_reference_bounds () =
+  let module Hierarchy = Multics_fs.Hierarchy in
+  let env, home, data = audited_env Config.kernel_6180 in
+  let hierarchy = System.hierarchy env.system in
+  let ok what = function Ok _ -> () | Error e -> Alcotest.failf "%s: %s" what (Api.error_to_string e) in
+  ok "set_quota" (d env (Api.Call.Set_quota { segno = home; quota = Some 100_000 }));
+  ok "first page" (d env (Api.Call.Write_word { segno = data; offset = 0; value = 1 }));
+  let cell =
+    match
+      Hierarchy.resolve hierarchy ~subject:System.initializer_subject ~path:">udd>Dev>Alice"
+    with
+    | Ok uid -> uid
+    | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
+  in
+  let charged () = Hierarchy.pages_charged_of hierarchy cell in
+  let before = charged () in
+  let limit = Hierarchy.max_segment_words in
+  let write offset = Api.Call.Write_word { segno = data; offset; value = 1 } in
+  let read offset = Api.Call.Read_word { segno = data; offset } in
+  List.iter
+    (fun (what, request, offset) ->
+      (match d env request with
+      | Error (Api.Fs (Hierarchy.Out_of_bounds o)) ->
+          Alcotest.(check int) (what ^ ": offset reported") offset o
+      | Ok _ -> Alcotest.failf "%s: granted" what
+      | Error e -> Alcotest.failf "%s: %s" what (Api.error_to_string e));
+      Alcotest.(check (option int)) (what ^ ": nothing charged") before (charged ());
+      Alcotest.(check bool) (what ^ ": quota invariant") true
+        (Hierarchy.check_quota_invariant hierarchy))
+    [
+      ("write at the limit", write limit, limit);
+      ("write at the limit again", write limit, limit);
+      ("write far past the limit", write (4 * limit), 4 * limit);
+      ("negative write", write (-1), -1);
+      ("read at the limit", read limit, limit);
+      ("negative read", read (-1), -1);
+    ];
+  ok "last word" (d env (Api.Call.Write_word { segno = data; offset = limit - 1; value = 7 }));
+  match d env (read (limit - 1)) with
+  | Ok (Api.Call.Word 7) -> ()
+  | Ok _ -> Alcotest.fail "last word: wrong reply"
+  | Error e -> Alcotest.fail (Api.error_to_string e)
+
 let audit_suite =
   List.map
     (fun (config : Config.t) ->
@@ -685,6 +733,8 @@ let audit_suite =
         test_stripped_login_gate_refused;
       Alcotest.test_case "refusal with audit retention off: same error, no record, metered"
         `Quick test_refusal_retention_off;
+      Alcotest.test_case "content references out of bounds: refused, nothing charged" `Quick
+        test_content_reference_bounds;
     ]
 
 (* ----- Instrument names and per-domain counts -----
@@ -745,8 +795,8 @@ let meter_script () =
       ];
   let a = Avc.create ~capacity:4 ~name:"t.meter" () in
   let b = Avc.create ~capacity:4 ~name:"t.meter" () in
-  Avc.add a ~obj:1 1 ();
-  Avc.add b ~obj:1 1 ();
+  Avc.add a 1 ();
+  Avc.add b 1 ();
   ignore (Avc.find a 1);
   ignore (Avc.find b 1);
   ignore (Avc.find b 2);

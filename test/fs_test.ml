@@ -191,20 +191,14 @@ let test_words_zero_extended () =
     | Ok uid -> uid
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
-  (match Hierarchy.read_word h ~subject:alice ~uid ~offset:500 with
-  | Ok 0 -> ()
-  | Ok v -> Alcotest.fail (Printf.sprintf "expected 0, got %d" v)
-  | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:100 ~value:7 with
+  Alcotest.(check (option int)) "unwritten word reads 0" (Some 0)
+    (Hierarchy.raw_read_word h ~uid ~offset:500);
+  (match Gate_calls.store_word h ~uid ~offset:100 ~value:7 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
-  (match Hierarchy.read_word h ~subject:alice ~uid ~offset:100 with
-  | Ok 7 -> ()
-  | Ok v -> Alcotest.fail (Printf.sprintf "expected 7, got %d" v)
-  | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
-  match Hierarchy.read_word h ~subject:alice ~uid ~offset:(-1) with
-  | Error (Hierarchy.Out_of_bounds _) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "negative offset accepted"
+  Alcotest.(check (option int)) "written word" (Some 7) (Hierarchy.raw_read_word h ~uid ~offset:100);
+  Alcotest.(check (option int)) "negative offset reads nothing" None
+    (Hierarchy.raw_read_word h ~uid ~offset:(-1))
 
 let test_effective_mode_intersection () =
   let h, work = setup () in
@@ -318,20 +312,20 @@ let test_quota_basic () =
   in
   let wpp = Hierarchy.words_per_page h in
   (* First two pages fit... *)
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:(wpp - 1) ~value:1 with
+  (match Gate_calls.store_word h ~uid ~offset:(wpp - 1) ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:(2 * wpp - 1) ~value:1 with
+  (match Gate_calls.store_word h ~uid ~offset:(2 * wpp - 1) ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
   Alcotest.(check (option int)) "two pages charged" (Some 2) (Hierarchy.pages_charged_of h work);
   (* ... the third does not. *)
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:(2 * wpp) ~value:1 with
+  (match Gate_calls.store_word h ~uid ~offset:(2 * wpp) ~value:1 with
   | Error (Hierarchy.Quota_exceeded _) -> ()
   | Ok () -> Alcotest.fail "grew past the quota"
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
   (* Rewriting within existing pages is free. *)
-  match Hierarchy.write_word h ~subject:alice ~uid ~offset:0 ~value:9 with
+  match Gate_calls.store_word h ~uid ~offset:0 ~value:9 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
 
@@ -350,12 +344,12 @@ let test_quota_refund_on_delete () =
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
   let a = mk "a" in
-  (match Hierarchy.write_word h ~subject:alice ~uid:a ~offset:0 ~value:1 with
+  (match Gate_calls.store_word h ~uid:a ~offset:0 ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
   let b = mk "b" in
   (* The cell is full: b cannot grow. *)
-  (match Hierarchy.write_word h ~subject:alice ~uid:b ~offset:0 ~value:1 with
+  (match Gate_calls.store_word h ~uid:b ~offset:0 ~value:1 with
   | Error (Hierarchy.Quota_exceeded _) -> ()
   | Ok () -> Alcotest.fail "grew past the quota"
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
@@ -363,7 +357,7 @@ let test_quota_refund_on_delete () =
   (match Hierarchy.delete_entry h ~subject:alice ~dir:work ~name:"a" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
-  match Hierarchy.write_word h ~subject:alice ~uid:b ~offset:0 ~value:1 with
+  match Gate_calls.store_word h ~uid:b ~offset:0 ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
 
@@ -379,7 +373,7 @@ let test_quota_install_counts_existing () =
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
   let wpp = Hierarchy.words_per_page h in
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:(3 * wpp - 1) ~value:1 with
+  (match Gate_calls.store_word h ~uid ~offset:(3 * wpp - 1) ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
   (* Installing a 2-page quota under 3 existing pages must fail... *)
@@ -422,7 +416,7 @@ let test_quota_nested_cells () =
   let wpp = Hierarchy.words_per_page h in
   (* 3 pages exceed work's 1-page cell but fit the inner 10-page cell,
      which governs. *)
-  (match Hierarchy.write_word h ~subject:alice ~uid ~offset:(3 * wpp - 1) ~value:1 with
+  (match Gate_calls.store_word h ~uid ~offset:(3 * wpp - 1) ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
   Alcotest.(check (option int)) "inner charged" (Some 3) (Hierarchy.pages_charged_of h sub);

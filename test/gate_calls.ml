@@ -34,6 +34,17 @@ let read_word system ~handle ~segno ~offset =
   | Error e -> Error e
   | Ok _ -> mismatch "read_word"
 
+(* The storage calls [Write_word] makes once the SDW has granted the
+   write: charge the governing quota cell for any growth, then store.
+   For tests that drive a bare hierarchy. *)
+let store_word hierarchy ~uid ~offset ~value =
+  let module Hierarchy = Multics_fs.Hierarchy in
+  Result.map
+    (fun () ->
+      if not (Hierarchy.raw_write_word hierarchy ~uid ~offset ~value) then
+        invalid_arg "gate_calls.store_word: not a segment")
+    (Hierarchy.charge_growth hierarchy ~uid ~offset)
+
 let set_acl system ~handle ~segno ~acl =
   unit_reply "set_acl" (dispatch system ~handle (Api.Call.Set_acl { segno; acl }))
 

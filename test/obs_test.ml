@@ -1,4 +1,4 @@
-(* Tests for Multics_obs: counters, histogram bucketing, spans,
+(* Tests for Multics_obs: counters, gauges, histogram bucketing,
    registries, snapshot rendering and the global enable switch. *)
 
 module Obs = Multics_obs.Obs
@@ -91,20 +91,6 @@ let test_histogram_stats () =
   Alcotest.(check int) "p50 bucket upper bound" 7 (Obs.Histogram.quantile h 0.5);
   Alcotest.(check int) "p100 clamps to observed max" 100 (Obs.Histogram.quantile h 1.0)
 
-let test_span () =
-  let r = fresh "spans" in
-  let s = Obs.Registry.span r "dispatch" in
-  Obs.Span.enter s;
-  Obs.Span.enter s;
-  Alcotest.(check int) "live tracks nesting" 2 (Obs.Span.live s);
-  Obs.Span.leave s ~cycles:10;
-  Obs.Span.leave s ~cycles:30;
-  Obs.Span.record s ~cycles:20;
-  Alcotest.(check int) "live back to 0" 0 (Obs.Span.live s);
-  Alcotest.(check int) "entries" 3 (Obs.Span.entries s);
-  Alcotest.(check int) "max depth" 2 (Obs.Span.max_depth s);
-  Alcotest.(check int) "cycles histogram fed" 60 (Obs.Histogram.sum (Obs.Span.cycles s))
-
 let test_registry_reset () =
   let r = fresh "reset" in
   let c = Obs.Registry.counter r "c" in
@@ -164,12 +150,12 @@ let test_snapshot_text () =
     (contains ~needle:"no recorded activity"
        (Obs.Snapshot.to_text (Obs.Snapshot.capture ~registry:r ())));
   Obs.Counter.incr (Obs.Registry.counter r "gate.calls") ~by:21;
-  Obs.Span.record (Obs.Registry.span r "gate.dispatch") ~cycles:34;
+  Obs.Histogram.observe (Obs.Registry.histogram r "smp.connect.cycles") 34;
   let text = Obs.Snapshot.to_text (Obs.Snapshot.capture ~registry:r ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("text mentions " ^ needle) true (contains ~needle text))
-    [ "gate.calls"; "21"; "gate.dispatch"; "counters"; "spans" ]
+    [ "gate.calls"; "21"; "smp.connect.cycles"; "counters"; "histograms" ]
 
 let test_snapshot_json () =
   let r = fresh "json" in
@@ -217,7 +203,7 @@ let test_histogram_sum_saturates () =
 
 let test_snapshot_merge () =
   (* Instrument-wise sum, keyed union: counters add, histogram buckets
-     add, span depths take the max.  This is the parallel join path. *)
+     add.  This is the parallel join path. *)
   let ra = fresh "a" and rb = fresh "b" in
   Obs.Counter.incr (Obs.Registry.counter ra "shared") ~by:3;
   Obs.Counter.incr (Obs.Registry.counter ra "only_a") ~by:1;
@@ -226,12 +212,6 @@ let test_snapshot_merge () =
   Obs.Histogram.observe (Obs.Registry.histogram ra "h") 2;
   Obs.Histogram.observe (Obs.Registry.histogram ra "h") 100;
   Obs.Histogram.observe (Obs.Registry.histogram rb "h") 9;
-  let sa = Obs.Registry.span ra "s" and sb = Obs.Registry.span rb "s" in
-  Obs.Span.record sa ~cycles:10;
-  Obs.Span.enter sb;
-  Obs.Span.enter sb;
-  Obs.Span.leave sb ~cycles:5;
-  Obs.Span.leave sb ~cycles:5;
   let m =
     Obs.Snapshot.merge
       (Obs.Snapshot.capture ~registry:ra ())
@@ -246,9 +226,6 @@ let test_snapshot_merge () =
   Alcotest.(check int) "histogram sums add" 111 h.Obs.Snapshot.sum;
   Alcotest.(check int) "merged min" 2 h.Obs.Snapshot.min_value;
   Alcotest.(check int) "merged max" 100 h.Obs.Snapshot.max_value;
-  let s = List.assoc "s" m.Obs.Snapshot.spans in
-  Alcotest.(check int) "span entries add" 3 s.Obs.Snapshot.entries;
-  Alcotest.(check int) "span max_depth is the max" 2 s.Obs.Snapshot.max_depth;
   (* A gauge takes the later snapshot's reading; one the later
      snapshot never set keeps the earlier reading. *)
   let rc = fresh "c" in
@@ -339,7 +316,7 @@ let test_snapshot_diff_one_sided_keys () =
     }
   in
   let snap counters histograms =
-    { Obs.Snapshot.registry = "r"; counters; gauges = []; histograms; spans = [] }
+    { Obs.Snapshot.registry = "r"; counters; gauges = []; histograms }
   in
   let before =
     snap [ ("a", 1); ("c", 5); ("d", 2) ] [ ("h", hist [ (1, 1); (4, 2) ]); ("x", hist [ (1, 1) ]) ]
@@ -363,7 +340,6 @@ let suite =
     Alcotest.test_case "disabled recording is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "histogram bucket index edges" `Quick test_bucket_index_edges;
     Alcotest.test_case "histogram statistics" `Quick test_histogram_stats;
-    Alcotest.test_case "span nesting and cycles" `Quick test_span;
     Alcotest.test_case "registry reset" `Quick test_registry_reset;
     Alcotest.test_case "snapshot capture and diff" `Quick test_snapshot_capture_and_diff;
     Alcotest.test_case "snapshot text rendering" `Quick test_snapshot_text;

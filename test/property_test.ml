@@ -138,12 +138,12 @@ let hierarchy_quota_invariant =
           | 2 | 3 -> (
               match Hierarchy.lookup h ~subject ~dir ~name with
               | Ok uid ->
-                  ignore (Hierarchy.write_word h ~subject ~uid ~offset:(arg * wpp) ~value:1)
+                  ignore (Gate_calls.store_word h ~uid ~offset:(arg * wpp) ~value:1)
               | Error _ -> ())
           | 4 -> ignore (Hierarchy.delete_entry h ~subject ~dir ~name)
           | 5 -> (
               match Hierarchy.lookup h ~subject ~dir ~name with
-              | Ok uid -> ignore (Hierarchy.write_word h ~subject ~uid ~offset:0 ~value:2)
+              | Ok uid -> ignore (Gate_calls.store_word h ~uid ~offset:0 ~value:2)
               | Error _ -> ())
           | _ -> ())
         ops;
