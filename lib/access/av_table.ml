@@ -77,10 +77,10 @@ let compute ~(subject : Policy.subject) ~object_label ~acl ~brackets =
 (* ----- The table ----- *)
 
 (* Columns are object uids (already a dense SID space); cells for uids
-   past this bound are never cached — they recompute, exactly like a
-   miss.  Matches [Gen]'s dense range, so every cached column has a
-   dense (array-read) generation counter. *)
-let max_objects = 1 lsl 16
+   past [Gen]'s dense range are never cached — they recompute, exactly
+   like a miss — so every cached column has a generation counter of its
+   own. *)
+let max_objects = Gen.dense_limit
 
 type t = {
   name : string;

@@ -1,5 +1,5 @@
-(* A revocation-correct decision cache — the associative memory of the
-   6180.
+(* A revocation-correct decision cache, kept the way the 6180 keeps its
+   associative memories.
 
    The 6180 the paper describes pays the full mediation cost (descriptor
    fetch, access computation) only on an associative-memory miss; on a
@@ -16,38 +16,32 @@
    longer match the live counters is treated as a miss and dropped.  A
    stale Permit therefore cannot outlive the authority that granted it:
    the entry dies in the same step as the ACL edit, label change,
-   deletion, branch move or salvager repair that revoked it.
+   deletion, branch move or salvager repair that revoked it.  Stamps
+   pay off where one bump must reach many entries at once.
 
-   One mechanism backs the hardware's caches: each CPU's SDW
-   associative memory, page control's PTW lookaside and each CPU's PTW
-   front.  Each keys by a small integer (a CAM tag, a page SID) that
+   It backs page control's PTW lookaside and each CPU's PTW front,
+   which share page control's [Gen]: each keys by a page SID, which
    also names the object its decision derives from.  Each instance
    reports hits/misses/invalidations through [lib/obs] under
    "cache.<name>.*".  The policy-verdict cache is [Av_table]
    (lib/access), a flat table that shares only [Gen] and these counter
-   names. *)
+   names.  A CPU's SDW associative memory is [Hardware.Assoc]
+   (lib/machine): an invalidation there reaches one slot, which it
+   clears itself. *)
 
 module Obs = Multics_obs.Obs
 
 module Gen = struct
-  (* [of_object] sits on the hit path of every cache lookup, so the
-     common case — small non-negative object ids (uids, segnos, CAM
-     keys) — reads a two-level dense table: a fixed directory of
-     [page_size]-id pages, each allocated on the first bump of an id in
-     its range.  Until then a directory slot points at [zero_page],
-     shared and never written, so a read is two array loads whether or
-     not the page exists, and an id whose page was never allocated
-     reads generation 0.  The directory itself covers only the pages
-     up to the highest one bumped so far: it starts empty, and a read
-     past its end reads generation 0 like an unallocated page.  A cache
-     that is never invalidated object by object (most of those a boot
-     creates) allocates no directory at all.  Paging matters because
-     the dense ids are not compact: a CPU's CAM keys its entries by
-     [(handle lsl 12) lor segno], so one
-     process's first invalidation lands thousands of ids past the
-     previous one, and a flat array grown to cover it would cost tens
-     of KB per boot.  Anything outside the dense range (e.g. hashed
-     page ids) falls back to a hashtable.
+  (* [of_object] sits on the hit path of every cache lookup.  The ids
+     the caches key by are small non-negative ints (uids, page SIDs),
+     so each has a counter in one flat array, grown by doubling to
+     cover the highest id bumped so far and never past [dense_limit].
+     A read past the array's end reads generation 0: that id was never
+     bumped.  A cache that is never invalidated object by object (most
+     of those a boot creates) allocates no array at all.  Every id
+     outside [0, dense_limit) shares the one [overflow] counter, so a
+     bump of any of them stales the entries of all of them: more than
+     needed, never a revoked entry brought back.
 
      [epoch] is an external counter folded into [global]: owned by
      someone else (the domain's ACL mutation generation, for the
@@ -63,100 +57,39 @@ module Gen = struct
      (it does not escape this module). *)
   let no_epoch = new_epoch ()
 
-  let page_bits = 6
-  let page_size = 1 lsl page_bits
   let dense_limit = 1 lsl 16
-  let zero_page = Array.make page_size 0
-  let max_pages = dense_limit lsr page_bits
 
   type t = {
     mutable global : int;
     mutable epoch : epoch;
-    mutable pages : int array array;
-    mutable sparse : (int, int) Hashtbl.t option;  (** allocated on the first sparse bump *)
-    mutable compactions : int;
+    mutable counts : int array;
+    mutable overflow : int;
   }
 
-  (* The sparse table's size bound.  Hashed ids (page ids) churn
-     forever on a long run — objects are deleted, their ids never
-     reused — so without pruning the table grows without bound.  When
-     a bump would push it past this limit the whole table is folded
-     into the global epoch instead (see [compact]). *)
-  let sparse_limit = 1 lsl 12
-
-  let obs_compactions = Obs.Local.counter "cache.gen.compactions"
-
-  let create ?(epoch = no_epoch) () =
-    {
-      global = 0;
-      epoch;
-      pages = [||];
-      sparse = None;
-      compactions = 0;
-    }
-
+  let create ?(epoch = no_epoch) () = { global = 0; epoch; counts = [||]; overflow = 0 }
   let global t = t.global + t.epoch.ticks
   let is_dense obj = obj >= 0 && obj < dense_limit
 
   let of_object t obj =
-    if is_dense obj then begin
-      let p = obj lsr page_bits in
-      if p < Array.length t.pages then
-        Array.unsafe_get (Array.unsafe_get t.pages p) (obj land (page_size - 1))
-      else 0
-    end
-    else
-      match t.sparse with
-      | Some sparse -> Option.value (Hashtbl.find_opt sparse obj) ~default:0
-      | None -> 0
+    if is_dense obj then
+      if obj < Array.length t.counts then Array.unsafe_get t.counts obj else 0
+    else t.overflow
 
   let bump_global t = t.global <- t.global + 1
 
-  (* Epoch compaction — the pruning rule for sparse per-object entries.
-     Dropping one object's entry in isolation would be UNSOUND: an
-     entry stamped with generation 0 before the object was ever bumped
-     would read as fresh again once [of_object] falls back to 0 — a
-     revoked Permit resurrected.  Folding the table into the global
-     epoch first makes the drop sound: after [bump_global] no existing
-     entry in any cache sharing this [Gen.t] can match, so every
-     per-object counter is dead weight and the table can be cleared
-     wholesale.  Cost: one full-flush-equivalent miss storm, bounded to
-     once per [sparse_limit] distinct hashed objects — performance,
-     never correctness. *)
-  let compact t =
-    bump_global t;
-    Option.iter Hashtbl.reset t.sparse;
-    t.compactions <- t.compactions + 1;
-    if Obs.enabled () then Obs.Counter.incr (obs_compactions ())
+  let rec cover n obj = if n > obj then n else cover (2 * n) obj
 
   let bump_object t obj =
     if is_dense obj then begin
-      let p = obj lsr page_bits in
-      let covered = Array.length t.pages in
-      if p >= covered then begin
-        let pages = Array.make (min max_pages (max (p + 1) (2 * covered))) zero_page in
-        Array.blit t.pages 0 pages 0 covered;
-        t.pages <- pages
+      let len = Array.length t.counts in
+      if obj >= len then begin
+        let counts = Array.make (cover (max 8 len) obj) 0 in
+        Array.blit t.counts 0 counts 0 len;
+        t.counts <- counts
       end;
-      if t.pages.(p) == zero_page then t.pages.(p) <- Array.make page_size 0;
-      let page = t.pages.(p) and i = obj land (page_size - 1) in
-      page.(i) <- page.(i) + 1
+      t.counts.(obj) <- t.counts.(obj) + 1
     end
-    else begin
-      let sparse =
-        match t.sparse with
-        | Some sparse -> sparse
-        | None ->
-            let sparse = Hashtbl.create 16 in
-            t.sparse <- Some sparse;
-            sparse
-      in
-      if Hashtbl.length sparse >= sparse_limit && not (Hashtbl.mem sparse obj) then compact t;
-      Hashtbl.replace sparse obj (of_object t obj + 1)
-    end
-
-  let sparse_size t = match t.sparse with Some sparse -> Hashtbl.length sparse | None -> 0
-  let compactions t = t.compactions
+    else t.overflow <- t.overflow + 1
 
   (* Rebasing [global] onto the new epoch keeps the reading what it is
      now, so every stamp that matches still matches and no stale stamp
@@ -165,23 +98,10 @@ module Gen = struct
     t.global <- global t - epoch.ticks;
     t.epoch <- epoch
 
-  (* Same readings, private counters.  The directory is copied whole
-     and only its allocated pages replaced: a CPU CAM's directory runs
-     to ~130 slots for two pages. *)
+  (* Same readings, private counters. *)
   let copy ?epoch t =
-    let pages = Array.copy t.pages in
-    for i = 0 to Array.length pages - 1 do
-      let page = pages.(i) in
-      if page != zero_page then pages.(i) <- Array.copy page
-    done;
     let c =
-      {
-        global = t.global;
-        epoch = t.epoch;
-        pages;
-        sparse = Option.map Hashtbl.copy t.sparse;
-        compactions = t.compactions;
-      }
+      { global = t.global; epoch = t.epoch; counts = Array.copy t.counts; overflow = t.overflow }
     in
     Option.iter (set_epoch c) epoch;
     c

@@ -1,10 +1,10 @@
-(** A fixed-capacity, epoch-versioned decision cache — the simulated
-    counterpart of the 6180's associative memory.  It backs each CPU's
-    SDW associative memory, page control's PTW lookaside and each
-    CPU's PTW front; each keys by a small integer that also names the
-    object its decision derives from.  (The policy-verdict cache is
+(** A fixed-capacity, epoch-versioned decision cache.  It backs page
+    control's PTW lookaside and each CPU's PTW front; each keys by a
+    small integer (a page SID) that also names the object its decision
+    derives from.  (The policy-verdict cache is
     [Multics_access.Av_table], which shares only {!Gen} and the counter
-    names.)
+    names; each CPU's SDW associative memory is
+    [Multics_machine.Hardware.Assoc], which clears its own slot.)
 
     Revocation correctness is the design center: entries are stamped
     with generation counters (one global, one per object id) at
@@ -18,19 +18,11 @@
     one bump invalidates every decision derived from the mutated
     object.
 
-    {b Sparse-table pruning rule.}  Per-object counters for hashed ids
-    (page ids and the like) live in a sparse hashtable; on a long run
-    those ids churn forever and the table would grow without bound.
-    When a bump would push the table past an internal limit it is
-    {e epoch-compacted}: the global generation is bumped first — staling
-    every entry of every cache sharing the [Gen.t] — and only then is
-    the table cleared.  Dropping a single object's counter in isolation
-    would be unsound (an entry stamped with the pre-bump counter would
-    read as fresh again once the counter resets to 0 — a revoked Permit
-    resurrected); compaction after a global bump cannot resurrect
-    anything because no pre-compaction stamp can match the new global
-    epoch.  The cost is one full-flush-equivalent miss storm per
-    [2^12] distinct hashed objects — performance, never correctness. *)
+    Ids in [\[0, dense_limit)] have a counter each, in one flat array
+    that grows by doubling to the highest id bumped and so never
+    exceeds {!dense_limit} entries.  Every other id shares one overflow
+    counter: a bump of one stales the entries of all of them — more
+    than needed, never a revoked entry brought back. *)
 module Gen : sig
   type t
 
@@ -40,6 +32,10 @@ module Gen : sig
 
   val new_epoch : unit -> epoch
   val advance : epoch -> unit
+
+  val dense_limit : int
+  (** [2^16]: ids below it (and at or above 0) have counters of their
+      own. *)
 
   val create : ?epoch:epoch -> unit -> t
   (** [epoch] (default: one that never advances) is folded into
@@ -57,23 +53,8 @@ module Gen : sig
   (** Invalidate every entry of every cache sharing this [Gen.t]. *)
 
   val bump_object : t -> int -> unit
-  (** Invalidate entries whose decisions derive from object [obj].
-      May trigger an epoch compaction (see the pruning rule above). *)
-
-  val sparse_limit : int
-  (** Size bound on the sparse per-object table; reaching it triggers
-      compaction. *)
-
-  val compact : t -> unit
-  (** Force an epoch compaction: bump the global generation, then clear
-      the sparse table.  Sound by the pruning rule above. *)
-
-  val sparse_size : t -> int
-  (** Current sparse-table population (for tests and gauges). *)
-
-  val compactions : t -> int
-  (** Number of compactions performed on this [Gen.t]; also counted
-      globally under ["cache.gen.compactions"]. *)
+  (** Invalidate entries whose decisions derive from object [obj] (and,
+      for an id outside [\[0, dense_limit)], from every such id). *)
 
   val set_epoch : t -> epoch -> unit
   (** Fold [epoch] into {!global} in place of the current one, rebased

@@ -57,11 +57,10 @@ type error =
   | Site_fenced of { site : int }
   | Site_unreachable of { site : int }
 
-(* ----- Structured error rendering -----
+(* ----- Error rendering -----
 
    [pp] is the canonical human rendering ([error_to_string] is just
-   [Fmt.str "%a" pp]); [error_to_json] gives refusal causes a
-   machine-readable shape: {"kind": ..., plus cause-specific fields}. *)
+   [Fmt.str "%a" pp]). *)
 
 let pp ppf = function
   | Fs e -> Fmt.pf ppf "fs: %s" (Hierarchy.error_to_string e)
@@ -88,48 +87,6 @@ let pp ppf = function
       Fmt.pf ppf "site %d is unreachable (connects unacknowledged past the retry budget)" site
 
 let error_to_string e = Fmt.str "%a" pp e
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_fields fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields) ^ "}"
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let error_to_json e =
-  let kind k rest = json_fields (("kind", json_str k) :: rest) in
-  match e with
-  | Fs fs -> kind "fs" [ ("detail", json_str (Hierarchy.error_to_string fs)) ]
-  | Kst_error k -> kind "kst" [ ("detail", json_str (Kst.error_to_string k)) ]
-  | Rnt_error r -> kind "rnt" [ ("detail", json_str (Rnt.error_to_string r)) ]
-  | Gate_absent gate -> kind "gate-absent" [ ("gate", json_str gate) ]
-  | Gate_ring_denied { gate; ring } ->
-      kind "gate-ring-denied" [ ("gate", json_str gate); ("ring", string_of_int ring) ]
-  | Hardware_denied d -> kind "hardware-denied" [ ("detail", json_str (Hardware.denial_to_string d)) ]
-  | Link_failed outcome -> kind "link-failed" [ ("detail", json_str (Linker.outcome_to_string outcome)) ]
-  | No_such_process handle -> kind "no-such-process" [ ("handle", string_of_int handle) ]
-  | No_such_channel id -> kind "no-such-channel" [ ("channel", string_of_int id) ]
-  | Device_not_attached device -> kind "device-not-attached" [ ("device", json_str device) ]
-  | Not_in_subsystem -> kind "not-in-subsystem" []
-  | Not_authorized what -> kind "not-authorized" [ ("detail", json_str what) ]
-  | Fault_injected { site; operation } ->
-      kind "fault-injected" [ ("site", json_str site); ("operation", json_str operation) ]
-  | Bad_fault_plan detail -> kind "bad-fault-plan" [ ("detail", json_str detail) ]
-  | No_scheduler -> kind "no-scheduler" []
-  | Bad_tune detail -> kind "bad-tune" [ ("detail", json_str detail) ]
-  | Site_fenced { site } -> kind "site-fenced" [ ("site", string_of_int site) ]
-  | Site_unreachable { site } -> kind "site-unreachable" [ ("site", string_of_int site) ]
 
 let ( let* ) r f = Result.bind r f
 

@@ -51,10 +51,6 @@ val error_to_string : error -> string
 val pp : Format.formatter -> error -> unit
 (** Canonical human rendering; [error_to_string] is [Fmt.str "%a" pp]. *)
 
-val error_to_json : error -> string
-(** Machine-readable refusal cause: an object with a ["kind"]
-    discriminator plus cause-specific fields. *)
-
 (** {1 Reply payload records} *)
 
 type entry_status = {

@@ -90,8 +90,6 @@ let post_interrupt ?(delay = 0) t ~device =
 let gate_cycles t = t.gate_cycles
 let compute_cycles t = t.compute_cycles
 
-let words_per_page t = Multics_fs.Hierarchy.words_per_page (System.hierarchy t.system)
-
 (* Run [program] as a simulated process of the logged-in [handle].
    Returns the Sim pid; the outcome is collected when the process
    finishes (see [results]). *)
@@ -127,7 +125,7 @@ let run_user t ~handle program =
                 let page =
                   Page_id.make
                     ~seg_uid:(Multics_fs.Uid.to_int uid)
-                    ~page_no:(offset / words_per_page t)
+                    ~page_no:(offset / Multics_fs.Hierarchy.words_per_page)
                 in
                 ignore (Page_control.reference t.pc ~pid ~page ~write))
       in

@@ -391,6 +391,27 @@ let make_process t ~(account : account) ~session_level ~login_ring =
   | Error _ -> ());
   handle
 
+(* Make a segment known to a process and install its descriptor.  The
+   SDW is computed ONCE here, from ACL x label x brackets — this is the
+   descriptor-construction point the reference monitor lives at; every
+   later reference is checked against the installed SDW, as the
+   hardware does. *)
+let install_known t (p : proc) ~uid =
+  let segno, _already = Kst.make_known p.kst ~uid in
+  (match Hierarchy.sdw_for t.hierarchy ~subject:(subject_of p) ~uid with
+  | Some sdw -> ignore (Kst.set_sdw p.kst segno sdw)
+  | None -> ());
+  segno
+
+(* Every new process starts with the root, its home, the system
+   library and its process directory already known, so it can name
+   starting points. *)
+let prime t (p : proc) ~(account : account) =
+  List.iter (fun uid -> ignore (install_known t p ~uid)) [ Uid.root; account.home; t.lib_dir ];
+  Option.iter
+    (fun uid -> ignore (install_known t p ~uid))
+    (Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir ~name:(process_dir_name ~handle:p.handle))
+
 (* Authenticate and create a process.  Under [Privileged_login] the
    authentication code is part of the privileged kernel (it "executes"
    in ring 0); under [Unified_subsystem_entry] the same mechanism that
@@ -432,7 +453,8 @@ let login ?level t ~person ~project ~password =
           (match proc t handle with
           | Some p ->
               Audit_log.log t.audit ~subject:(subject_of p) ~operation:"login"
-                ~target:(Principal.to_string principal) ~verdict:Audit_log.Granted
+                ~target:(Principal.to_string principal) ~verdict:Audit_log.Granted;
+              prime t p ~account
           | None -> ());
           Ok handle
         end
@@ -528,37 +550,6 @@ let copy t =
 
 let handles t = Hashtbl.fold (fun h _ acc -> h :: acc) t.procs [] |> List.sort Int.compare
 
-(* Make a segment known to a process and install its descriptor.  The
-   SDW is computed ONCE here, from ACL x label x brackets — this is the
-   descriptor-construction point the reference monitor lives at; every
-   later reference is checked against the installed SDW, as the
-   hardware does. *)
-let install_known t (p : proc) ~uid =
-  let segno, _already = Kst.make_known p.kst ~uid in
-  (match Hierarchy.sdw_for t.hierarchy ~subject:(subject_of p) ~uid with
-  | Some sdw -> ignore (Kst.set_sdw p.kst segno sdw)
-  | None -> ());
-  segno
-
-(* [login] primes every new process with the root, its home and the
-   system library already known, so it can name starting points. *)
-let login ?level t ~person ~project ~password =
-  match login ?level t ~person ~project ~password with
-  | Error _ as e -> e
-  | Ok handle ->
-      (match (proc t handle, find_account t ~person ~project) with
-      | Some p, Some account ->
-          ignore (install_known t p ~uid:Uid.root);
-          ignore (install_known t p ~uid:account.home);
-          ignore (install_known t p ~uid:t.lib_dir);
-          (match
-             Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir ~name:(process_dir_name ~handle)
-           with
-          | Some uid -> ignore (install_known t p ~uid)
-          | None -> ())
-      | _, _ -> ());
-      Ok handle
-
 (* Create another process for the same account (the create_process and
    new_proc gates): same principal, same session level, a fresh address
    space, primed like a login. *)
@@ -574,18 +565,7 @@ let clone_process t ~handle =
           let child =
             make_process t ~account ~session_level:p.clearance ~login_ring:p.login_ring
           in
-          (match proc t child with
-          | Some cp ->
-              ignore (install_known t cp ~uid:Uid.root);
-              ignore (install_known t cp ~uid:account.home);
-              ignore (install_known t cp ~uid:t.lib_dir);
-              (match
-                 Hierarchy.raw_lookup t.hierarchy ~dir:t.pdd_dir
-                   ~name:(process_dir_name ~handle:child)
-               with
-              | Some uid -> ignore (install_known t cp ~uid)
-              | None -> ())
-          | None -> ());
+          Option.iter (fun cp -> prime t cp ~account) (proc t child);
           Some child)
 
 (* Handles belonging to the same principal (person.project). *)

@@ -72,7 +72,6 @@ let error_to_string = function
 type t = {
   nodes : node Int_table.t;
   uids : Uid.generator;
-  words_per_page : int;
   (* The compiled access-decision table: Policy + brackets flattened
      into access-vector bits per (subject SID, object uid), stamped
      with [gens].  Every access-relevant mutation below bumps the
@@ -85,7 +84,7 @@ type t = {
   avtab : Av_table.t;
 }
 
-let words_per_page t = t.words_per_page
+let words_per_page = 64
 
 (* Any ACL edit, label change, deletion or branch move revokes the
    cached verdicts derived from the object. *)
@@ -100,7 +99,7 @@ let cache_stats t = ("size", Av_table.size t.avtab) :: Av_table.counters t.avtab
 let cache_hit_ratio t = Av_table.hit_ratio t.avtab
 let flush_cached_verdicts t = Av_table.flush t.avtab
 
-let create ?(words_per_page = 64) () =
+let create () =
   let nodes = Int_table.create 64 in
   let root =
     {
@@ -136,7 +135,6 @@ let create ?(words_per_page = 64) () =
   {
     nodes;
     uids = Uid.generator ();
-    words_per_page;
     gens;
     avtab = Av_table.create ~gens ~name:"policy" ();
   }
@@ -172,7 +170,6 @@ let copy t =
   {
     nodes;
     uids = Uid.copy_generator t.uids;
-    words_per_page = t.words_per_page;
     gens;
     avtab = Av_table.copy ~gens t.avtab;
   }
@@ -628,11 +625,11 @@ let path_of t uid =
 
 (* ----- Segment contents ----- *)
 
-let ensure_capacity t n offset =
+let ensure_capacity n offset =
   let needed = offset + 1 in
   if Array.length n.words < needed then begin
-    let pages = (needed + t.words_per_page - 1) / t.words_per_page in
-    let grown = Array.make (pages * t.words_per_page) 0 in
+    let pages = (needed + words_per_page - 1) / words_per_page in
+    let grown = Array.make (pages * words_per_page) 0 in
     Array.blit n.words 0 grown 0 (Array.length n.words);
     n.words <- grown;
     n.pages <- max n.pages pages
@@ -640,7 +637,7 @@ let ensure_capacity t n offset =
 
 let max_segment_words = 256 * 1024
 
-let pages_for t offset = ((offset + 1) + t.words_per_page - 1) / t.words_per_page
+let pages_for offset = ((offset + 1) + words_per_page - 1) / words_per_page
 
 (* Charge the quota cell for growing a segment to cover [offset],
    without touching contents: segment control charges the governing
@@ -648,7 +645,7 @@ let pages_for t offset = ((offset + 1) + t.words_per_page - 1) / t.words_per_pag
    [raw_write_word]. *)
 let charge_growth t ~uid ~offset =
   let* n = seg_node t uid in
-  let growth = max 0 (pages_for t offset - n.pages) in
+  let growth = max 0 (pages_for offset - n.pages) in
   if growth > 0 then charge_pages t n growth else Ok ()
 
 (* Unmediated accessors: the content gates call them once the SDW has
@@ -665,7 +662,7 @@ let raw_write_word t ~uid ~offset ~value =
   | Ok n ->
       if offset < 0 || offset >= max_segment_words then false
       else begin
-        ensure_capacity t n offset;
+        ensure_capacity n offset;
         n.words.(offset) <- value;
         true
       end

@@ -32,7 +32,7 @@ type error =
 
 val error_to_string : error -> string
 
-val create : ?words_per_page:int -> unit -> t
+val create : unit -> t
 (** A hierarchy containing only the root directory [>] (listable by
     anyone, label Unclassified). *)
 
@@ -52,7 +52,8 @@ val set_acl_epoch : t -> Multics_cache.Avc.Gen.epoch -> unit
     model checker's memory image reads the same whenever it is
     copied. *)
 
-val words_per_page : t -> int
+val words_per_page : int
+(** 64: the page size segment contents and quota are counted in. *)
 
 (** {1 Attributes (kernel-internal, unmediated)} *)
 

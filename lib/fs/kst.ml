@@ -28,7 +28,6 @@ type entry = {
 
 type t = {
   variant : variant;
-  start_segno : int;
   mutable next_segno : int;
   by_segno : entry Int_table.t;
   by_uid : entry Int_table.t;
@@ -43,10 +42,12 @@ let error_to_string = function
   | Unknown_segno n -> Printf.sprintf "segment number %d is not known" n
   | Naming_not_in_kernel -> "pathname bookkeeping has been removed from the kernel"
 
-let create ?(start_segno = 8) ~variant () =
+(* Segment numbers below this one are the kernel's own segments. *)
+let start_segno = 8
+
+let create ~variant () =
   {
     variant;
-    start_segno;
     next_segno = start_segno;
     by_segno = Int_table.create 16;
     by_uid = Int_table.create 16;
@@ -70,7 +71,6 @@ let copy t =
     t.by_segno;
   {
     variant = t.variant;
-    start_segno = t.start_segno;
     next_segno = t.next_segno;
     by_segno;
     by_uid;

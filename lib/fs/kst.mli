@@ -10,8 +10,8 @@ type error = Unknown_segno of int | Naming_not_in_kernel
 
 val error_to_string : error -> string
 
-val create : ?start_segno:int -> variant:variant -> unit -> t
-(** [start_segno] defaults to 8 (numbers below are the kernel's own
+val create : variant:variant -> unit -> t
+(** Segment numbers start at 8 (numbers below are the kernel's own
     segments). *)
 
 val variant : t -> variant

@@ -105,20 +105,97 @@ let allowed sdw ~ring ~operation =
    Multics "setfaults" clears these entries whenever a segment's
    attributes change, and the plant does the same through
    {!invalidate}/{!flush}, so a cached SDW always equals the SDW the
-   descriptor segment currently holds. *)
+   descriptor segment currently holds.
+
+   The memory is direct-mapped: key [k] lives in slot [k land 15], and
+   an install displaces whatever the slot held.  [invalidate] clears
+   only the one slot that can hold its key.  It marks the entry revoked
+   rather than emptying the slot: the next lookup of that key drops it
+   and counts an invalidation and a miss, and until then it still
+   counts towards [size].  Entries are immutable, so a copy of the slot
+   array is a copy of the memory. *)
 module Assoc = struct
-  type t = Sdw.t Multics_cache.Avc.t
+  type entry = { key : int; sdw : Sdw.t; revoked : bool }
+
+  type instruments = {
+    hits : Obs.Counter.t;
+    misses : Obs.Counter.t;
+    invalidations : Obs.Counter.t;
+    insertions : Obs.Counter.t;
+    flushes : Obs.Counter.t;
+  }
+
+  type t = { slots : entry option array; obs : instruments }
+
+  let instruments =
+    Obs.Local.make (fun r ->
+        let counter field = Obs.Registry.counter r ("cache.hw.assoc." ^ field) in
+        {
+          hits = counter "hits";
+          misses = counter "misses";
+          invalidations = counter "invalidations";
+          insertions = counter "insertions";
+          flushes = counter "flushes";
+        })
 
   (* 16 entries, as on the 6180 appending unit. *)
-  let create () = Multics_cache.Avc.create ~capacity:16 ~name:"hw.assoc" ()
-  let copy t = Multics_cache.Avc.copy t
-  let lookup t ~key = Multics_cache.Avc.find t key
-  let install t ~key sdw = Multics_cache.Avc.add t key sdw
-  let invalidate t ~key = Multics_cache.Avc.invalidate_object t key
-  let flush t = Multics_cache.Avc.flush t
-  let size t = Multics_cache.Avc.size t
-  let counters t = Multics_cache.Avc.counters t
-  let entries t = Multics_cache.Avc.entries t
+  let slot key = key land 15
+  let create () = { slots = Array.make 16 None; obs = instruments () }
+
+  (* The counters are the copying domain's. *)
+  let copy t = { slots = Array.copy t.slots; obs = instruments () }
+
+  let lookup t ~key =
+    let i = slot key in
+    match t.slots.(i) with
+    | Some e when e.key = key ->
+        if e.revoked then begin
+          t.slots.(i) <- None;
+          Obs.Counter.incr t.obs.invalidations;
+          Obs.Counter.incr t.obs.misses;
+          None
+        end
+        else begin
+          Obs.Counter.incr t.obs.hits;
+          Some e.sdw
+        end
+    | Some _ | None ->
+        Obs.Counter.incr t.obs.misses;
+        None
+
+  let install t ~key sdw =
+    t.slots.(slot key) <- Some { key; sdw; revoked = false };
+    Obs.Counter.incr t.obs.insertions
+
+  let invalidate t ~key =
+    let i = slot key in
+    match t.slots.(i) with
+    | Some e when e.key = key && not e.revoked -> t.slots.(i) <- Some { e with revoked = true }
+    | Some _ | None -> ()
+
+  let flush t =
+    Array.fill t.slots 0 16 None;
+    Obs.Counter.incr t.obs.flushes
+
+  let size t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.slots
+
+  let counters t =
+    let get = Obs.Counter.get in
+    [
+      ("hits", get t.obs.hits);
+      ("misses", get t.obs.misses);
+      ("invalidations", get t.obs.invalidations);
+      ("insertions", get t.obs.insertions);
+      ("flushes", get t.obs.flushes);
+    ]
+
+  (* Highest slot first. *)
+  let entries t =
+    Array.fold_left
+      (fun acc -> function
+        | Some e when not e.revoked -> (e.key, e.sdw) :: acc
+        | Some _ | None -> acc)
+      [] t.slots
 end
 
 let check_via_assoc assoc ~key ~fetch ~ring ~operation =

@@ -28,8 +28,10 @@ val allowed : Sdw.t -> ring:Ring.t -> operation:operation -> bool
 (** An SDW associative memory (the 6180's 16-entry CAM), one per CPU
     of the plant ([Multics_smp.Smp]).  Entries are keyed by an
     integer tag the owner chooses — the plant's is the composite
-    [(handle, segno)] key, so a process switch needs no flush.  Sound
-    only under immediate invalidation: every SDW change must reach
+    [(handle, segno)] key, so a process switch needs no flush.  The
+    memory is direct-mapped: key [k] lives in slot [k land 15], and an
+    install displaces the slot's resident entry.  Sound only under
+    immediate invalidation: every SDW change must reach
     {!Assoc.invalidate} or {!Assoc.flush} — the plant wires this
     through the KST's on-change hook so "setfaults" semantics are
     preserved.  Obs counters live under ["cache.hw.assoc.*"]. *)
@@ -37,24 +39,40 @@ module Assoc : sig
   type t
 
   val create : unit -> t
-  (** 16 entries, as on the 6180. *)
+  (** 16 empty entries, as on the 6180. *)
 
   val copy : t -> t
-  (** The same entries over copied generations (see
-      {!Multics_cache.Avc.copy}). *)
+  (** The same entries, answering every lookup as [t] would now; later
+      changes to either do not reach the other.  The copy records into
+      the calling domain's counters. *)
+
+  val lookup : t -> key:int -> Sdw.t option
+  (** A hit counts one hit.  A revoked entry under [key] is dropped
+      and counts one invalidation and one miss; anything else counts
+      one miss. *)
+
+  val install : t -> key:int -> Sdw.t -> unit
+  (** Put [key]'s descriptor in its slot, displacing what was there. *)
 
   val invalidate : t -> key:int -> unit
+  (** Revoke the entry in [key]'s slot if it holds [key]; otherwise do
+      nothing.  Only the one slot is read, and nothing is allocated
+      unless an entry is revoked. *)
+
   val flush : t -> unit
+
   val size : t -> int
+  (** Occupied slots, counting revoked entries not yet dropped. *)
 
   val counters : t -> (string * int) list
-  (** The underlying cache's obs counter readings
-      (["cache.hw.assoc.*"], shared by every instance). *)
+  (** The obs counter readings (["cache.hw.assoc.*"], shared by every
+      instance on a domain): hits, misses, invalidations, insertions,
+      flushes. *)
 
   val entries : t -> (int * Sdw.t) list
-  (** The (key, SDW) pairs that would currently hit; read-only, order
-      unspecified.  For invariant checks — the model checker walks
-      every CPU's memory looking for a cached grant that a fresh
+  (** The (key, SDW) pairs that would currently hit, highest slot
+      first; read-only.  For invariant checks — the model checker
+      walks every CPU's memory looking for a cached grant that a fresh
       descriptor recomputation would refuse. *)
 end
 

@@ -506,7 +506,10 @@ let step t =
       apply t ~time event;
       true
 
-let run ?(max_events = 10_000_000) t =
+(* The livelock guard: no run the simulator makes comes near it. *)
+let max_events = 10_000_000
+
+let run t =
   let rec loop remaining =
     if remaining = 0 then failwith "Sim.run: event budget exhausted (livelock?)"
     else if step t then loop (remaining - 1)

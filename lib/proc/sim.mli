@@ -156,9 +156,9 @@ val apply : t -> time:int -> event -> unit
 val step : t -> bool
 (** Pop one event and {!apply} it; false when the queue is empty. *)
 
-val run : ?max_events:int -> t -> unit
-(** Run until no events remain.  Raises [Failure] if [max_events]
-    (default 10M) is exceeded — a livelock guard. *)
+val run : t -> unit
+(** Run until no events remain.  Raises [Failure] past 10M events — a
+    livelock guard. *)
 
 val run_until : t -> time:int -> unit
 (** Process events up to and including [time], then advance the clock

@@ -12,8 +12,9 @@
    is precisely the revocation window a security kernel must not have.
 
    This module gives each simulated CPU its own SDW associative memory
-   and PTW lookaside front (instances of the same epoch-versioned
-   [Avc] that backs the policy-verdict cache), a shared global lock
+   ([Hardware.Assoc], 16 slots that clear themselves) and PTW lookaside
+   front (an epoch-versioned [Avc] that shares page control's
+   generations), a shared global lock
    with a deterministic cycle-accounted contention model, and the
    connect protocol itself.  It is the one place a descriptor is
    cached: every kernel has a plant, and a uniprocessor is a plant of
@@ -23,7 +24,7 @@
 
    - {b Coherence is synchronous.}  [connect_invalidate] /
      [connect_flush_all] do not return until every CPU's memories have
-     been cleared or bumped.  There is no window in which a mutation
+     been cleared.  There is no window in which a mutation
      has returned while a remote CPU can still hit a pre-mutation
      entry.
 
@@ -298,8 +299,8 @@ let lost_connect_fires t =
   | None -> false
   | Some inj -> Fault.Injector.fire inj Fault.Smp_lost_connect
 
-(* What a CPU's connect-fault handler does: bump one CAM entry's
-   generation, or flush the CAM and the PTW front outright. *)
+(* What a CPU's connect-fault handler does: revoke one CAM entry, or
+   flush the CAM and the PTW front outright. *)
 let clear c = function
   | Inval key -> Hardware.Assoc.invalidate c.cam ~key
   | Flush ->
@@ -372,9 +373,9 @@ let broadcast t connect =
     t.charge total
   end
 
-(* A descriptor for (handle, segno) changed ("setfaults"): bump that
-   entry's generation on every CPU.  The composite key makes the bump
-   exact — other processes' entries for the same segno survive.  A
+(* A descriptor for (handle, segno) changed ("setfaults"): revoke that
+   entry on every CPU.  The composite key makes the revocation exact —
+   other processes' entries for the same segno survive.  A
    segment number with no key was never cached, so there is nothing
    to clear. *)
 let connect_invalidate t ~handle ~segno =

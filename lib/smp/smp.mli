@@ -125,7 +125,7 @@ val cpu_for : t -> key:int -> int
     Both calls return only after every CPU has been cleared. *)
 
 val connect_invalidate : t -> handle:int -> segno:int -> unit
-(** "setfaults" for one process's descriptor: bump its entry on every
+(** "setfaults" for one process's descriptor: revoke its entry on every
     CPU (the originator inline, the rest via connects).  A negative
     segment number, or one of 4,096 or more, is never cached (see
     {!check_sdw}), so it sends nothing. *)

@@ -22,22 +22,18 @@ let pp_error ppf = function
   | Bad_period period -> Fmt.pf ppf "backup: period must be positive (got %d)" period
   | Bad_sweeps sweeps -> Fmt.pf ppf "backup: need at least one sweep (got %d)" sweeps
 
-let error_to_json = function
-  | Bad_period period ->
-      Printf.sprintf {|{"error":"backup_bad_period","period":%d}|} period
-  | Bad_sweeps sweeps ->
-      Printf.sprintf {|{"error":"backup_bad_sweeps","sweeps":%d}|} sweeps
-
 (* A tape write error is retried with doubled cost up to this many
    total attempts; a page whose writes all fail stays dirty — still
    vulnerable, to be caught by the next sweep. *)
 let tape_attempt_cap = 3
 
+(* Cycles to copy one page to tape on the first attempt. *)
+let tape_cost_per_page = 12_000
+
 type t = {
   sim : Sim.t;
   mem : Memory.t;
   period : int;  (** cycles between sweeps *)
-  tape_cost_per_page : int;
   sweeps_wanted : int;
   kick : Sim.chan;
   mutable pid : Sim.pid option;
@@ -55,7 +51,7 @@ let set_faults t faults = t.faults <- faults
    cost.  Returns true if the copy completed within the attempt cap. *)
 let write_to_tape t =
   let rec attempt i =
-    Sim.compute (t.tape_cost_per_page * (1 lsl (i - 1)));
+    Sim.compute (tape_cost_per_page * (1 lsl (i - 1)));
     let failed =
       match t.faults with
       | None -> false
@@ -107,7 +103,7 @@ let daemon_body t _pid =
     t.trace <- (Sim.now t.sim, !backed_this_sweep) :: t.trace
   done
 
-let start ?(tape_cost_per_page = 12_000) ?faults ~period ~sweeps sim ~mem =
+let start ?faults ~period ~sweeps sim ~mem =
   if period <= 0 then Error (Bad_period period)
   else if sweeps <= 0 then Error (Bad_sweeps sweeps)
   else begin
@@ -116,7 +112,6 @@ let start ?(tape_cost_per_page = 12_000) ?faults ~period ~sweeps sim ~mem =
         sim;
         mem;
         period;
-        tape_cost_per_page;
         sweeps_wanted = sweeps;
         kick = Sim.new_channel sim ~name:"backup.kick";
         pid = None;
@@ -139,8 +134,8 @@ let start ?(tape_cost_per_page = 12_000) ?faults ~period ~sweeps sim ~mem =
     Ok t
   end
 
-let start_exn ?tape_cost_per_page ?faults ~period ~sweeps sim ~mem =
-  match start ?tape_cost_per_page ?faults ~period ~sweeps sim ~mem with
+let start_exn ?faults ~period ~sweeps sim ~mem =
+  match start ?faults ~period ~sweeps sim ~mem with
   | Ok t -> t
   | Error e -> invalid_arg (Fmt.str "%a" pp_error e)
 

@@ -12,11 +12,7 @@ type error = Bad_period of int | Bad_sweeps of int
 
 val pp_error : Format.formatter -> error -> unit
 
-val error_to_json : error -> string
-(** Same rendering conventions as [Api.error_to_json]. *)
-
 val start :
-  ?tape_cost_per_page:int ->
   ?faults:Multics_fault.Fault.Injector.t ->
   period:int ->
   sweeps:int ->
@@ -25,13 +21,13 @@ val start :
   (t, error) result
 (** Spawn the daemon on a dedicated virtual processor and schedule
     [sweeps] period wakeups.  Returns [Error] on a non-positive
-    period or sweep count.  [faults] injects [Backup_tape] write
-    errors: each retry doubles the tape cost, and after three failed
+    period or sweep count.  A page costs 12,000 cycles to copy to
+    tape.  [faults] injects [Backup_tape] write errors: each retry
+    doubles that cost, and after three failed
     attempts the page is given up on and stays dirty (still
     vulnerable) for the next sweep. *)
 
 val start_exn :
-  ?tape_cost_per_page:int ->
   ?faults:Multics_fault.Fault.Injector.t ->
   period:int ->
   sweeps:int ->

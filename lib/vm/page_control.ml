@@ -65,8 +65,6 @@ type t = {
   mem : Memory.t;
   discipline : discipline;
   core_target : int;  (** parallel: keep at least this many core frames free *)
-  bulk_target : int;
-  zero_fill_cycles : int;
   frame_avail : Sim.chan;  (** one wakeup per frame freed by the core freer *)
   core_kick : Sim.chan;
   bulk_kick : Sim.chan;
@@ -85,10 +83,10 @@ type t = {
 
      Keyed by dense page SIDs, not hashed page ids: a page id is
      interned once (on its first reference) and the cache then works
-     on small ints with an identity hash.  Dense SIDs also keep the
-     shared generation counters in [Gen]'s dense array — hashed ids
-     landed in the sparse table and churned it toward epoch
-     compactions (system-wide miss storms) on long runs. *)
+     on small ints with an identity hash.  Dense SIDs also give each
+     page a generation counter of its own in [Gen]'s array, where a
+     hashed id would share [Gen]'s one overflow counter with every
+     other. *)
   page_sids : Page_id.t Sid.Map.t;
   ptw : unit Avc.t;
 }
@@ -147,15 +145,20 @@ let default_policy t : victim_policy =
     sweep 0
   end
 
-let create ?(core_target = 2) ?(bulk_target = 2) ?(zero_fill_cycles = 300) ?faults sim ~mem ~discipline =
+(* Parallel: the bulk-store freer keeps at least this many bulk frames
+   free. *)
+let bulk_target = 2
+
+(* Cycles to clear a fresh page on its first fault. *)
+let zero_fill_cycles = 300
+
+let create ?(core_target = 2) ?faults sim ~mem ~discipline =
   let t =
     {
       sim;
       mem;
       discipline;
       core_target;
-      bulk_target;
-      zero_fill_cycles;
       frame_avail = Sim.new_channel sim ~name:"pc.frame_avail";
       core_kick = Sim.new_channel sim ~name:"pc.core_kick";
       bulk_kick = Sim.new_channel sim ~name:"pc.bulk_kick";
@@ -258,7 +261,7 @@ let page_in t page =
       (* First touch: a zero page needs only a frame and a clear. *)
       match Memory.place t.mem page ~level:Level.Core with
       | Ok _ ->
-          Sim.compute t.zero_fill_cycles;
+          Sim.compute zero_fill_cycles;
           Multics_util.Stats.Counters.incr t.counters "zero_fill";
           Obs.Counter.incr (obs_zero_fills ());
           true
@@ -309,7 +312,7 @@ let bulk_freer_body t _pid =
   let rec loop () =
     Sim.block t.bulk_kick;
     let rec top_up () =
-      if Memory.free_count t.mem Level.Bulk < t.bulk_target then begin
+      if Memory.free_count t.mem Level.Bulk < bulk_target then begin
         let cost = push_bulk_page_to_disk t in
         if cost > 0 then begin
           Sim.compute cost;

@@ -15,15 +15,14 @@ type t
 
 val create :
   ?core_target:int ->
-  ?bulk_target:int ->
-  ?zero_fill_cycles:int ->
   ?faults:Multics_fault.Fault.Injector.t ->
   Sim.t ->
   mem:Memory.t ->
   discipline:discipline ->
   t
-(** [core_target]/[bulk_target] are the free-block watermarks the
-    dedicated processes maintain (parallel discipline only).
+(** [core_target] (default 2) and a bulk-store target of 2 are the
+    free-block watermarks the dedicated processes maintain (parallel
+    discipline only); a fresh page costs 300 cycles to zero-fill.
     [faults] injects [Page_read]/[Page_write] parity errors and
     [Evict] failures; each costs one wasted device attempt and is
     retried unconditionally (the retry never re-consults the plan, so
@@ -61,8 +60,8 @@ val counters : t -> Multics_util.Stats.Counters.t
     A {!Multics_cache.Avc}-backed cache of pages known core-resident,
     keyed by dense page SIDs ({!Multics_access.Sid.t}): a page id is
     interned once on first reference and the cache then works on small
-    ints with an identity hash, which also keeps the shared generation
-    counters dense (no sparse-table compaction storms).  A hit skips
+    ints with an identity hash, which also gives each page a generation
+    counter of its own (see {!Multics_cache.Avc.Gen}).  A hit skips
     the page-table walk ([Cost.ptw_fetch]); eviction invalidates the
     victim's entry in the same step it leaves core.  Obs counters
     under ["cache.vm.ptw.*"]. *)

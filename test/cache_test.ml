@@ -1,5 +1,6 @@
-(* The access-decision caches: unit tests for the associative memory
-   ([Avc]) and its generation counters, revocation coverage for every
+(* The access-decision caches: unit tests for the decision cache
+   ([Avc]), its generation counters and a CPU's SDW associative memory
+   ([Hardware.Assoc]), revocation coverage for every
    mutating entry point of the hierarchy, the salvager's cache
    invalidation, and the 100-seed parity property — the cached
    mediation path must agree with fresh recomputation at every step,
@@ -73,159 +74,131 @@ let test_avc_keys_skip_stale () =
   Avc.invalidate_object c 2;
   Alcotest.(check (list (pair int int))) "only fresh entries" [ (1, 10) ] (Avc.entries c)
 
-let test_gen_sparse_and_dense_ids () =
-  (* Small non-negative ids take the dense-array path; huge or negative
-     ids (hashed page ids) take the hashtable fallback.  Both must
-     count bumps correctly. *)
+let test_gen_dense_and_overflow_ids () =
+  (* Ids in [0, 2^16) count their own bumps, however far apart they
+     lie; every other id reads and bumps the one overflow counter. *)
   let g = Avc.Gen.create () in
-  Alcotest.(check int) "unbumped dense id" 0 (Avc.Gen.of_object g 3);
+  let reads what want id = Alcotest.(check int) what want (Avc.Gen.of_object g id) in
+  reads "unbumped dense id" 0 3;
   Avc.Gen.bump_object g 3;
   Avc.Gen.bump_object g 3;
-  Alcotest.(check int) "dense id bumped twice" 2 (Avc.Gen.of_object g 3);
-  Alcotest.(check int) "dense id beyond initial array" 0 (Avc.Gen.of_object g 5_000);
+  reads "dense id bumped twice" 2 3;
+  reads "dense id beyond the array" 0 5_000;
   Avc.Gen.bump_object g 5_000;
-  Alcotest.(check int) "grown dense id" 1 (Avc.Gen.of_object g 5_000);
+  reads "grown dense id" 1 5_000;
+  reads "growth keeps earlier counts" 2 3;
+  Avc.Gen.bump_object g (Avc.Gen.dense_limit - 1);
+  reads "last dense id" 1 (Avc.Gen.dense_limit - 1);
   Avc.Gen.bump_object g (-7);
-  Alcotest.(check int) "negative id via fallback" 1 (Avc.Gen.of_object g (-7));
+  reads "negative id reads the overflow counter" 1 (-7);
+  reads "so does the first id past the range" 1 Avc.Gen.dense_limit;
   Avc.Gen.bump_object g max_int;
-  Alcotest.(check int) "huge id via fallback" 1 (Avc.Gen.of_object g max_int);
+  reads "a bump of one stales every id outside the range" 2 (-7);
+  reads "dense ids keep their own counts" 1 5_000;
   Avc.Gen.bump_global g;
   Alcotest.(check int) "global independent" 1 (Avc.Gen.global g)
 
-let test_gen_sparse_table_bounded () =
-  (* The long-run leak: hashed page ids churn forever (objects die,
-     ids are never reused), so without pruning the sparse table grows
-     without bound.  Churn 10^5 distinct hashed ids and demand the
-     table stays within its limit, compacting as it goes. *)
-  let churn = 100_000 in
-  let hashed i = (1 lsl 16) + i in
-  let c = Avc.create ~capacity:16 ~name:"t.gen_churn" () in
-  let g = Avc.gens c in
-  (* A verdict revoked before the churn must stay revoked across every
-     compaction: a compaction resets the per-object counter the entry
-     was stamped against, which would resurrect it were the global
-     epoch not bumped first. *)
-  let victim = hashed (churn + 1) in
-  Avc.add c victim 99;
-  Alcotest.(check (option int)) "victim cached" (Some 99) (Avc.find c victim);
-  Avc.invalidate_object c victim;
-  for i = 0 to churn - 1 do
-    Avc.Gen.bump_object g (hashed i)
+let test_gen_counters_bounded () =
+  (* Whatever ids are bumped, the counter array never outgrows the
+     dense range: ids outside it cost nothing, and bumping every id of
+     0..2^20 leaves one array of 2^16 counters. *)
+  let g = Avc.Gen.create () in
+  let words () = Obj.reachable_words (Obj.repr g) in
+  let empty = words () in
+  List.iter (Avc.Gen.bump_object g) [ max_int; -7; min_int ];
+  Alcotest.(check int) "ids outside the range allocate nothing" empty (words ());
+  for id = 0 to 1 lsl 20 do
+    Avc.Gen.bump_object g id
   done;
-  Alcotest.(check bool) "sparse table bounded" true
-    (Avc.Gen.sparse_size g <= Avc.Gen.sparse_limit);
-  let floor = (churn / Avc.Gen.sparse_limit) - 1 in
   Alcotest.(check bool)
-    (Printf.sprintf "compactions happened (>= %d)" floor)
+    (Printf.sprintf "%d words <= 2^16 counters plus the record" (words ()))
     true
-    (Avc.Gen.compactions g >= floor);
-  Alcotest.(check (option int)) "revoked verdict never resurrected" None (Avc.find c victim);
-  (* The cache still works after compaction: fresh entries hit. *)
-  Avc.add c victim 7;
-  Alcotest.(check (option int)) "fresh entry after compaction hits" (Some 7) (Avc.find c victim)
+    (words () <= Avc.Gen.dense_limit + empty + 1);
+  Alcotest.(check int) "last dense id counted" 1 (Avc.Gen.of_object g (Avc.Gen.dense_limit - 1));
+  Alcotest.(check int) "every other id shares one counter"
+    (3 + (1 lsl 20) + 1 - Avc.Gen.dense_limit)
+    (Avc.Gen.of_object g (-1))
 
-(* The paged dense range against a reference model: a plain hashtable
-   of every bumped id, plus the sparse compaction rule (a bump of a new
-   sparse id into a full sparse table folds the table into the global
-   epoch: every sparse id reads 0 again, the bumped one 1).  Ids span
-   0..2^17 — both sides of the dense limit — and the composite CAM keys
-   [(handle lsl 12) lor segno] of handles 1..40, whose first bumps land
-   4,096 ids apart. *)
+(* The flat counters against a reference model: a hashtable of every
+   bumped id in [0, 2^16), one counter for every other id, and the
+   global generation.  Ids span 0..2^17, both sides of the dense
+   limit, the limit's neighbourhood and negative ids. *)
 type gen_op = Bump of int | Bump_global
 
 let run_gen_model ops =
   let g = Avc.Gen.create () in
-  let model = Hashtbl.create 64 and global = ref 0 and sparse = ref 0 in
-  let is_sparse id = id < 0 || id >= 1 lsl 16 in
-  let model_get id = Option.value (Hashtbl.find_opt model id) ~default:0 in
-  let ok =
-    List.for_all
-      (fun op ->
-        (match op with
-        | Bump_global ->
-            Avc.Gen.bump_global g;
-            incr global
-        | Bump id ->
-            Avc.Gen.bump_object g id;
-            if is_sparse id && (not (Hashtbl.mem model id)) && !sparse >= Avc.Gen.sparse_limit
-            then begin
-              incr global;
-              Hashtbl.filter_map_inplace (fun k v -> if is_sparse k then None else Some v) model;
-              sparse := 0
-            end;
-            if is_sparse id && not (Hashtbl.mem model id) then incr sparse;
-            Hashtbl.replace model id (model_get id + 1));
-        let probe id = Avc.Gen.of_object g id = model_get id in
-        Avc.Gen.global g = !global
-        && Avc.Gen.sparse_size g = !sparse
-        && (match op with Bump id -> probe id && probe (id + 1) && probe (id - 1) | Bump_global -> true))
-      ops
-    && Hashtbl.fold (fun id n ok -> ok && Avc.Gen.of_object g id = n) model true
+  let model = Hashtbl.create 64 and overflow = ref 0 and global = ref 0 in
+  let dense id = id >= 0 && id < Avc.Gen.dense_limit in
+  let model_get id =
+    if dense id then Option.value (Hashtbl.find_opt model id) ~default:0 else !overflow
   in
-  (ok, Avc.Gen.compactions g)
+  let probe id = Avc.Gen.of_object g id = model_get id in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Bump_global ->
+          Avc.Gen.bump_global g;
+          incr global
+      | Bump id ->
+          Avc.Gen.bump_object g id;
+          if dense id then Hashtbl.replace model id (model_get id + 1) else incr overflow);
+      Avc.Gen.global g = !global
+      &&
+      match op with
+      | Bump id -> probe id && probe (id + 1) && probe (id - 1)
+      | Bump_global -> true)
+    ops
+  && Hashtbl.fold (fun id n ok -> ok && Avc.Gen.of_object g id = n) model true
+  && probe (-1) && probe Avc.Gen.dense_limit && probe max_int
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
         (4, map (fun id -> Bump id) (int_range 0 (1 lsl 17)));
-        ( 4,
-          map2
-            (fun handle segno -> Bump ((handle lsl 12) lor segno))
-            (int_range 1 40) (int_range 0 4095) );
+        (2, map (fun id -> Bump (Avc.Gen.dense_limit + id)) (int_range (-4) 4));
+        (2, map (fun id -> Bump (-id)) (int_range 1 max_int));
         (1, return Bump_global);
       ])
 
-let test_gen_paging_model =
-  QCheck.Test.make ~name:"gen: paged counters match a hashtable model" ~count:100
+let test_gen_flat_model =
+  QCheck.Test.make ~name:"gen: flat counters match a model with one overflow counter" ~count:100
     (QCheck.make QCheck.Gen.(list_size (int_range 0 300) gen_op))
-    (fun ops -> fst (run_gen_model ops))
+    run_gen_model
 
-let test_gen_compaction_model () =
-  (* Cross the sparse threshold: fill the sparse table with composite
-     keys of handles 16 and 17 (past the dense range), interleaved with
-     repeats and dense bumps, then bump one more new sparse id. *)
-  let sparse_key i = ((16 + (i / 4096)) lsl 12) lor (i mod 4096) in
-  let ops =
-    List.concat
-      (List.init (Avc.Gen.sparse_limit + 2) (fun i ->
-           [ Bump (sparse_key i); Bump (sparse_key (i / 2)); Bump ((1 + (i mod 15)) lsl 12) ]))
-  in
-  let ok, compactions = run_gen_model ops in
-  Alcotest.(check int) "one compaction" 1 compactions;
-  Alcotest.(check bool) "model agrees across the compaction" true ok
+(* A CPU CAM's keys: the process handle above the segment number's 12
+   bits, as [Smp] packs them. *)
+let cam_key handle segno = (handle lsl 12) lor segno
 
-let test_gen_sparse_key_not_shadowed () =
-  (* A CPU CAM's keys for handles 16 and up lie past the dense range.
-     Invalidations for handles 8 and 9 must not make a later
-     invalidation of such a key invisible: a dense array grown past
-     the dense limit would shadow those ids, reading 0 where the bump
-     had gone to the sparse table — a revoked CAM entry served as
-     fresh. *)
-  let key handle segno = (handle lsl 12) lor segno in
-  let c = Avc.create ~capacity:16 ~name:"t.cam_keys" () in
-  let victim = key 16 2 in
-  Avc.add c victim 1;
-  Avc.invalidate_object c (key 8 1);
-  Avc.invalidate_object c (key 9 1);
-  Avc.invalidate_object c victim;
-  Alcotest.(check (option int)) "revoked CAM entry stays revoked" None (Avc.find c victim)
+let sdws =
+  [|
+    Sdw.user_data_segment ~writable:true;
+    Sdw.user_data_segment ~writable:false;
+    Sdw.kernel_data_segment;
+    Sdw.kernel_gate_segment ~gate_bound:4;
+  |]
 
-let test_gen_page_allocation () =
-  (* The first invalidation for handle 8 on a fresh CPU CAM must cost
-     one page, not a dense array grown to cover id 32,775. *)
-  let g = Avc.Gen.create () in
-  let id = (8 lsl 12) lor 7 in
-  let before = Gc.allocated_bytes () in
-  Avc.Gen.bump_object g id;
-  let allocated = Gc.allocated_bytes () -. before in
-  Alcotest.(check int) "bumped" 1 (Avc.Gen.of_object g id);
-  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 8 KB" allocated) true
-    (allocated < 8192.)
+let test_assoc_revoked_not_shadowed () =
+  (* From handle 16 on, a CAM key lies past 2^16.  Invalidations for
+     handles 8 and 9 in the same slot must neither revoke the entry
+     nor hide its own later invalidation: once revoked it stays
+     revoked. *)
+  let cam = Hardware.Assoc.create () in
+  let victim = cam_key 16 2 in
+  Hardware.Assoc.install cam ~key:victim sdws.(0);
+  Hardware.Assoc.invalidate cam ~key:(cam_key 8 2);
+  Hardware.Assoc.invalidate cam ~key:(cam_key 9 2);
+  Alcotest.(check (list int)) "other keys leave the entry" [ victim ]
+    (List.map fst (Hardware.Assoc.entries cam));
+  Hardware.Assoc.invalidate cam ~key:victim;
+  Hardware.Assoc.invalidate cam ~key:(cam_key 8 2);
+  Hardware.Assoc.invalidate cam ~key:(cam_key 9 2);
+  Alcotest.(check bool) "revoked CAM entry stays revoked" true
+    (Option.is_none (Hardware.Assoc.lookup cam ~key:victim))
 
 let test_gen_allocated_on_first_write () =
   (* Most caches a boot creates are never invalidated object by object:
-     their generations must cost a few words, not a page directory. *)
+     their generations must cost a few words, not a counter array. *)
   let n = 100 in
   let gens = Array.make n (Avc.Gen.create ()) in
   let before = Gc.minor_words () in
@@ -235,11 +208,11 @@ let test_gen_allocated_on_first_write () =
   let per_gen = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool) (Printf.sprintf "Gen.create allocates %.0f words < 64" per_gen) true
     (per_gen < 64.);
-  (* Gen i bumps ids of its own in pages no other Gen touches; every
-     id reads 1 in its own Gen and 0 in every other, and a Gen that was
-     never bumped reads 0 at every dense id — whatever the bumps
-     shared, nothing shared was written. *)
-  let ids i = [ i; 300 + i; (1 lsl 12) lor i; 60_000 + i ] in
+  (* Gen i bumps ids of its own; every id reads 1 in its own Gen and 0
+     in every other, and a Gen that was never bumped reads 0 at every
+     dense id — whatever the bumps shared, nothing shared was
+     written. *)
+  let ids i = [ i; 300 + i; 1_000 + (7 * i) ] in
   Array.iteri (fun i g -> List.iter (Avc.Gen.bump_object g) (ids i)) gens;
   Array.iteri
     (fun i g ->
@@ -576,6 +549,86 @@ let test_parity_100_seeds () =
     run_parity_seed seed
   done
 
+(* ----- The CAM against the cache it replaced -----
+
+   [Hardware.Assoc] clears its own slot where a 16-slot [Avc] bumps a
+   per-key generation.  Both must answer every lookup alike, move the
+   same counters, and hold the same entries in the same order.  Keys
+   of handles 1..8 and segment numbers 0..63 collide in every slot. *)
+
+type assoc_op = Lookup of int | Install of int * int | Invalidate of int | Flush
+
+let assoc_op =
+  let key = QCheck.Gen.map2 cam_key (QCheck.Gen.int_range 1 8) (QCheck.Gen.int_range 0 63) in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Lookup k) key);
+        (3, map2 (fun k v -> Install (k, v)) key (int_bound (Array.length sdws - 1)));
+        (2, map (fun k -> Invalidate k) key);
+        (1, return Flush);
+      ])
+
+let run_assoc_differential ops =
+  Obs.set_enabled true;
+  let cam = Hardware.Assoc.create () in
+  let reference = Avc.create ~capacity:16 ~name:"t.assoc_ref" () in
+  let with_delta counters f =
+    let before = counters () in
+    let result = f () in
+    (result, List.map2 (fun (name, a) (_, b) -> (name, b - a)) before (counters ()))
+  in
+  List.for_all
+    (fun op ->
+      let got, cam_delta =
+        with_delta
+          (fun () -> Hardware.Assoc.counters cam)
+          (fun () ->
+            match op with
+            | Lookup key -> Hardware.Assoc.lookup cam ~key
+            | Install (key, v) -> Hardware.Assoc.install cam ~key sdws.(v); None
+            | Invalidate key -> Hardware.Assoc.invalidate cam ~key; None
+            | Flush -> Hardware.Assoc.flush cam; None)
+      in
+      let want, ref_delta =
+        with_delta
+          (fun () -> Avc.counters reference)
+          (fun () ->
+            match op with
+            | Lookup key -> Avc.find reference key
+            | Install (key, v) -> Avc.add reference key sdws.(v); None
+            | Invalidate key -> Avc.invalidate_object reference key; None
+            | Flush -> Avc.flush reference; None)
+      in
+      got = want && cam_delta = ref_delta
+      && Hardware.Assoc.size cam = Avc.size reference
+      && Hardware.Assoc.entries cam = Avc.entries reference)
+    ops
+
+let test_assoc_differential =
+  QCheck.Test.make ~name:"assoc: a CPU's CAM answers as a 16-slot Avc" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) assoc_op))
+    run_assoc_differential
+
+let test_assoc_invalidations_allocate_nothing () =
+  (* A CAM is 16 slots whatever it is told to forget: 10^5
+     invalidations of distinct keys, the resident ones among them,
+     leave its reachable words where they were. *)
+  let cam = Hardware.Assoc.create () in
+  let ring = Ring.of_int 4 in
+  for segno = 0 to 15 do
+    ignore
+      (Hardware.check_via_assoc cam ~key:(cam_key 1 segno)
+         ~fetch:(fun () -> Some sdws.(0))
+         ~ring ~operation:Hardware.Read)
+  done;
+  let words () = Obj.reachable_words (Obj.repr cam) in
+  let before = words () in
+  for i = 0 to 99_999 do
+    Hardware.Assoc.invalidate cam ~key:(cam_key (1 + (i / 4096)) (i mod 4096))
+  done;
+  Alcotest.(check int) "reachable words unchanged" before (words ())
+
 let test_gen_copy_rebased () =
   (* A copy onto another epoch reads exactly as its source did: a stamp
      fresh in the source is fresh in the copy, a stale one stays stale
@@ -610,12 +663,12 @@ let suite =
     Alcotest.test_case "avc: direct-mapped displacement" `Quick test_avc_direct_mapped_displacement;
     Alcotest.test_case "avc: capacity rounds to power of two" `Quick test_avc_capacity_rounding;
     Alcotest.test_case "avc: keys skip stale entries" `Quick test_avc_keys_skip_stale;
-    Alcotest.test_case "gen: dense and sparse object ids" `Quick test_gen_sparse_and_dense_ids;
-    Alcotest.test_case "gen: sparse table bounded under churn" `Quick test_gen_sparse_table_bounded;
-    Alcotest.test_case "gen: model agrees across a sparse compaction" `Quick
-      test_gen_compaction_model;
-    Alcotest.test_case "gen: sparse CAM keys are never shadowed" `Quick
-      test_gen_sparse_key_not_shadowed;
+    Alcotest.test_case "gen: dense ids and one overflow counter" `Quick
+      test_gen_dense_and_overflow_ids;
+    Alcotest.test_case "gen: counters never outgrow 2^16" `Quick test_gen_counters_bounded;
+    QCheck_alcotest.to_alcotest test_gen_flat_model;
+    Alcotest.test_case "assoc: a revoked entry stays revoked" `Quick
+      test_assoc_revoked_not_shadowed;
     Alcotest.test_case "revocation: set_acl" `Quick test_set_acl_revokes;
     Alcotest.test_case "revocation: raw_set_label" `Quick test_raw_set_label_revokes;
     Alcotest.test_case "revocation: delete" `Quick test_delete_revokes;
@@ -624,8 +677,9 @@ let suite =
     Alcotest.test_case "revocation: rename keeps parity" `Quick test_rename_keeps_parity;
     Alcotest.test_case "salvage invalidates cached verdicts" `Quick test_salvage_invalidates_caches;
     Alcotest.test_case "parity: 100 seeds incl. flush storms" `Quick test_parity_100_seeds;
-    QCheck_alcotest.to_alcotest test_gen_paging_model;
-    Alcotest.test_case "gen: first CAM-key bump allocates one page" `Quick test_gen_page_allocation;
+    QCheck_alcotest.to_alcotest test_assoc_differential;
+    Alcotest.test_case "assoc: invalidations allocate nothing" `Quick
+      test_assoc_invalidations_allocate_nothing;
     Alcotest.test_case "gen: bookkeeping allocated on first write" `Quick
       test_gen_allocated_on_first_write;
     Alcotest.test_case "acl backstop stales every compiled verdict" `Quick test_acl_backstop;

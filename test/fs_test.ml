@@ -310,7 +310,7 @@ let test_quota_basic () =
     | Ok uid -> uid
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
-  let wpp = Hierarchy.words_per_page h in
+  let wpp = Hierarchy.words_per_page in
   (* First two pages fit... *)
   (match Gate_calls.store_word h ~uid ~offset:(wpp - 1) ~value:1 with
   | Ok () -> ()
@@ -372,7 +372,7 @@ let test_quota_install_counts_existing () =
     | Ok uid -> uid
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
-  let wpp = Hierarchy.words_per_page h in
+  let wpp = Hierarchy.words_per_page in
   (match Gate_calls.store_word h ~uid ~offset:(3 * wpp - 1) ~value:1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Hierarchy.error_to_string e));
@@ -413,7 +413,7 @@ let test_quota_nested_cells () =
     | Ok uid -> uid
     | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
   in
-  let wpp = Hierarchy.words_per_page h in
+  let wpp = Hierarchy.words_per_page in
   (* 3 pages exceed work's 1-page cell but fit the inner 10-page cell,
      which governs. *)
   (match Gate_calls.store_word h ~uid ~offset:(3 * wpp - 1) ~value:1 with

@@ -513,7 +513,7 @@ let test_quota_gate () =
          ~acl:(Acl.of_strings [ ("Alice.Dev.*", "rw") ])
          ~label:Label.unclassified)
   in
-  let wpp = Multics_fs.Hierarchy.words_per_page (System.hierarchy system) in
+  let wpp = Multics_fs.Hierarchy.words_per_page in
   check_api "page 1" (Gate_calls.write_word system ~handle:alice ~segno:seg ~offset:0 ~value:1);
   check_api "page 2" (Gate_calls.write_word system ~handle:alice ~segno:seg ~offset:wpp ~value:1);
   match Gate_calls.write_word system ~handle:alice ~segno:seg ~offset:(2 * wpp) ~value:1 with

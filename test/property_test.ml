@@ -122,7 +122,7 @@ let hierarchy_quota_invariant =
         | Error _ -> Uid.root
       in
       ignore (Hierarchy.set_quota h ~subject:admin ~uid:dir ~quota:(Some 12));
-      let wpp = Hierarchy.words_per_page h in
+      let wpp = Hierarchy.words_per_page in
       let subject =
         Policy.subject
           ~principal:(Principal.of_string "User.Proj.a")

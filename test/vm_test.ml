@@ -264,8 +264,6 @@ let test_backup_rejects_bad_args () =
   | Error (Backup.Bad_sweeps 0) -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Backup.pp_error e
   | Ok _ -> Alcotest.fail "zero sweeps accepted");
-  Alcotest.(check string) "json rendering" {|{"error":"backup_bad_period","period":0}|}
-    (Backup.error_to_json (Backup.Bad_period 0));
   Alcotest.(check bool) "start_exn still raises" true
     (try
        ignore (Backup.start_exn ~period:0 ~sweeps:1 sim ~mem);
