@@ -426,12 +426,13 @@ let harness_leg () =
 
 (* [mc] (E21): a bounded exhaustive run at depth 3 (one boot into a
    memory image, each frontier state replayed once on a copy of it,
-   each candidate its last action fired on a copy of that replay) must
-   find no violation on the healthy plant.  The row records the
-   explore's states/s, and, as medians of 200 runs, the image boot and
-   one empty-trace replay on a copy of it (copy, canonical capture and
-   predicates: the fixed cost every candidate pays besides its one
-   action). *)
+   each candidate its last action fired on a copy of that replay and
+   only the components that action changed rendered) must find no
+   violation on the healthy plant.  The row records the explore's
+   states/s, and, as medians of 200 runs, the image boot and one
+   empty-trace replay on a copy of it: a copy, a full canonical capture
+   and the predicates, which a candidate pays only in part, since its
+   capture renders what its one action changed. *)
 let mc_leg () =
   let module Mc = Multics_mc.Mc in
   let depth = 3 in

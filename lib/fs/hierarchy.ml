@@ -82,13 +82,21 @@ type t = {
      them. *)
   gens : Avc.Gen.t;
   avtab : Av_table.t;
+  (* The change stamp: [touch] moves it on every write to a branch or
+     to a directory's entries, and nothing else does — compiling a
+     cell, a lookup and a read leave it. *)
+  mutable stamp : int;
 }
 
 let words_per_page = 64
+let stamp t = t.stamp
+let touch t = t.stamp <- t.stamp + 1
 
 (* Any ACL edit, label change, deletion or branch move revokes the
-   cached verdicts derived from the object. *)
-let note_change t uid = Avc.Gen.bump_object t.gens (Uid.to_int uid)
+   cached verdicts derived from the object, and is a write. *)
+let note_change t uid =
+  touch t;
+  Avc.Gen.bump_object t.gens (Uid.to_int uid)
 
 let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
 let set_acl_epoch t epoch = Avc.Gen.set_epoch t.gens epoch
@@ -137,6 +145,7 @@ let create () =
     uids = Uid.generator ();
     gens;
     avtab = Av_table.create ~gens ~name:"policy" ();
+    stamp = 0;
   }
 
 (* A branch's attributes are immutable values; only its contents are
@@ -172,6 +181,7 @@ let copy t =
     uids = Uid.copy_generator t.uids;
     gens;
     avtab = Av_table.copy ~gens t.avtab;
+    stamp = t.stamp;
   }
 
 let node t uid = Int_table.find_opt t.nodes (Uid.to_int uid)
@@ -300,6 +310,7 @@ let charge_pages t n delta =
           if needed > quota then Error (Quota_exceeded { dir = cell.name; quota; needed })
           else begin
             cell.pages_charged <- max 0 needed;
+            touch t;
             Ok ()
           end)
 
@@ -408,6 +419,7 @@ let add_entry t ~subject ~dir ~name ~kind ~acl ~label ~brackets =
           in
           Int_table.replace t.nodes (Uid.to_int uid) n;
           d.entries <- d.entries @ [ (name, uid) ];
+          touch t;
           Ok uid
         end)
   end
@@ -505,6 +517,7 @@ let set_quota t ~subject ~uid ~quota =
       | None ->
           d.quota <- None;
           d.pages_charged <- 0;
+          touch t;
           Ok ()
       | Some limit ->
           if limit < 0 then Error (Out_of_bounds limit)
@@ -515,6 +528,7 @@ let set_quota t ~subject ~uid ~quota =
             else begin
               d.quota <- Some limit;
               d.pages_charged <- used;
+              touch t;
               Ok ()
             end
           end)
@@ -664,6 +678,7 @@ let raw_write_word t ~uid ~offset ~value =
       else begin
         ensure_capacity n offset;
         n.words.(offset) <- value;
+        touch t;
         true
       end
 

@@ -55,6 +55,15 @@ val set_acl_epoch : t -> Multics_cache.Avc.Gen.epoch -> unit
 val words_per_page : int
 (** 64: the page size segment contents and quota are counted in. *)
 
+val stamp : t -> int
+(** The change stamp.  Every write to a branch (its ACL, label,
+    brackets, gate bound, name, contents or quota cell) or to a
+    directory's entries moves it; nothing else does, so a lookup, an
+    access check, a compiled access-vector cell or a content read
+    leaves it where it was.  {!copy} keeps it, and the copy's stamp
+    moves independently of the source's.  A reader that saw the stamp
+    unchanged may reuse what it derived from the branches then. *)
+
 (** {1 Attributes (kernel-internal, unmediated)} *)
 
 val uid_exists : t -> Uid.t -> bool

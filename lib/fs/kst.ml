@@ -34,6 +34,7 @@ type t = {
   mutable on_sdw_change : int -> unit;
       (** fired with the segno on every descriptor change — the
           "setfaults" hook the SDW associative memory hangs off *)
+  mutable stamp : int;  (** moved by every binding and descriptor change *)
 }
 
 type error = Unknown_segno of int | Naming_not_in_kernel
@@ -52,9 +53,12 @@ let create ~variant () =
     by_segno = Int_table.create 16;
     by_uid = Int_table.create 16;
     on_sdw_change = (fun _ -> ());
+    stamp = 0;
   }
 
 let variant t = t.variant
+let stamp t = t.stamp
+let touch t = t.stamp <- t.stamp + 1
 let set_on_sdw_change t f = t.on_sdw_change <- f
 
 (* Both indexes must lead to one record per entry, so they are refilled
@@ -75,6 +79,7 @@ let copy t =
     by_segno;
     by_uid;
     on_sdw_change = ignore;
+    stamp = t.stamp;
   }
 
 (* Make a segment known: idempotent per uid; returns the segment
@@ -88,6 +93,7 @@ let make_known t ~uid =
       let entry = { segno; uid; sdw = None; pathname = None } in
       Int_table.replace t.by_segno segno entry;
       Int_table.replace t.by_uid (Uid.to_int uid) entry;
+      touch t;
       (segno, false)
 
 let uid_of_segno t segno =
@@ -102,6 +108,7 @@ let set_sdw t segno sdw =
   match Int_table.find_opt t.by_segno segno with
   | Some entry ->
       entry.sdw <- Some sdw;
+      touch t;
       t.on_sdw_change segno;
       Ok ()
   | None -> Error (Unknown_segno segno)
@@ -127,6 +134,7 @@ let terminate t segno =
   | Some entry ->
       Int_table.remove t.by_segno segno;
       Int_table.remove t.by_uid (Uid.to_int entry.uid);
+      touch t;
       t.on_sdw_change segno;
       Ok ()
 

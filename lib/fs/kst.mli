@@ -16,6 +16,14 @@ val create : variant:variant -> unit -> t
 
 val variant : t -> variant
 
+val stamp : t -> int
+(** The change stamp of the segment-number bindings and their
+    descriptors.  {!make_known} moves it when it adds an entry,
+    {!set_sdw} and {!terminate} move it; nothing else does (a lookup,
+    {!sdw_of}, {!record_pathname}, or {!make_known} of a uid already
+    known leave it).  {!copy} keeps it, and the copy's stamp moves
+    independently of the source's. *)
+
 val copy : t -> t
 (** The same entries, segment numbers and descriptors, in records of
     its own.  The descriptor-change observer is not copied: the copy

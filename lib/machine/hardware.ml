@@ -113,7 +113,10 @@ let allowed sdw ~ring ~operation =
    rather than emptying the slot: the next lookup of that key drops it
    and counts an invalidation and a miss, and until then it still
    counts towards [size].  Entries are immutable, so a copy of the slot
-   array is a copy of the memory. *)
+   array is a copy of the memory.  The change stamp moves whenever the
+   entries that would hit change: on every install and flush, and on an
+   invalidation that revokes an entry.  Dropping a revoked entry on
+   lookup changes nothing a hit can see. *)
 module Assoc = struct
   type entry = { key : int; sdw : Sdw.t; revoked : bool }
 
@@ -125,7 +128,7 @@ module Assoc = struct
     flushes : Obs.Counter.t;
   }
 
-  type t = { slots : entry option array; obs : instruments }
+  type t = { slots : entry option array; obs : instruments; mutable stamp : int }
 
   let instruments =
     Obs.Local.make (fun r ->
@@ -140,10 +143,13 @@ module Assoc = struct
 
   (* 16 entries, as on the 6180 appending unit. *)
   let slot key = key land 15
-  let create () = { slots = Array.make 16 None; obs = instruments () }
+  let create () = { slots = Array.make 16 None; obs = instruments (); stamp = 0 }
 
   (* The counters are the copying domain's. *)
-  let copy t = { slots = Array.copy t.slots; obs = instruments () }
+  let copy t = { slots = Array.copy t.slots; obs = instruments (); stamp = t.stamp }
+
+  let stamp t = t.stamp
+  let touch t = t.stamp <- t.stamp + 1
 
   let lookup t ~key =
     let i = slot key in
@@ -165,16 +171,20 @@ module Assoc = struct
 
   let install t ~key sdw =
     t.slots.(slot key) <- Some { key; sdw; revoked = false };
+    touch t;
     Obs.Counter.incr t.obs.insertions
 
   let invalidate t ~key =
     let i = slot key in
     match t.slots.(i) with
-    | Some e when e.key = key && not e.revoked -> t.slots.(i) <- Some { e with revoked = true }
+    | Some e when e.key = key && not e.revoked ->
+        t.slots.(i) <- Some { e with revoked = true };
+        touch t
     | Some _ | None -> ()
 
   let flush t =
     Array.fill t.slots 0 16 None;
+    touch t;
     Obs.Counter.incr t.obs.flushes
 
   let size t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.slots

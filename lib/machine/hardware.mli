@@ -61,6 +61,14 @@ module Assoc : sig
 
   val flush : t -> unit
 
+  val stamp : t -> int
+  (** The change stamp: {!install} and {!flush} move it, and so does
+      an {!invalidate} that revokes an entry.  Nothing else does, so
+      while it stands still {!entries} answers as before; a lookup,
+      hit or miss, and an {!invalidate} of a key the memory does not
+      hold leave it.  {!copy} keeps it, and the copy's stamp moves
+      independently of the source's. *)
+
   val size : t -> int
   (** Occupied slots, counting revoked entries not yet dropped. *)
 

@@ -37,9 +37,16 @@
      MC-level taint sets.  Timing observables (clocks, lock free-at,
      obs counters, audit length) are deliberately excluded — mediation
      state, not timing, is what the safety predicates range over.  The
-     visited set keys on the string's ten components, each interned to
-     an id ([State_key]): injective, so no hash collision can merge
-     distinct states, and each distinct component is held once.
+     string is ten components, each with a renderer of its own, and
+     the visited set keys on them, each interned to an id
+     ([State_key]): injective, so no hash collision can merge distinct
+     states, and each distinct component is held once.  A capture
+     writes no kernel state.  A candidate's capture is incremental: it
+     renders only the components whose change witness moved since its
+     replayed parent (the change stamps of the hierarchy, each KST and
+     each CAM, a process's ring, the taint lists), and its key takes
+     the parent's ids for the rest; the full render stays the
+     reference the oracles compare it with.
      [fingerprint] digests the string for display and tests.
      [successor_check] is the evidence that merging on the string is
      sound: every merged trace's successors must render as its
@@ -68,11 +75,13 @@
 
    - {b Streamed levels.}  Each BFS level is generated from the
      frontier as it is replayed, traces stored reversed so a candidate
-     shares its parent's trace.  Parents go through [Par.map] a round
-     at a time, one task deriving one parent's candidates, and the
-     candidates merge in task and alphabet order, so the outcome is
-     byte-identical at any [MULTICS_JOBS] pool size, and only a round's
-     replayed states are held before they are merged.  Exploration
+     shares its parent's trace, and each with its state's key.
+     Parents go through [Par.map] a round at a time, one task deriving
+     one parent's candidates and returning only the text of the
+     components they changed; the candidates are interned and merged in
+     task and alphabet order, so the outcome is byte-identical at any
+     [MULTICS_JOBS] pool size, and only a round's candidates are held
+     before they are merged.  Exploration
      stops at the depth cap or when the frontier empties, whichever
      comes first. *)
 
@@ -517,7 +526,12 @@ let extend image trace =
 
 (* ----- Canonicalization -----
 
-   Rendered by direct [Buffer] adds: a capture runs once per replay,
+   The canonical form is ten lines, one per component: s0, s1 and tmp,
+   each process, each CPU's fronts, the pending connects, the journal
+   and the taints.  Each component has a renderer of its own, and the
+   full form is their concatenation.
+
+   Rendered by direct [Buffer] adds: a capture runs once per candidate,
    and interpreting format strings ([Printf.ksprintf], a fresh
    formatter per [Fmt.str], [string_of_int]) took about a quarter of an
    exploration's time.  The golden canonical-state test pins the
@@ -561,127 +575,111 @@ let add_acl b acl =
 
 let add_labels b labels = add_sorted b ~sep:"+" (List.map Label.to_string labels)
 
+let add_key b key =
+  Buffer.add_char b ' ';
+  add_int b key
+
+let add_entry b (key, sdw) =
+  add_key b key;
+  Buffer.add_char b '=';
+  add_sdw b sdw
+
 (* The orphan branch a faulted create leaves behind, found by name so
-   its (run-dependent) uid never leaks into the canonical form. *)
-let tmp_uid t =
-  match
-    Hierarchy.lookup (System.hierarchy t.system) ~subject:System.initializer_subject
-      ~dir:t.home ~name:"tmp"
-  with
-  | Ok uid -> Some uid
-  | Error _ -> None
+   its (run-dependent) uid never leaks into the canonical form.  The
+   lookup is the kernel's own, unmediated: a capture checks no access,
+   so it compiles no access-vector cell and counts nothing. *)
+let tmp_uid t = Hierarchy.raw_lookup (System.hierarchy t.system) ~dir:t.home ~name:"tmp"
 
-(* The canonical form is ten lines, one per component: s0, s1 and tmp,
-   each process, each CPU's fronts, the pending connects, the journal
-   and the taints.  [render] returns the text and the offset where each
-   component starts, plus the end. *)
-let components_per_state = 10
-
-let render t =
-  let b = Buffer.create 1024 in
-  let cuts = Array.make (components_per_state + 1) 0 in
-  let next_cut = ref 1 in
-  let cut () =
-    cuts.(!next_cut) <- Buffer.length b;
-    incr next_cut
-  in
-  let add = Buffer.add_string b and addc = Buffer.add_char b and addi = add_int b in
-  let add_key key =
-    addc ' ';
-    addi key
-  in
-  let add_entry (key, sdw) =
-    add_key key;
-    addc '=';
-    add_sdw b sdw
-  in
+(* An object: attributes + the one tracked word of contents. *)
+let render_object name uid_of b t =
   let hierarchy = System.hierarchy t.system in
-  (* Objects: attributes + the one tracked word of contents. *)
-  let render_object name uid =
-    add "obj ";
-    add name;
-    match Hierarchy.acl_of hierarchy uid with
-    | None -> add " absent\n"
-    | Some acl ->
-        add " acl{";
-        add_acl b acl;
-        add "} label=";
-        add
-          (match Hierarchy.label_of hierarchy uid with
-          | Some l -> Label.to_string l
-          | None -> "?");
-        add " brackets=";
-        (match Hierarchy.brackets_of hierarchy uid with
-        | Some brackets -> add_brackets b brackets
-        | None -> addc '?');
-        add " gate=";
-        addi (Option.value ~default:0 (Hierarchy.gate_bound_of hierarchy uid));
-        add " word0=";
-        addi (Option.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0));
-        addc '\n'
-  in
-  render_object "s0" t.s0;
-  cut ();
-  render_object "s1" t.s1;
-  cut ();
-  (match tmp_uid t with None -> add "obj tmp absent\n" | Some uid -> render_object "tmp" uid);
-  cut ();
-  (* Processes: ring, known segments and installed SDWs. *)
+  let add = Buffer.add_string b in
+  add "obj ";
+  add name;
+  match uid_of t with
+  | None -> add " absent\n"
+  | Some uid -> (
+      match Hierarchy.acl_of hierarchy uid with
+      | None -> add " absent\n"
+      | Some acl ->
+          add " acl{";
+          add_acl b acl;
+          add "} label=";
+          add
+            (match Hierarchy.label_of hierarchy uid with
+            | Some l -> Label.to_string l
+            | None -> "?");
+          add " brackets=";
+          (match Hierarchy.brackets_of hierarchy uid with
+          | Some brackets -> add_brackets b brackets
+          | None -> Buffer.add_char b '?');
+          add " gate=";
+          add_int b (Option.value ~default:0 (Hierarchy.gate_bound_of hierarchy uid));
+          add " word0=";
+          add_int b (Option.value ~default:(-1) (Hierarchy.raw_read_word hierarchy ~uid ~offset:0));
+          Buffer.add_char b '\n')
+
+(* A process: ring, known segments and installed SDWs. *)
+let render_proc who b t =
+  let p = proc_of t who in
+  let add = Buffer.add_string b in
+  add "proc ";
+  add (principal_name who);
+  add " ring=";
+  add_int b (Ring.to_int p.System.ring);
+  add " kst{";
   List.iter
-    (fun who ->
-      let p = proc_of t who in
-      add "proc ";
-      add (principal_name who);
-      add " ring=";
-      addi (Ring.to_int p.System.ring);
-      add " kst{";
-      List.iter
-        (fun segno ->
-          match Kst.sdw_of p.System.kst segno with
-          | Some sdw -> add_entry (segno, sdw)
-          | None ->
-              add_key segno;
-              add "=-")
-        (Kst.known_segnos p.System.kst);
-      add " }\n";
-      cut ())
-    [ Alice; Bob ];
-  (* Per-CPU fronts. *)
-  for cpu = 0 to 1 do
-    add "cpu ";
-    addi cpu;
-    add " cam{";
-    List.iter add_entry (by_key (Smp.cam_entries t.plant ~cpu));
-    add " } ptw{";
-    List.iter add_key (List.sort Int.compare (Smp.ptw_keys t.plant ~cpu));
-    add " }\n";
-    cut ()
-  done;
-  (* Queued (undelivered) connects, in arrival order. *)
+    (fun segno ->
+      match Kst.sdw_of p.System.kst segno with
+      | Some sdw -> add_entry b (segno, sdw)
+      | None ->
+          add_key b segno;
+          add "=-")
+    (Kst.known_segnos p.System.kst);
+  add " }\n"
+
+(* A CPU's fronts. *)
+let render_cpu cpu b t =
+  let add = Buffer.add_string b in
+  add "cpu ";
+  add_int b cpu;
+  add " cam{";
+  List.iter (add_entry b) (by_key (Smp.cam_entries t.plant ~cpu));
+  add " } ptw{";
+  List.iter (add_key b) (List.sort Int.compare (Smp.ptw_keys t.plant ~cpu));
+  add " }\n"
+
+(* Queued (undelivered) connects, in arrival order. *)
+let render_pending b t =
+  let add = Buffer.add_string b in
   add "pending{";
   List.iter
     (fun (cpu, tag) ->
-      add_key cpu;
-      addc ':';
+      add_key b cpu;
+      Buffer.add_char b ':';
       add tag)
     (Smp.pending_connects t.plant);
-  add " }\n";
-  cut ();
-  (* The crash journal, sans timestamps (timing is not state). *)
+  add " }\n"
+
+(* The crash journal, sans timestamps (timing is not state). *)
+let render_journal b t =
+  let add = Buffer.add_string b and addc = Buffer.add_char b in
   add "journal{";
   List.iter
     (fun (e : System.journal_entry) ->
-      add_key e.System.handle;
+      add_key b e.System.handle;
       addc ':';
       add e.System.operation;
       addc ':';
-      (match e.System.dir with Some uid -> addi (Uid.to_int uid) | None -> addc '-');
+      (match e.System.dir with Some uid -> add_int b (Uid.to_int uid) | None -> addc '-');
       addc ':';
       add (Option.value ~default:"-" e.System.entry_name))
     (System.crash_journal t.system);
-  add " }\n";
-  cut ();
-  (* Taint accounting (the P3 state). *)
+  add " }\n"
+
+(* Taint accounting (the P3 state). *)
+let render_taints b t =
+  let add = Buffer.add_string b in
   add "taints alice{";
   add_labels b t.alice_carried;
   add "} bob{";
@@ -690,8 +688,75 @@ let render t =
   add_labels b t.s0_taints;
   add "} s1{";
   add_labels b t.s1_taints;
-  add "}\n";
-  cut ();
+  add "}\n"
+
+(* A component's change witness: [unchanged ~parent t], for [t] a copy
+   of [parent] that has since run, holds only if [t] renders the
+   component exactly as [parent] does.  Most witnesses are the change
+   stamps of what the renderer reads, which [copy] keeps and every
+   mutator of it moves:
+   - the objects: the hierarchy's stamp (a write to any branch or
+     directory, [tmp]'s entry in Alice's home among them);
+   - a process: its ring and its KST's stamp;
+   - a CPU: its fronts' stamp ([Smp.fronts_stamp]), its CAM's while
+     its PTW front is empty on both sides (only flushes reach that front
+     in this plant, so it stays empty);
+   - the taints: the four immutable lists themselves, which an action
+     replaces only to add a taint.
+   The pending connects and the journal, a few bytes each, have none
+   and are always rendered. *)
+type component = {
+  render : Buffer.t -> instance -> unit;
+  unchanged : parent:instance -> instance -> bool;
+}
+
+let same_hierarchy ~parent t =
+  Hierarchy.stamp (System.hierarchy t.system) = Hierarchy.stamp (System.hierarchy parent.system)
+
+let same_proc who ~parent t =
+  let p = proc_of parent who and q = proc_of t who in
+  Ring.equal q.System.ring p.System.ring && Kst.stamp q.System.kst = Kst.stamp p.System.kst
+
+let same_cpu cpu ~parent t =
+  match Smp.fronts_stamp t.plant ~cpu with
+  | Some stamp -> Smp.fronts_stamp parent.plant ~cpu = Some stamp
+  | None -> false
+
+let never ~parent:_ _ = false
+
+let same_taints ~parent t =
+  t.alice_carried == parent.alice_carried
+  && t.bob_carried == parent.bob_carried
+  && t.s0_taints == parent.s0_taints
+  && t.s1_taints == parent.s1_taints
+
+let canonical_components =
+  let hierarchy render = { render; unchanged = same_hierarchy } in
+  [|
+    hierarchy (render_object "s0" (fun t -> Some t.s0));
+    hierarchy (render_object "s1" (fun t -> Some t.s1));
+    hierarchy (render_object "tmp" tmp_uid);
+    { render = render_proc Alice; unchanged = same_proc Alice };
+    { render = render_proc Bob; unchanged = same_proc Bob };
+    { render = render_cpu 0; unchanged = same_cpu 0 };
+    { render = render_cpu 1; unchanged = same_cpu 1 };
+    { render = render_pending; unchanged = never };
+    { render = render_journal; unchanged = never };
+    { render = render_taints; unchanged = same_taints };
+  |]
+
+let components_per_state = Array.length canonical_components
+
+(* The full render: the text, and the offset where each component
+   starts, plus the end. *)
+let render t =
+  let b = Buffer.create 1024 in
+  let cuts = Array.make (components_per_state + 1) 0 in
+  Array.iteri
+    (fun i c ->
+      c.render b t;
+      cuts.(i + 1) <- Buffer.length b)
+    canonical_components;
   (b, cuts)
 
 let canonical t = Buffer.contents (fst (render t))
@@ -701,6 +766,21 @@ let canonical t = Buffer.contents (fst (render t))
 let components t =
   let b, cuts = render t in
   Array.init components_per_state (fun i -> Buffer.sub b cuts.(i) (cuts.(i + 1) - cuts.(i)))
+
+(* The incremental capture of [t], a copy of [parent] that has since
+   run: the text of each component whose witness moved, [None] for the
+   rest, which render as [parent]'s do. *)
+let changed_components ~parent t =
+  let b = Buffer.create 256 in
+  Array.map
+    (fun c ->
+      if c.unchanged ~parent t then None
+      else begin
+        Buffer.clear b;
+        c.render b t;
+        Some (Buffer.contents b)
+      end)
+    canonical_components
 
 let fingerprint canon = Digest.to_hex (Digest.string canon)
 
@@ -800,8 +880,9 @@ let check_p4 t =
         [ ("s0", t.s0); ("s1", t.s1) ])
     [ Alice; Bob ]
 
-(* Run the state predicates; call only after [canonical] — P4's table
-   probe may warm caches the capture must not see. *)
+(* Run the state predicates.  P4's table probe compiles access-vector
+   cells: no component renders them and no change stamp counts them, so
+   the predicates leave the capture as they found it. *)
 let check_state t =
   check_p1 t;
   check_p3 t;
@@ -819,22 +900,22 @@ let verdict capture t trace =
 (* The reference every image copy is tested against: a fresh boot. *)
 let violations_of_trace ~bug trace = verdict canonical (boot ~bug ()) trace
 
-(* The verdicts of [trace]'s successors, in alphabet order, from one
-   replay of [trace]: each child runs on a copy of the replayed parent. *)
-let successors capture image trace =
-  let parent = extend image trace in
-  List.map (fun a -> verdict capture (copy parent) [ a ]) (alphabet ~bug:image.image_bug)
+(* The candidate parent·a, derived as the search derives it: [a] fired
+   on a copy of the replayed [parent], then the incremental capture
+   against [parent], then the predicates. *)
+let derive parent a = verdict (changed_components ~parent:parent.booted) (copy parent) [ a ]
 
 module Image = struct
   type t = image
 
   let build = build_image
   let extend = extend
+  let derive = derive
   let violations_of_trace image trace = verdict canonical (copy image) trace
 
-  (* Rendered on a copy: even a read-only capture compiles AV cells
-     ([tmp_uid]'s lookup), and the image is never written. *)
-  let canonical image = canonical (copy image)
+  (* A capture writes no kernel state, so the image renders itself. *)
+  let canonical image = canonical image.booted
+  let components image = components image.booted
 end
 
 (* ----- State keys -----
@@ -844,7 +925,10 @@ end
    exploration.  Two keys are equal exactly when every component is,
    that is, when the canonical strings are: the key is injective, never
    a digest.  A state's ~600 bytes of text become eleven words, and a
-   component shared by many states is held once. *)
+   component shared by many states is held once.  A candidate's key is
+   derived from its parent's: the components its capture rendered are
+   interned, and the rest keep the parent's ids, which name the same
+   text. *)
 module State_key = struct
   type table = (string, int) Hashtbl.t
 
@@ -859,6 +943,11 @@ module State_key = struct
         id
 
   let of_components table components = Array.map (intern table) components
+
+  let derive table ~parent changed =
+    Array.mapi
+      (fun i -> function Some component -> intern table component | None -> parent.(i))
+      changed
 
   let of_trace table ~bug trace =
     of_components table (fst (verdict components (boot ~bug ()) trace))
@@ -934,31 +1023,37 @@ let search ~jobs ~image ~depth ~on_state =
   let visited = Visited.create 64 in
   let found = ref [] in
   let started = Sys.time () in
-  (* Merge one replayed candidate, given by its trace reversed: note its
-     violations, and put it on [next] iff its state is new — unseen at
-     any earlier depth and not claimed by an earlier candidate of this
-     level (BFS keeps the first, i.e. lexicographically least, trace per
-     state). *)
-  let merge next rtrace (components, violations) =
+  (* Merge one replayed candidate, given by its trace reversed and its
+     state's key: note its violations, and put it on [next] with its key
+     iff its state is new — unseen at any earlier depth and not claimed
+     by an earlier candidate of this level (BFS keeps the first, i.e.
+     lexicographically least, trace per state). *)
+  let merge next rtrace key violations =
     if violations <> [] then begin
       let trace = List.rev rtrace in
       List.iter (note_counterexample found trace) violations
     end;
-    let key = State_key.of_components keys components in
     let fresh = not (Visited.mem visited key) in
     on_state rtrace key ~fresh;
     if fresh then begin
       Visited.add visited key ();
-      rtrace :: next
+      (rtrace, key) :: next
     end
     else next
   in
-  let expand rtrace = successors components image (List.rev rtrace) in
+  (* A task replays one parent and derives its candidates; it returns
+     only the text of the components they changed, and the merge
+     interns it, so ids never depend on the pool. *)
+  let expand (rtrace, _) =
+    let parent = extend image (List.rev rtrace) in
+    List.map (derive parent) alpha
+  in
   (* The root is the image's own state.  An exploration that expands
      nothing makes no copy after the root, so it checks the root on the
      image itself: one boot and no copy. *)
   let root = if depth < 1 then image.booted else copy image in
-  ignore (merge [] [] (verdict components root []));
+  let root_components, root_violations = verdict components root [] in
+  let roots = merge [] [] (State_key.of_components keys root_components) root_violations in
   (* A level's parents are expanded from the frontier in order, a round
      at a time, each task deriving one parent's candidates; the
      candidates merge in task and alphabet order, [a :: rtrace] sharing
@@ -968,8 +1063,12 @@ let search ~jobs ~image ~depth ~on_state =
     if d > depth || frontier = [] then (frontier, List.rev rows)
     else begin
       let next = ref [] and batch = ref [] and batched = ref 0 in
-      let merge_parent rtrace verdicts =
-        next := List.fold_left2 (fun next a -> merge next (a :: rtrace)) !next alpha verdicts
+      let merge_parent (rtrace, key) verdicts =
+        next :=
+          List.fold_left2
+            (fun next a (changed, violations) ->
+              merge next (a :: rtrace) (State_key.derive keys ~parent:key changed) violations)
+            !next alpha verdicts
       in
       let flush () =
         let parents = List.rev !batch in
@@ -978,8 +1077,8 @@ let search ~jobs ~image ~depth ~on_state =
         List.iter2 merge_parent parents (Par.map ~jobs expand parents)
       in
       List.iter
-        (fun rtrace ->
-          batch := rtrace :: !batch;
+        (fun parent ->
+          batch := parent :: !batch;
           incr batched;
           if !batched = parents_per_round then flush ())
         frontier;
@@ -997,7 +1096,7 @@ let search ~jobs ~image ~depth ~on_state =
       level (d + 1) next (row :: rows)
     end
   in
-  let frontier, rows = level 1 [ [] ] [] in
+  let frontier, rows = level 1 roots [] in
   {
     o_depth = depth;
     o_bug = bug;
@@ -1049,7 +1148,10 @@ let successor_check ?jobs ?(bug = false) ~depth () =
   ignore (search ~jobs ~image ~depth ~on_state);
   let groups = List.filter (fun (_, merged) -> !merged <> []) (List.rev !order) in
   let alpha = alphabet ~bug in
-  let derived rtrace = List.map fst (successors canonical image (List.rev rtrace)) in
+  let derived rtrace =
+    let parent = extend image (List.rev rtrace) in
+    List.map (fun a -> fst (Image.violations_of_trace parent [ a ])) alpha
+  in
   (* One task per representative: its successors are derived once, then
      compared with each merged trace's. *)
   let check (rep, merged) =

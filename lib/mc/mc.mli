@@ -30,10 +30,13 @@
     action: no action schedules a simulator event of its own, so the
     new action fires after the parent's, at their time, as in a full
     replay.  The visited set keys on interned canonical
-    components ({!State_key}), never on a digest; each level is
-    generated from the frontier as it is replayed, fanned out through
-    [Par.map] a round of parents at a time and merged in task order,
-    so outcomes are byte-identical at any [MULTICS_JOBS].
+    components ({!State_key}), never on a digest.  A candidate
+    re-renders only the components its action changed, by their change
+    witnesses, and keeps its parent's ids for the rest
+    ({!Image.derive}).  Each level is generated from the frontier as
+    it is replayed, fanned out through [Par.map] a round of parents at
+    a time and interned and merged in task order, so outcomes are
+    byte-identical at any [MULTICS_JOBS].
 
     Experiment E21 drives this; the shell's [mc run]/[mc replay]
     commands expose it on the operator console. *)
@@ -91,7 +94,9 @@ val violations_of_trace : bug:bool -> action list -> string * violation list
     domain would — the same canonical state, the same violations, the
     same obs counts past the boot's own — so an exploration pays one
     boot, not one per state.  {!violations_of_trace} keeps booting
-    afresh and is the reference the copies are tested against. *)
+    afresh and is the reference the copies are tested against, as the
+    full render ({!canonical}, {!components}) is the reference for the
+    incremental capture ({!derive}). *)
 module Image : sig
   type t
 
@@ -111,8 +116,26 @@ module Image : sig
   (** {!violations_of_trace} on a copy of the image instead of a
       fresh boot.  Safe from any domain, concurrently. *)
 
+  val derive : t -> action -> string option array * violation list
+  (** The candidate [t·a], derived from the replayed parent [t] (from
+      {!extend}) exactly as an exploration derives it: [a] fired on a
+      copy of [t], then the incremental capture, then the state
+      predicates.  The capture renders only the components whose change
+      witness moved since [t] (the hierarchy's, a KST's or a CAM's
+      change stamp, a process's ring, the taint lists; the pending
+      connects and the journal always), in {!components}' order, and
+      gives [None] for the rest, which render as [t]'s do.  The
+      violations are {!violations_of_trace}'s.  Safe from any domain,
+      concurrently. *)
+
   val canonical : t -> string
-  (** The image's canonical state, rendered on a copy of it. *)
+  (** The image's canonical state.  A capture writes no kernel state:
+      it checks no access and so compiles no access-vector cell. *)
+
+  val components : t -> string array
+  (** The same text, one string per canonical component (each object,
+      each process, each CPU's fronts, the pending connects, the
+      journal, the taints); {!canonical} is their concatenation. *)
 end
 
 val fingerprint : string -> string
@@ -168,8 +191,12 @@ type outcome = {
 
 val explore : ?jobs:int -> ?bug:bool -> depth:int -> unit -> outcome
 (** Exhaustive breadth-first exploration to [depth], or until the
-    frontier empties.  [jobs] sizes the [Par.map] pool for frontier
-    expansion (default [MULTICS_JOBS]); the outcome is identical at any
+    frontier empties.  Each frontier state carries its key; each of
+    its candidates is {!Image.derive}d from one {!Image.extend} of it,
+    and its key is the parent's with the changed components
+    re-interned.  [jobs] sizes the [Par.map] pool for frontier
+    expansion (default [MULTICS_JOBS]); workers return text, the
+    sequential merge interns it, and the outcome is identical at any
     pool size.  [bug] (default false) re-enables the old
     deferred-connect stale-Permit window and extends the alphabet with
     [Deliver]. *)

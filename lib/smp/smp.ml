@@ -416,6 +416,12 @@ let pending_connects t = List.rev_map (fun (cpu, connect) -> (cpu, connect_tag c
 (* ----- Read-only cache enumeration (for the model checker) ----- *)
 
 let cam_entries t ~cpu = Hardware.Assoc.entries t.cpus.(cpu).cam
+
+(* A PTW entry can go stale with no call on the front (page control
+   shares its generations), so only an empty front is vouched for. *)
+let fronts_stamp t ~cpu =
+  let c = t.cpus.(cpu) in
+  if Avc.size c.ptw = 0 then Some (Hardware.Assoc.stamp c.cam) else None
 let ptw_keys t ~cpu = List.map fst (Avc.entries t.cpus.(cpu).ptw)
 let split_cam_key key = (key lsr segno_bits, key land ((1 lsl segno_bits) - 1))
 

@@ -168,6 +168,14 @@ val cam_entries : t -> cpu:int -> (int * Sdw.t) list
     composite [(handle, segno)] key — decompose with
     {!split_cam_key}. *)
 
+val fronts_stamp : t -> cpu:int -> int option
+(** A change stamp of that CPU's fronts: its associative memory's
+    ({!Hardware.Assoc.stamp}) while its PTW front holds no entry,
+    [None] while it holds one.  While it stands still at [Some _],
+    {!cam_entries} and {!ptw_keys} answer as before.  A PTW entry can
+    go stale without any call on the front (it shares page control's
+    generations), so a non-empty front has no stamp. *)
+
 val ptw_keys : t -> cpu:int -> int list
 (** Fresh page-SID keys of that CPU's PTW lookaside front. *)
 

@@ -196,6 +196,40 @@ let test_assoc_revoked_not_shadowed () =
   Alcotest.(check bool) "revoked CAM entry stays revoked" true
     (Option.is_none (Hardware.Assoc.lookup cam ~key:victim))
 
+let test_assoc_stamp () =
+  (* The model checker re-renders a CPU's CAM only when its change
+     stamp moved: every change to what would hit moves it, and no
+     reader does. *)
+  let cam = Hardware.Assoc.create () in
+  let check_moves what moved f =
+    let before = Hardware.Assoc.stamp cam in
+    f ();
+    Alcotest.(check bool) what moved (Hardware.Assoc.stamp cam <> before)
+  in
+  let key = cam_key 1 2 in
+  check_moves "install moves the stamp" true (fun () -> Hardware.Assoc.install cam ~key sdws.(0));
+  check_moves "a lookup that hits leaves it" false (fun () ->
+      Alcotest.(check bool) "hit" true (Option.is_some (Hardware.Assoc.lookup cam ~key)));
+  check_moves "a lookup that misses leaves it" false (fun () ->
+      ignore (Hardware.Assoc.lookup cam ~key:(cam_key 1 3)));
+  check_moves "entries leaves it" false (fun () -> ignore (Hardware.Assoc.entries cam));
+  check_moves "invalidating a key it does not hold leaves it" false (fun () ->
+      Hardware.Assoc.invalidate cam ~key:(cam_key 2 2));
+  let c = Hardware.Assoc.copy cam in
+  let stamp = Hardware.Assoc.stamp cam in
+  Alcotest.(check int) "copy keeps the stamp" stamp (Hardware.Assoc.stamp c);
+  Hardware.Assoc.install c ~key:(cam_key 1 5) sdws.(1);
+  Alcotest.(check bool) "an install in the copy moves its stamp" true
+    (Hardware.Assoc.stamp c <> stamp);
+  Alcotest.(check int) "and leaves the source's" stamp (Hardware.Assoc.stamp cam);
+  check_moves "invalidating a held key moves it" true (fun () ->
+      Hardware.Assoc.invalidate cam ~key);
+  check_moves "invalidating it again leaves it" false (fun () ->
+      Hardware.Assoc.invalidate cam ~key);
+  check_moves "dropping the revoked entry on lookup leaves it" false (fun () ->
+      ignore (Hardware.Assoc.lookup cam ~key));
+  check_moves "flush moves it" true (fun () -> Hardware.Assoc.flush cam)
+
 let test_gen_allocated_on_first_write () =
   (* Most caches a boot creates are never invalidated object by object:
      their generations must cost a few words, not a counter array. *)
@@ -686,4 +720,6 @@ let suite =
     Alcotest.test_case "a dropped kernel is collected" `Quick test_dropped_kernel_collected;
     Alcotest.test_case "gen: a copy onto another epoch reads as its source" `Quick
       test_gen_copy_rebased;
+    Alcotest.test_case "assoc: the change stamp moves exactly with the entries" `Quick
+      test_assoc_stamp;
   ]

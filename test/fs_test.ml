@@ -422,6 +422,108 @@ let test_quota_nested_cells () =
   Alcotest.(check (option int)) "inner charged" (Some 3) (Hierarchy.pages_charged_of h sub);
   Alcotest.(check (option int)) "outer untouched" (Some 0) (Hierarchy.pages_charged_of h work)
 
+(* ----- Change stamps -----
+
+   A change stamp promises that every mutator of what it covers moves
+   it and that nothing else does; the model checker re-renders a
+   component only when its stamp moved.  [moves]/[stays] run one call
+   and check the stamp either way. *)
+
+let moves stamp what f =
+  let before = stamp () in
+  let result = f () in
+  if stamp () = before then Alcotest.failf "%s left the change stamp at %d" what before;
+  result
+
+let stays stamp what f =
+  let before = stamp () in
+  ignore (f ());
+  Alcotest.(check int) (what ^ " leaves the change stamp") before (stamp ())
+
+let ok = function Ok x -> x | Error e -> Alcotest.fail (Hierarchy.error_to_string e)
+
+let test_hierarchy_stamp () =
+  let h, work = setup () in
+  let alice = user_subject "Alice.Dev.a" in
+  let moves what f = moves (fun () -> Hierarchy.stamp h) what f in
+  let stays what f = stays (fun () -> Hierarchy.stamp h) what f in
+  let succeeds what f = Alcotest.(check bool) what true (moves what f) in
+  let create dir name =
+    ok (Hierarchy.create_segment h ~subject:alice ~dir ~name ~acl:open_acl ~label:Label.unclassified)
+  in
+  let seg = moves "create_segment" (fun () -> create work "seg") in
+  let sub =
+    moves "create_directory" (fun () ->
+        ok
+          (Hierarchy.create_directory h ~subject:alice ~dir:work ~name:"sub" ~acl:open_acl
+             ~label:Label.unclassified))
+  in
+  stays "lookup" (fun () -> Hierarchy.lookup h ~subject:alice ~dir:work ~name:"seg");
+  stays "raw_lookup" (fun () -> Hierarchy.raw_lookup h ~dir:work ~name:"seg");
+  stays "check_access compiling a cell" (fun () ->
+      Hierarchy.check_access h ~subject:alice ~uid:seg ~requested:Mode.rw);
+  stays "check_access on the compiled cell" (fun () ->
+      Hierarchy.check_access h ~subject:alice ~uid:seg ~requested:Mode.r);
+  stays "check_access_fresh" (fun () ->
+      Hierarchy.check_access_fresh h ~subject:alice ~uid:seg ~requested:Mode.rw);
+  stays "an eager access-vector rebuild" (fun () -> Hierarchy.rebuild_av_table h);
+  stays "raw_read_word" (fun () -> Hierarchy.raw_read_word h ~uid:seg ~offset:0);
+  stays "sdw_for" (fun () -> Hierarchy.sdw_for h ~subject:alice ~uid:seg);
+  succeeds "raw_write_word" (fun () -> Hierarchy.raw_write_word h ~uid:seg ~offset:0 ~value:7);
+  moves "set_acl" (fun () ->
+      ok (Hierarchy.set_acl h ~subject:alice ~uid:seg ~acl:(Acl.of_strings [ ("Alice.*.*", "rw") ])));
+  moves "set_gate_bound" (fun () ->
+      ok (Hierarchy.set_gate_bound h ~subject:alice ~uid:seg ~gate_bound:1));
+  moves "set_brackets" (fun () ->
+      ok
+        (Hierarchy.set_brackets h ~subject:alice ~uid:seg
+           ~brackets:(Brackets.make ~r1:4 ~r2:5 ~r3:5)));
+  succeeds "raw_set_label" (fun () ->
+      Hierarchy.raw_set_label h ~uid:seg ~label:(Label.make Label.Secret []));
+  ignore
+    (moves "rename_entry" (fun () ->
+         ok (Hierarchy.rename_entry h ~subject:alice ~dir:work ~name:"seg" ~new_name:"renamed")));
+  moves "set_quota" (fun () -> ok (Hierarchy.set_quota h ~subject:alice ~uid:sub ~quota:(Some 4)));
+  let inner = create sub "inner" in
+  moves "charge_growth" (fun () -> ok (Hierarchy.charge_growth h ~uid:inner ~offset:100));
+  ignore
+    (moves "delete_entry" (fun () ->
+         ok (Hierarchy.delete_entry h ~subject:alice ~dir:work ~name:"renamed")));
+  succeeds "raw_delete_subtree" (fun () -> Hierarchy.raw_delete_subtree h ~dir:work ~name:"sub");
+  let c = Hierarchy.copy h in
+  let stamp = Hierarchy.stamp h in
+  Alcotest.(check int) "copy keeps the stamp" stamp (Hierarchy.stamp c);
+  ignore
+    (ok
+       (Hierarchy.create_segment c ~subject:alice ~dir:work ~name:"copied" ~acl:open_acl
+          ~label:Label.unclassified));
+  Alcotest.(check bool) "a write to the copy moves its stamp" true (Hierarchy.stamp c <> stamp);
+  Alcotest.(check int) "and leaves the source's" stamp (Hierarchy.stamp h)
+
+let test_kst_stamp () =
+  let kst = Kst.create ~variant:Kst.Split () in
+  let moves what f = moves (fun () -> Kst.stamp kst) what f in
+  let stays what f = stays (fun () -> Kst.stamp kst) what f in
+  let g = Uid.generator () in
+  let uid = Uid.fresh g in
+  let segno, _ = moves "make_known of a new uid" (fun () -> Kst.make_known kst ~uid) in
+  stays "make_known of a uid already known" (fun () -> Kst.make_known kst ~uid);
+  stays "uid_of_segno" (fun () -> Kst.uid_of_segno kst segno);
+  stays "segno_of_uid" (fun () -> Kst.segno_of_uid kst ~uid);
+  stays "sdw_of" (fun () -> Kst.sdw_of kst segno);
+  stays "known_segnos" (fun () -> Kst.known_segnos kst);
+  let sdw = Sdw.make ~mode:Mode.rw ~brackets:Brackets.user_data () in
+  let kst_ok = function Ok () -> () | Error e -> Alcotest.fail (Kst.error_to_string e) in
+  moves "set_sdw" (fun () -> kst_ok (Kst.set_sdw kst segno sdw));
+  stays "set_sdw of an unknown segno" (fun () -> Kst.set_sdw kst (segno + 1) sdw);
+  let c = Kst.copy kst in
+  let stamp = Kst.stamp kst in
+  Alcotest.(check int) "copy keeps the stamp" stamp (Kst.stamp c);
+  ignore (Kst.make_known c ~uid:(Uid.fresh g));
+  Alcotest.(check bool) "a change to the copy moves its stamp" true (Kst.stamp c <> stamp);
+  Alcotest.(check int) "and leaves the source's" stamp (Kst.stamp kst);
+  moves "terminate" (fun () -> kst_ok (Kst.terminate kst segno))
+
 let suite =
   [
     ("create and resolve", `Quick, test_create_and_resolve);
@@ -441,6 +543,8 @@ let suite =
     ("quota refund on delete", `Quick, test_quota_refund_on_delete);
     ("quota install counts existing", `Quick, test_quota_install_counts_existing);
     ("quota nested cells", `Quick, test_quota_nested_cells);
+    ("hierarchy change stamp", `Quick, test_hierarchy_stamp);
+    ("kst change stamp", `Quick, test_kst_stamp);
     QCheck_alcotest.to_alcotest resolve_never_leaks_prop;
   ]
 

@@ -10,9 +10,12 @@
    - Derived versus full: every candidate of that search derived from
      one replay of its parent, as the exploration derives it, against
      the same replay on an image copy.
+   - Incremental versus full capture: every candidate's key as the
+     exploration derives it, from the components its action changed and
+     its parent's for the rest, against the full render.
 
-   [Mc_oracle.check_successors] makes both comparisons, sharing each
-   candidate's replay on an image copy.
+   [Mc_oracle.check_successors] makes the last three comparisons,
+   sharing each candidate's replay on an image copy.
 
    Prints one verdict line per check and exits 1 on any divergence. *)
 
@@ -36,14 +39,15 @@ let fixpoint_candidates () =
   let alpha = Mc.alphabet ~bug:false in
   let seen = Hashtbl.create 4096 in
   Hashtbl.replace seen (Mc.Image.canonical (Mc_oracle.image oracle)) ();
-  let candidates = ref 0 and by_boot = ref [] and by_prefix = ref [] in
+  let candidates = ref 0 and by_boot = ref [] and by_prefix = ref [] and by_capture = ref [] in
   let rec level frontier =
     if frontier <> [] then begin
       let next =
         List.concat_map
           (fun trace ->
             let checked, derived = Mc_oracle.check_successors oracle trace in
-            by_prefix := List.rev_append derived !by_prefix;
+            by_prefix := List.rev_append derived.Mc_oracle.prefix !by_prefix;
+            by_capture := List.rev_append derived.Mc_oracle.capture !by_capture;
             List.filter_map
               (fun (a, (canon, divergence)) ->
                 incr candidates;
@@ -79,7 +83,14 @@ let fixpoint_candidates () =
          !candidates)
       !by_prefix
   in
-  image_ok && prefix_ok
+  let capture_ok =
+    verdict
+      (Printf.sprintf
+         "[mc-capture] %d fixpoint candidates: incremental keys agree with full renders"
+         !candidates)
+      !by_capture
+  in
+  image_ok && prefix_ok && capture_ok
 
 let () =
   let ok = successors () in

@@ -9,7 +9,12 @@
    - Derived versus full: a candidate derived from its replayed parent
      must reach the canonical state and violations of its full replay
      on an image copy, and the two obs counts must add exactly; the
-     parent must render the same before and after its children. *)
+     parent must render the same before and after its children.
+   - Incremental versus full capture: the exploration's own derivation
+     of a candidate renders only the components whose change witness
+     moved and keeps the parent's text for the rest; together they must
+     be the full render of the same candidate, component by component,
+     with the same violations and counts. *)
 
 module Mc = Multics_mc.Mc
 module Obs = Multics_obs.Obs
@@ -65,36 +70,82 @@ let check t trace =
   let copy = replay t trace in
   (fst (fst copy), against_boot t trace copy)
 
+(* [None] when a candidate's incremental capture ([changed], with the
+   parent's [rendered] components in place of each [None]) is [full],
+   the full render of the same candidate, component by component, and
+   its violations and counts are the full-render derivation's;
+   otherwise what differs, naming the first divergent component. *)
+let against_render ~rendered ~full (violations, counts) ((changed, violations'), counts') =
+  let component i = Option.value changed.(i) ~default:rendered.(i) in
+  let rec first i =
+    if i = Array.length full then None
+    else if String.equal (component i) full.(i) then first (i + 1)
+    else Some (Printf.sprintf "component %d" i)
+  in
+  if Array.length changed <> Array.length full then Some "the component count"
+  else
+    match first 0 with
+    | Some _ as differing -> differing
+    | None ->
+        if violations <> violations' then Some "violations"
+        else if counts <> counts' then Some "obs counts"
+        else None
+
+type derived = {
+  prefix : string list;
+      (** derived candidates that are not their full replays, and a
+          parent whose rendering moved under its children *)
+  capture : string list;  (** incremental captures that are not the full render *)
+}
+
 (* Each successor of [trace], derived from one replay of it
    ([Mc.Image.extend]), against its full replay, given in alphabet
-   order: counts(full t·a) = counts(replay t) + counts(derived a).
-   Returns what differs, one line per divergent candidate, and one if
-   the parent's rendering moved. *)
+   order: counts(full t·a) = counts(replay t) + counts(derived a).  And
+   the exploration's own derivation of each ([Mc.Image.derive]), whose
+   incremental capture renders only what the action changed, against
+   the full render of the same candidate.  Returns what differs, one
+   line per divergent candidate, plus one if the parent's rendering
+   moved. *)
 let against_full t trace full =
   let parent, parent_counts = counted (fun () -> Mc.Image.extend t.image trace) in
-  let rendered = Mc.Image.canonical parent in
-  let divergences =
-    List.filter_map
+  let rendered = Mc.Image.components parent in
+  let compared =
+    List.map
       (fun (a, (by_full, full_counts)) ->
         let derived, derived_counts =
           counted (fun () -> Mc.Image.violations_of_trace parent [ a ])
         in
-        differs by_full derived full_counts (add_counts derived_counts parent_counts)
-        |> Option.map (fun what ->
-               Printf.sprintf "[%s] derived from [%s]: %s differs"
-                 (Mc.trace_to_string (trace @ [ a ]))
-                 (Mc.trace_to_string trace) what))
+        let incremental = counted (fun () -> Mc.Image.derive parent a) in
+        let rendered_candidate = Mc.Image.components (Mc.Image.extend parent [ a ]) in
+        let divergence what =
+          Printf.sprintf "[%s] derived from [%s]: %s differs"
+            (Mc.trace_to_string (trace @ [ a ]))
+            (Mc.trace_to_string trace) what
+        in
+        ( differs by_full derived full_counts (add_counts derived_counts parent_counts)
+          |> Option.map divergence,
+          against_render ~rendered ~full:rendered_candidate (snd derived, derived_counts)
+            incremental
+          |> Option.map (fun what ->
+                 divergence (Printf.sprintf "%s after %s" what (Mc.action_to_string a))) ))
       (List.combine (Mc.alphabet ~bug:t.bug) full)
   in
-  if String.equal rendered (Mc.Image.canonical parent) then divergences
-  else
-    divergences
-    @ [ Printf.sprintf "[%s]: the parent's canonical state moved under its children"
+  let moved =
+    if String.equal (String.concat "" (Array.to_list rendered)) (Mc.Image.canonical parent) then []
+    else
+      [ Printf.sprintf "[%s]: the parent's canonical state moved under its children"
           (Mc.trace_to_string trace) ]
+  in
+  {
+    prefix = List.filter_map fst compared @ moved;
+    capture = List.filter_map snd compared;
+  }
 
 let successors t trace = List.map (fun a -> trace @ [ a ]) (Mc.alphabet ~bug:t.bug)
 
-let check_derived t trace = against_full t trace (List.map (replay t) (successors t trace))
+let check_derived t trace =
+  let d = against_full t trace (List.map (replay t) (successors t trace)) in
+  d.prefix @ d.capture
 
 (* Both checks over every successor of [trace], sharing each full
    replay: each successor's [check] result, in alphabet order, and

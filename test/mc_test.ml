@@ -13,7 +13,8 @@
    shorter trace's capture, the visited set's interned keys identify
    exactly the states the canonical strings do, an image copy replays
    exactly as a fresh boot and the image is never written, a candidate
-   derived from its parent is its full replay, merged states have
+   derived from its parent is its full replay and its incremental
+   capture is its full render, merged states have
    their representative's successors (the successor
    check, to depth 4; [dune build @mc_full] runs it over the whole
    space), exploration finds nothing on the healthy plant up to its
@@ -261,8 +262,11 @@ let test_derived_candidates_are_replays () =
      Over every candidate of at most three actions, on both alphabets,
      the derived candidate must reach its full replay's canonical state
      and violations, the full replay must count exactly the parent's
-     replay plus the derived candidate, and the parent must render the
-     same before and after its children ([Mc_oracle.check_derived]). *)
+     replay plus the derived candidate, the parent must render the
+     same before and after its children, and the exploration's own
+     derivation ([Mc.Image.derive]), which renders only the components
+     whose change witness moved, must give the full render component by
+     component ([Mc_oracle.check_derived]). *)
   List.iter
     (fun (bug, expected) ->
       let oracle = Mc_oracle.create ~bug in
