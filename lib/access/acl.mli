@@ -29,12 +29,4 @@ val mode_for : t -> Principal.t -> Mode.t
 
 val permits : t -> Principal.t -> requested:Mode.t -> bool
 
-val generation : unit -> Multics_cache.Avc.Gen.epoch
-(** The calling domain's mutation generation: advanced by every entry
-    point that produces a modified ACL ([add], [add_string], [remove],
-    [of_entries], [of_strings]).  Caches of decisions derived from ACL
-    contents fold it into their global generation
-    ([Avc.Gen.create ~epoch]) to detect edits they would otherwise
-    miss. *)
-
 val pp : Format.formatter -> t -> unit

@@ -200,9 +200,6 @@ let find t ~subj ~obj =
     end
   end
 
-let find_opt t ~subj ~obj =
-  match find t ~subj ~obj with -1 -> None | av -> Some av
-
 let set t ~subj ~obj av =
   if obj >= 0 && obj < max_objects then begin
     let s = Sid.to_int subj in

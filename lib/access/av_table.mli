@@ -75,9 +75,6 @@ val find : t -> subj:Sid.t -> obj:int -> int
     so a hit allocates nothing.  Stale cells are marked empty and
     counted as an invalidation plus a miss, as in {!Multics_cache.Avc}. *)
 
-val find_opt : t -> subj:Sid.t -> obj:int -> int option
-(** Allocating convenience for tests. *)
-
 val set : t -> subj:Sid.t -> obj:int -> int -> unit
 (** Fill a cell, stamped with the current generations. *)
 

@@ -41,33 +41,13 @@ module Gen = struct
      of those a boot creates) allocates no array at all.  Every id
      outside [0, dense_limit) shares the one [overflow] counter, so a
      bump of any of them stales the entries of all of them: more than
-     needed, never a revoked entry brought back.
-
-     [epoch] is an external counter folded into [global]: owned by
-     someone else (the domain's ACL mutation generation, for the
-     hierarchy's table), it stales every entry when it advances,
-     without its owner holding a reference to this [Gen.t].  It can
-     only advance, so sharing it can only ever stale entries. *)
-  type epoch = { mutable ticks : int }
-
-  let new_epoch () = { ticks = 0 }
-  let advance e = e.ticks <- e.ticks + 1
-
-  (* Shared by every [Gen.t] created without an epoch; never advanced
-     (it does not escape this module). *)
-  let no_epoch = new_epoch ()
-
+     needed, never a revoked entry brought back. *)
   let dense_limit = 1 lsl 16
 
-  type t = {
-    mutable global : int;
-    mutable epoch : epoch;
-    mutable counts : int array;
-    mutable overflow : int;
-  }
+  type t = { mutable global : int; mutable counts : int array; mutable overflow : int }
 
-  let create ?(epoch = no_epoch) () = { global = 0; epoch; counts = [||]; overflow = 0 }
-  let global t = t.global + t.epoch.ticks
+  let create () = { global = 0; counts = [||]; overflow = 0 }
+  let global t = t.global
   let is_dense obj = obj >= 0 && obj < dense_limit
 
   let of_object t obj =
@@ -91,20 +71,8 @@ module Gen = struct
     end
     else t.overflow <- t.overflow + 1
 
-  (* Rebasing [global] onto the new epoch keeps the reading what it is
-     now, so every stamp that matches still matches and no stale stamp
-     revives; from then on the reading advances with [epoch]. *)
-  let set_epoch t epoch =
-    t.global <- global t - epoch.ticks;
-    t.epoch <- epoch
-
   (* Same readings, private counters. *)
-  let copy ?epoch t =
-    let c =
-      { global = t.global; epoch = t.epoch; counts = Array.copy t.counts; overflow = t.overflow }
-    in
-    Option.iter (set_epoch c) epoch;
-    c
+  let copy t = { global = t.global; counts = Array.copy t.counts; overflow = t.overflow }
 end
 
 type 'v entry = { key : int; value : 'v; g_global : int; g_obj : int }

@@ -26,26 +26,14 @@
 module Gen : sig
   type t
 
-  type epoch
-  (** A counter owned outside the cache that can only advance — e.g.
-      the domain's ACL mutation generation. *)
-
-  val new_epoch : unit -> epoch
-  val advance : epoch -> unit
-
   val dense_limit : int
   (** [2^16]: ids below it (and at or above 0) have counters of their
       own. *)
 
-  val create : ?epoch:epoch -> unit -> t
-  (** [epoch] (default: one that never advances) is folded into
-      {!global}: whenever it advances, every entry of every cache
-      sharing this [Gen.t] is stale, exactly as after {!bump_global}.
-      It is read on lookup, never subscribed to, so its owner keeps
-      no reference to this [Gen.t]. *)
+  val create : unit -> t
 
   val global : t -> int
-  (** The bumped global generation plus the epoch. *)
+  (** The global generation, which only {!bump_global} advances. *)
 
   val of_object : t -> int -> int
 
@@ -56,18 +44,10 @@ module Gen : sig
   (** Invalidate entries whose decisions derive from object [obj] (and,
       for an id outside [\[0, dense_limit)], from every such id). *)
 
-  val set_epoch : t -> epoch -> unit
-  (** Fold [epoch] into {!global} in place of the current one, rebased
-      so that {!global} reads what it reads now: every stamp fresh
-      before is fresh after, and no stale one revives.  From then on
-      only [epoch] advancing stales every entry. *)
-
-  val copy : ?epoch:epoch -> t -> t
+  val copy : t -> t
   (** Counters of its own that read exactly as [t]'s read now: every
       stamp fresh in [t] is fresh in the copy, and no stale one is.
-      [epoch] (default [t]'s) is the copy's external epoch (see
-      {!set_epoch}); later bumps of either side do not reach the
-      other. *)
+      Later bumps of either side do not reach the other. *)
 end
 
 type 'v t

@@ -482,8 +482,8 @@ let process_count t = Hashtbl.length t.procs
    configuration, the gate table, ACLs, labels, principals, audit
    records) are shared; everything the kernel writes in place is
    copied; the copy's caches record into the calling domain's
-   instruments, and its hierarchy folds in the calling domain's ACL
-   generation (see [Hierarchy.copy]).  A fault plan, a scheduler and
+   instruments, and its compiled verdicts read exactly as the
+   source's (see [Hierarchy.copy]).  A fault plan, a scheduler and
    I/O buffers are attached by drivers above a booted kernel and hold
    state this module cannot copy, so a kernel holding any of them is
    refused. *)

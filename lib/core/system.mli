@@ -45,9 +45,9 @@ val copy : t -> t
     shared; the hierarchy, the object store, the linker, the audit
     trail, the processes (KST, RNT, re-wired setfaults hook) and the
     plant are copied.  The copy records into
-    the calling domain's obs instruments, and its hierarchy folds in
-    the calling domain's ACL generation — so it behaves as a kernel
-    booted on the calling domain would.  Raises
+    the calling domain's obs instruments, and its compiled access
+    verdicts read exactly as [t]'s — so it behaves as a kernel booted
+    on the calling domain would.  Raises
     [Invalid_argument] if a fault plan, a scheduler or I/O buffers are
     attached.  The plant copy's clock and cycle sink start unset (see
     {!Multics_smp.Smp.copy}). *)

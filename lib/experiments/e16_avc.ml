@@ -82,10 +82,9 @@ let reader =
 
 let counter_of stats name = try List.assoc name stats with Not_found -> 0
 
-(* Build the two equivalent ACL variants once, before the measured
-   loop: [Acl] construction itself fires the global on-change backstop,
-   and an edit inside the loop should exercise the *per-object*
-   invalidation path, not the sledgehammer. *)
+(* The two equivalent ACL variants the loop's edits alternate between.
+   An ACL is an immutable value, so they are built once; each edit
+   replaces a branch's list and revokes only that object's verdicts. *)
 let acl_variants =
   let base = [ ("Jones.*.*", "rw"); ("Initializer.*.*", "rew") ] in
   ( Acl.of_strings base,

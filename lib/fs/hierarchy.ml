@@ -99,7 +99,6 @@ let note_change t uid =
   Avc.Gen.bump_object t.gens (Uid.to_int uid)
 
 let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
-let set_acl_epoch t epoch = Avc.Gen.set_epoch t.gens epoch
 let av_table t = t.avtab
 let subject_sid t subject = Av_table.subject_sid t.avtab subject
 let set_cache_probe t probe = Av_table.set_flush_probe t.avtab probe
@@ -132,14 +131,7 @@ let create () =
     }
   in
   Int_table.replace nodes (Uid.to_int Uid.root) root;
-  (* Backstop for the cache: the domain's ACL mutation generation is
-     folded into the global epoch, so any ACL construction anywhere in
-     the domain stales every compiled verdict, and even an edit that
-     somehow bypassed the per-object bumps below could not leave a
-     stale verdict alive.  Conservative (it may invalidate more than
-     necessary), never unsound.  Pulled, not subscribed: the ACL
-     module holds no reference to this hierarchy. *)
-  let gens = Avc.Gen.create ~epoch:(Acl.generation ()) () in
+  let gens = Avc.Gen.create () in
   {
     nodes;
     uids = Uid.generator ();
@@ -167,15 +159,14 @@ let copy_node n =
     pages_charged = n.pages_charged;
   }
 
-(* As [create] on this domain would: the copy's cache epoch folds in
-   the calling domain's ACL generation, rebased so that every compiled
-   cell reads fresh or stale exactly as in [t].  The node table is
-   refilled: what reads its iteration order (the quota check, the
-   eager AV rebuild) computes the same result in any order. *)
+(* Every compiled cell of the copy reads fresh or stale exactly as in
+   [t], on any domain.  The node table is refilled: what reads its
+   iteration order (the quota check, the eager AV rebuild) computes the
+   same result in any order. *)
 let copy t =
   let nodes = Int_table.create (Int_table.length t.nodes) in
   Int_table.iter (fun uid n -> Int_table.replace nodes uid (copy_node n)) t.nodes;
-  let gens = Avc.Gen.copy ~epoch:(Acl.generation ()) t.gens in
+  let gens = Avc.Gen.copy t.gens in
   {
     nodes;
     uids = Uid.copy_generator t.uids;
@@ -201,7 +192,6 @@ let label_of t uid = Option.map (fun n -> n.label) (node t uid)
 let acl_of t uid = Option.map (fun n -> n.acl) (node t uid)
 let brackets_of t uid = Option.map (fun n -> n.brackets) (node t uid)
 let gate_bound_of t uid = Option.map (fun n -> n.gate_bound) (node t uid)
-let name_of t uid = Option.map (fun n -> n.name) (node t uid)
 let page_count_of t uid = Option.map (fun n -> n.pages) (node t uid)
 
 (* ----- The access check used by every operation -----

@@ -39,18 +39,9 @@ val create : unit -> t
 val copy : t -> t
 (** An independent hierarchy holding the same branches, contents, uid
     generator and compiled access-vector cells, in which every cell is
-    fresh or stale exactly as in [t].  Its cache epoch is the calling
-    domain's ACL generation, as {!create} would take: an ACL built on
-    that domain stales the copy's cells, and edits on the source no
-    longer reach them.  The copy has no cache probe. *)
-
-val set_acl_epoch : t -> Multics_cache.Avc.Gen.epoch -> unit
-(** Fold [epoch] into the cache epoch in place of the ACL generation,
-    every cell reading fresh or stale as it does now (see
-    {!Multics_cache.Avc.Gen.set_epoch}).  With an epoch nothing
-    advances, ACLs built afterwards no longer stale the cells: the
-    model checker's memory image reads the same whenever it is
-    copied. *)
+    fresh or stale exactly as in [t], whichever domain makes the copy.
+    Later edits of either side do not reach the other.  The copy has
+    no cache probe. *)
 
 val words_per_page : int
 (** 64: the page size segment contents and quota are counted in. *)
@@ -72,7 +63,6 @@ val label_of : t -> Uid.t -> Label.t option
 val acl_of : t -> Uid.t -> Acl.t option
 val brackets_of : t -> Uid.t -> Brackets.t option
 val gate_bound_of : t -> Uid.t -> int option
-val name_of : t -> Uid.t -> string option
 val page_count_of : t -> Uid.t -> int option
 val path_of : t -> Uid.t -> string option
 val node_count : t -> int
@@ -171,7 +161,7 @@ val raw_set_label : t -> uid:Uid.t -> label:Label.t -> bool
     indexed by (subject SID, object uid), where a covered request
     Permits with no allocation or hashing and anything else recomputes
     the structured verdict.  Every ACL edit, label change, bracket
-    change, deletion or branch move above bumps the object's epoch
+    change, deletion or branch move above bumps the object's
     generation, so revocation is immediate (the "setfaults"
     discipline), never TTL-based.  [check_access_fresh] recomputes
     from scratch; the property tests hold the two equal at every

@@ -104,7 +104,6 @@ module Acl = Multics_access.Acl
 module Principal = Multics_access.Principal
 module Policy = Multics_access.Policy
 module Par = Multics_par.Par
-module Avc = Multics_cache.Avc
 module Prng = Multics_util.Prng
 
 (* ----- The action alphabet ----- *)
@@ -442,10 +441,9 @@ let apply_action t action =
    An exploration boots its plant once, into an image nothing replays,
    and replays each parent on a copy of it ([System.copy]: the kernel,
    its processes and the attached plant; a fresh [Sim], as every boot
-   gets).  The image's AV cells are detached from the booting domain's
-   ACL generation, so they read the same whatever ACLs that domain
-   builds afterwards; each copy folds in the domain it is made on,
-   exactly as a boot there would. *)
+   gets).  A copy's AV cells read exactly as the image's, on whichever
+   domain it is made: only an edit of the copy's own objects revokes
+   them. *)
 
 let copy_instance t =
   let system = System.copy t.system in
@@ -473,18 +471,9 @@ let copy_instance t =
     violations = t.violations;
   }
 
-(* Fold an epoch nothing advances into [t]'s cache epoch in place of
-   the domain's ACL generation, rebased ([Avc.Gen.set_epoch]): every
-   AV cell reads as it does now, whatever ACLs the domain builds
-   afterwards. *)
-let detach t = Hierarchy.set_acl_epoch (System.hierarchy t.system) (Avc.Gen.new_epoch ())
-
 type image = { image_bug : bool; booted : instance }
 
-let build_image ~bug =
-  let booted = boot ~bug () in
-  detach booted;
-  { image_bug = bug; booted }
+let build_image ~bug = { image_bug = bug; booted = boot ~bug () }
 
 let copy image = copy_instance image.booted
 
@@ -511,17 +500,13 @@ let run t trace =
    plant spawns a process or sets an [Smp] charge).  The parent's replay
    fires exactly its actions, one event each, and must leave the
    simulator quiescent: an event an action scheduled would still be
-   queued behind them.  The replayed parent is then detached from the
-   domain's ACL generation, as the image is, so that a sibling's ACL
-   edit on the same domain cannot stale the AV cells its later siblings
-   copy. *)
+   queued behind them. *)
 let extend image trace =
   let t = copy image in
   push t trace;
   List.iter (fun _ -> ignore (Sim.step t.sim)) trace;
   if not (Sim.quiescent t.sim) then
     failwith "Mc: an action scheduled a simulator event; a child cannot be derived from its parent";
-  detach t;
   { image_bug = image.image_bug; booted = t }
 
 (* ----- Canonicalization -----

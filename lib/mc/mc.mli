@@ -105,8 +105,7 @@ module Image : sig
 
   val extend : t -> action list -> t
   (** The image of the state the trace reaches: the trace replayed once
-      on a copy of the image, then detached from the domain's ACL
-      generation as {!build} detaches the boot.  A replay of [t'] on
+      on a copy of the image.  A replay of [t'] on
       [extend image t] derives the candidate [t @ t'] from its parent,
       as an exploration derives each candidate.  Fails if an action
       scheduled a simulator event of its own, which would make the

@@ -300,30 +300,47 @@ let check_both h ~subject ~uid ~requested =
 let policy_counts h =
   List.map (fun f -> (f, List.assoc f (Hierarchy.cache_stats h))) [ "hits"; "misses"; "invalidations" ]
 
-let test_acl_backstop () =
-  (* Any ACL built anywhere in the domain stales every compiled
-     verdict, even one on an object the edit never touched: the next
-     reference counts one invalidation and one miss and recompiles, the
-     one after hits again. *)
+let test_verdicts_answer_to_own_object () =
+  (* A compiled verdict is revoked by an edit of its own object and by
+     nothing else: building ACLs, editing a second hierarchy and
+     editing another object of the same one leave Alice's warmed read
+     of [s] a hit; replacing [s]'s own ACL refuses her with one
+     invalidation and one miss.  Counters are shared by cache name, so
+     each delta is taken around one reference alone. *)
   Obs.set_enabled true;
   let h = Hierarchy.create () in
-  let uid = make_segment h "s" in
-  ignore (check_both h ~subject:alice ~uid ~requested:Mode.r);
-  ignore (check_both h ~subject:alice ~uid ~requested:Mode.r);
-  let delta before after = List.map2 (fun (f, a) (_, b) -> (f, b - a)) before after in
-  let before = policy_counts h in
-  ignore (Acl.of_strings [ ("Bob.*.*", "r"); ("Carol.*.*", "rw") ]);
-  ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
-  let after_edit = policy_counts h in
-  Alcotest.(check (list (pair string int)))
-    "stale: one invalidation, one miss"
-    [ ("hits", 0); ("misses", 1); ("invalidations", 1) ]
-    (delta before after_edit);
-  ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
-  Alcotest.(check (list (pair string int)))
-    "recompiled: one hit"
-    [ ("hits", 1); ("misses", 0); ("invalidations", 0) ]
-    (delta after_edit (policy_counts h))
+  let s = make_segment h "s" and t = make_segment h "t" in
+  let other = Hierarchy.create () in
+  let u = make_segment other "u" in
+  let reference uid = check_both h ~subject:alice ~uid ~requested:Mode.r in
+  let counted what want uid =
+    let before = policy_counts h in
+    let verdict = reference uid in
+    Alcotest.(check (list (pair string int)))
+      what want
+      (List.map2 (fun (f, a) (_, b) -> (f, b - a)) before (policy_counts h));
+    verdict
+  in
+  ignore (reference s);
+  ignore (reference s);
+  ignore (reference t);
+  let built = Acl.of_strings [ ("Bob.*.*", "r"); ("Carol.*.*", "rw") ] in
+  let built = Acl.add_string built ~pattern:"Initializer.*.*" ~mode:"rew" in
+  let built = Acl.remove built ~pattern:(Principal.pattern_of_string "Carol.*.*") in
+  fs_ok "set_acl on another hierarchy"
+    (Hierarchy.set_acl other ~subject:operator ~uid:u ~acl:built);
+  fs_ok "set_acl on another object" (Hierarchy.set_acl h ~subject:operator ~uid:t ~acl:built);
+  Alcotest.(check (option verdict))
+    "still permitted" (Some Policy.Permit)
+    (counted "still fresh: one hit" [ ("hits", 1); ("misses", 0); ("invalidations", 0) ] s);
+  fs_ok "set_acl on s" (Hierarchy.set_acl h ~subject:operator ~uid:s ~acl:built);
+  match
+    counted "revoked: one invalidation, one miss"
+      [ ("hits", 0); ("misses", 1); ("invalidations", 1) ]
+      s
+  with
+  | Some (Policy.Refuse _) -> ()
+  | _ -> Alcotest.fail "an edit of s did not revoke Alice's cached read"
 
 (* Boot a hierarchy, warm its table, and keep only a weak pointer to
    its generation counters.  A separate, never-inlined function so no
@@ -336,8 +353,8 @@ let[@inline never] boot_and_drop weak =
 
 let test_dropped_kernel_collected () =
   (* Booting a kernel must leave nothing behind that keeps it alive:
-     the ACL backstop is pulled by the hierarchy, so no domain-wide
-     list holds its counters after it is dropped. *)
+     no domain-wide state holds its generation counters after it is
+     dropped. *)
   let weak = Weak.create 1 in
   boot_and_drop weak;
   Gc.full_major ();
@@ -663,31 +680,27 @@ let test_assoc_invalidations_allocate_nothing () =
   done;
   Alcotest.(check int) "reachable words unchanged" before (words ())
 
-let test_gen_copy_rebased () =
-  (* A copy onto another epoch reads exactly as its source did: a stamp
-     fresh in the source is fresh in the copy, a stale one stays stale
-     whatever either epoch does next, and bumps on one side never reach
+let test_gen_copy_reads_as_source () =
+  (* A copy reads exactly as its source did: its global and per-object
+     counters are the source's, and a bump on one side never reaches
      the other. *)
-  let epoch = Avc.Gen.new_epoch () in
-  let g = Avc.Gen.create ~epoch () in
+  let g = Avc.Gen.create () in
   Avc.Gen.bump_object g 5;
-  let stale = Avc.Gen.global g in
-  Avc.Gen.advance epoch;
-  let fresh = Avc.Gen.global g and obj = Avc.Gen.of_object g 5 in
-  let other = Avc.Gen.new_epoch () in
-  List.iter (fun _ -> Avc.Gen.advance other) [ 1; 2; 3 ];
-  let c = Avc.Gen.copy ~epoch:other g in
-  Alcotest.(check int) "global reads as the source's" fresh (Avc.Gen.global c);
+  Avc.Gen.bump_global g;
+  let global = Avc.Gen.global g and obj = Avc.Gen.of_object g 5 in
+  let c = Avc.Gen.copy g in
+  Alcotest.(check int) "global reads as the source's" global (Avc.Gen.global c);
   Alcotest.(check int) "object reads as the source's" obj (Avc.Gen.of_object c 5);
-  Avc.Gen.advance epoch;
-  Alcotest.(check int) "the source's epoch no longer reaches the copy" fresh (Avc.Gen.global c);
-  Avc.Gen.advance other;
-  Alcotest.(check bool) "the copy's epoch stales its fresh stamps" true (Avc.Gen.global c > fresh);
-  Alcotest.(check bool) "and never revives a stale one" true (Avc.Gen.global c <> stale);
+  Alcotest.(check int) "an unbumped id reads as the source's" 0 (Avc.Gen.of_object c 6);
   Avc.Gen.bump_object c 5;
-  Alcotest.(check int) "a bump on the copy stays there" obj (Avc.Gen.of_object g 5);
-  Avc.Gen.set_epoch g other;
-  Alcotest.(check int) "set_epoch keeps the reading" (fresh + 1) (Avc.Gen.global g)
+  Avc.Gen.bump_global c;
+  Alcotest.(check int) "a bump on the copy stays there (object)" obj (Avc.Gen.of_object g 5);
+  Alcotest.(check int) "a bump on the copy stays there (global)" global (Avc.Gen.global g);
+  Avc.Gen.bump_object g 6;
+  Avc.Gen.bump_global g;
+  Alcotest.(check int) "a bump on the source stays there (object)" 0 (Avc.Gen.of_object c 6);
+  Alcotest.(check int) "a bump on the source stays there (global)" (global + 1)
+    (Avc.Gen.global c)
 
 let suite =
   [
@@ -716,10 +729,11 @@ let suite =
       test_assoc_invalidations_allocate_nothing;
     Alcotest.test_case "gen: bookkeeping allocated on first write" `Quick
       test_gen_allocated_on_first_write;
-    Alcotest.test_case "acl backstop stales every compiled verdict" `Quick test_acl_backstop;
+    Alcotest.test_case "verdicts answer only to their own object's edits" `Quick
+      test_verdicts_answer_to_own_object;
     Alcotest.test_case "a dropped kernel is collected" `Quick test_dropped_kernel_collected;
-    Alcotest.test_case "gen: a copy onto another epoch reads as its source" `Quick
-      test_gen_copy_rebased;
+    Alcotest.test_case "gen: a copy reads as its source, bumps stay on their side" `Quick
+      test_gen_copy_reads_as_source;
     Alcotest.test_case "assoc: the change stamp moves exactly with the entries" `Quick
       test_assoc_stamp;
   ]
