@@ -49,10 +49,8 @@ let () =
     s.Page_control.fault_total s.Page_control.latency.Multics_util.Stats.mean
     s.Page_control.latency.Multics_util.Stats.p90 s.Page_control.cascaded_faults
     s.Page_control.deep_cascade_faults;
-  let counters = Page_control.counters pc in
   Printf.printf "evictions by kernel processes: core->bulk=%d bulk->disk=%d\n"
-    (Multics_util.Stats.Counters.get counters "core_to_bulk")
-    (Multics_util.Stats.Counters.get counters "bulk_to_disk");
+    s.Page_control.core_to_bulk s.Page_control.bulk_to_disk;
 
   print_endline "\nTrace excerpt (the dedicated processes at work):";
   let interesting line =

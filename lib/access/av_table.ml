@@ -11,15 +11,17 @@
    SELinux access-vector-table arrangement applied to the paper's
    kernel.
 
-   Revocation correctness is inherited, not re-proven: every cell is
-   stamped with the same {!Multics_cache.Avc.Gen} epoch counters that
-   governed the PR-3 verdict cache.  An ACL edit, label change,
-   bracket change, delete, rename or salvage bumps a counter exactly
-   as before, and a stamped cell whose counters moved reads as empty —
-   the table is "rebuilt incrementally" by lazy refill on the next
-   reference (an eager [rebuild] exists for measurement and for
-   warming).  A stale Permit therefore cannot outlive the authority
-   that granted it, by the same argument as before.
+   Revocation correctness rests on epochs: every cell is stamped with
+   the table's generation counters ([Gen]: one global, one per object)
+   current when it was compiled.  An ACL edit, label change, bracket
+   change, delete, rename or salvage bumps a counter through
+   [invalidate_object] or [invalidate_all], and a stamped cell whose
+   counters moved reads as empty — the table is "rebuilt
+   incrementally" by lazy refill on the next reference (an eager
+   [rebuild] exists for measurement and for warming).  A stale Permit
+   therefore cannot outlive the authority that granted it: the cell
+   dies in the same step as the edit that revoked it, and one bump
+   reaches every subject's cell for the object at once.
 
    The bit encoding is sound because permission is conjunctive per
    mode bit: [Policy.check] refuses iff some requested bit lacks its
@@ -35,7 +37,70 @@
 
 open Multics_machine
 module Obs = Multics_obs.Obs
-module Gen = Multics_cache.Avc.Gen
+
+module Gen = struct
+  (* [of_object] sits on the hit path of every lookup.  Object uids are
+     small non-negative ints, so each has a counter in one flat array,
+     grown by doubling to cover the highest id bumped so far and never
+     past [dense_limit].  A read past the array's end reads generation
+     0: that id was never bumped.  A table that is never invalidated
+     object by object allocates no array at all.  Every id outside [0,
+     dense_limit) shares the one [overflow] counter, so a bump of any of
+     them stales the cells of all of them: more than needed, never a
+     revoked cell brought back. *)
+  let dense_limit = 1 lsl 16
+
+  type t = { mutable global : int; mutable counts : int array; mutable overflow : int }
+
+  let create () = { global = 0; counts = [||]; overflow = 0 }
+  let global t = t.global
+  let is_dense obj = obj >= 0 && obj < dense_limit
+
+  let of_object t obj =
+    if is_dense obj then
+      if obj < Array.length t.counts then Array.unsafe_get t.counts obj else 0
+    else t.overflow
+
+  let bump_global t = t.global <- t.global + 1
+
+  let rec cover n obj = if n > obj then n else cover (2 * n) obj
+
+  let bump_object t obj =
+    if is_dense obj then begin
+      let len = Array.length t.counts in
+      if obj >= len then begin
+        let counts = Array.make (cover (max 8 len) obj) 0 in
+        Array.blit t.counts 0 counts 0 len;
+        t.counts <- counts
+      end;
+      t.counts.(obj) <- t.counts.(obj) + 1
+    end
+    else t.overflow <- t.overflow + 1
+
+  (* Same readings, private counters. *)
+  let copy t = { global = t.global; counts = Array.copy t.counts; overflow = t.overflow }
+end
+
+(* The obs counters behind a table name, resolved once per domain and
+   name. *)
+type instruments = {
+  hits : Obs.Counter.t;
+  misses : Obs.Counter.t;
+  invalidations : Obs.Counter.t;
+  insertions : Obs.Counter.t;
+  flushes : Obs.Counter.t;
+}
+
+let instruments =
+  Obs.Local.keyed (fun registry name ->
+      let counter field = Obs.Registry.counter registry ("cache." ^ name ^ "." ^ field) in
+      {
+        hits = counter "hits";
+        misses = counter "misses";
+        invalidations = counter "invalidations";
+        insertions = counter "insertions";
+        flushes = counter "flushes";
+      })
 
 (* ----- Access-vector bits ----- *)
 
@@ -93,19 +158,18 @@ type t = {
   mutable g_obj : int array;  (** per-cell object stamp *)
   mutable max_obj : int;  (** highest uid ever cached, bounds the size scan *)
   mutable flush_probe : (unit -> bool) option;
-  obs : Multics_cache.Avc.instruments;
+  obs : instruments;
 }
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(subjects = 2) ?(objects = 16) ?gens ~name () =
-  let gens = match gens with Some g -> g | None -> Gen.create () in
+let create ?(subjects = 2) ?(objects = 16) ~name () =
   let rows = max 1 subjects in
   let cols = pow2_at_least (max 16 objects) 1 in
   let cells = rows * cols in
   {
     name;
-    gens;
+    gens = Gen.create ();
     sids = Policy.Subject_sids.create ();
     rows;
     cols;
@@ -114,18 +178,17 @@ let create ?(subjects = 2) ?(objects = 16) ?gens ~name () =
     g_obj = Array.make cells 0;
     max_obj = -1;
     flush_probe = None;
-    obs = Multics_cache.Avc.instruments name;
+    obs = instruments name;
   }
 
-(* Cells, stamps and SIDs copied; stamped against [gens], which the
-   caller copies from this table's own (a table shares its generations
-   with whoever bumps them).  The probe fires its source's fault
-   injector, so the copy has none; the counters are the copying
+(* Cells, stamps, generations and SIDs copied, so every cell reads
+   fresh or stale exactly as in [t].  The probe fires its source's
+   fault injector, so the copy has none; the counters are the copying
    domain's. *)
-let copy ~gens t =
+let copy t =
   {
     name = t.name;
-    gens;
+    gens = Gen.copy t.gens;
     sids = Policy.Subject_sids.copy t.sids;
     rows = t.rows;
     cols = t.cols;
@@ -134,11 +197,12 @@ let copy ~gens t =
     g_obj = Array.copy t.g_obj;
     max_obj = t.max_obj;
     flush_probe = None;
-    obs = Multics_cache.Avc.instruments t.name;
+    obs = instruments t.name;
   }
 
 let name t = t.name
-let gens t = t.gens
+let invalidate_object t obj = Gen.bump_object t.gens obj
+let invalidate_all t = Gen.bump_global t.gens
 let subject_sid t subject = Policy.Subject_sids.sid_of t.sids subject
 let subject_count t = Policy.Subject_sids.count t.sids
 let set_flush_probe t probe = t.flush_probe <- probe

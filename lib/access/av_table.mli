@@ -3,12 +3,13 @@
     access-vector bits.  A hit is an array load — no allocation, no
     hashing, no structured comparison.
 
-    Revocation correctness is inherited from the
-    {!Multics_cache.Avc.Gen} epoch counters: every cell carries the
-    global and per-object stamps current when it was compiled, and any
-    ACL edit, label change, bracket change, delete, rename or salvage
-    bumps a counter, so a revoked cell reads as empty on the next
-    reference and is refilled lazily (or eagerly via {!rebuild}).
+    Revocation correctness rests on the table's own generation
+    counters ({!Gen}): every cell carries the global and per-object
+    stamps current when it was compiled, and any ACL edit, label
+    change, bracket change, delete, rename or salvage bumps a counter
+    ({!invalidate_object}, {!invalidate_all}), so a revoked cell reads
+    as empty on the next reference and is refilled lazily (or eagerly
+    via {!rebuild}).
 
     Soundness of the encoding: permission is conjunctive per mode bit,
     so six bits (r/e/w policy grants plus bracket-read/bracket-write)
@@ -40,28 +41,61 @@ val compute :
     equal to the structured path by the E19 oracle and the unit
     tests. *)
 
+(** {1 Generation counters}
+
+    Each table owns one global counter and one per object id.  Ids in
+    [\[0, dense_limit)] have a counter each, in one flat array grown
+    by doubling to the highest id bumped; every other id shares one
+    overflow counter, whose bump stales the cells of all of them — more
+    than needed, never a revoked cell brought back.  Exported for the
+    unit tests. *)
+module Gen : sig
+  type t
+
+  val dense_limit : int
+  (** [2^16]. *)
+
+  val create : unit -> t
+  val global : t -> int
+  val of_object : t -> int -> int
+  val bump_global : t -> unit
+  val bump_object : t -> int -> unit
+
+  val copy : t -> t
+  (** Counters of its own that read exactly as [t]'s read now; later
+      bumps of either side do not reach the other. *)
+end
+
 (** {1 The table} *)
 
 type t
 
-val create :
-  ?subjects:int -> ?objects:int -> ?gens:Multics_cache.Avc.Gen.t -> name:string -> unit -> t
+val create : ?subjects:int -> ?objects:int -> name:string -> unit -> t
 (** Preallocates [subjects] rows by [objects] columns (defaults 2 by
     16, so creating a table costs almost nothing), both grown
     geometrically on insertion; a lookup past the allocated capacity
-    is an ordinary counted miss.  Columns are capped at an internal
-    bound past which cells simply recompute.  Counters are registered under
-    ["cache.<name>.*"] with the same field names as {!Multics_cache.Avc},
-    so status surfaces need not care which mechanism serves them. *)
+    is an ordinary counted miss.  Columns are capped at
+    {!Gen.dense_limit}, past which cells simply recompute.  Counters
+    are registered under ["cache.<name>.hits"/"misses"/
+    "invalidations"/"insertions"/"flushes"], the field names of
+    {!Multics_machine.Hardware.Assoc}, so status surfaces need not care
+    which mechanism serves them. *)
 
-val copy : gens:Multics_cache.Avc.Gen.t -> t -> t
-(** The same cells, stamps and subject SIDs, stamped against [gens] —
-    normally a {!Multics_cache.Avc.Gen.copy} of [gens t], so every cell
-    reads fresh or stale exactly as in [t].  No flush probe; the copy
-    records into the calling domain's counters. *)
+val copy : t -> t
+(** The same cells, stamps, generations and subject SIDs, so every
+    cell reads fresh or stale exactly as in [t]; later changes to
+    either do not reach the other.  No flush probe; the copy records
+    into the calling domain's counters. *)
 
 val name : t -> string
-val gens : t -> Multics_cache.Avc.Gen.t
+
+val invalidate_object : t -> int -> unit
+(** Revoke every cell of object [obj] (and, for an id outside
+    [\[0, Gen.dense_limit)], of every such id): a bump of its
+    generation. *)
+
+val invalidate_all : t -> unit
+(** Revoke every cell: a bump of the global generation. *)
 
 val subject_sid : t -> Policy.subject -> Sid.t
 (** Intern (or recall, via the subject's memo stamp — two int
@@ -73,7 +107,7 @@ val find : t -> subj:Sid.t -> obj:int -> int
 (** The hot lookup: the cell's access vector, or [-1] for a miss
     (empty, stale, or out of range).  Returns an int, not an option,
     so a hit allocates nothing.  Stale cells are marked empty and
-    counted as an invalidation plus a miss, as in {!Multics_cache.Avc}. *)
+    counted as an invalidation plus a miss. *)
 
 val set : t -> subj:Sid.t -> obj:int -> int -> unit
 (** Fill a cell, stamped with the current generations. *)

@@ -600,11 +600,11 @@ let setfaults t ~uid =
     t.procs
 
 (* Invalidate every cached access decision in the system: the policy
-   verdict cache and every CPU's associative memory, flushed outright
-   (the KST hook already invalidates entry by entry on descriptor
-   changes; this is the big hammer).  The salvager runs this after
-   repairs — a repair is a revocation, and revocations must reach
-   caches immediately. *)
+   verdict cache and both of every CPU's associative memories, flushed
+   outright (the KST hook already invalidates entry by entry on
+   descriptor changes; this is the big hammer).  The salvager runs
+   this after repairs — a repair is a revocation, and revocations must
+   reach caches immediately. *)
 let invalidate_caches t =
   Hierarchy.invalidate_cached_verdicts t.hierarchy;
   Multics_smp.Smp.connect_flush_all t.plant

@@ -77,9 +77,9 @@ val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
 
 val invalidate_caches : t -> unit
 (** Invalidate every cached access decision: the policy verdict cache
-    plus every CPU's associative memory (and PTW front).  Run by the
-    salvager after repairs and by the [cache clear] operator
-    command. *)
+    plus both associative memories (SDW and PTW) of every CPU of the
+    kernel's plant.  Run by the salvager after repairs and by the
+    [cache clear] operator command. *)
 
 val faults : t -> Multics_fault.Fault.Injector.t option
 

@@ -65,7 +65,7 @@ module A1 = struct
     {
       policy = name;
       faults = s.Page_control.fault_total;
-      page_ins = Multics_util.Stats.Counters.get (Page_control.counters pc) "page_in";
+      page_ins = s.Page_control.page_ins;
       latency_mean = s.Page_control.latency.Multics_util.Stats.mean;
     }
 
@@ -193,8 +193,7 @@ module A3 = struct
       core_target;
       faults = s.Page_control.fault_total;
       latency_mean = s.Page_control.latency.Multics_util.Stats.mean;
-      freer_evictions =
-        Multics_util.Stats.Counters.get (Page_control.counters pc) "core_to_bulk";
+      freer_evictions = s.Page_control.core_to_bulk;
     }
 
   let measure () = List.map run_with_target [ 1; 2; 4; 6; 8 ]

@@ -89,12 +89,10 @@ let measure ?(processes = 4) ?(pages_per_process = 10) ?(sweeps = 3) () =
             run_storm ~core ~bulk ~discipline ~processes ~pages_per_process ~sweeps ()
           in
           let s = Page_control.summarize pc in
-          let counters = Page_control.counters pc in
           let freer_evictions =
             match discipline with
             | Page_control.Parallel_processes ->
-                Multics_util.Stats.Counters.get counters "core_to_bulk"
-                + Multics_util.Stats.Counters.get counters "bulk_to_disk"
+                s.Page_control.core_to_bulk + s.Page_control.bulk_to_disk
             | Page_control.Sequential -> 0
           in
           {

@@ -21,7 +21,6 @@ open Multics_access
 open Multics_machine
 module Int_table = Multics_util.Int_table
 
-module Avc = Multics_cache.Avc
 
 type kind = Segment | Directory
 
@@ -73,14 +72,12 @@ type t = {
   nodes : node Int_table.t;
   uids : Uid.generator;
   (* The compiled access-decision table: Policy + brackets flattened
-     into access-vector bits per (subject SID, object uid), stamped
-     with [gens].  Every access-relevant mutation below bumps the
-     object's generation, so revocation is immediate — the simulated
-     analogue of "setfaults" clearing the 6180's associative memory on
-     an attribute change.  Uids are the object-SID space directly: the
-     uid generator already mints small dense ints and never reuses
-     them. *)
-  gens : Avc.Gen.t;
+     into access-vector bits per (subject SID, object uid).  Every
+     access-relevant mutation below revokes the object's cells, so
+     revocation is immediate — the simulated analogue of "setfaults"
+     clearing the 6180's associative memory on an attribute change.
+     Uids are the object-SID space directly: the uid generator already
+     mints small dense ints and never reuses them. *)
   avtab : Av_table.t;
   (* The change stamp: [touch] moves it on every write to a branch or
      to a directory's entries, and nothing else does — compiling a
@@ -96,9 +93,9 @@ let touch t = t.stamp <- t.stamp + 1
    cached verdicts derived from the object, and is a write. *)
 let note_change t uid =
   touch t;
-  Avc.Gen.bump_object t.gens (Uid.to_int uid)
+  Av_table.invalidate_object t.avtab (Uid.to_int uid)
 
-let invalidate_cached_verdicts t = Avc.Gen.bump_global t.gens
+let invalidate_cached_verdicts t = Av_table.invalidate_all t.avtab
 let av_table t = t.avtab
 let subject_sid t subject = Av_table.subject_sid t.avtab subject
 let set_cache_probe t probe = Av_table.set_flush_probe t.avtab probe
@@ -131,12 +128,10 @@ let create () =
     }
   in
   Int_table.replace nodes (Uid.to_int Uid.root) root;
-  let gens = Avc.Gen.create () in
   {
     nodes;
     uids = Uid.generator ();
-    gens;
-    avtab = Av_table.create ~gens ~name:"policy" ();
+    avtab = Av_table.create ~name:"policy" ();
     stamp = 0;
   }
 
@@ -166,12 +161,10 @@ let copy_node n =
 let copy t =
   let nodes = Int_table.create (Int_table.length t.nodes) in
   Int_table.iter (fun uid n -> Int_table.replace nodes uid (copy_node n)) t.nodes;
-  let gens = Avc.Gen.copy t.gens in
   {
     nodes;
     uids = Uid.copy_generator t.uids;
-    gens;
-    avtab = Av_table.copy ~gens t.avtab;
+    avtab = Av_table.copy t.avtab;
     stamp = t.stamp;
   }
 

@@ -25,7 +25,7 @@ type t = {
   core_transfer : int;  (** page move core <-> bulk store *)
   disk_transfer : int;  (** page move bulk store <-> disk *)
   sdw_fetch : int;  (** descriptor fetch on an associative-memory miss *)
-  ptw_fetch : int;  (** page-table walk on a PTW lookaside miss *)
+  ptw_fetch : int;  (** page-table walk on a miss in a CPU's PTW memory *)
   connect_ipi : int;
       (** signal a connect (inter-processor interrupt) to one other CPU
           and wait for its associative-memory-cleared acknowledgement *)

@@ -18,7 +18,7 @@ type t = {
   disk_transfer : int;  (** cycles to move a page bulk store <-> disk *)
   sdw_fetch : int;
       (** descriptor fetch charged on an SDW associative-memory miss *)
-  ptw_fetch : int;  (** page-table walk charged on a PTW lookaside miss *)
+  ptw_fetch : int;  (** page-table walk charged on a miss in a CPU's PTW memory *)
   connect_ipi : int;
       (** signal a connect (inter-processor interrupt) to one other CPU
           and wait for its associative-memory-cleared acknowledgement *)

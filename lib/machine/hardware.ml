@@ -98,27 +98,29 @@ let check sdw ~ring ~operation =
 let allowed sdw ~ring ~operation =
   match check sdw ~ring ~operation with Granted _ -> true | Denied _ -> false
 
-(* The SDW associative memory — the 6180's 16-entry CAM that lets the
-   appending unit skip the descriptor-segment fetch on repeated
-   references.  Each CPU of the plant has one, keyed by a tag its
-   owner chooses.  Correctness leans entirely on invalidation:
-   Multics "setfaults" clears these entries whenever a segment's
-   attributes change, and the plant does the same through
-   {!invalidate}/{!flush}, so a cached SDW always equals the SDW the
-   descriptor segment currently holds.
+(* An associative memory: one of the 6180's per-CPU CAMs that let the
+   processor skip a table fetch on a repeated reference.  Each CPU of
+   the plant has two: a 16-entry memory of SDWs, which skips the
+   descriptor-segment fetch, and a 64-entry memory of PTWs, which skips
+   the page-table walk.  Both are keyed by an integer tag their owner
+   chooses.  Correctness leans entirely on invalidation: Multics
+   "setfaults" clears a CPU's entries whenever a segment's attributes
+   change, and an eviction clears the page's; the plant does the same
+   through {!invalidate}/{!flush}, so a cached entry always equals what
+   the table it caches currently holds.
 
-   The memory is direct-mapped: key [k] lives in slot [k land 15], and
-   an install displaces whatever the slot held.  [invalidate] clears
-   only the one slot that can hold its key.  It marks the entry revoked
-   rather than emptying the slot: the next lookup of that key drops it
-   and counts an invalidation and a miss, and until then it still
-   counts towards [size].  Entries are immutable, so a copy of the slot
-   array is a copy of the memory.  The change stamp moves whenever the
-   entries that would hit change: on every install and flush, and on an
-   invalidation that revokes an entry.  Dropping a revoked entry on
-   lookup changes nothing a hit can see. *)
+   The memory is direct-mapped: key [k] lives in slot [k land (slots -
+   1)], and an install displaces whatever the slot held.  [invalidate]
+   clears only the one slot that can hold its key.  It marks the entry
+   revoked rather than emptying the slot: the next lookup of that key
+   drops it and counts an invalidation and a miss, and until then it
+   still counts towards [size].  Entries are immutable, so a copy of
+   the slot array is a copy of the memory.  The change stamp moves
+   whenever the entries that would hit change: on every install and
+   flush, and on an invalidation that revokes an entry.  Dropping a
+   revoked entry on lookup changes nothing a hit can see. *)
 module Assoc = struct
-  type entry = { key : int; sdw : Sdw.t; revoked : bool }
+  type 'v entry = { key : int; value : 'v; revoked : bool }
 
   type instruments = {
     hits : Obs.Counter.t;
@@ -128,11 +130,17 @@ module Assoc = struct
     flushes : Obs.Counter.t;
   }
 
-  type t = { slots : entry option array; obs : instruments; mutable stamp : int }
+  type 'v t = {
+    name : string;
+    mask : int;
+    slots : 'v entry option array;
+    obs : instruments;
+    mutable stamp : int;
+  }
 
   let instruments =
-    Obs.Local.make (fun r ->
-        let counter field = Obs.Registry.counter r ("cache.hw.assoc." ^ field) in
+    Obs.Local.keyed (fun r name ->
+        let counter field = Obs.Registry.counter r ("cache." ^ name ^ "." ^ field) in
         {
           hits = counter "hits";
           misses = counter "misses";
@@ -141,18 +149,19 @@ module Assoc = struct
           flushes = counter "flushes";
         })
 
-  (* 16 entries, as on the 6180 appending unit. *)
-  let slot key = key land 15
-  let create () = { slots = Array.make 16 None; obs = instruments (); stamp = 0 }
+  let create ~slots ~name =
+    if slots < 1 || slots land (slots - 1) <> 0 then
+      invalid_arg (Printf.sprintf "Hardware.Assoc.create: %d slots is not a power of two" slots);
+    { name; mask = slots - 1; slots = Array.make slots None; obs = instruments name; stamp = 0 }
 
   (* The counters are the copying domain's. *)
-  let copy t = { slots = Array.copy t.slots; obs = instruments (); stamp = t.stamp }
+  let copy t = { t with slots = Array.copy t.slots; obs = instruments t.name }
 
   let stamp t = t.stamp
   let touch t = t.stamp <- t.stamp + 1
 
   let lookup t ~key =
-    let i = slot key in
+    let i = key land t.mask in
     match t.slots.(i) with
     | Some e when e.key = key ->
         if e.revoked then begin
@@ -163,19 +172,19 @@ module Assoc = struct
         end
         else begin
           Obs.Counter.incr t.obs.hits;
-          Some e.sdw
+          Some e.value
         end
     | Some _ | None ->
         Obs.Counter.incr t.obs.misses;
         None
 
-  let install t ~key sdw =
-    t.slots.(slot key) <- Some { key; sdw; revoked = false };
+  let install t ~key value =
+    t.slots.(key land t.mask) <- Some { key; value; revoked = false };
     touch t;
     Obs.Counter.incr t.obs.insertions
 
   let invalidate t ~key =
-    let i = slot key in
+    let i = key land t.mask in
     match t.slots.(i) with
     | Some e when e.key = key && not e.revoked ->
         t.slots.(i) <- Some { e with revoked = true };
@@ -183,7 +192,7 @@ module Assoc = struct
     | Some _ | None -> ()
 
   let flush t =
-    Array.fill t.slots 0 16 None;
+    Array.fill t.slots 0 (Array.length t.slots) None;
     touch t;
     Obs.Counter.incr t.obs.flushes
 
@@ -203,7 +212,7 @@ module Assoc = struct
   let entries t =
     Array.fold_left
       (fun acc -> function
-        | Some e when not e.revoked -> (e.key, e.sdw) :: acc
+        | Some e when not e.revoked -> (e.key, e.value) :: acc
         | Some _ | None -> acc)
       [] t.slots
 end

@@ -25,67 +25,74 @@ val check : Sdw.t -> ring:Ring.t -> operation:operation -> decision
 
 val allowed : Sdw.t -> ring:Ring.t -> operation:operation -> bool
 
-(** An SDW associative memory (the 6180's 16-entry CAM), one per CPU
-    of the plant ([Multics_smp.Smp]).  Entries are keyed by an
-    integer tag the owner chooses — the plant's is the composite
-    [(handle, segno)] key, so a process switch needs no flush.  The
-    memory is direct-mapped: key [k] lives in slot [k land 15], and an
-    install displaces the slot's resident entry.  Sound only under
-    immediate invalidation: every SDW change must reach
-    {!Assoc.invalidate} or {!Assoc.flush} — the plant wires this
-    through the KST's on-change hook so "setfaults" semantics are
-    preserved.  Obs counters live under ["cache.hw.assoc.*"]. *)
+(** An associative memory, as on the 6180: each CPU of the plant
+    ([Multics_smp.Smp]) has a 16-entry one of SDWs and a 64-entry one
+    of PTWs.  Entries are keyed by an integer tag the owner chooses —
+    the plant's SDW key is the composite [(handle, segno)] key, so a
+    process switch needs no flush, and its PTW key is a dense page SID.
+    The memory is direct-mapped: key [k] lives in slot
+    [k land (slots - 1)], and an install displaces the slot's resident
+    entry.  Sound only under immediate invalidation: every change to
+    what an entry caches must reach {!Assoc.invalidate} or
+    {!Assoc.flush} — the plant wires the SDW memories through the KST's
+    on-change hook so "setfaults" semantics are preserved, and page
+    control revokes an evicted page's PTW on every CPU.  Obs counters
+    live under ["cache.<name>.*"]. *)
 module Assoc : sig
-  type t
+  type 'v t
 
-  val create : unit -> t
-  (** 16 empty entries, as on the 6180. *)
+  val create : slots:int -> name:string -> 'v t
+  (** [slots] empty entries; raises [Invalid_argument] unless [slots]
+      is a power of two.  Counters are registered in
+      {!Multics_obs.Obs.Registry.global} under
+      ["cache.<name>.hits"/"misses"/"invalidations"/"insertions"/
+      "flushes"]; memories sharing a [name] share counters. *)
 
-  val copy : t -> t
+  val copy : 'v t -> 'v t
   (** The same entries, answering every lookup as [t] would now; later
       changes to either do not reach the other.  The copy records into
       the calling domain's counters. *)
 
-  val lookup : t -> key:int -> Sdw.t option
+  val lookup : 'v t -> key:int -> 'v option
   (** A hit counts one hit.  A revoked entry under [key] is dropped
       and counts one invalidation and one miss; anything else counts
       one miss. *)
 
-  val install : t -> key:int -> Sdw.t -> unit
-  (** Put [key]'s descriptor in its slot, displacing what was there. *)
+  val install : 'v t -> key:int -> 'v -> unit
+  (** Put [key]'s value in its slot, displacing what was there. *)
 
-  val invalidate : t -> key:int -> unit
+  val invalidate : 'v t -> key:int -> unit
   (** Revoke the entry in [key]'s slot if it holds [key]; otherwise do
       nothing.  Only the one slot is read, and nothing is allocated
       unless an entry is revoked. *)
 
-  val flush : t -> unit
+  val flush : 'v t -> unit
 
-  val stamp : t -> int
+  val stamp : 'v t -> int
   (** The change stamp: {!install} and {!flush} move it, and so does
       an {!invalidate} that revokes an entry.  Nothing else does, so
       while it stands still {!entries} answers as before; a lookup,
       hit or miss, and an {!invalidate} of a key the memory does not
-      hold leave it.  {!copy} keeps it, and the copy's stamp moves
-      independently of the source's. *)
+      hold leave it.  It only grows.  {!copy} keeps it, and the copy's
+      stamp moves independently of the source's. *)
 
-  val size : t -> int
+  val size : 'v t -> int
   (** Occupied slots, counting revoked entries not yet dropped. *)
 
-  val counters : t -> (string * int) list
-  (** The obs counter readings (["cache.hw.assoc.*"], shared by every
-      instance on a domain): hits, misses, invalidations, insertions,
-      flushes. *)
+  val counters : 'v t -> (string * int) list
+  (** The obs counter readings (["cache.<name>.*"], shared by every
+      memory of that name on a domain): hits, misses, invalidations,
+      insertions, flushes. *)
 
-  val entries : t -> (int * Sdw.t) list
-  (** The (key, SDW) pairs that would currently hit, highest slot
+  val entries : 'v t -> (int * 'v) list
+  (** The (key, value) pairs that would currently hit, highest slot
       first; read-only.  For invariant checks — the model checker
-      walks every CPU's memory looking for a cached grant that a fresh
-      descriptor recomputation would refuse. *)
+      walks every CPU's SDW memory looking for a cached grant that a
+      fresh descriptor recomputation would refuse. *)
 end
 
 val check_via_assoc :
-  Assoc.t ->
+  Sdw.t Assoc.t ->
   key:int ->
   fetch:(unit -> Sdw.t option) ->
   ring:Ring.t ->

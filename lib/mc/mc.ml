@@ -32,7 +32,7 @@
    - {b Canonicalization.}  After replay the instance is rendered to
      one canonical string: object attributes and contents, per-process
      KST/SDW state, every cache front that can hold a descriptor
-     (each CPU's CAM and PTW front),
+     (each CPU's SDW and PTW memories),
      queued connects, the crash journal (sans timestamps) and the
      MC-level taint sets.  Timing observables (clocks, lock free-at,
      obs counters, audit length) are deliberately excluded — mediation
@@ -683,9 +683,7 @@ let render_taints b t =
    - the objects: the hierarchy's stamp (a write to any branch or
      directory, [tmp]'s entry in Alice's home among them);
    - a process: its ring and its KST's stamp;
-   - a CPU: its fronts' stamp ([Smp.fronts_stamp]), its CAM's while
-     its PTW front is empty on both sides (only flushes reach that front
-     in this plant, so it stays empty);
+   - a CPU: the stamp of its two memories ([Smp.fronts_stamp]);
    - the taints: the four immutable lists themselves, which an action
      replaces only to add a taint.
    The pending connects and the journal, a few bytes each, have none
@@ -702,10 +700,7 @@ let same_proc who ~parent t =
   let p = proc_of parent who and q = proc_of t who in
   Ring.equal q.System.ring p.System.ring && Kst.stamp q.System.kst = Kst.stamp p.System.kst
 
-let same_cpu cpu ~parent t =
-  match Smp.fronts_stamp t.plant ~cpu with
-  | Some stamp -> Smp.fronts_stamp parent.plant ~cpu = Some stamp
-  | None -> false
+let same_cpu cpu ~parent t = Smp.fronts_stamp t.plant ~cpu = Smp.fronts_stamp parent.plant ~cpu
 
 let never ~parent:_ _ = false
 
@@ -774,7 +769,7 @@ let fingerprint canon = Digest.to_hex (Digest.string canon)
 (* P1: no front may hold a descriptor granting a mode a fresh
    recomputation refuses.  More-restrictive staleness is a freshness
    bug, not a security one; the predicate is exactly "no stale
-   Permit".  (PTW fronts carry no access bits — a stale PTW entry
+   Permit".  (PTW memories carry no access bits — a stale PTW entry
    skips a page-table walk, never a mediation — so each CPU's CAM, the
    one SDW-bearing front, is walked.)  Messages are formatted only
    when a violation is recorded: P1 walks every cached entry of every

@@ -36,7 +36,6 @@ type t = {
   cost : Multics_machine.Cost.t;
   pools : pool array;  (** indexed by Level.depth *)
   locations : Block.t Page_map.t;
-  counters : Multics_util.Stats.Counters.t;
 }
 
 let error_to_string = function
@@ -59,7 +58,6 @@ let create ~cost ~core ~bulk ~disk =
     cost;
     pools = [| make_pool Level.Core core; make_pool Level.Bulk bulk; make_pool Level.Disk disk |];
     locations = Page_map.create 1024;
-    counters = Multics_util.Stats.Counters.create ();
   }
 
 let pool t level = t.pools.(Level.depth level)
@@ -71,8 +69,6 @@ let free_count t level = (pool t level).free_count
 let location t page = Page_map.find_opt t.locations page
 
 let occupant t block = (pool t (Block.level block)).frames.(Block.index block).occupant
-
-let counters t = t.counters
 
 (* ----- Allocation ----- *)
 
@@ -102,7 +98,6 @@ let place t page ~level =
           frame.modified <- false;
           let block = Block.make ~level ~index in
           Page_map.replace t.locations page block;
-          Multics_util.Stats.Counters.incr t.counters ("place_" ^ Level.name level);
           Ok block)
 
 let evict_page t page =
@@ -150,10 +145,6 @@ let transfer t page ~dest =
             dest_frame.modified <- false;
             let dest_block = Block.make ~level:dest ~index in
             Page_map.replace t.locations page dest_block;
-            let counter =
-              Printf.sprintf "transfer_%s_to_%s" (Level.name src_level) (Level.name dest)
-            in
-            Multics_util.Stats.Counters.incr t.counters counter;
             Ok (dest_block, transfer_cost t ~from_level:src_level ~to_level:dest)
       end
 

@@ -53,9 +53,6 @@ val frame_usage : t -> Page_id.t -> (bool * bool) option
 val core_residents : t -> Page_id.t list
 val residents : t -> Level.t -> Page_id.t list
 
-val counters : t -> Multics_util.Stats.Counters.t
-(** Traffic counters: [place_*], [transfer_<src>_to_<dst>]. *)
-
 val check_conservation : t -> bool
 (** Structural invariant: every page at exactly one claimed frame, free
     lists consistent.  Used by tests and assertions. *)

@@ -104,7 +104,6 @@ type t = {
   mutable trace_enabled : bool;
   mutable faults : Multics_fault.Fault.Injector.t option;
   mutable scheduler : scheduler;
-  counters : Multics_util.Stats.Counters.t;
 }
 
 exception Process_crashed
@@ -152,7 +151,6 @@ let create ~cost ~virtual_processors =
     trace_enabled = false;
     faults = None;
     scheduler = fifo ();
-    counters = Multics_util.Stats.Counters.create ();
   }
 
 let set_faults t injector = t.faults <- injector
@@ -164,8 +162,6 @@ let set_scheduler t scheduler = t.scheduler <- scheduler
 let now t = Clock.now t.clock
 
 let cost_model t = t.cost
-
-let counters t = t.counters
 
 let set_trace t enabled = t.trace_enabled <- enabled
 
@@ -195,8 +191,6 @@ let proc t pid =
   | None -> invalid_arg (Printf.sprintf "Sim: unknown pid %d" pid)
 
 let name_of t pid = (proc t pid).pname
-let ring_of t pid = (proc t pid).ring
-let set_ring t pid ring = (proc t pid).ring <- ring
 let state_of t pid = (proc t pid).state
 let cycles_of t pid = (proc t pid).cycles_used
 let perturbations_of t pid = (proc t pid).perturbation_count
@@ -211,7 +205,6 @@ let processes t =
 let bind_to_vp t p vp =
   vp.current <- Some p.pid;
   p.state <- Running;
-  Multics_util.Stats.Counters.incr t.counters "dispatches";
   (* A fresh quantum per dispatch; dedicated kernel processes run
      unclocked. *)
   p.quantum_left <- (if p.dedicated_vp = None then t.scheduler.sched_quantum p.pid else None);
@@ -306,7 +299,6 @@ let spawn ?(ring = Ring.user) ?(dedicated = false) t ~name body =
     }
   in
   Hashtbl.replace t.procs pid p;
-  Multics_util.Stats.Counters.incr t.counters "spawns";
   tracef t "spawn %s (pid %d)%s" name pid (if dedicated then " [dedicated vp]" else "");
   make_ready t p;
   pid
@@ -318,13 +310,11 @@ let rec wakeup t chan =
   match Multics_util.Fqueue.pop chan.waiters with
   | Some (pid, rest) ->
       chan.waiters <- rest;
-      Multics_util.Stats.Counters.incr t.counters "wakeups_delivered";
       Obs.Counter.incr (obs_wakeups_delivered ());
       tracef t "wakeup %s -> %s" chan.chan_name (name_of t pid);
       make_ready t (proc t pid)
   | None ->
       chan.pending <- chan.pending + 1;
-      Multics_util.Stats.Counters.incr t.counters "wakeups_pending";
       Obs.Counter.incr (obs_wakeups_queued ());
       tracef t "wakeup %s (pending)" chan.chan_name
 
@@ -360,7 +350,6 @@ let terminate t p =
   p.state <- Terminated;
   p.cont <- None;
   p.compute_left <- 0;
-  Multics_util.Stats.Counters.incr t.counters "terminations";
   tracef t "exit %s" p.pname;
   if p.dedicated_vp = None then t.scheduler.sched_retired p.pid;
   broadcast t p.exit_chan;
@@ -372,7 +361,6 @@ let handler_for t p : (unit, unit) Effect.Deep.handler =
     exnc =
       (fun exn ->
         p.failure <- Some (Printexc.to_string exn);
-        Multics_util.Stats.Counters.incr t.counters "process_faults";
         tracef t "fault in %s: %s" p.pname (Printexc.to_string exn);
         terminate t p);
     effc =
@@ -442,7 +430,6 @@ let resume_process t p =
    and hand the process back to the traffic controller.  The
    continuation stays parked; only timing changes, never results. *)
 let preempt t p =
-  Multics_util.Stats.Counters.incr t.counters "preemptions";
   tracef t "preempt %s (%d cycles owed)" p.pname p.compute_left;
   p.state <- Ready;
   if p.dedicated_vp = None then t.scheduler.sched_enqueue p.pid;
@@ -456,7 +443,6 @@ let slice_done t p =
     | None -> ());
     let expired = match p.quantum_left with Some q -> q <= 0 | None -> false in
     if expired then begin
-      Multics_util.Stats.Counters.incr t.counters "quantum_expiries";
       if p.dedicated_vp = None then
         t.scheduler.sched_quantum_expired p.pid ~preempted:(p.compute_left > 0)
     end;

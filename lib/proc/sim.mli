@@ -82,7 +82,6 @@ val now : t -> int
 (** Simulated time in cycles. *)
 
 val cost_model : t -> Cost.t
-val counters : t -> Multics_util.Stats.Counters.t
 
 (** {1 Channels} *)
 
@@ -111,8 +110,6 @@ val block : chan -> unit
 (** Wait for a wakeup on the channel.  Only inside a process body. *)
 
 val name_of : t -> pid -> string
-val ring_of : t -> pid -> Ring.t
-val set_ring : t -> pid -> Ring.t -> unit
 
 type proc_state = Unborn | Ready | Running | Blocked of chan | Terminated
 

@@ -194,20 +194,24 @@ let run spec =
       | Error why -> invalid_arg ("Workload.run: " ^ why)
   in
   Sim.set_faults sim injector;
-  let pc = Page_control.create ?faults:injector sim ~mem ~discipline:Page_control.Parallel_processes in
-  Page_control.start pc;
-  (* The multiprocessor plant, when asked for.  At [cpus = 1] the
-     kernel keeps the one-CPU plant it boots on, and the scheduler
-     runs without one. *)
+  (* The multiprocessor plant, when asked for: page control's
+     references, the kernel's descriptors and the scheduler's dispatch
+     all run on it.  At [cpus = 1] page control and the kernel each
+     keep the one-CPU plant they start on, and the scheduler runs
+     without one. *)
   let plant =
     if spec.cpus <= 1 then None
     else begin
-      let p = Smp.create ~ncpus:spec.cpus ~ptw_gens:(Page_control.ptw_gens pc) ~cost:spec.cost () in
+      let p = Smp.create ~ncpus:spec.cpus ~cost:spec.cost () in
       Smp.set_now p (fun () -> Sim.now sim);
       Smp.set_faults p injector;
       Some p
     end
   in
+  let pc =
+    Page_control.create ?faults:injector ?plant sim ~mem ~discipline:Page_control.Parallel_processes
+  in
+  Page_control.start pc;
   let sched =
     Sched.create ~eligibility_cap:spec.cap ~policy:(make_policy spec.policy) ?plant sim
   in
@@ -221,20 +225,16 @@ let run spec =
         Smp.set_current pl (Smp.cpu_for pl ~key:pid);
         Smp.set_charge pl (fun cycles -> Sim.perturb sim pid cycles)
   in
-  (* A page touch also walks the home CPU's own PTW lookaside front: a
-     front miss costs this CPU the page-table walk even when page
-     control's shared lookaside is warm — each processor has its own. *)
+  (* Each reference runs on the home CPU and walks that CPU's own PTW
+     memory.  A reference that faults can block, and meanwhile other
+     processes move the plant's current CPU, so the home CPU is set
+     again before every reference. *)
   let touch_pages pid pages =
-    (match plant with
-    | None -> ()
-    | Some pl ->
+    Array.iter
+      (fun page ->
         on_cpu pid;
-        Array.iter
-          (fun page ->
-            if not (Smp.ptw_touch pl ~page:(Page_control.page_sid pc page)) then
-              Sim.compute spec.cost.Cost.ptw_fetch)
-          pages);
-    Array.iter (fun page -> ignore (Page_control.reference pc ~pid ~page)) pages
+        ignore (Page_control.reference pc ~pid ~page))
+      pages
   in
   (* Gate traffic runs against a booted kernel through a small pool of
      logged-in principals — the audit subject for session i is a pure

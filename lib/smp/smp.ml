@@ -11,16 +11,16 @@
    acknowledgement does the mutating call return.  A per-CPU stale SDW
    is precisely the revocation window a security kernel must not have.
 
-   This module gives each simulated CPU its own SDW associative memory
-   ([Hardware.Assoc], 16 slots that clear themselves) and PTW lookaside
-   front (an epoch-versioned [Avc] that shares page control's
-   generations), a shared global lock
-   with a deterministic cycle-accounted contention model, and the
-   connect protocol itself.  It is the one place a descriptor is
-   cached: every kernel has a plant, and a uniprocessor is a plant of
-   one CPU.  Each CPU's associative memory is tagged by
-   (process handle, segment number), so a process switch needs no
-   flush.  Three invariants carry the whole design:
+   This module gives each simulated CPU two associative memories of
+   its own ([Hardware.Assoc], which clear their own slots), 16 slots of
+   SDWs and 64 of PTWs, plus a shared global lock with a deterministic
+   cycle-accounted contention model, and the connect protocol itself.
+   It is the one place a descriptor or a page-table word is cached:
+   every kernel and every page control has a plant, and a uniprocessor
+   is a plant of one CPU.  Each CPU's SDW memory is tagged by (process
+   handle, segment number), so a process switch needs no flush; its
+   PTW memory by dense page SID.  Three invariants carry the whole
+   design:
 
    - {b Coherence is synchronous.}  [connect_invalidate] /
      [connect_flush_all] do not return until every CPU's memories have
@@ -45,9 +45,9 @@
      exactly this. *)
 
 module Obs = Multics_obs.Obs
-module Avc = Multics_cache.Avc
 module Cost = Multics_machine.Cost
 module Hardware = Multics_machine.Hardware
+module Sdw = Multics_machine.Sdw
 module Fault = Multics_fault.Fault
 module Sid = Multics_access.Sid
 
@@ -116,15 +116,15 @@ end
 
 type cpu = {
   id : int;
-  cam : Hardware.Assoc.t;
+  cam : Sdw.t Hardware.Assoc.t;
       (** this CPU's SDW associative memory; keyed by the composite
           [(handle lsl segno_bits) lor segno] so entries from different
           processes' descriptor segments can never be confused *)
-  ptw : unit Avc.t;
-      (** this CPU's PTW lookaside front, keyed by dense page SID
-          (see {!Multics_vm.Page_control.page_sid}); shares its
-          generations with page control's [vm.ptw] cache so an
-          eviction stales every CPU's front in the same step *)
+  ptw : unit Hardware.Assoc.t;
+      (** this CPU's PTW associative memory, keyed by dense page SID:
+          an entry vouches that this CPU walked the page's table while
+          the page was in core, and an eviction revokes it on every
+          CPU *)
   mutable connects_received : int;
 }
 
@@ -173,14 +173,14 @@ let obs_connect_retries = Obs.Local.counter "smp.connects.retries"
 let obs_connect_rescues = Obs.Local.counter "smp.connects.rescues"
 let obs_connect_cycles = Obs.Local.histogram "smp.connect.cycles"
 
-let create ~ncpus ?ptw_gens ~cost () =
+let create ~ncpus ~cost () =
   if ncpus < 1 || ncpus > max_cpus then
     invalid_arg (Printf.sprintf "Smp.create: ncpus must be in 1..%d" max_cpus);
   let make_cpu id =
     {
       id;
-      cam = Hardware.Assoc.create ();
-      ptw = Avc.create ~capacity:64 ?gens:ptw_gens ~name:"smp.ptw" ();
+      cam = Hardware.Assoc.create ~slots:16 ~name:"hw.assoc";
+      ptw = Hardware.Assoc.create ~slots:64 ~name:"vm.ptw";
       connects_received = 0;
     }
   in
@@ -202,21 +202,12 @@ let create ~ncpus ?ptw_gens ~cost () =
     connect_cycles = obs_connect_cycles ();
   }
 
-(* Fronts whose PTW generations the source shared (page control's)
-   share one copy of them.  The clock and the cycle sink are the
-   driver's: the copy starts with [create]'s, for its owner to set. *)
+(* The clock and the cycle sink are the driver's: the copy starts with
+   [create]'s, for its owner to set. *)
 let copy t =
   if Option.is_some t.faults then invalid_arg "Smp.copy: a fault plan is attached";
-  let ptw_gens = Avc.gens t.cpus.(0).ptw in
-  let shared = Avc.Gen.copy ptw_gens in
   let copy_cpu c =
-    let gens = if Avc.gens c.ptw == ptw_gens then shared else Avc.Gen.copy (Avc.gens c.ptw) in
-    {
-      id = c.id;
-      cam = Hardware.Assoc.copy c.cam;
-      ptw = Avc.copy ~gens c.ptw;
-      connects_received = c.connects_received;
-    }
+    { c with cam = Hardware.Assoc.copy c.cam; ptw = Hardware.Assoc.copy c.ptw }
   in
   {
     ncpus = t.ncpus;
@@ -300,12 +291,12 @@ let lost_connect_fires t =
   | Some inj -> Fault.Injector.fire inj Fault.Smp_lost_connect
 
 (* What a CPU's connect-fault handler does: revoke one CAM entry, or
-   flush the CAM and the PTW front outright. *)
+   flush both its memories outright. *)
 let clear c = function
   | Inval key -> Hardware.Assoc.invalidate c.cam ~key
   | Flush ->
       Hardware.Assoc.flush c.cam;
-      Avc.flush c.ptw
+      Hardware.Assoc.flush c.ptw
 
 (* A remote CPU taking a connect: the clear, acknowledged. *)
 let receive c connect =
@@ -381,8 +372,8 @@ let broadcast t connect =
 let connect_invalidate t ~handle ~segno =
   if cacheable segno then broadcast t (Inval (cam_key ~handle ~segno))
 
-(* Whole-system revocation (salvage, cache clear): flush every CPU's
-   CAM and PTW front outright. *)
+(* Whole-system revocation (salvage, cache clear): flush both of every
+   CPU's memories outright. *)
 let connect_flush_all t = broadcast t Flush
 
 (* ----- The deferred-connect bug mode -----
@@ -417,12 +408,13 @@ let pending_connects t = List.rev_map (fun (cpu, connect) -> (cpu, connect_tag c
 
 let cam_entries t ~cpu = Hardware.Assoc.entries t.cpus.(cpu).cam
 
-(* A PTW entry can go stale with no call on the front (page control
-   shares its generations), so only an empty front is vouched for. *)
+(* Both stamps only grow, so their sum stands still exactly while
+   both do. *)
 let fronts_stamp t ~cpu =
   let c = t.cpus.(cpu) in
-  if Avc.size c.ptw = 0 then Some (Hardware.Assoc.stamp c.cam) else None
-let ptw_keys t ~cpu = List.map fst (Avc.entries t.cpus.(cpu).ptw)
+  Hardware.Assoc.stamp c.cam + Hardware.Assoc.stamp c.ptw
+
+let ptw_keys t ~cpu = List.map fst (Hardware.Assoc.entries t.cpus.(cpu).ptw)
 let split_cam_key key = (key lsr segno_bits, key land ((1 lsl segno_bits) - 1))
 
 (* ----- The per-CPU mediation fronts ----- *)
@@ -441,20 +433,21 @@ let check_sdw t ~handle ~segno ~fetch ~ring ~operation =
       ~operation
   else Option.map (fun sdw -> Hardware.check sdw ~ring ~operation) (fetch ())
 
-(* Touch the current CPU's PTW front for a page SID; returns whether
-   it hit.  A miss models this CPU walking the page table even though
-   another CPU walked it recently — each processor has its own
-   lookaside.  Shared generations keep the front honest: page
-   control's eviction bump (on the same SID space) stales every CPU's
-   entry at once. *)
-let ptw_touch t ~page =
+(* A CPU's PTW memory in front of the page table.  Each processor has
+   its own: a page CPU 0 walked is still a walk on CPU 1.  The caller
+   (page control) names the CPU, so a reference that blocks in a fault
+   installs on the CPU where it began, wherever [current] has moved
+   meanwhile. *)
+let ptw_lookup t ~cpu ~page =
+  Option.is_some (Hardware.Assoc.lookup t.cpus.(cpu).ptw ~key:(Sid.to_int page))
+
+let ptw_install t ~cpu ~page = Hardware.Assoc.install t.cpus.(cpu).ptw ~key:(Sid.to_int page) ()
+
+(* The page left core: its PTW dies on every CPU in the same step.  No
+   connect is sent and no cycle is charged. *)
+let ptw_invalidate t ~page =
   let key = Sid.to_int page in
-  let c = t.cpus.(t.current) in
-  match Avc.find c.ptw key with
-  | Some () -> true
-  | None ->
-      Avc.add c.ptw key ();
-      false
+  Array.iter (fun c -> Hardware.Assoc.invalidate c.ptw ~key) t.cpus
 
 (* ----- Dispatcher lock -----
 
@@ -475,7 +468,7 @@ let cpu_status t i =
   let c = t.cpus.(i) in
   [
     ("cam_size", Hardware.Assoc.size c.cam);
-    ("ptw_size", Avc.size c.ptw);
+    ("ptw_size", Hardware.Assoc.size c.ptw);
     ("connects_received", c.connects_received);
   ]
 

@@ -1,10 +1,12 @@
 (** The multiprocessor plant: N simulated CPUs, each with its own SDW
-    associative memory and PTW lookaside front, a shared global lock
-    with a deterministic cycle-accounted contention model, and the
-    connect (inter-processor interrupt) protocol that keeps every
-    CPU's cached descriptors coherent with the live ones.  Every
-    kernel has one ([System.plant]); a uniprocessor is a plant of one
-    CPU, so this is the one place a descriptor is cached.
+    and PTW associative memories, a shared global lock with a
+    deterministic cycle-accounted contention model, and the connect
+    (inter-processor interrupt) protocol that keeps every CPU's cached
+    descriptors coherent with the live ones.  Every kernel has one
+    ([System.plant]) and so does every page control
+    ([Multics_vm.Page_control]); a uniprocessor is a plant of one CPU,
+    so this is the one place a descriptor or a page-table word is
+    cached.
 
     The design contract, matching the paper's multiprocessor 6180:
 
@@ -78,23 +80,20 @@ val max_retries : int
 
 type t
 
-val create : ncpus:int -> ?ptw_gens:Multics_cache.Avc.Gen.t -> cost:Cost.t -> unit -> t
+val create : ncpus:int -> cost:Cost.t -> unit -> t
 (** Raises [Invalid_argument] unless [ncpus] is in 1..{!max_cpus}.
-    [ptw_gens] shares the per-CPU PTW fronts' generations with page
-    control's [vm.ptw] cache, so an eviction there stales every CPU's
-    front in the same step.  Obs instruments: ["smp.connects.sent"/
-    ".lost"/".retries"/".rescues"], the ["smp.connect.cycles"]
-    histogram, ["smp.lock.*"] and the ["cache.hw.assoc.*"]/
-    ["cache.smp.ptw.*"] families. *)
+    Each CPU gets a 16-slot SDW memory and a 64-slot PTW memory.  Obs
+    instruments: ["smp.connects.sent"/".lost"/".retries"/".rescues"],
+    the ["smp.connect.cycles"] histogram, ["smp.lock.*"] and the
+    ["cache.hw.assoc.*"] (SDW) and ["cache.vm.ptw.*"] (PTW) families. *)
 
 val copy : t -> t
-(** A plant in the same state — every CPU's CAM and PTW front, connect
+(** A plant in the same state — both of every CPU's memories, connect
     counts, current CPU, lock, deferred mode and queued connects — that
     evolves independently of [t] and records into the calling domain's
-    instruments.  Fronts that shared PTW generations share one copy of
-    them (page control's own cache is not copied).  Its clock and cycle
-    sink start as {!create} leaves them, for the owner to set; raises
-    [Invalid_argument] if [t] has a fault plan. *)
+    instruments.  Its clock and cycle sink start as {!create} leaves
+    them, for the owner to set; raises [Invalid_argument] if [t] has a
+    fault plan. *)
 
 val ncpus : t -> int
 val cost : t -> Cost.t
@@ -131,8 +130,8 @@ val connect_invalidate : t -> handle:int -> segno:int -> unit
     {!check_sdw}), so it sends nothing. *)
 
 val connect_flush_all : t -> unit
-(** Whole-system revocation (salvage, cache clear): flush every CPU's
-    CAM and PTW front. *)
+(** Whole-system revocation (salvage, cache clear): flush both of every
+    CPU's memories. *)
 
 (** {1 The deferred-connect bug mode}
 
@@ -168,16 +167,13 @@ val cam_entries : t -> cpu:int -> (int * Sdw.t) list
     composite [(handle, segno)] key — decompose with
     {!split_cam_key}. *)
 
-val fronts_stamp : t -> cpu:int -> int option
-(** A change stamp of that CPU's fronts: its associative memory's
-    ({!Hardware.Assoc.stamp}) while its PTW front holds no entry,
-    [None] while it holds one.  While it stands still at [Some _],
-    {!cam_entries} and {!ptw_keys} answer as before.  A PTW entry can
-    go stale without any call on the front (it shares page control's
-    generations), so a non-empty front has no stamp. *)
+val fronts_stamp : t -> cpu:int -> int
+(** A change stamp of that CPU's two memories, built from their
+    {!Hardware.Assoc.stamp}s.  While it stands still, {!cam_entries}
+    and {!ptw_keys} answer as before; {!copy} keeps it. *)
 
 val ptw_keys : t -> cpu:int -> int list
-(** Fresh page-SID keys of that CPU's PTW lookaside front. *)
+(** Fresh page-SID keys of that CPU's PTW memory. *)
 
 val split_cam_key : int -> int * int
 (** [(handle, segno)] from a composite CAM key; the inverse of the
@@ -202,10 +198,22 @@ val check_sdw :
     fetched and checked on every reference, never installed, so no two
     segment numbers share an entry. *)
 
-val ptw_touch : t -> page:Multics_access.Sid.t -> bool
-(** Touch the current CPU's PTW front for a dense page SID (from
-    {!Multics_vm.Page_control.page_sid}); [false] (miss) means this
-    CPU must walk the page table — callers charge [Cost.ptw_fetch]. *)
+(** {1 Per-CPU PTW memories}
+
+    Keyed by a dense page SID (page control interns one per page).
+    An entry vouches that the page is in core, so a hit skips the
+    page-table walk ([Cost.ptw_fetch]). *)
+
+val ptw_lookup : t -> cpu:int -> page:Multics_access.Sid.t -> bool
+(** Whether [cpu]'s PTW memory holds the page; counts a hit or a miss
+    under ["cache.vm.ptw.*"]. *)
+
+val ptw_install : t -> cpu:int -> page:Multics_access.Sid.t -> unit
+(** Record that [cpu] walked the page's table. *)
+
+val ptw_invalidate : t -> page:Multics_access.Sid.t -> unit
+(** The page left core: revoke its entry on every CPU, in this step.
+    Sends no connect and charges no cycles. *)
 
 (** {1 Dispatcher lock} *)
 

@@ -56,22 +56,3 @@ let summarize_ints samples = summarize (List.map float_of_int samples)
 let mean samples = (summarize samples).mean
 
 let ratio ~num ~den = if den = 0.0 then Float.nan else num /. den
-
-(* A counter bag: named integer counters, used for event accounting in
-   the simulators. *)
-module Counters = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t name (ref by)
-
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let to_alist t =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

@@ -22,15 +22,3 @@ val mean : float list -> float
 
 val ratio : num:float -> den:float -> float
 (** [num /. den], [nan] when [den = 0.]. *)
-
-(** Named integer counters for event accounting. *)
-module Counters : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-
-  val to_alist : t -> (string * int) list
-  (** Sorted by counter name. *)
-end

@@ -20,18 +20,21 @@
    Victim selection is a second-chance clock over the used bits — the
    mechanism half of page removal.  The policy half can be overridden
    (experiment E9 injects malicious policies through the kernel's
-   policy/mechanism gate layer). *)
+   policy/mechanism gate layer).
+
+   A reference runs on a CPU of a plant ([Multics_smp.Smp]; a fresh
+   one-CPU plant unless the caller supplies one), and that CPU's PTW
+   associative memory is the one place a page-table word is cached. *)
 
 open Multics_mm
 open Multics_proc
 module Obs = Multics_obs.Obs
-module Avc = Multics_cache.Avc
 module Sid = Multics_access.Sid
+module Smp = Multics_smp.Smp
 
-(* Observability: page control's live counters mirror the per-instance
-   [counters] bag but land in the global registry, where the shell's
-   [stats] command and the experiment [--stats] snapshots can see them
-   next to the gate and IPC numbers. *)
+(* Observability: page control's counters land in the global registry,
+   where the shell's [stats] command and the experiment [--stats]
+   snapshots can see them next to the gate and IPC numbers. *)
 let obs_faults = Obs.Local.counter "vm.faults"
 let obs_zero_fills = Obs.Local.counter "vm.zero_fills"
 let obs_page_ins = Obs.Local.counter "vm.page_ins"
@@ -75,28 +78,24 @@ type t = {
   mutable core_freer_pid : Sim.pid option;
   mutable bulk_freer_pid : Sim.pid option;
   mutable fault_inj : Multics_fault.Fault.Injector.t option;
-  counters : Multics_util.Stats.Counters.t;
-  (* The PTW lookaside: pages known core-resident, so a repeat
-     reference skips the page-table walk ([Cost.ptw_fetch]).  Sound
-     because the only paths that move a page out of core — the eviction
-     pushes below — invalidate the victim's entry in the same step.
-
-     Keyed by dense page SIDs, not hashed page ids: a page id is
-     interned once (on its first reference) and the cache then works
-     on small ints with an identity hash.  Dense SIDs also give each
-     page a generation counter of its own in [Gen]'s array, where a
-     hashed id would share [Gen]'s one overflow counter with every
-     other. *)
+  mutable page_ins : int;
+  mutable core_to_bulk : int;
+  mutable bulk_to_disk : int;
+  (* The CPUs references run on.  Each CPU's PTW memory holds pages it
+     knows core-resident, so a repeat reference skips the page-table
+     walk ([Cost.ptw_fetch]).  Sound because the only paths that move a
+     page out of core — the eviction pushes below — revoke the victim's
+     entry on every CPU in the same step. *)
+  plant : Smp.t;
+  (* The memories are keyed by dense page SIDs, not hashed page ids: a
+     page id is interned once (on its first reference), and its SID
+     picks its slot. *)
   page_sids : Page_id.t Sid.Map.t;
-  ptw : unit Avc.t;
 }
 
 (* The page's dense SID — interned on first sight, stable for the
-   instance's lifetime (SIDs are never reused, so an evicted page's
-   generation history stays its own). *)
+   instance's lifetime (SIDs are never reused). *)
 let page_sid t page = Sid.Map.intern t.page_sids page
-
-let ptw_key t page = Sid.to_int (page_sid t page)
 
 (* Injected storage faults follow one fail-secure rule: a fault costs a
    wasted device attempt (charged to whoever runs the step) and is then
@@ -152,7 +151,10 @@ let bulk_target = 2
 (* Cycles to clear a fresh page on its first fault. *)
 let zero_fill_cycles = 300
 
-let create ?(core_target = 2) ?faults sim ~mem ~discipline =
+let create ?(core_target = 2) ?faults ?plant sim ~mem ~discipline =
+  let plant =
+    match plant with Some p -> p | None -> Smp.create ~ncpus:1 ~cost:(Sim.cost_model sim) ()
+  in
   let t =
     {
       sim;
@@ -169,9 +171,11 @@ let create ?(core_target = 2) ?faults sim ~mem ~discipline =
       core_freer_pid = None;
       bulk_freer_pid = None;
       fault_inj = faults;
-      counters = Multics_util.Stats.Counters.create ();
+      page_ins = 0;
+      core_to_bulk = 0;
+      bulk_to_disk = 0;
+      plant;
       page_sids = Sid.Map.create ~hash:Page_id.hash ~equal:Page_id.equal ();
-      ptw = Avc.create ~capacity:64 ~name:"vm.ptw" ();
     }
   in
   t.victim_policy <- default_policy t;
@@ -180,8 +184,6 @@ let create ?(core_target = 2) ?faults sim ~mem ~discipline =
 let set_victim_policy t policy = t.victim_policy <- policy
 
 let set_faults t faults = t.fault_inj <- faults
-
-let counters t = t.counters
 
 let memory t = t.mem
 
@@ -211,7 +213,7 @@ let push_bulk_page_to_disk t =
   | Some victim -> (
       match Memory.transfer t.mem victim ~dest:Level.Disk with
       | Ok (_, cost) ->
-          Multics_util.Stats.Counters.incr t.counters "bulk_to_disk";
+          t.bulk_to_disk <- t.bulk_to_disk + 1;
           Obs.Counter.incr (obs_bulk_to_disk ());
           (* Write parity error on the disk copy: the page is written
              again; the first (bad) attempt is pure wasted cost. *)
@@ -235,10 +237,10 @@ let push_core_page_to_bulk t =
   | Some victim -> (
       match Memory.transfer t.mem victim ~dest:Level.Bulk with
       | Ok (_, cost) ->
-          (* The victim leaves core: its lookaside entry dies now, not
-             when someone notices — same discipline as the AVC. *)
-          Avc.invalidate_object t.ptw (ptw_key t victim);
-          Multics_util.Stats.Counters.incr t.counters "core_to_bulk";
+          (* The victim leaves core: its PTW dies on every CPU now, not
+             when someone notices. *)
+          Smp.ptw_invalidate t.plant ~page:(page_sid t victim);
+          t.core_to_bulk <- t.core_to_bulk + 1;
           Obs.Counter.incr (obs_core_to_bulk ());
           (* Eviction failure: the bulk-store write is lost and redone
              once, unconditionally — retries never re-consult the plan. *)
@@ -262,7 +264,6 @@ let page_in t page =
       match Memory.place t.mem page ~level:Level.Core with
       | Ok _ ->
           Sim.compute zero_fill_cycles;
-          Multics_util.Stats.Counters.incr t.counters "zero_fill";
           Obs.Counter.incr (obs_zero_fills ());
           true
       | Error _ -> false)
@@ -277,7 +278,7 @@ let page_in t page =
             Sim.compute cost
           end;
           Sim.compute cost;
-          Multics_util.Stats.Counters.incr t.counters "page_in";
+          t.page_ins <- t.page_ins + 1;
           Obs.Counter.incr (obs_page_ins ());
           true
       | Error _ -> false)
@@ -350,7 +351,6 @@ let bulk_freer_pid t = t.bulk_freer_pid
 
 let record_fault t record =
   t.faults <- record :: t.faults;
-  Multics_util.Stats.Counters.incr t.counters "faults";
   if Obs.enabled () then begin
     Obs.Counter.incr (obs_faults ());
     Obs.Histogram.observe (obs_fault_latency ()) record.latency;
@@ -359,28 +359,32 @@ let record_fault t record =
 
 (* Reference a page from a running process.  Returns the number of
    page-control steps the faulting process itself executed (0 when the
-   page was already in core). *)
+   page was already in core).  The reference runs on the plant's
+   current CPU, read once here: a fault can block, and while it does
+   another process's dispatch moves [current], but the walk and the
+   PTW it installs belong to the CPU where the reference began. *)
 let reference ?(write = false) t ~pid ~page =
   let cost = Sim.cost_model t.sim in
+  let cpu = Smp.current t.plant in
   let resident_in_core () =
     match Memory.location t.mem page with
     | Some block -> Level.equal (Block.level block) Level.Core
     | None -> false
   in
-  let sid = ptw_key t page in
-  if Avc.find t.ptw sid <> None then begin
-    (* PTW hit: the lookaside vouches for core residency, so the
+  let sid = page_sid t page in
+  if Smp.ptw_lookup t.plant ~cpu ~page:sid then begin
+    (* PTW hit: this CPU's memory vouches for core residency, so the
        reference costs only the access itself — no page-table walk. *)
     Sim.compute cost.Multics_machine.Cost.memory_reference;
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     0
   end
   else if resident_in_core () then begin
-    (* Resident, but not in the lookaside: walk the page table and
+    (* Resident, but not in this CPU's memory: walk the page table and
        install the PTW, as the 6180 does on an associative miss. *)
     Sim.compute
       (cost.Multics_machine.Cost.memory_reference + cost.Multics_machine.Cost.ptw_fetch);
-    Avc.add t.ptw sid ();
+    Smp.ptw_install t.plant ~cpu ~page:sid;
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     0
   end
@@ -413,7 +417,7 @@ let reference ?(write = false) t ~pid ~page =
       else settle () (* lost the free frame to a racing faulter *)
     in
     settle ();
-    Avc.add t.ptw sid ();
+    Smp.ptw_install t.plant ~cpu ~page:sid;
     if write then Memory.dirty t.mem page else Memory.touch t.mem page;
     (* Keep the freer running ahead of demand. *)
     (match t.discipline with
@@ -436,13 +440,6 @@ let reference ?(write = false) t ~pid ~page =
     !steps
   end
 
-(* ----- The PTW lookaside, exposed ----- *)
-
-(* The lookaside's generation counters, exposed so per-CPU PTW fronts
-   (lib/smp) can share them: an eviction's bump then stales every
-   CPU's front in the same step it stales this cache. *)
-let ptw_gens t = Avc.gens t.ptw
-
 (* ----- Reporting ----- *)
 
 let faults t = List.rev t.faults
@@ -456,6 +453,9 @@ type summary = {
   steps : Multics_util.Stats.summary;
   cascaded_faults : int;
   deep_cascade_faults : int;
+  page_ins : int;
+  core_to_bulk : int;
+  bulk_to_disk : int;
 }
 
 let summarize t =
@@ -467,4 +467,7 @@ let summarize t =
     steps = Multics_util.Stats.summarize_ints (List.map (fun (f : fault_record) -> f.steps) fs);
     cascaded_faults = List.length (List.filter (fun f -> f.cascaded) fs);
     deep_cascade_faults = List.length (List.filter (fun f -> f.deep_cascade) fs);
+    page_ins = t.page_ins;
+    core_to_bulk = t.core_to_bulk;
+    bulk_to_disk = t.bulk_to_disk;
   }

@@ -2,7 +2,9 @@
     sequential discipline (the faulting process runs the whole eviction
     cascade) and the paper's parallel discipline (dedicated core- and
     bulk-freeing kernel processes; the faulting process just waits for
-    a free frame). *)
+    a free frame).  References run on a plant's CPUs
+    ({!Multics_smp.Smp}), and each CPU's PTW associative memory is the
+    one place a page-table word is cached. *)
 
 open Multics_mm
 open Multics_proc
@@ -16,6 +18,7 @@ type t
 val create :
   ?core_target:int ->
   ?faults:Multics_fault.Fault.Injector.t ->
+  ?plant:Multics_smp.Smp.t ->
   Sim.t ->
   mem:Memory.t ->
   discipline:discipline ->
@@ -27,7 +30,8 @@ val create :
     [Evict] failures; each costs one wasted device attempt and is
     retried unconditionally (the retry never re-consults the plan, so
     no schedule can livelock page control or change what is
-    accessible). *)
+    accessible).  [plant] (default: a fresh one-CPU plant on the
+    simulator's cost model) holds the CPUs references run on. *)
 
 val set_faults : t -> Multics_fault.Fault.Injector.t option -> unit
 (** Install (or clear) the fault injector after creation. *)
@@ -44,7 +48,16 @@ val reference : ?write:bool -> t -> pid:Sim.pid -> page:Page_id.t -> int
     caller's own pid, used for fault attribution).  Handles the page
     fault if the page is not in core.  Returns the number of
     page-control steps the faulting process itself executed (0 on a
-    hit). *)
+    hit).
+
+    The reference runs on the plant's current CPU
+    ({!Multics_smp.Smp.current}), read once when it begins: a hit in
+    that CPU's PTW memory costs [Cost.memory_reference]; a miss on a
+    page in core costs [Cost.ptw_fetch] more (the page-table walk) and
+    installs the PTW; a fault installs it once the page is in, on the
+    same CPU even if the fault blocked while the current CPU moved.
+    Evicting a page revokes its PTW on every CPU, with no connect and
+    no cycles charged.  Obs counters under ["cache.vm.ptw.*"]. *)
 
 type victim_policy = Page_id.t list -> (Page_id.t * bool) list -> Page_id.t option
 
@@ -53,26 +66,6 @@ val set_victim_policy : t -> victim_policy -> unit
     by the policy/mechanism partitioning experiment. *)
 
 val memory : t -> Memory.t
-val counters : t -> Multics_util.Stats.Counters.t
-
-(** {1 The PTW lookaside}
-
-    A {!Multics_cache.Avc}-backed cache of pages known core-resident,
-    keyed by dense page SIDs ({!Multics_access.Sid.t}): a page id is
-    interned once on first reference and the cache then works on small
-    ints with an identity hash, which also gives each page a generation
-    counter of its own (see {!Multics_cache.Avc.Gen}).  A hit skips
-    the page-table walk ([Cost.ptw_fetch]); eviction invalidates the
-    victim's entry in the same step it leaves core.  Obs counters
-    under ["cache.vm.ptw.*"]. *)
-
-val page_sid : t -> Page_id.t -> Multics_access.Sid.t
-(** The page's dense SID (interned on first sight, never reused).
-    The key the per-CPU PTW fronts (lib/smp) take. *)
-
-val ptw_gens : t -> Multics_cache.Avc.Gen.t
-(** The lookaside's generation counters, for per-CPU PTW fronts to
-    share: an eviction's bump stales every sharing cache at once. *)
 
 (** {1 Fault accounting} *)
 
@@ -97,6 +90,9 @@ type summary = {
   steps : Multics_util.Stats.summary;
   cascaded_faults : int;
   deep_cascade_faults : int;
+  page_ins : int;  (** pages read back into core from bulk or disk *)
+  core_to_bulk : int;  (** evictions from core to the bulk store *)
+  bulk_to_disk : int;  (** evictions from the bulk store to disk *)
 }
 
 val summarize : t -> summary

@@ -1,6 +1,6 @@
-(* The access-decision caches: unit tests for the decision cache
-   ([Avc]), its generation counters and a CPU's SDW associative memory
-   ([Hardware.Assoc]), revocation coverage for every
+(* The access-decision caches: unit tests for the associative memory
+   ([Hardware.Assoc], a CPU's SDW and PTW memories), the AV table's
+   generation counters ([Av_table.Gen]), revocation coverage for every
    mutating entry point of the hierarchy, the salvager's cache
    invalidation, and the 100-seed parity property — the cached
    mediation path must agree with fresh recomputation at every step,
@@ -9,115 +9,127 @@
 open Multics_access
 open Multics_machine
 open Multics_kernel
-module Avc = Multics_cache.Avc
+module Gen = Av_table.Gen
 module Hierarchy = Multics_fs.Hierarchy
 module Uid = Multics_fs.Uid
 module Obs = Multics_obs.Obs
 module Smp = Multics_smp.Smp
 
-(* Counter names are shared per cache [name], so every test uses its
+(* Counter names are shared per memory [name], so every test uses its
    own name to keep readings isolated. *)
-let counter_of t field = List.assoc field (Avc.counters t)
+let counter_of m field = List.assoc field (Hardware.Assoc.counters m)
 
-let test_avc_basics () =
+let test_assoc_basics () =
   Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.basics" () in
-  Alcotest.(check (option int)) "miss before add" None (Avc.find c 1);
-  Avc.add c 1 10;
-  Alcotest.(check (option int)) "hit after add" (Some 10) (Avc.find c 1);
-  Alcotest.(check int) "size" 1 (Avc.size c);
-  Alcotest.(check int) "one hit" 1 (counter_of c "hits");
-  Alcotest.(check int) "one miss" 1 (counter_of c "misses")
+  let m = Hardware.Assoc.create ~slots:8 ~name:"t.basics" in
+  Alcotest.(check (option int)) "miss before install" None (Hardware.Assoc.lookup m ~key:1);
+  Hardware.Assoc.install m ~key:1 10;
+  Alcotest.(check (option int)) "hit after install" (Some 10) (Hardware.Assoc.lookup m ~key:1);
+  Alcotest.(check int) "size" 1 (Hardware.Assoc.size m);
+  Alcotest.(check int) "one hit" 1 (counter_of m "hits");
+  Alcotest.(check int) "one miss" 1 (counter_of m "misses")
 
-let test_avc_invalidate_object () =
+let test_assoc_invalidate () =
   Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.inv_obj" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.invalidate_object c 1;
-  Alcotest.(check (option int)) "stale entry dropped" None (Avc.find c 1);
-  Alcotest.(check (option int)) "other object unaffected" (Some 20) (Avc.find c 2);
-  Alcotest.(check int) "invalidation counted" 1 (counter_of c "invalidations");
-  Avc.add c 1 11;
-  Alcotest.(check (option int)) "re-add after invalidation hits" (Some 11) (Avc.find c 1)
+  let m = Hardware.Assoc.create ~slots:8 ~name:"t.inv_obj" in
+  Hardware.Assoc.install m ~key:1 10;
+  Hardware.Assoc.install m ~key:2 20;
+  Hardware.Assoc.invalidate m ~key:1;
+  Alcotest.(check (option int)) "revoked entry dropped" None (Hardware.Assoc.lookup m ~key:1);
+  Alcotest.(check (option int)) "other key unaffected" (Some 20) (Hardware.Assoc.lookup m ~key:2);
+  Alcotest.(check int) "invalidation counted" 1 (counter_of m "invalidations");
+  Hardware.Assoc.install m ~key:1 11;
+  Alcotest.(check (option int)) "re-install after invalidation hits" (Some 11)
+    (Hardware.Assoc.lookup m ~key:1)
 
-(* A bump of the global generation stales every entry. *)
-let test_avc_invalidate_all () =
+(* A flush empties every slot at once. *)
+let test_assoc_flush () =
   Obs.set_enabled true;
-  let c = Avc.create ~capacity:8 ~name:"t.inv_all" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.Gen.bump_global (Avc.gens c);
-  Alcotest.(check (option int)) "entry 1 dead" None (Avc.find c 1);
-  Alcotest.(check (option int)) "entry 2 dead" None (Avc.find c 2)
+  let m = Hardware.Assoc.create ~slots:8 ~name:"t.inv_all" in
+  Hardware.Assoc.install m ~key:1 10;
+  Hardware.Assoc.install m ~key:2 20;
+  Hardware.Assoc.flush m;
+  Alcotest.(check int) "nothing occupied" 0 (Hardware.Assoc.size m);
+  Alcotest.(check (option int)) "entry 1 gone" None (Hardware.Assoc.lookup m ~key:1);
+  Alcotest.(check (option int)) "entry 2 gone" None (Hardware.Assoc.lookup m ~key:2);
+  Alcotest.(check int) "flush counted" 1 (counter_of m "flushes")
 
-let test_avc_direct_mapped_displacement () =
+let test_assoc_direct_mapped_displacement () =
   Obs.set_enabled true;
   (* Keys 1 and 5 share slot 1 of four: displacement must evict the
      resident entry, and the key compare must keep a collision from
      ever being served as a hit. *)
-  let c = Avc.create ~capacity:4 ~name:"t.collide" () in
-  Avc.add c 1 10;
-  Avc.add c 5 50;
-  Alcotest.(check (option int)) "displaced entry is a miss" None (Avc.find c 1);
-  Alcotest.(check (option int)) "resident entry hits" (Some 50) (Avc.find c 5);
-  Alcotest.(check int) "population stays 1" 1 (Avc.size c)
+  let m = Hardware.Assoc.create ~slots:4 ~name:"t.collide" in
+  Hardware.Assoc.install m ~key:1 10;
+  Hardware.Assoc.install m ~key:5 50;
+  Alcotest.(check (option int)) "displaced entry is a miss" None (Hardware.Assoc.lookup m ~key:1);
+  Alcotest.(check (option int)) "resident entry hits" (Some 50) (Hardware.Assoc.lookup m ~key:5);
+  Alcotest.(check int) "one slot occupied" 1 (Hardware.Assoc.size m)
 
-let test_avc_capacity_rounding () =
-  let c = Avc.create ~capacity:10 ~name:"t.cap" () in
-  Alcotest.(check int) "rounded to power of two" 16 (Avc.capacity c)
+let test_assoc_slots_power_of_two () =
+  List.iter
+    (fun slots ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d slots refused" slots)
+        (Invalid_argument
+           (Printf.sprintf "Hardware.Assoc.create: %d slots is not a power of two" slots))
+        (fun () -> ignore (Hardware.Assoc.create ~slots ~name:"t.cap")))
+    [ 0; 10; 48; -4 ];
+  Alcotest.(check int) "a power of two is accepted" 0
+    (Hardware.Assoc.size (Hardware.Assoc.create ~slots:64 ~name:"t.cap"))
 
-let test_avc_keys_skip_stale () =
-  let c = Avc.create ~capacity:8 ~name:"t.keys" () in
-  Avc.add c 1 10;
-  Avc.add c 2 20;
-  Avc.invalidate_object c 2;
-  Alcotest.(check (list (pair int int))) "only fresh entries" [ (1, 10) ] (Avc.entries c)
+let test_assoc_entries_skip_revoked () =
+  let m = Hardware.Assoc.create ~slots:8 ~name:"t.keys" in
+  Hardware.Assoc.install m ~key:1 10;
+  Hardware.Assoc.install m ~key:2 20;
+  Hardware.Assoc.invalidate m ~key:2;
+  Alcotest.(check (list (pair int int))) "only live entries" [ (1, 10) ] (Hardware.Assoc.entries m);
+  Alcotest.(check int) "the revoked one still occupies its slot" 2 (Hardware.Assoc.size m)
 
 let test_gen_dense_and_overflow_ids () =
   (* Ids in [0, 2^16) count their own bumps, however far apart they
      lie; every other id reads and bumps the one overflow counter. *)
-  let g = Avc.Gen.create () in
-  let reads what want id = Alcotest.(check int) what want (Avc.Gen.of_object g id) in
+  let g = Gen.create () in
+  let reads what want id = Alcotest.(check int) what want (Gen.of_object g id) in
   reads "unbumped dense id" 0 3;
-  Avc.Gen.bump_object g 3;
-  Avc.Gen.bump_object g 3;
+  Gen.bump_object g 3;
+  Gen.bump_object g 3;
   reads "dense id bumped twice" 2 3;
   reads "dense id beyond the array" 0 5_000;
-  Avc.Gen.bump_object g 5_000;
+  Gen.bump_object g 5_000;
   reads "grown dense id" 1 5_000;
   reads "growth keeps earlier counts" 2 3;
-  Avc.Gen.bump_object g (Avc.Gen.dense_limit - 1);
-  reads "last dense id" 1 (Avc.Gen.dense_limit - 1);
-  Avc.Gen.bump_object g (-7);
+  Gen.bump_object g (Gen.dense_limit - 1);
+  reads "last dense id" 1 (Gen.dense_limit - 1);
+  Gen.bump_object g (-7);
   reads "negative id reads the overflow counter" 1 (-7);
-  reads "so does the first id past the range" 1 Avc.Gen.dense_limit;
-  Avc.Gen.bump_object g max_int;
+  reads "so does the first id past the range" 1 Gen.dense_limit;
+  Gen.bump_object g max_int;
   reads "a bump of one stales every id outside the range" 2 (-7);
   reads "dense ids keep their own counts" 1 5_000;
-  Avc.Gen.bump_global g;
-  Alcotest.(check int) "global independent" 1 (Avc.Gen.global g)
+  Gen.bump_global g;
+  Alcotest.(check int) "global independent" 1 (Gen.global g)
 
 let test_gen_counters_bounded () =
   (* Whatever ids are bumped, the counter array never outgrows the
      dense range: ids outside it cost nothing, and bumping every id of
      0..2^20 leaves one array of 2^16 counters. *)
-  let g = Avc.Gen.create () in
+  let g = Gen.create () in
   let words () = Obj.reachable_words (Obj.repr g) in
   let empty = words () in
-  List.iter (Avc.Gen.bump_object g) [ max_int; -7; min_int ];
+  List.iter (Gen.bump_object g) [ max_int; -7; min_int ];
   Alcotest.(check int) "ids outside the range allocate nothing" empty (words ());
   for id = 0 to 1 lsl 20 do
-    Avc.Gen.bump_object g id
+    Gen.bump_object g id
   done;
   Alcotest.(check bool)
     (Printf.sprintf "%d words <= 2^16 counters plus the record" (words ()))
     true
-    (words () <= Avc.Gen.dense_limit + empty + 1);
-  Alcotest.(check int) "last dense id counted" 1 (Avc.Gen.of_object g (Avc.Gen.dense_limit - 1));
+    (words () <= Gen.dense_limit + empty + 1);
+  Alcotest.(check int) "last dense id counted" 1 (Gen.of_object g (Gen.dense_limit - 1));
   Alcotest.(check int) "every other id shares one counter"
-    (3 + (1 lsl 20) + 1 - Avc.Gen.dense_limit)
-    (Avc.Gen.of_object g (-1))
+    (3 + (1 lsl 20) + 1 - Gen.dense_limit)
+    (Gen.of_object g (-1))
 
 (* The flat counters against a reference model: a hashtable of every
    bumped id in [0, 2^16), one counter for every other id, and the
@@ -126,37 +138,37 @@ let test_gen_counters_bounded () =
 type gen_op = Bump of int | Bump_global
 
 let run_gen_model ops =
-  let g = Avc.Gen.create () in
+  let g = Gen.create () in
   let model = Hashtbl.create 64 and overflow = ref 0 and global = ref 0 in
-  let dense id = id >= 0 && id < Avc.Gen.dense_limit in
+  let dense id = id >= 0 && id < Gen.dense_limit in
   let model_get id =
     if dense id then Option.value (Hashtbl.find_opt model id) ~default:0 else !overflow
   in
-  let probe id = Avc.Gen.of_object g id = model_get id in
+  let probe id = Gen.of_object g id = model_get id in
   List.for_all
     (fun op ->
       (match op with
       | Bump_global ->
-          Avc.Gen.bump_global g;
+          Gen.bump_global g;
           incr global
       | Bump id ->
-          Avc.Gen.bump_object g id;
+          Gen.bump_object g id;
           if dense id then Hashtbl.replace model id (model_get id + 1) else incr overflow);
-      Avc.Gen.global g = !global
+      Gen.global g = !global
       &&
       match op with
       | Bump id -> probe id && probe (id + 1) && probe (id - 1)
       | Bump_global -> true)
     ops
-  && Hashtbl.fold (fun id n ok -> ok && Avc.Gen.of_object g id = n) model true
-  && probe (-1) && probe Avc.Gen.dense_limit && probe max_int
+  && Hashtbl.fold (fun id n ok -> ok && Gen.of_object g id = n) model true
+  && probe (-1) && probe Gen.dense_limit && probe max_int
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
         (4, map (fun id -> Bump id) (int_range 0 (1 lsl 17)));
-        (2, map (fun id -> Bump (Avc.Gen.dense_limit + id)) (int_range (-4) 4));
+        (2, map (fun id -> Bump (Gen.dense_limit + id)) (int_range (-4) 4));
         (2, map (fun id -> Bump (-id)) (int_range 1 max_int));
         (1, return Bump_global);
       ])
@@ -169,6 +181,9 @@ let test_gen_flat_model =
 (* A CPU CAM's keys: the process handle above the segment number's 12
    bits, as [Smp] packs them. *)
 let cam_key handle segno = (handle lsl 12) lor segno
+
+(* A CPU's SDW memory, as [Smp] builds it. *)
+let cam () = Hardware.Assoc.create ~slots:16 ~name:"hw.assoc"
 
 let sdws =
   [|
@@ -183,7 +198,7 @@ let test_assoc_revoked_not_shadowed () =
      handles 8 and 9 in the same slot must neither revoke the entry
      nor hide its own later invalidation: once revoked it stays
      revoked. *)
-  let cam = Hardware.Assoc.create () in
+  let cam = cam () in
   let victim = cam_key 16 2 in
   Hardware.Assoc.install cam ~key:victim sdws.(0);
   Hardware.Assoc.invalidate cam ~key:(cam_key 8 2);
@@ -200,7 +215,7 @@ let test_assoc_stamp () =
   (* The model checker re-renders a CPU's CAM only when its change
      stamp moved: every change to what would hit moves it, and no
      reader does. *)
-  let cam = Hardware.Assoc.create () in
+  let cam = cam () in
   let check_moves what moved f =
     let before = Hardware.Assoc.stamp cam in
     f ();
@@ -234,10 +249,10 @@ let test_gen_allocated_on_first_write () =
   (* Most caches a boot creates are never invalidated object by object:
      their generations must cost a few words, not a counter array. *)
   let n = 100 in
-  let gens = Array.make n (Avc.Gen.create ()) in
+  let gens = Array.make n (Gen.create ()) in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
-    gens.(i) <- Avc.Gen.create ()
+    gens.(i) <- Gen.create ()
   done;
   let per_gen = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool) (Printf.sprintf "Gen.create allocates %.0f words < 64" per_gen) true
@@ -247,7 +262,7 @@ let test_gen_allocated_on_first_write () =
      dense id — whatever the bumps shared, nothing shared was
      written. *)
   let ids i = [ i; 300 + i; 1_000 + (7 * i) ] in
-  Array.iteri (fun i g -> List.iter (Avc.Gen.bump_object g) (ids i)) gens;
+  Array.iteri (fun i g -> List.iter (Gen.bump_object g) (ids i)) gens;
   Array.iteri
     (fun i g ->
       List.iter
@@ -257,13 +272,13 @@ let test_gen_allocated_on_first_write () =
               Alcotest.(check int)
                 (Printf.sprintf "gen %d reads id %d" i id)
                 (if i = j then 1 else 0)
-                (Avc.Gen.of_object g id))
+                (Gen.of_object g id))
             (ids j))
         [ 0; (i + 1) mod n; n - 1 ])
     gens;
-  let fresh = Avc.Gen.create () in
+  let fresh = Gen.create () in
   for id = 0 to (1 lsl 16) - 1 do
-    if Avc.Gen.of_object fresh id <> 0 then Alcotest.failf "a fresh Gen reads id %d as bumped" id
+    if Gen.of_object fresh id <> 0 then Alcotest.failf "a fresh Gen reads id %d as bumped" id
   done
 
 (* ----- Revocation through every mutating entry point ----- *)
@@ -343,22 +358,22 @@ let test_verdicts_answer_to_own_object () =
   | _ -> Alcotest.fail "an edit of s did not revoke Alice's cached read"
 
 (* Boot a hierarchy, warm its table, and keep only a weak pointer to
-   its generation counters.  A separate, never-inlined function so no
-   register or stack slot of the caller keeps the hierarchy alive. *)
+   the table.  A separate, never-inlined function so no register or
+   stack slot of the caller keeps the hierarchy alive. *)
 let[@inline never] boot_and_drop weak =
   let h = Hierarchy.create () in
   let uid = make_segment h "s" in
   ignore (Hierarchy.check_access h ~subject:alice ~uid ~requested:Mode.r);
-  Weak.set weak 0 (Some (Multics_access.Av_table.gens (Hierarchy.av_table h)))
+  Weak.set weak 0 (Some (Hierarchy.av_table h))
 
 let test_dropped_kernel_collected () =
   (* Booting a kernel must leave nothing behind that keeps it alive:
-     no domain-wide state holds its generation counters after it is
-     dropped. *)
+     no domain-wide state holds its AV table (and the generation
+     counters the table owns) after it is dropped. *)
   let weak = Weak.create 1 in
   boot_and_drop weak;
   Gc.full_major ();
-  Alcotest.(check bool) "generation counters collected" false (Weak.check weak 0)
+  Alcotest.(check bool) "AV table collected" false (Weak.check weak 0)
 
 let test_set_acl_revokes () =
   let h = Hierarchy.create () in
@@ -600,14 +615,66 @@ let test_parity_100_seeds () =
     run_parity_seed seed
   done
 
-(* ----- The CAM against the cache it replaced -----
+(* ----- The CAM against a slot-history model -----
 
-   [Hardware.Assoc] clears its own slot where a 16-slot [Avc] bumps a
-   per-key generation.  Both must answer every lookup alike, move the
-   same counters, and hold the same entries in the same order.  Keys
-   of handles 1..8 and segment numbers 0..63 collide in every slot. *)
+   The model keeps each slot's history since the slot was last emptied
+   (by a flush, or by a lookup dropping a revoked entry), newest first,
+   and derives every answer from it: a slot holds the key of its latest
+   install, and that entry is revoked iff an invalidation of its key
+   came after the install.  The CAM must answer every lookup alike,
+   move the counters the model predicts, and hold the same entries in
+   the same order.  Keys of handles 1..8 and segment numbers 0..63
+   collide in every slot. *)
 
 type assoc_op = Lookup of int | Install of int * int | Invalidate of int | Flush
+type slot_event = Installed of int * int | Invalidated of int
+
+(* The latest install, and whether an invalidation of its key came
+   after it. *)
+let rec resident = function
+  | [] -> None
+  | Installed (key, v) :: _ -> Some (key, v, false)
+  | Invalidated key :: older -> (
+      match resident older with
+      | Some (k, v, _) when k = key -> Some (k, v, true)
+      | r -> r)
+
+(* One op on the model: its answer and the counter deltas it predicts,
+   in [Hardware.Assoc.counters]' order. *)
+let model_step slots op =
+  let count fields =
+    List.map
+      (fun name -> (name, if List.mem name fields then 1 else 0))
+      [ "hits"; "misses"; "invalidations"; "insertions"; "flushes" ]
+  in
+  let i key = key land 15 in
+  match op with
+  | Lookup key -> (
+      match resident slots.(i key) with
+      | Some (k, v, false) when k = key -> (Some sdws.(v), count [ "hits" ])
+      | Some (k, _, true) when k = key ->
+          slots.(i key) <- [];
+          (None, count [ "invalidations"; "misses" ])
+      | Some _ | None -> (None, count [ "misses" ]))
+  | Install (key, v) ->
+      slots.(i key) <- Installed (key, v) :: slots.(i key);
+      (None, count [ "insertions" ])
+  | Invalidate key ->
+      slots.(i key) <- Invalidated key :: slots.(i key);
+      (None, count [])
+  | Flush ->
+      Array.fill slots 0 16 [];
+      (None, count [ "flushes" ])
+
+let model_size slots =
+  Array.fold_left (fun n h -> if Option.is_some (resident h) then n + 1 else n) 0 slots
+
+(* Highest slot first, as [Hardware.Assoc.entries] lists them. *)
+let model_entries slots =
+  List.filter_map
+    (fun i ->
+      match resident slots.(i) with Some (k, v, false) -> Some (k, sdws.(v)) | _ -> None)
+    (List.init 16 (fun i -> 15 - i))
 
 let assoc_op =
   let key = QCheck.Gen.map2 cam_key (QCheck.Gen.int_range 1 8) (QCheck.Gen.int_range 0 63) in
@@ -622,42 +689,29 @@ let assoc_op =
 
 let run_assoc_differential ops =
   Obs.set_enabled true;
-  let cam = Hardware.Assoc.create () in
-  let reference = Avc.create ~capacity:16 ~name:"t.assoc_ref" () in
-  let with_delta counters f =
-    let before = counters () in
-    let result = f () in
-    (result, List.map2 (fun (name, a) (_, b) -> (name, b - a)) before (counters ()))
-  in
+  let cam = cam () in
+  let slots = Array.make 16 [] in
   List.for_all
     (fun op ->
-      let got, cam_delta =
-        with_delta
-          (fun () -> Hardware.Assoc.counters cam)
-          (fun () ->
-            match op with
-            | Lookup key -> Hardware.Assoc.lookup cam ~key
-            | Install (key, v) -> Hardware.Assoc.install cam ~key sdws.(v); None
-            | Invalidate key -> Hardware.Assoc.invalidate cam ~key; None
-            | Flush -> Hardware.Assoc.flush cam; None)
+      let before = Hardware.Assoc.counters cam in
+      let got =
+        match op with
+        | Lookup key -> Hardware.Assoc.lookup cam ~key
+        | Install (key, v) -> Hardware.Assoc.install cam ~key sdws.(v); None
+        | Invalidate key -> Hardware.Assoc.invalidate cam ~key; None
+        | Flush -> Hardware.Assoc.flush cam; None
       in
-      let want, ref_delta =
-        with_delta
-          (fun () -> Avc.counters reference)
-          (fun () ->
-            match op with
-            | Lookup key -> Avc.find reference key
-            | Install (key, v) -> Avc.add reference key sdws.(v); None
-            | Invalidate key -> Avc.invalidate_object reference key; None
-            | Flush -> Avc.flush reference; None)
+      let cam_delta =
+        List.map2 (fun (name, a) (_, b) -> (name, b - a)) before (Hardware.Assoc.counters cam)
       in
-      got = want && cam_delta = ref_delta
-      && Hardware.Assoc.size cam = Avc.size reference
-      && Hardware.Assoc.entries cam = Avc.entries reference)
+      let want, model_delta = model_step slots op in
+      got = want && cam_delta = model_delta
+      && Hardware.Assoc.size cam = model_size slots
+      && Hardware.Assoc.entries cam = model_entries slots)
     ops
 
 let test_assoc_differential =
-  QCheck.Test.make ~name:"assoc: a CPU's CAM answers as a 16-slot Avc" ~count:200
+  QCheck.Test.make ~name:"assoc: a CPU's CAM answers as a 16-slot history model" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 0 300) assoc_op))
     run_assoc_differential
 
@@ -665,7 +719,7 @@ let test_assoc_invalidations_allocate_nothing () =
   (* A CAM is 16 slots whatever it is told to forget: 10^5
      invalidations of distinct keys, the resident ones among them,
      leave its reachable words where they were. *)
-  let cam = Hardware.Assoc.create () in
+  let cam = cam () in
   let ring = Ring.of_int 4 in
   for segno = 0 to 15 do
     ignore
@@ -684,32 +738,34 @@ let test_gen_copy_reads_as_source () =
   (* A copy reads exactly as its source did: its global and per-object
      counters are the source's, and a bump on one side never reaches
      the other. *)
-  let g = Avc.Gen.create () in
-  Avc.Gen.bump_object g 5;
-  Avc.Gen.bump_global g;
-  let global = Avc.Gen.global g and obj = Avc.Gen.of_object g 5 in
-  let c = Avc.Gen.copy g in
-  Alcotest.(check int) "global reads as the source's" global (Avc.Gen.global c);
-  Alcotest.(check int) "object reads as the source's" obj (Avc.Gen.of_object c 5);
-  Alcotest.(check int) "an unbumped id reads as the source's" 0 (Avc.Gen.of_object c 6);
-  Avc.Gen.bump_object c 5;
-  Avc.Gen.bump_global c;
-  Alcotest.(check int) "a bump on the copy stays there (object)" obj (Avc.Gen.of_object g 5);
-  Alcotest.(check int) "a bump on the copy stays there (global)" global (Avc.Gen.global g);
-  Avc.Gen.bump_object g 6;
-  Avc.Gen.bump_global g;
-  Alcotest.(check int) "a bump on the source stays there (object)" 0 (Avc.Gen.of_object c 6);
+  let g = Gen.create () in
+  Gen.bump_object g 5;
+  Gen.bump_global g;
+  let global = Gen.global g and obj = Gen.of_object g 5 in
+  let c = Gen.copy g in
+  Alcotest.(check int) "global reads as the source's" global (Gen.global c);
+  Alcotest.(check int) "object reads as the source's" obj (Gen.of_object c 5);
+  Alcotest.(check int) "an unbumped id reads as the source's" 0 (Gen.of_object c 6);
+  Gen.bump_object c 5;
+  Gen.bump_global c;
+  Alcotest.(check int) "a bump on the copy stays there (object)" obj (Gen.of_object g 5);
+  Alcotest.(check int) "a bump on the copy stays there (global)" global (Gen.global g);
+  Gen.bump_object g 6;
+  Gen.bump_global g;
+  Alcotest.(check int) "a bump on the source stays there (object)" 0 (Gen.of_object c 6);
   Alcotest.(check int) "a bump on the source stays there (global)" (global + 1)
-    (Avc.Gen.global c)
+    (Gen.global c)
 
 let suite =
   [
-    Alcotest.test_case "avc: find/add basics" `Quick test_avc_basics;
-    Alcotest.test_case "avc: invalidate object" `Quick test_avc_invalidate_object;
-    Alcotest.test_case "avc: invalidate all" `Quick test_avc_invalidate_all;
-    Alcotest.test_case "avc: direct-mapped displacement" `Quick test_avc_direct_mapped_displacement;
-    Alcotest.test_case "avc: capacity rounds to power of two" `Quick test_avc_capacity_rounding;
-    Alcotest.test_case "avc: keys skip stale entries" `Quick test_avc_keys_skip_stale;
+    Alcotest.test_case "assoc: lookup/install basics" `Quick test_assoc_basics;
+    Alcotest.test_case "assoc: invalidate revokes one key" `Quick test_assoc_invalidate;
+    Alcotest.test_case "assoc: flush empties every slot" `Quick test_assoc_flush;
+    Alcotest.test_case "assoc: direct-mapped displacement" `Quick
+      test_assoc_direct_mapped_displacement;
+    Alcotest.test_case "assoc: non-power-of-two slots refused" `Quick
+      test_assoc_slots_power_of_two;
+    Alcotest.test_case "assoc: entries skip revoked entries" `Quick test_assoc_entries_skip_revoked;
     Alcotest.test_case "gen: dense ids and one overflow counter" `Quick
       test_gen_dense_and_overflow_ids;
     Alcotest.test_case "gen: counters never outgrow 2^16" `Quick test_gen_counters_bounded;

@@ -749,7 +749,7 @@ let audit_suite =
 
 module Obs = Multics_obs.Obs
 module Par = Multics_par.Par
-module Avc = Multics_cache.Avc
+module Assoc = Multics_machine.Hardware.Assoc
 
 let metered_prefixes = [ "gate."; "config."; "cache.t.meter."; "policy.refusals" ]
 
@@ -793,13 +793,13 @@ let meter_script () =
         Proc_info;
         Destroy_process { target = 999 };
       ];
-  let a = Avc.create ~capacity:4 ~name:"t.meter" () in
-  let b = Avc.create ~capacity:4 ~name:"t.meter" () in
-  Avc.add a 1 ();
-  Avc.add b 1 ();
-  ignore (Avc.find a 1);
-  ignore (Avc.find b 1);
-  ignore (Avc.find b 2);
+  let a = Assoc.create ~slots:4 ~name:"t.meter" in
+  let b = Assoc.create ~slots:4 ~name:"t.meter" in
+  Assoc.install a ~key:1 ();
+  Assoc.install b ~key:1 ();
+  ignore (Assoc.lookup a ~key:1);
+  ignore (Assoc.lookup b ~key:1);
+  ignore (Assoc.lookup b ~key:2);
   let subject clearance =
     Policy.subject ~principal:(Principal.interactive ~person:"Bob" ~project:"Dev") ~clearance
       ~ring:Multics_machine.Ring.user ()

@@ -15,8 +15,6 @@ module Prng = Multics_util.Prng
 
 let make_sim ?(vps = 1) () = Sim.create ~cost:Cost.h6180 ~virtual_processors:vps
 
-let counter sim name = Multics_util.Stats.Counters.get (Sim.counters sim) name
-
 let sched_stat sched name =
   match List.assoc_opt name (Sched.status sched) with
   | Some v -> v
@@ -39,7 +37,7 @@ let test_quantum_preempts_and_interleaves () =
            finish.(i) <- Sim.now sim))
   done;
   Sim.run sim;
-  Alcotest.(check bool) "preemptions happened" true (counter sim "preemptions" > 0);
+  Alcotest.(check bool) "preemptions happened" true (sched_stat sched "preemptions" > 0);
   Alcotest.(check bool) "expiries counted" true (sched_stat sched "quantum_expiries" > 0);
   (* Serial execution finishes the first at 1900 (1000 compute + one
      900-cycle process switch); interleaving pushes both well past the
@@ -57,7 +55,7 @@ let test_fifo_never_preempts () =
            finish.(i) <- Sim.now sim))
   done;
   Sim.run sim;
-  Alcotest.(check int) "no preemptions" 0 (counter sim "preemptions");
+  Alcotest.(check int) "no preemptions" 0 (sched_stat sched "preemptions");
   Alcotest.(check int) "no expiries" 0 (sched_stat sched "quantum_expiries");
   (* Run-to-block: strictly serial, spawn order — the first finisher
      paid exactly one process switch, not an interleaving's worth. *)

@@ -127,8 +127,7 @@ let test_av_compute_matches_policy () =
 (* ----- Table mechanics: stamps, growth, flush, rebuild ----- *)
 
 let test_av_table_stamps_and_growth () =
-  let gens = Multics_cache.Avc.Gen.create () in
-  let t = Av_table.create ~subjects:1 ~objects:2 ~gens ~name:"test.avtab" () in
+  let t = Av_table.create ~subjects:1 ~objects:2 ~name:"test.avtab" () in
   let s0 = subject "Alice" Label.Secret [] in
   let subj = Av_table.subject_sid t s0 in
   Alcotest.(check int) "cold miss" (-1) (Av_table.find t ~subj ~obj:5);
@@ -140,12 +139,12 @@ let test_av_table_stamps_and_growth () =
   Alcotest.(check int) "cell survives growth" 7 (Av_table.find t ~subj ~obj:5);
   Alcotest.(check int) "new cell readable" 3 (Av_table.find t ~subj ~obj:900);
   (* Per-object revocation: only the bumped object's cell dies. *)
-  Multics_cache.Avc.Gen.bump_object gens 5;
+  Av_table.invalidate_object t 5;
   Alcotest.(check int) "revoked cell misses" (-1) (Av_table.find t ~subj ~obj:5);
   Alcotest.(check int) "other cell unaffected" 3 (Av_table.find t ~subj ~obj:900);
   (* Global revocation kills everything. *)
   Av_table.set t ~subj ~obj:5 7;
-  Multics_cache.Avc.Gen.bump_global gens;
+  Av_table.invalidate_all t;
   Alcotest.(check int) "global bump revokes all (a)" (-1) (Av_table.find t ~subj ~obj:5);
   Alcotest.(check int) "global bump revokes all (b)" (-1) (Av_table.find t ~subj ~obj:900);
   (* Flush empties outright. *)

@@ -48,18 +48,30 @@ let test_ncpus_env_parsing () =
     (fun () -> ignore (Smp.create ~ncpus:(Smp.max_cpus + 1) ~cost:Cost.h6180 ()))
 
 let test_ptw_front_per_cpu () =
+  (* Each CPU's PTW memory is its own: a walk on CPU 0 warms nothing
+     on CPU 1.  An eviction's revocation reaches every CPU without a
+     connect, and a whole-system flush empties every CPU's memory. *)
   let plant = Smp.create ~ncpus:2 ~cost:Cost.h6180 () in
-  let page = Sid.of_int 7 in
-  Smp.set_current plant 0;
-  Alcotest.(check bool) "cold front misses" false (Smp.ptw_touch plant ~page);
-  Alcotest.(check bool) "warm front hits" true (Smp.ptw_touch plant ~page);
-  (* The other CPU has its own lookaside: CPU 0's walk warmed nothing
-     over there. *)
-  Smp.set_current plant 1;
-  Alcotest.(check bool) "other CPU's front is its own" false (Smp.ptw_touch plant ~page);
-  Smp.set_current plant 0;
+  let page = Sid.of_int 7 and other = Sid.of_int 8 in
+  let holds cpu p = List.mem (Sid.to_int p) (Smp.ptw_keys plant ~cpu) in
+  Alcotest.(check bool) "cold memory misses" false (Smp.ptw_lookup plant ~cpu:0 ~page);
+  Smp.ptw_install plant ~cpu:0 ~page;
+  Alcotest.(check bool) "warm memory hits" true (Smp.ptw_lookup plant ~cpu:0 ~page);
+  Alcotest.(check bool) "other CPU's memory is its own" false (Smp.ptw_lookup plant ~cpu:1 ~page);
+  Smp.ptw_install plant ~cpu:1 ~page;
+  Smp.ptw_install plant ~cpu:1 ~page:other;
+  let received () = List.assoc "connects_received" (Smp.cpu_status plant 1) in
+  let before = received () in
+  Smp.ptw_invalidate plant ~page;
+  Alcotest.(check (list bool)) "an invalidation reaches every CPU" [ false; false ]
+    [ holds 0 page; holds 1 page ];
+  Alcotest.(check bool) "and only that page" true (holds 1 other);
+  Alcotest.(check int) "without a connect" before (received ());
+  Alcotest.(check bool) "a revoked entry misses" false (Smp.ptw_lookup plant ~cpu:1 ~page);
+  Smp.ptw_install plant ~cpu:0 ~page;
   Smp.connect_flush_all plant;
-  Alcotest.(check bool) "flush empties every front" false (Smp.ptw_touch plant ~page)
+  Alcotest.(check (list int)) "flush empties every CPU's memory" [ 0; 0 ]
+    (List.map (fun cpu -> List.assoc "ptw_size" (Smp.cpu_status plant cpu)) [ 0; 1 ])
 
 let test_deferred_connects_are_data () =
   (* Bug mode queues what each connect clears, not a closure over the

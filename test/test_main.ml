@@ -8,7 +8,7 @@ let () =
       ("access", Access_test.suite);
       ("mm", Mm_test.suite);
       ("proc", Proc_test.suite);
-      ("vm", Vm_test.suite @ Vm_test.backup_suite);
+      ("vm", Vm_test.suite @ Vm_test.backup_suite @ Vm_test.plant_suite);
       ("fs", Fs_test.suite @ Fs_test.minting_suite);
       ("link", Link_test.suite);
       ("io", Io_test.suite);

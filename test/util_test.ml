@@ -69,16 +69,6 @@ let test_stats_single () =
   Alcotest.(check (float 1e-9)) "stddev" 0.0 s.Stats.stddev;
   Alcotest.(check (float 1e-9)) "p99" 7.0 s.Stats.p99
 
-let test_counters () =
-  let c = Stats.Counters.create () in
-  Stats.Counters.incr c "a";
-  Stats.Counters.incr c "a";
-  Stats.Counters.incr ~by:3 c "b";
-  Alcotest.(check int) "a" 2 (Stats.Counters.get c "a");
-  Alcotest.(check int) "b" 3 (Stats.Counters.get c "b");
-  Alcotest.(check int) "missing" 0 (Stats.Counters.get c "zzz");
-  Alcotest.(check (list (pair string int))) "alist" [ ("a", 2); ("b", 3) ] (Stats.Counters.to_alist c)
-
 let test_fqueue_fifo () =
   let q = Fqueue.of_list [ 1; 2; 3 ] in
   match Fqueue.pop q with
@@ -167,7 +157,6 @@ let suite =
     ("stats summary", `Quick, test_stats_summary);
     ("stats empty", `Quick, test_stats_empty);
     ("stats single", `Quick, test_stats_single);
-    ("counters", `Quick, test_counters);
     ("fqueue fifo", `Quick, test_fqueue_fifo);
     ("fqueue empty", `Quick, test_fqueue_empty);
     ("table render", `Quick, test_table_render);

@@ -4,11 +4,13 @@
 open Multics_mm
 open Multics_proc
 open Multics_vm
+module Smp = Multics_smp.Smp
+module Cost = Multics_machine.Cost
 
-let setup ?(core = 4) ?(bulk = 6) ?(disk = 40) ?(vps = 6) discipline =
-  let sim = Sim.create ~cost:Multics_machine.Cost.h6180 ~virtual_processors:vps in
-  let mem = Memory.create ~cost:Multics_machine.Cost.h6180 ~core ~bulk ~disk in
-  let pc = Page_control.create sim ~mem ~discipline in
+let setup ?(core = 4) ?(bulk = 6) ?(disk = 40) ?(vps = 6) ?plant discipline =
+  let sim = Sim.create ~cost:Cost.h6180 ~virtual_processors:vps in
+  let mem = Memory.create ~cost:Cost.h6180 ~core ~bulk ~disk in
+  let pc = Page_control.create ?plant sim ~mem ~discipline in
   Page_control.start pc;
   (sim, mem, pc)
 
@@ -275,4 +277,140 @@ let backup_suite =
     ("backup sweeps modified pages", `Quick, test_backup_sweeps_modified_pages);
     ("backup catches new dirt", `Quick, test_backup_catches_new_dirt);
     ("backup rejects bad args", `Quick, test_backup_rejects_bad_args);
+  ]
+
+(* ----- Page-table words on the plant -----
+
+   Each CPU's PTW memory is the one place a page-table word is cached:
+   page control's references run on the plant's current CPU. *)
+
+let two_cpus () = Smp.create ~ncpus:2 ~cost:Cost.h6180 ()
+
+let test_one_cpu_plant_costs_as_cpu_0 () =
+  (* The same references — walks, hits, faults and evictions — cost the
+     same on page control's own one-CPU plant as on CPU 0 of a 2-CPU
+     plant. *)
+  let run plant =
+    let sim, mem, pc = setup ~core:3 ~bulk:2 ~disk:40 ?plant Page_control.Sequential in
+    (match Memory.place mem (page 2 0) ~level:Level.Core with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Memory.error_to_string e));
+    ignore
+      (Sim.spawn sim ~name:"w" (fun pid ->
+           List.iter
+             (fun (seg, n) -> ignore (Page_control.reference pc ~pid ~page:(page seg n)))
+             [ (2, 0); (2, 0); (1, 0); (1, 1); (1, 0); (1, 2); (1, 3); (1, 0); (2, 0); (1, 1) ]));
+    Sim.run sim;
+    let latency (f : Page_control.fault_record) = f.latency in
+    (Sim.now sim, List.map latency (Page_control.faults pc))
+  in
+  let plant = two_cpus () in
+  Smp.set_current plant 0;
+  let one_clock, one_faults = run None and two_clock, two_faults = run (Some plant) in
+  Alcotest.(check int) "same clock" one_clock two_clock;
+  Alcotest.(check (list int)) "same faults" one_faults two_faults;
+  Alcotest.(check bool) "faults happened" true (List.length one_faults >= 4)
+
+let test_each_cpu_walks_its_own_table () =
+  let plant = two_cpus () in
+  let sim, _mem, pc = setup ~plant Page_control.Sequential in
+  let p = page 1 0 in
+  let costs = ref [] in
+  ignore
+    (Sim.spawn sim ~name:"w" (fun pid ->
+         let timed () =
+           let t0 = Sim.now sim in
+           ignore (Page_control.reference pc ~pid ~page:p);
+           costs := (Sim.now sim - t0) :: !costs
+         in
+         Smp.set_current plant 0;
+         ignore (Page_control.reference pc ~pid ~page:p);
+         timed ();
+         Smp.set_current plant 1;
+         timed ();
+         timed ()));
+  Sim.run sim;
+  let c = Cost.h6180 in
+  Alcotest.(check (list int))
+    "CPU 0 hits; CPU 1 walks once, then hits"
+    [ c.Cost.memory_reference; c.Cost.memory_reference + c.Cost.ptw_fetch; c.Cost.memory_reference ]
+    (List.rev !costs);
+  Alcotest.(check int) "one fault" 1 (Page_control.fault_count pc)
+
+let test_eviction_revokes_every_cpu () =
+  (* Warm p on both CPUs, then evict it from CPU 0's references with a
+     tight core: CPU 1's next reference must fault, not hit. *)
+  let plant = two_cpus () in
+  let sim, _mem, pc = setup ~core:2 ~bulk:4 ~disk:40 ~plant Page_control.Sequential in
+  let p = page 1 0 in
+  Page_control.set_victim_policy pc (fun residents _ ->
+      match residents with
+      | _ when List.mem p residents -> Some p
+      | q :: _ -> Some q
+      | [] -> None);
+  let held = ref [] and steps = ref (-1) in
+  ignore
+    (Sim.spawn sim ~name:"w" (fun pid ->
+         let on cpu pg =
+           Smp.set_current plant cpu;
+           Page_control.reference pc ~pid ~page:pg
+         in
+         ignore (on 0 p);
+         ignore (on 1 p);
+         ignore (on 0 (page 1 1));
+         ignore (on 0 (page 1 2));
+         held := List.map (fun cpu -> List.length (Smp.ptw_keys plant ~cpu)) [ 0; 1 ];
+         steps := on 1 p));
+  Sim.run sim;
+  Alcotest.(check (list int)) "after p's eviction: CPU 0 holds its two new pages, CPU 1 nothing"
+    [ 2; 0 ] !held;
+  Alcotest.(check bool) "CPU 1's next reference faults" true (!steps > 0);
+  Alcotest.(check int) "four faults" 4 (Page_control.fault_count pc)
+
+let test_blocked_fault_installs_where_it_began () =
+  (* A reference on CPU 0 faults into a full core and blocks for a
+     frame; meanwhile another process moves the plant to CPU 1.  The
+     PTW the fault installs is CPU 0's.  (The core freer keeps two
+     frames free, evicting the unused pages placed here before the
+     faulter's own.) *)
+  let plant = two_cpus () in
+  let sim, mem, pc = setup ~core:4 ~bulk:6 ~disk:40 ~plant Page_control.Parallel_processes in
+  List.iter
+    (fun n ->
+      match Memory.place mem (page 9 n) ~level:Level.Core with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Memory.error_to_string e))
+    [ 0; 1; 2; 3 ];
+  let faulter =
+    Sim.spawn sim ~name:"faulter" (fun pid ->
+        Smp.set_current plant 0;
+        ignore (Page_control.reference pc ~pid ~page:(page 1 0)))
+  in
+  let moved = ref false in
+  ignore
+    (Sim.spawn sim ~name:"mover" (fun _ ->
+         let rec wait n =
+           match Sim.state_of sim faulter with
+           | Sim.Blocked _ ->
+               Smp.set_current plant 1;
+               moved := true
+           | _ ->
+               if n > 0 then begin
+                 Sim.compute 10;
+                 wait (n - 1)
+               end
+         in
+         wait 10_000));
+  Sim.run sim;
+  Alcotest.(check bool) "the faulter blocked and the plant moved to CPU 1" true
+    (!moved && Smp.current plant = 1);
+  Alcotest.(check (list int)) "the PTW is on CPU 0 alone" [ 1; 0 ]
+    (List.map (fun cpu -> List.length (Smp.ptw_keys plant ~cpu)) [ 0; 1 ])
+
+let plant_suite =
+  [
+    ("one-CPU plant costs as CPU 0 of two", `Quick, test_one_cpu_plant_costs_as_cpu_0);
+    ("each CPU walks its own page table", `Quick, test_each_cpu_walks_its_own_table);
+    ("eviction revokes the PTW on every CPU", `Quick, test_eviction_revokes_every_cpu);
+    ("blocked fault installs where it began", `Quick, test_blocked_fault_installs_where_it_began);
   ]
