@@ -432,7 +432,8 @@ let harness_leg () =
    states/s, and, as medians of 200 runs, the image boot and one
    empty-trace replay on a copy of it: a copy, a full canonical capture
    and the predicates, which a candidate pays only in part, since its
-   capture renders what its one action changed. *)
+   capture renders what its one action changed and it re-probes P4 only
+   for the pairs whose inputs moved. *)
 let mc_leg () =
   let module Mc = Multics_mc.Mc in
   let depth = 3 in

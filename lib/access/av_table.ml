@@ -264,6 +264,19 @@ let find t ~subj ~obj =
     end
   end
 
+(* [find]'s reading, with nothing written, counted or probed. *)
+let peek t ~subject ~obj =
+  match Policy.Subject_sids.find t.sids subject with
+  | None -> -1
+  | Some subj ->
+      let s = Sid.to_int subj in
+      if s >= t.rows || obj < 0 || obj >= t.cols then -1
+      else
+        let i = (s * t.cols) + obj in
+        if t.g_global.(i) = Gen.global t.gens && t.g_obj.(i) = Gen.of_object t.gens obj then
+          t.av.(i)
+        else -1
+
 let set t ~subj ~obj av =
   if obj >= 0 && obj < max_objects then begin
     let s = Sid.to_int subj in

@@ -109,6 +109,13 @@ val find : t -> subj:Sid.t -> obj:int -> int
     so a hit allocates nothing.  Stale cells are marked empty and
     counted as an invalidation plus a miss. *)
 
+val peek : t -> subject:Policy.subject -> obj:int -> int
+(** The subject's cell for [obj] as {!find} would read it now: its
+    access vector if it is fresh, [-1] if a lookup would miss (empty,
+    stale, out of range, or a subject with no row yet).  Writes
+    nothing — no SID interned, no stale cell marked, no counter moved —
+    and consults no flush probe. *)
+
 val set : t -> subj:Sid.t -> obj:int -> int -> unit
 (** Fill a cell, stamped with the current generations. *)
 

@@ -206,6 +206,10 @@ module Subject_sids = struct
       sid
     end
 
+  let find t (s : subject) =
+    let reg, sid = s.sid_memo in
+    if reg = t.reg then Some (Sid.of_int sid) else Sid.Map.find t.map s
+
   (* A registry of its own: a record memoized against the source reads
      a foreign stamp here and re-interns to the SID the copied map
      already holds. *)

@@ -72,6 +72,11 @@ module Subject_sids : sig
 
   val create : unit -> t
   val sid_of : t -> subject -> Sid.t
+
+  val find : t -> subject -> Sid.t option
+  (** As {!sid_of}, but [None] for a subject never interned, and
+      writing nothing: no SID minted, no memo stored. *)
+
   val count : t -> int
 
   val subject_of : t -> Sid.t -> subject

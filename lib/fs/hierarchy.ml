@@ -38,6 +38,7 @@ type node = {
   mutable words : int array;  (** segments: contents, grown on demand *)
   mutable quota : int option;  (** directories: page quota cell, if any *)
   mutable pages_charged : int;  (** directories with a quota: pages charged *)
+  mutable stamp : int;  (** the branch's change stamp (see [touch]) *)
 }
 
 type error =
@@ -79,21 +80,28 @@ type t = {
      Uids are the object-SID space directly: the uid generator already
      mints small dense ints and never reuses them. *)
   avtab : Av_table.t;
-  (* The change stamp: [touch] moves it on every write to a branch or
-     to a directory's entries, and nothing else does — compiling a
-     cell, a lookup and a read leave it. *)
-  mutable stamp : int;
+  (* The last change stamp minted.  Each branch carries its own:
+     [touch] mints the next one into a branch on every write to it or,
+     for a directory, to its entries, and nothing else moves one —
+     compiling a cell, a lookup and a read leave them.  One counter for
+     all branches, so a branch made after another was deleted never
+     repeats a stamp the deleted one held. *)
+  mutable minted : int;
 }
 
 let words_per_page = 64
-let stamp t = t.stamp
-let touch t = t.stamp <- t.stamp + 1
+
+let mint t =
+  t.minted <- t.minted + 1;
+  t.minted
+
+let touch t n = n.stamp <- mint t
 
 (* Any ACL edit, label change, deletion or branch move revokes the
    cached verdicts derived from the object, and is a write. *)
-let note_change t uid =
-  touch t;
-  Av_table.invalidate_object t.avtab (Uid.to_int uid)
+let note_change t n =
+  touch t n;
+  Av_table.invalidate_object t.avtab (Uid.to_int n.uid)
 
 let invalidate_cached_verdicts t = Av_table.invalidate_all t.avtab
 let av_table t = t.avtab
@@ -125,6 +133,7 @@ let create () =
       words = [||];
       quota = None;
       pages_charged = 0;
+      stamp = 0;
     }
   in
   Int_table.replace nodes (Uid.to_int Uid.root) root;
@@ -132,7 +141,7 @@ let create () =
     nodes;
     uids = Uid.generator ();
     avtab = Av_table.create ~name:"policy" ();
-    stamp = 0;
+    minted = 0;
   }
 
 (* A branch's attributes are immutable values; only its contents are
@@ -152,6 +161,7 @@ let copy_node n =
     words = Array.copy n.words;
     quota = n.quota;
     pages_charged = n.pages_charged;
+    stamp = n.stamp;
   }
 
 (* Every compiled cell of the copy reads fresh or stale exactly as in
@@ -165,7 +175,7 @@ let copy t =
     nodes;
     uids = Uid.copy_generator t.uids;
     avtab = Av_table.copy t.avtab;
-    stamp = t.stamp;
+    minted = t.minted;
   }
 
 let node t uid = Int_table.find_opt t.nodes (Uid.to_int uid)
@@ -176,6 +186,7 @@ let node_exn t uid =
   | None -> invalid_arg (Fmt.str "Hierarchy: dangling %a" Uid.pp uid)
 
 let uid_exists t uid = Int_table.mem t.nodes (Uid.to_int uid)
+let stamp_of t uid = match node t uid with Some n -> n.stamp | None -> -1
 
 (* ----- Attribute readers (no access check: callers are kernel code
    that has already mediated, or the audit tooling) ----- *)
@@ -293,7 +304,7 @@ let charge_pages t n delta =
           if needed > quota then Error (Quota_exceeded { dir = cell.name; quota; needed })
           else begin
             cell.pages_charged <- max 0 needed;
-            touch t;
+            touch t cell;
             Ok ()
           end)
 
@@ -398,11 +409,12 @@ let add_entry t ~subject ~dir ~name ~kind ~acl ~label ~brackets =
               words = [||];
               quota = None;
               pages_charged = 0;
+              stamp = mint t;
             }
           in
           Int_table.replace t.nodes (Uid.to_int uid) n;
           d.entries <- d.entries @ [ (name, uid) ];
-          touch t;
+          touch t d;
           Ok uid
         end)
   end
@@ -425,8 +437,9 @@ let delete_entry t ~subject ~dir ~name =
             (* Refund the deleted segment's pages to its quota cell. *)
             if n.kind = Segment && n.pages > 0 then ignore (charge_pages t n (-n.pages));
             d.entries <- List.filter (fun (entry_name, _) -> entry_name <> name) d.entries;
+            touch t d;
             Int_table.remove t.nodes (Uid.to_int uid);
-            note_change t uid;
+            note_change t n;
             Ok uid
           end)
 
@@ -444,7 +457,8 @@ let rename_entry t ~subject ~dir ~name ~new_name =
               n.name <- new_name;
               d.entries <-
                 List.map (fun (en, eu) -> if en = name then (new_name, eu) else (en, eu)) d.entries;
-              note_change t uid;
+              touch t d;
+              note_change t n;
               Ok uid
             end)
   end
@@ -462,7 +476,7 @@ let set_acl t ~subject ~uid ~acl =
       in
       guard t subject parent ~requested:Mode.w (fun () ->
           n.acl <- acl;
-          note_change t uid;
+          note_change t n;
           Ok ())
 
 let set_gate_bound t ~subject ~uid ~gate_bound =
@@ -474,7 +488,7 @@ let set_gate_bound t ~subject ~uid ~gate_bound =
     in
     guard t subject parent ~requested:Mode.w (fun () ->
         n.gate_bound <- gate_bound;
-        note_change t uid;
+        note_change t n;
         Ok ())
   end
 
@@ -486,7 +500,7 @@ let set_brackets t ~subject ~uid ~brackets =
   in
   guard t subject parent ~requested:Mode.w (fun () ->
       n.brackets <- brackets;
-      note_change t uid;
+      note_change t n;
       Ok ())
 
 (* Install (or clear) a quota cell on a directory.  Requires modify
@@ -500,7 +514,7 @@ let set_quota t ~subject ~uid ~quota =
       | None ->
           d.quota <- None;
           d.pages_charged <- 0;
-          touch t;
+          touch t d;
           Ok ()
       | Some limit ->
           if limit < 0 then Error (Out_of_bounds limit)
@@ -511,7 +525,7 @@ let set_quota t ~subject ~uid ~quota =
             else begin
               d.quota <- Some limit;
               d.pages_charged <- used;
-              touch t;
+              touch t d;
               Ok ()
             end
           end)
@@ -532,8 +546,9 @@ let rec raw_delete_subtree t ~dir ~name =
              List.iter (fun child -> ignore (raw_delete_subtree t ~dir:uid ~name:child)) children);
           if n.kind = Segment && n.pages > 0 then ignore (charge_pages t n (-n.pages));
           d.entries <- List.filter (fun (entry_name, _) -> entry_name <> name) d.entries;
+          touch t d;
           Int_table.remove t.nodes (Uid.to_int uid);
-          note_change t uid;
+          note_change t n;
           true)
 
 (* Kernel-internal: rewrite an object's security label (the upgrade/
@@ -545,7 +560,7 @@ let raw_set_label t ~uid ~label =
   | None -> false
   | Some n ->
       n.label <- label;
-      note_change t uid;
+      note_change t n;
       true
 
 (* ----- The mediated access question, exposed for gate dispatch and
@@ -661,7 +676,7 @@ let raw_write_word t ~uid ~offset ~value =
       else begin
         ensure_capacity n offset;
         n.words.(offset) <- value;
-        touch t;
+        touch t n;
         true
       end
 

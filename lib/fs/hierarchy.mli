@@ -46,14 +46,16 @@ val copy : t -> t
 val words_per_page : int
 (** 64: the page size segment contents and quota are counted in. *)
 
-val stamp : t -> int
-(** The change stamp.  Every write to a branch (its ACL, label,
-    brackets, gate bound, name, contents or quota cell) or to a
-    directory's entries moves it; nothing else does, so a lookup, an
-    access check, a compiled access-vector cell or a content read
-    leaves it where it was.  {!copy} keeps it, and the copy's stamp
-    moves independently of the source's.  A reader that saw the stamp
-    unchanged may reuse what it derived from the branches then. *)
+val stamp_of : t -> Uid.t -> int
+(** The branch's change stamp, or [-1] when no branch has the uid.
+    Every write to the branch (its ACL, label, brackets, gate bound,
+    name, contents or quota cell) and, for a directory, to its entries
+    moves it, to a value no branch of this hierarchy has held; nothing
+    else does, so a lookup, an access check, a compiled access-vector
+    cell, a content read or a write to another branch leaves it where
+    it was.  {!copy} keeps every stamp, and the copy's move
+    independently of the source's.  A reader that saw a branch's stamp
+    unchanged may reuse what it derived from that branch then. *)
 
 (** {1 Attributes (kernel-internal, unmediated)} *)
 

@@ -43,7 +43,7 @@
      states, and each distinct component is held once.  A capture
      writes no kernel state.  A candidate's capture is incremental: it
      renders only the components whose change witness moved since its
-     replayed parent (the change stamps of the hierarchy, each KST and
+     replayed parent (the change stamps of each branch, each KST and
      each CAM, a process's ring, the taint lists), and its key takes
      the parent's ids for the rest; the full render stays the
      reference the oracles compare it with.
@@ -64,7 +64,15 @@
      not dominate, a subject never a taint its clearance does not
      dominate.  P4 AV parity: the compiled access-vector verdict must
      equal the structured [Policy.check] recomputation for every
-     subject x object x mode.
+     subject x object x mode.  The predicates run unmetered: the obs
+     counters record the plant's traffic, never the checker's probes.
+     P1 and P3 check every state in full.  P4's answers form a table,
+     one row per (subject, object) pair: [extend] probes every pair of
+     a replayed parent once, on a copy of it, and a candidate re-probes
+     only the pairs whose inputs moved since its parent (the subject,
+     the object's label, ACL and brackets, the reading of the pair's
+     compiled cell) and takes the parent's row for the rest, so its
+     violations are the full probe's.
 
    - {b The seeded-bug leg.}  [Smp.set_deferred_connects] re-enables
      the pre-PR 5 stale-Permit window (remote connects queue instead
@@ -103,6 +111,8 @@ module Label = Multics_access.Label
 module Acl = Multics_access.Acl
 module Principal = Multics_access.Principal
 module Policy = Multics_access.Policy
+module Av_table = Multics_access.Av_table
+module Obs = Multics_obs.Obs
 module Par = Multics_par.Par
 module Prng = Multics_util.Prng
 
@@ -436,6 +446,202 @@ let apply_action t action =
       | Ok _ | Error _ -> failwith "Mc plant salvage: unexpected response")
   | Deliver cpu -> ignore (Smp.deliver_connects t.plant ~cpu)
 
+(* ----- The state predicates ----- *)
+
+(* P1: no front may hold a descriptor granting a mode a fresh
+   recomputation refuses.  More-restrictive staleness is a freshness
+   bug, not a security one; the predicate is exactly "no stale
+   Permit".  (PTW memories carry no access bits — a stale PTW entry
+   skips a page-table walk, never a mediation — so each CPU's CAM, the
+   one SDW-bearing front, is walked.)  Messages are formatted only
+   when a violation is recorded: P1 walks every cached entry of every
+   CAM at every state. *)
+let stale_permit t ~cpu ~segno ~cached ~uid_opt ~subject =
+  let hierarchy = System.hierarchy t.system in
+  let fresh = Option.bind uid_opt (fun uid -> Hierarchy.sdw_for hierarchy ~subject ~uid) in
+  let cached_mode = Sdw.mode cached in
+  match fresh with
+  | None ->
+      if not (Mode.is_none cached_mode) then
+        record t "P1-stale-permit"
+          (Printf.sprintf "cpu %d's CAM holds %s for dangling segno %d" cpu
+             (Mode.to_string cached_mode) segno)
+  | Some fresh ->
+      if not (Mode.subset cached_mode (Sdw.mode fresh)) then
+        record t "P1-stale-permit"
+          (Printf.sprintf "cpu %d's CAM grants %s on segno %d; fresh descriptor grants only %s"
+             cpu (Mode.to_string cached_mode) segno (Mode.to_string (Sdw.mode fresh)))
+
+let check_p1 t =
+  for cpu = 0 to 1 do
+    List.iter
+      (fun (key, cached) ->
+        let handle, segno = Smp.split_cam_key key in
+        match System.proc t.system handle with
+        | None ->
+            if not (Mode.is_none (Sdw.mode cached)) then
+              record t "P1-stale-permit"
+                (Printf.sprintf "cpu %d CAM holds a grant for vanished process %d" cpu handle)
+        | Some p ->
+            stale_permit t ~cpu ~segno ~cached
+              ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
+              ~subject:(System.subject_of p))
+      (Smp.cam_entries t.plant ~cpu)
+  done
+
+(* P3: accumulated taints stay dominated — no interleaving of granted
+   accesses moved information downward. *)
+let check_p3 t =
+  let hierarchy = System.hierarchy t.system in
+  let object_check name uid taints =
+    match Hierarchy.label_of hierarchy uid with
+    | None -> ()
+    | Some label ->
+        List.iter
+          (fun taint ->
+            if not (Label.dominates label taint) then
+              record t "P3-lattice-flow"
+                (Printf.sprintf "%s (label %s) carries taint %s" name (Label.to_string label)
+                   (Label.to_string taint)))
+          taints
+  in
+  object_check "s0" t.s0 t.s0_taints;
+  object_check "s1" t.s1 t.s1_taints;
+  List.iter
+    (fun who ->
+      let clearance = level_of t who in
+      List.iter
+        (fun taint ->
+          if not (Label.dominates clearance taint) then
+            record t "P3-lattice-flow"
+              (Printf.sprintf "%s (clearance %s) carries taint %s" (principal_name who)
+                 (Label.to_string clearance) (Label.to_string taint)))
+        (carried t who))
+    [ Alice; Bob ]
+
+(* P4: the compiled access-vector table must agree with the structured
+   monitor on every subject x object x mode of the plant.  Its answers
+   form a table, one row per (subject, object) pair in probe order: each
+   mode's compiled and structured verdict, [true] for a Permit.  A
+   violation is a triple whose two answers differ. *)
+let p4_pairs = [| (Alice, S0); (Alice, S1); (Bob, S0); (Bob, S1) |]
+let p4_modes = [| ("r", Mode.r); ("w", Mode.w); ("rw", Mode.rw) |]
+let permits = function Some Policy.Permit -> true | Some (Policy.Refuse _) | None -> false
+
+(* One pair's three probes.  [check_access] compiles the pair's cell
+   if it is not fresh. *)
+let probe_pair t (who, seg) =
+  let hierarchy = System.hierarchy t.system in
+  let subject = System.subject_of (proc_of t who) and uid = uid_of t seg in
+  Array.map
+    (fun (_, requested) ->
+      ( permits (Hierarchy.check_access hierarchy ~subject ~uid ~requested),
+        permits (Hierarchy.check_access_fresh hierarchy ~subject ~uid ~requested) ))
+    p4_modes
+
+(* A pair's change witness: everything its three probes read.  The
+   compiled answer is the pair's cell if it is fresh, and otherwise the
+   cell compiled from the subject and the object's label, ACL and
+   brackets; the structured answer is computed from the same four.  So
+   two states that read the same here give the same answers.  The
+   subject is its principal, clearance and ring; the attributes are
+   immutable values, compared physically ([None]: no such object); the
+   cell is read without writing it ([Av_table.peek]: its bits, or -1
+   where a probe would compile it).  Nothing here relies on the kernel
+   revoking a cell when it edits the object: that is what P4 checks. *)
+type pair_inputs = {
+  subject : Policy.subject;
+  attributes : (Label.t * Acl.t * Brackets.t) option;
+  cell : int;
+}
+
+(* Every pair's inputs, each subject and object read once. *)
+let p4_inputs t =
+  let hierarchy = System.hierarchy t.system in
+  let subject who = System.subject_of (proc_of t who) in
+  let attributes seg =
+    let uid = uid_of t seg in
+    match
+      ( Hierarchy.label_of hierarchy uid,
+        Hierarchy.acl_of hierarchy uid,
+        Hierarchy.brackets_of hierarchy uid )
+    with
+    | Some label, Some acl, Some brackets -> Some (label, acl, brackets)
+    | _ -> None
+  in
+  let alice = subject Alice and bob = subject Bob in
+  let s0 = attributes S0 and s1 = attributes S1 in
+  Array.map
+    (fun (who, seg) ->
+      let subject = match who with Alice -> alice | Bob -> bob in
+      {
+        subject;
+        attributes = (match seg with S0 -> s0 | S1 -> s1);
+        cell =
+          Av_table.peek (Hierarchy.av_table hierarchy) ~subject ~obj:(Uid.to_int (uid_of t seg));
+      })
+    p4_pairs
+
+let same_inputs a b =
+  a.cell = b.cell
+  && a.subject.Policy.principal == b.subject.Policy.principal
+  && a.subject.Policy.clearance == b.subject.Policy.clearance
+  && Ring.equal a.subject.Policy.ring b.subject.Policy.ring
+  && a.subject.Policy.trusted = b.subject.Policy.trusted
+  &&
+  match (a.attributes, b.attributes) with
+  | Some (label, acl, brackets), Some (label', acl', brackets') ->
+      label == label' && acl == acl' && brackets == brackets'
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+(* One row of P4's table: a pair's inputs, read before any probe, and
+   its answers. *)
+type pair_row = { inputs : pair_inputs; answers : (bool * bool) array }
+
+(* Every pair probed.  The inputs are all read first: a probe writes
+   its own pair's cell only. *)
+let probed_table t =
+  let inputs = p4_inputs t in
+  Array.mapi (fun i pair -> { inputs = inputs.(i); answers = probe_pair t pair }) p4_pairs
+
+(* [t]'s table, given [table], the table of a state [t] was copied
+   from: a pair whose inputs read as that row's takes the row as it is,
+   and only the others are probed. *)
+let witnessed_table table t =
+  let inputs = p4_inputs t in
+  Array.mapi
+    (fun i pair ->
+      if same_inputs inputs.(i) table.(i).inputs then table.(i)
+      else { inputs = inputs.(i); answers = probe_pair t pair })
+    p4_pairs
+
+let record_p4 t table =
+  Array.iteri
+    (fun i (who, seg) ->
+      Array.iteri
+        (fun j (compiled, structured) ->
+          if compiled <> structured then
+            record t "P4-av-parity"
+              (Printf.sprintf "%s x %s x %s: table says %b, structured monitor says %b"
+                 (principal_name who) (seg_name seg) (fst p4_modes.(j)) compiled structured))
+        table.(i).answers)
+    p4_pairs
+
+(* Run the state predicates, P4 from the table [p4] gives, and return
+   that table.  They run unmetered: what the obs counters record is the
+   plant's traffic, not the checker's probes, and a candidate that
+   takes its parent's answers counts what one that probes would.  P4's
+   probes compile access-vector cells, which no component renders, so
+   the predicates leave the capture as they found it. *)
+let check_state t p4 =
+  Obs.with_disabled (fun () ->
+      check_p1 t;
+      check_p3 t;
+      let table = p4 t in
+      record_p4 t table;
+      table)
+
 (* ----- The memory image -----
 
    An exploration boots its plant once, into an image nothing replays,
@@ -471,11 +677,20 @@ let copy_instance t =
     violations = t.violations;
   }
 
-type image = { image_bug : bool; booted : instance }
+(* [table] is P4's per-pair table at [booted]'s state, which [extend]
+   computes for each replayed parent (see [image_table]); a built image
+   has none. *)
+type image = { image_bug : bool; booted : instance; table : pair_row array option }
 
-let build_image ~bug = { image_bug = bug; booted = boot ~bug () }
+let build_image ~bug = { image_bug = bug; booted = boot ~bug (); table = None }
 
 let copy image = copy_instance image.booted
+
+(* P4's table at [t]'s state, probed on a copy of it, so [t]'s own
+   cells stay as its replay left them and every candidate copied from
+   it compiles what its full replay would.  Unmetered, the copy with
+   it: it is the checker's probe, not the plant's traffic. *)
+let probed_copy t = Obs.with_disabled (fun () -> probed_table (copy_instance t))
 
 (* ----- Replay: canonical re-execution through the event queue -----
 
@@ -507,7 +722,7 @@ let extend image trace =
   List.iter (fun _ -> ignore (Sim.step t.sim)) trace;
   if not (Sim.quiescent t.sim) then
     failwith "Mc: an action scheduled a simulator event; a child cannot be derived from its parent";
-  { image_bug = image.image_bug; booted = t }
+  { image_bug = image.image_bug; booted = t; table = Some (probed_copy t) }
 
 (* ----- Canonicalization -----
 
@@ -680,8 +895,9 @@ let render_taints b t =
    component exactly as [parent] does.  Most witnesses are the change
    stamps of what the renderer reads, which [copy] keeps and every
    mutator of it moves:
-   - the objects: the hierarchy's stamp (a write to any branch or
-     directory, [tmp]'s entry in Alice's home among them);
+   - [s0] and [s1]: the branch's stamp;
+   - [tmp]: the stamp of Alice's home, which a change to its entries
+     moves, and of the branch the name finds there;
    - a process: its ring and its KST's stamp;
    - a CPU: the stamp of its two memories ([Smp.fronts_stamp]);
    - the taints: the four immutable lists themselves, which an action
@@ -693,8 +909,16 @@ type component = {
   unchanged : parent:instance -> instance -> bool;
 }
 
-let same_hierarchy ~parent t =
-  Hierarchy.stamp (System.hierarchy t.system) = Hierarchy.stamp (System.hierarchy parent.system)
+let same_branch uid_of ~parent t =
+  match uid_of t with
+  | None -> true
+  | Some uid ->
+      Hierarchy.stamp_of (System.hierarchy t.system) uid
+      = Hierarchy.stamp_of (System.hierarchy parent.system) uid
+
+(* With home's entries unchanged, the name finds the same branch (or
+   none) in both. *)
+let same_tmp ~parent t = same_branch (fun t -> Some t.home) ~parent t && same_branch tmp_uid ~parent t
 
 let same_proc who ~parent t =
   let p = proc_of parent who and q = proc_of t who in
@@ -711,11 +935,14 @@ let same_taints ~parent t =
   && t.s1_taints == parent.s1_taints
 
 let canonical_components =
-  let hierarchy render = { render; unchanged = same_hierarchy } in
+  let segment name uid_of =
+    let uid_of t = Some (uid_of t) in
+    { render = render_object name uid_of; unchanged = same_branch uid_of }
+  in
   [|
-    hierarchy (render_object "s0" (fun t -> Some t.s0));
-    hierarchy (render_object "s1" (fun t -> Some t.s1));
-    hierarchy (render_object "tmp" tmp_uid);
+    segment "s0" (fun t -> t.s0);
+    segment "s1" (fun t -> t.s1);
+    { render = render_object "tmp" tmp_uid; unchanged = same_tmp };
     { render = render_proc Alice; unchanged = same_proc Alice };
     { render = render_proc Bob; unchanged = same_proc Bob };
     { render = render_cpu 0; unchanged = same_cpu 0 };
@@ -764,126 +991,52 @@ let changed_components ~parent t =
 
 let fingerprint canon = Digest.to_hex (Digest.string canon)
 
-(* ----- The state predicates ----- *)
-
-(* P1: no front may hold a descriptor granting a mode a fresh
-   recomputation refuses.  More-restrictive staleness is a freshness
-   bug, not a security one; the predicate is exactly "no stale
-   Permit".  (PTW memories carry no access bits — a stale PTW entry
-   skips a page-table walk, never a mediation — so each CPU's CAM, the
-   one SDW-bearing front, is walked.)  Messages are formatted only
-   when a violation is recorded: P1 walks every cached entry of every
-   CAM at every state. *)
-let stale_permit t ~cpu ~segno ~cached ~uid_opt ~subject =
-  let hierarchy = System.hierarchy t.system in
-  let fresh = Option.bind uid_opt (fun uid -> Hierarchy.sdw_for hierarchy ~subject ~uid) in
-  let cached_mode = Sdw.mode cached in
-  match fresh with
-  | None ->
-      if not (Mode.is_none cached_mode) then
-        record t "P1-stale-permit"
-          (Printf.sprintf "cpu %d's CAM holds %s for dangling segno %d" cpu
-             (Mode.to_string cached_mode) segno)
-  | Some fresh ->
-      if not (Mode.subset cached_mode (Sdw.mode fresh)) then
-        record t "P1-stale-permit"
-          (Printf.sprintf "cpu %d's CAM grants %s on segno %d; fresh descriptor grants only %s"
-             cpu (Mode.to_string cached_mode) segno (Mode.to_string (Sdw.mode fresh)))
-
-let check_p1 t =
-  for cpu = 0 to 1 do
-    List.iter
-      (fun (key, cached) ->
-        let handle, segno = Smp.split_cam_key key in
-        match System.proc t.system handle with
-        | None ->
-            if not (Mode.is_none (Sdw.mode cached)) then
-              record t "P1-stale-permit"
-                (Printf.sprintf "cpu %d CAM holds a grant for vanished process %d" cpu handle)
-        | Some p ->
-            stale_permit t ~cpu ~segno ~cached
-              ~uid_opt:(Result.to_option (Kst.uid_of_segno p.System.kst segno))
-              ~subject:(System.subject_of p))
-      (Smp.cam_entries t.plant ~cpu)
-  done
-
-(* P3: accumulated taints stay dominated — no interleaving of granted
-   accesses moved information downward. *)
-let check_p3 t =
-  let hierarchy = System.hierarchy t.system in
-  let object_check name uid taints =
-    match Hierarchy.label_of hierarchy uid with
-    | None -> ()
-    | Some label ->
-        List.iter
-          (fun taint ->
-            if not (Label.dominates label taint) then
-              record t "P3-lattice-flow"
-                (Printf.sprintf "%s (label %s) carries taint %s" name (Label.to_string label)
-                   (Label.to_string taint)))
-          taints
-  in
-  object_check "s0" t.s0 t.s0_taints;
-  object_check "s1" t.s1 t.s1_taints;
-  List.iter
-    (fun who ->
-      let clearance = level_of t who in
-      List.iter
-        (fun taint ->
-          if not (Label.dominates clearance taint) then
-            record t "P3-lattice-flow"
-              (Printf.sprintf "%s (clearance %s) carries taint %s" (principal_name who)
-                 (Label.to_string clearance) (Label.to_string taint)))
-        (carried t who))
-    [ Alice; Bob ]
-
-(* P4: the compiled access-vector table must agree with the structured
-   monitor on every subject x object x mode of the plant. *)
-let check_p4 t =
-  let hierarchy = System.hierarchy t.system in
-  let permits = function Some Policy.Permit -> true | Some (Policy.Refuse _) | None -> false in
-  List.iter
-    (fun who ->
-      let subject = System.subject_of (proc_of t who) in
-      List.iter
-        (fun (name, uid) ->
-          List.iter
-            (fun (mode_name, requested) ->
-              let compiled = Hierarchy.check_access hierarchy ~subject ~uid ~requested in
-              let structured = Hierarchy.check_access_fresh hierarchy ~subject ~uid ~requested in
-              if permits compiled <> permits structured then
-                record t "P4-av-parity"
-                  (Printf.sprintf "%s x %s x %s: table says %b, structured monitor says %b"
-                     (principal_name who) name mode_name (permits compiled)
-                     (permits structured)))
-            [ ("r", Mode.r); ("w", Mode.w); ("rw", Mode.rw) ])
-        [ ("s0", t.s0); ("s1", t.s1) ])
-    [ Alice; Bob ]
-
-(* Run the state predicates.  P4's table probe compiles access-vector
-   cells: no component renders them and no change stamp counts them, so
-   the predicates leave the capture as they found it. *)
-let check_state t =
-  check_p1 t;
-  check_p3 t;
-  check_p4 t
-
 (* The full per-trace verdict on a booted plant [t]: replay, capture
-   the state, then run the predicates.  Violations come back
-   oldest-first. *)
+   the state, then run the predicates, every P4 pair probed.
+   Violations come back oldest-first. *)
 let verdict capture t trace =
   let t = run t trace in
   let state = capture t in
-  check_state t;
+  ignore (check_state t probed_table);
   (state, List.rev t.violations)
 
 (* The reference every image copy is tested against: a fresh boot. *)
 let violations_of_trace ~bug trace = verdict canonical (boot ~bug ()) trace
 
+let image_table image =
+  match image.table with Some table -> table | None -> probed_copy image.booted
+
 (* The candidate parent·a, derived as the search derives it: [a] fired
    on a copy of the replayed [parent], then the incremental capture
-   against [parent], then the predicates. *)
-let derive parent a = verdict (changed_components ~parent:parent.booted) (copy parent) [ a ]
+   against [parent], then the predicates, P4's table witnessed from
+   the parent's; with that table. *)
+let derive_with_table parent a =
+  let t = run (copy parent) [ a ] in
+  let changed = changed_components ~parent:parent.booted t in
+  let table = check_state t (witnessed_table (image_table parent)) in
+  ((changed, List.rev t.violations), table)
+
+let derive parent a = fst (derive_with_table parent a)
+
+type av_answer = { triple : string; compiled : bool; structured : bool }
+
+let answers table =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun i (who, seg) ->
+            Array.to_list
+              (Array.mapi
+                 (fun j (compiled, structured) ->
+                   {
+                     triple =
+                       Printf.sprintf "%s x %s x %s" (principal_name who) (seg_name seg)
+                         (fst p4_modes.(j));
+                     compiled;
+                     structured;
+                   })
+                 table.(i).answers))
+          p4_pairs))
 
 module Image = struct
   type t = image
@@ -892,6 +1045,8 @@ module Image = struct
   let extend = extend
   let derive = derive
   let violations_of_trace image trace = verdict canonical (copy image) trace
+  let av_answers image = answers (image_table image)
+  let derived_av_answers parent a = answers (snd (derive_with_table parent a))
 
   (* A capture writes no kernel state, so the image renders itself. *)
   let canonical image = canonical image.booted

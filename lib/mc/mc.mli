@@ -20,6 +20,11 @@
       structured [Policy.check] recomputation for every subject x
       object x mode.
 
+    The predicates run unmetered, so the obs counters record the
+    plant's traffic and not the checker's probes.  P1 and P3 check
+    every state in full; a candidate re-probes only the P4 pairs whose
+    inputs moved since its parent ({!Image.derive}).
+
     A state is its trace, canonically re-executed from the booted
     plant, every action pushed into the simulator's event queue at the
     same firing time ([Event_queue]'s tie-order stability makes replay
@@ -32,7 +37,8 @@
     replay.  The visited set keys on interned canonical
     components ({!State_key}), never on a digest.  A candidate
     re-renders only the components its action changed, by their change
-    witnesses, and keeps its parent's ids for the rest
+    witnesses, keeps its parent's ids for the rest, and takes its
+    parent's P4 answers for each pair whose inputs did not move
     ({!Image.derive}).  Each level is generated from the frontier as
     it is replayed, fanned out through [Par.map] a round of parents at
     a time and interned and merged in task order, so outcomes are
@@ -85,8 +91,15 @@ val violation_to_string : violation -> string
 val violations_of_trace : bug:bool -> action list -> string * violation list
 (** Boot a fresh plant, replay the trace through the simulator's event
     queue, capture the canonical state string, then run the state
-    predicates.  Returns [(canonical, violations)] with violations in
-    the order found (per-action P2/P3 first, then the state walk). *)
+    predicates, unmetered (they move no obs counter).  Returns
+    [(canonical, violations)] with violations in the order found
+    (per-action P2/P3 first, then the state walk). *)
+
+type av_answer = { triple : string; compiled : bool; structured : bool }
+(** One of P4's probes: a subject x object x mode triple, named as a P4
+    violation names it (["bob x s0 x w"]), and whether the compiled
+    access-vector table and the structured monitor permit it.  P4
+    reports a triple whose two answers differ. *)
 
 (** An exploration's memory image: the plant booted once and never
     written again.  Each replay runs on a copy of it ({!System.copy}
@@ -107,9 +120,12 @@ module Image : sig
   (** The image of the state the trace reaches: the trace replayed once
       on a copy of the image.  A replay of [t'] on
       [extend image t] derives the candidate [t @ t'] from its parent,
-      as an exploration derives each candidate.  Fails if an action
-      scheduled a simulator event of its own, which would make the
-      split schedule differ from the full replay's. *)
+      as an exploration derives each candidate.  It also probes every
+      P4 pair once, unmetered, on a copy of the replay, so the replay's
+      own cells stay as a full replay leaves them: {!derive} takes
+      this table's answers for each pair whose inputs did not move.
+      Fails if an action scheduled a simulator event of its own, which
+      would make the split schedule differ from the full replay's. *)
 
   val violations_of_trace : t -> action list -> string * violation list
   (** {!violations_of_trace} on a copy of the image instead of a
@@ -123,9 +139,25 @@ module Image : sig
       witness moved since [t] (the hierarchy's, a KST's or a CAM's
       change stamp, a process's ring, the taint lists; the pending
       connects and the journal always), in {!components}' order, and
-      gives [None] for the rest, which render as [t]'s do.  The
-      violations are {!violations_of_trace}'s.  Safe from any domain,
-      concurrently. *)
+      gives [None] for the rest, which render as [t]'s do.  P1 and P3
+      check the whole state.  P4 probes a (subject, object) pair only
+      if something its three probes read moved since [t]: the subject's
+      principal, clearance or ring, the object's label, ACL or brackets
+      (compared physically), or the reading of the pair's compiled
+      cell; for every other pair it takes [t]'s answers from
+      {!extend}'s table.  The violations are {!violations_of_trace}'s,
+      and the obs counts the full replay's past [t]'s.  Safe from any
+      domain, concurrently. *)
+
+  val av_answers : t -> av_answer list
+  (** P4's answers at the image's state, every triple probed, in probe
+      order: for an image from {!extend}, the table it computed, and
+      otherwise a probe of a copy. *)
+
+  val derived_av_answers : t -> action -> av_answer list
+  (** P4's answers at the candidate [t·a] as {!derive} reaches them,
+      re-probed only for the pairs whose inputs moved — the table
+      {!av_answers} of [extend t \[a\]] must equal. *)
 
   val canonical : t -> string
   (** The image's canonical state.  A capture writes no kernel state:

@@ -445,60 +445,99 @@ let ok = function Ok x -> x | Error e -> Alcotest.fail (Hierarchy.error_to_strin
 let test_hierarchy_stamp () =
   let h, work = setup () in
   let alice = user_subject "Alice.Dev.a" in
-  let moves what f = moves (fun () -> Hierarchy.stamp h) what f in
-  let stays what f = stays (fun () -> Hierarchy.stamp h) what f in
-  let succeeds what f = Alcotest.(check bool) what true (moves what f) in
-  let create dir name =
-    ok (Hierarchy.create_segment h ~subject:alice ~dir ~name ~acl:open_acl ~label:Label.unclassified)
+  (* Every branch the test has made, with every stamp any branch has
+     held.  [writes what branches f] runs [f] and checks that it moved
+     the stamp of each branch in [branches] (a deleted branch reads -1)
+     and of no other; [reads] is [writes] of none. *)
+  let known = ref [ Uid.root; work ] and held = ref [] in
+  let snapshot () = List.map (fun uid -> (uid, Hierarchy.stamp_of h uid)) !known in
+  let writes what branches f =
+    let before = snapshot () in
+    let result = f () in
+    List.iter
+      (fun (uid, stamp) ->
+        held := stamp :: !held;
+        let now = Hierarchy.stamp_of h uid in
+        if List.mem uid branches then begin
+          if now = stamp then
+            Alcotest.failf "%s left the stamp of branch %d at %d" what (Uid.to_int uid) stamp
+        end
+        else
+          Alcotest.(check int)
+            (Printf.sprintf "%s leaves the stamp of branch %d" what (Uid.to_int uid))
+            stamp now)
+      before;
+    result
   in
-  let seg = moves "create_segment" (fun () -> create work "seg") in
+  let reads what f = ignore (writes what [] f) in
+  let succeeds what branches f = Alcotest.(check bool) what true (writes what branches f) in
+  (* A new branch's stamp is one no branch has held. *)
+  let create what dir name =
+    let uid =
+      writes what [ dir ] (fun () ->
+          ok
+            (Hierarchy.create_segment h ~subject:alice ~dir ~name ~acl:open_acl
+               ~label:Label.unclassified))
+    in
+    let stamp = Hierarchy.stamp_of h uid in
+    if List.mem stamp !held then Alcotest.failf "%s minted the stamp %d again" what stamp;
+    known := uid :: !known;
+    uid
+  in
+  let seg = create "create_segment" work "seg" in
   let sub =
-    moves "create_directory" (fun () ->
+    writes "create_directory" [ work ] (fun () ->
         ok
           (Hierarchy.create_directory h ~subject:alice ~dir:work ~name:"sub" ~acl:open_acl
              ~label:Label.unclassified))
   in
-  stays "lookup" (fun () -> Hierarchy.lookup h ~subject:alice ~dir:work ~name:"seg");
-  stays "raw_lookup" (fun () -> Hierarchy.raw_lookup h ~dir:work ~name:"seg");
-  stays "check_access compiling a cell" (fun () ->
+  known := sub :: !known;
+  reads "lookup" (fun () -> Hierarchy.lookup h ~subject:alice ~dir:work ~name:"seg");
+  reads "raw_lookup" (fun () -> Hierarchy.raw_lookup h ~dir:work ~name:"seg");
+  reads "check_access compiling a cell" (fun () ->
       Hierarchy.check_access h ~subject:alice ~uid:seg ~requested:Mode.rw);
-  stays "check_access on the compiled cell" (fun () ->
+  reads "check_access on the compiled cell" (fun () ->
       Hierarchy.check_access h ~subject:alice ~uid:seg ~requested:Mode.r);
-  stays "check_access_fresh" (fun () ->
+  reads "check_access_fresh" (fun () ->
       Hierarchy.check_access_fresh h ~subject:alice ~uid:seg ~requested:Mode.rw);
-  stays "an eager access-vector rebuild" (fun () -> Hierarchy.rebuild_av_table h);
-  stays "raw_read_word" (fun () -> Hierarchy.raw_read_word h ~uid:seg ~offset:0);
-  stays "sdw_for" (fun () -> Hierarchy.sdw_for h ~subject:alice ~uid:seg);
-  succeeds "raw_write_word" (fun () -> Hierarchy.raw_write_word h ~uid:seg ~offset:0 ~value:7);
-  moves "set_acl" (fun () ->
+  reads "an eager access-vector rebuild" (fun () -> Hierarchy.rebuild_av_table h);
+  reads "raw_read_word" (fun () -> Hierarchy.raw_read_word h ~uid:seg ~offset:0);
+  reads "sdw_for" (fun () -> Hierarchy.sdw_for h ~subject:alice ~uid:seg);
+  succeeds "raw_write_word" [ seg ] (fun () ->
+      Hierarchy.raw_write_word h ~uid:seg ~offset:0 ~value:7);
+  writes "set_acl" [ seg ] (fun () ->
       ok (Hierarchy.set_acl h ~subject:alice ~uid:seg ~acl:(Acl.of_strings [ ("Alice.*.*", "rw") ])));
-  moves "set_gate_bound" (fun () ->
+  writes "set_gate_bound" [ seg ] (fun () ->
       ok (Hierarchy.set_gate_bound h ~subject:alice ~uid:seg ~gate_bound:1));
-  moves "set_brackets" (fun () ->
+  writes "set_brackets" [ seg ] (fun () ->
       ok
         (Hierarchy.set_brackets h ~subject:alice ~uid:seg
            ~brackets:(Brackets.make ~r1:4 ~r2:5 ~r3:5)));
-  succeeds "raw_set_label" (fun () ->
+  succeeds "raw_set_label" [ seg ] (fun () ->
       Hierarchy.raw_set_label h ~uid:seg ~label:(Label.make Label.Secret []));
   ignore
-    (moves "rename_entry" (fun () ->
+    (writes "rename_entry" [ work; seg ] (fun () ->
          ok (Hierarchy.rename_entry h ~subject:alice ~dir:work ~name:"seg" ~new_name:"renamed")));
-  moves "set_quota" (fun () -> ok (Hierarchy.set_quota h ~subject:alice ~uid:sub ~quota:(Some 4)));
-  let inner = create sub "inner" in
-  moves "charge_growth" (fun () -> ok (Hierarchy.charge_growth h ~uid:inner ~offset:100));
+  writes "set_quota" [ sub ] (fun () ->
+      ok (Hierarchy.set_quota h ~subject:alice ~uid:sub ~quota:(Some 4)));
+  let inner = create "create_segment below a quota cell" sub "inner" in
+  writes "charge_growth" [ sub ] (fun () -> ok (Hierarchy.charge_growth h ~uid:inner ~offset:100));
   ignore
-    (moves "delete_entry" (fun () ->
+    (writes "delete_entry" [ work; seg ] (fun () ->
          ok (Hierarchy.delete_entry h ~subject:alice ~dir:work ~name:"renamed")));
-  succeeds "raw_delete_subtree" (fun () -> Hierarchy.raw_delete_subtree h ~dir:work ~name:"sub");
+  succeeds "raw_delete_subtree" [ work; sub; inner ] (fun () ->
+      Hierarchy.raw_delete_subtree h ~dir:work ~name:"sub");
+  let again = create "re-creating a deleted name" work "seg" in
   let c = Hierarchy.copy h in
-  let stamp = Hierarchy.stamp h in
-  Alcotest.(check int) "copy keeps the stamp" stamp (Hierarchy.stamp c);
-  ignore
-    (ok
-       (Hierarchy.create_segment c ~subject:alice ~dir:work ~name:"copied" ~acl:open_acl
-          ~label:Label.unclassified));
-  Alcotest.(check bool) "a write to the copy moves its stamp" true (Hierarchy.stamp c <> stamp);
-  Alcotest.(check int) "and leaves the source's" stamp (Hierarchy.stamp h)
+  List.iter
+    (fun uid ->
+      Alcotest.(check int) "copy keeps every stamp" (Hierarchy.stamp_of h uid)
+        (Hierarchy.stamp_of c uid))
+    !known;
+  let stamp = Hierarchy.stamp_of h again in
+  Alcotest.(check bool) "a write to the copy moves its branch's stamp" true
+    (Hierarchy.raw_write_word c ~uid:again ~offset:0 ~value:1 && Hierarchy.stamp_of c again <> stamp);
+  Alcotest.(check int) "and leaves the source's" stamp (Hierarchy.stamp_of h again)
 
 let test_kst_stamp () =
   let kst = Kst.create ~variant:Kst.Split () in

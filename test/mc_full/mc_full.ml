@@ -1,4 +1,4 @@
-(* The healthy plant's whole reachable space, checked three ways.
+(* The healthy plant's whole reachable space, checked five ways.
 
    - The successor check: every trace that merged into an already
      visited state must lead, action by action, to the canonical
@@ -13,8 +13,11 @@
    - Incremental versus full capture: every candidate's key as the
      exploration derives it, from the components its action changed and
      its parent's for the rest, against the full render.
+   - Witnessed versus probed P4: every candidate's P4 answers as the
+     exploration derives them, re-probing only the pairs whose inputs
+     moved, against a probe of every pair of the same candidate.
 
-   [Mc_oracle.check_successors] makes the last three comparisons,
+   [Mc_oracle.check_successors] makes the last four comparisons,
    sharing each candidate's replay on an image copy.
 
    Prints one verdict line per check and exits 1 on any divergence. *)
@@ -40,6 +43,7 @@ let fixpoint_candidates () =
   let seen = Hashtbl.create 4096 in
   Hashtbl.replace seen (Mc.Image.canonical (Mc_oracle.image oracle)) ();
   let candidates = ref 0 and by_boot = ref [] and by_prefix = ref [] and by_capture = ref [] in
+  let by_witness = ref [] in
   let rec level frontier =
     if frontier <> [] then begin
       let next =
@@ -48,6 +52,7 @@ let fixpoint_candidates () =
             let checked, derived = Mc_oracle.check_successors oracle trace in
             by_prefix := List.rev_append derived.Mc_oracle.prefix !by_prefix;
             by_capture := List.rev_append derived.Mc_oracle.capture !by_capture;
+            by_witness := List.rev_append derived.Mc_oracle.witness !by_witness;
             List.filter_map
               (fun (a, (canon, divergence)) ->
                 incr candidates;
@@ -90,7 +95,14 @@ let fixpoint_candidates () =
          !candidates)
       !by_capture
   in
-  image_ok && prefix_ok && capture_ok
+  let witness_ok =
+    verdict
+      (Printf.sprintf
+         "[mc-witness] %d fixpoint candidates: witnessed P4 answers agree with full probes"
+         !candidates)
+      !by_witness
+  in
+  image_ok && prefix_ok && capture_ok && witness_ok
 
 let () =
   let ok = successors () in

@@ -14,7 +14,13 @@
      of a candidate renders only the components whose change witness
      moved and keeps the parent's text for the rest; together they must
      be the full render of the same candidate, component by component,
-     with the same violations and counts. *)
+     with the same violations and counts.
+   - Witnessed versus probed P4: the exploration's own derivation of a
+     candidate re-probes a P4 pair only when its inputs moved and takes
+     the parent's answers for the rest; every triple's compiled and
+     structured answer must be a full probe's of the same candidate.
+     The healthy plant never violates P4, so this, not the violation
+     list, is what can tell a wrong witness from a right one. *)
 
 module Mc = Multics_mc.Mc
 module Obs = Multics_obs.Obs
@@ -96,7 +102,25 @@ type derived = {
       (** derived candidates that are not their full replays, and a
           parent whose rendering moved under its children *)
   capture : string list;  (** incremental captures that are not the full render *)
+  witness : string list;  (** witnessed P4 answers that are not a full probe's *)
 }
+
+(* [None] when the P4 answers of [parent]·[a] as the exploration
+   derives them are those of [candidate], the same candidate with every
+   pair probed ([Mc.Image.extend parent [a]]), triple by triple;
+   otherwise what differs, naming the first divergent triple. *)
+let against_probes parent a candidate =
+  let rec first = function
+    | [], [] -> None
+    | (w : Mc.av_answer) :: ws, p :: ps ->
+        if w = p then first (ws, ps)
+        else
+          Some
+            (Printf.sprintf "P4 answer %s (compiled %b, structured %b; probed %b, %b)"
+               w.Mc.triple w.Mc.compiled w.Mc.structured p.Mc.compiled p.Mc.structured)
+    | _ -> Some "the P4 triple count"
+  in
+  first (Mc.Image.derived_av_answers parent a, Mc.Image.av_answers candidate)
 
 (* Each successor of [trace], derived from one replay of it
    ([Mc.Image.extend]), against its full replay, given in alphabet
@@ -116,7 +140,7 @@ let against_full t trace full =
           counted (fun () -> Mc.Image.violations_of_trace parent [ a ])
         in
         let incremental = counted (fun () -> Mc.Image.derive parent a) in
-        let rendered_candidate = Mc.Image.components (Mc.Image.extend parent [ a ]) in
+        let candidate = Mc.Image.extend parent [ a ] in
         let divergence what =
           Printf.sprintf "[%s] derived from [%s]: %s differs"
             (Mc.trace_to_string (trace @ [ a ]))
@@ -124,8 +148,11 @@ let against_full t trace full =
         in
         ( differs by_full derived full_counts (add_counts derived_counts parent_counts)
           |> Option.map divergence,
-          against_render ~rendered ~full:rendered_candidate (snd derived, derived_counts)
-            incremental
+          against_render ~rendered ~full:(Mc.Image.components candidate)
+            (snd derived, derived_counts) incremental
+          |> Option.map (fun what ->
+                 divergence (Printf.sprintf "%s after %s" what (Mc.action_to_string a))),
+          against_probes parent a candidate
           |> Option.map (fun what ->
                  divergence (Printf.sprintf "%s after %s" what (Mc.action_to_string a))) ))
       (List.combine (Mc.alphabet ~bug:t.bug) full)
@@ -137,8 +164,9 @@ let against_full t trace full =
           (Mc.trace_to_string trace) ]
   in
   {
-    prefix = List.filter_map fst compared @ moved;
-    capture = List.filter_map snd compared;
+    prefix = List.filter_map (fun (d, _, _) -> d) compared @ moved;
+    capture = List.filter_map (fun (_, d, _) -> d) compared;
+    witness = List.filter_map (fun (_, _, d) -> d) compared;
   }
 
 let successors t trace = List.map (fun a -> trace @ [ a ]) (Mc.alphabet ~bug:t.bug)
@@ -146,6 +174,17 @@ let successors t trace = List.map (fun a -> trace @ [ a ]) (Mc.alphabet ~bug:t.b
 let check_derived t trace =
   let d = against_full t trace (List.map (replay t) (successors t trace)) in
   d.prefix @ d.capture
+
+(* Witnessed versus probed P4 alone, over every successor of [trace]. *)
+let check_witnessed t trace =
+  let parent = Mc.Image.extend t.image trace in
+  List.filter_map
+    (fun a ->
+      against_probes parent a (Mc.Image.extend parent [ a ])
+      |> Option.map
+           (Printf.sprintf "[%s] derived from its parent: %s differs"
+              (Mc.trace_to_string (trace @ [ a ]))))
+    (Mc.alphabet ~bug:t.bug)
 
 (* Both checks over every successor of [trace], sharing each full
    replay: each successor's [check] result, in alphabet order, and

@@ -279,6 +279,48 @@ let test_derived_candidates_are_replays () =
           Alcotest.failf "%d divergent, first %s" (List.length divergent) first)
     [ (false, 2954); (true, 4368) ]
 
+let test_witnessed_p4_is_probed () =
+  (* A candidate re-probes a P4 pair only when something the pair's
+     probes read moved since its parent, and takes the parent's answers
+     for the rest.  The healthy plant never violates P4, so equal
+     violation lists cannot tell a wrong witness from a right one; the
+     answers can.  Over every candidate of at most three actions, on
+     both alphabets, each triple's compiled and structured answers as
+     the exploration derives them must be a full probe's of the same
+     candidate ([Mc_oracle.check_witnessed]). *)
+  List.iter
+    (fun (bug, expected) ->
+      let oracle = Mc_oracle.create ~bug in
+      let alpha = Mc.alphabet ~bug in
+      let parents = List.filter (fun t -> List.length t < 3) (traces_upto_three alpha) in
+      Alcotest.(check int) "candidates" expected (List.length parents * List.length alpha);
+      match List.concat_map (Mc_oracle.check_witnessed oracle) parents with
+      | [] -> ()
+      | first :: _ as divergent ->
+          Alcotest.failf "%d divergent, first %s" (List.length divergent) first)
+    [ (false, 2954); (true, 4368) ]
+
+let test_predicates_count_nothing () =
+  (* The predicates run unmetered, so the obs counters record the
+     plant's traffic alone: a replay checked by every predicate counts
+     exactly what the same replay counts when only extended (its P4
+     table probed on a copy), over every trace of at most two actions
+     on both alphabets. *)
+  List.iter
+    (fun bug ->
+      let image = Mc_oracle.image (Mc_oracle.create ~bug) in
+      let alpha = Mc.alphabet ~bug in
+      let ones = List.map (fun a -> [ a ]) alpha in
+      let twos = List.concat_map (fun t -> List.map (fun a -> t @ [ a ]) alpha) ones in
+      List.iter
+        (fun trace ->
+          let checked = snd (Mc_oracle.counted (fun () -> Mc.Image.violations_of_trace image trace)) in
+          let extended = snd (Mc_oracle.counted (fun () -> Mc.Image.extend image trace)) in
+          if checked <> extended then
+            Alcotest.failf "[%s]: the predicates moved the obs counts" (Mc.trace_to_string trace))
+        (([] :: ones) @ twos))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "action/trace round-trip" `Quick test_action_roundtrip;
@@ -302,4 +344,7 @@ let suite =
       test_successors_agree;
     Alcotest.test_case "a derived candidate is its full replay" `Quick
       test_derived_candidates_are_replays;
+    Alcotest.test_case "witnessed P4 answers are a full probe's" `Quick
+      test_witnessed_p4_is_probed;
+    Alcotest.test_case "the predicates count nothing" `Quick test_predicates_count_nothing;
   ]
